@@ -11,7 +11,6 @@ density analysis and the pipeline simulator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -251,27 +250,6 @@ class FrontEnd:
                 continue
             self._aggregate(res, event)
         return res
-
-    def run(
-        self,
-        trace: Trace,
-        warmup: int = 0,
-        result: Optional[FrontEndResult] = None,
-    ) -> FrontEndResult:
-        """Deprecated whole-trace alias of :meth:`replay`.
-
-        Kept for one release so existing callers keep working; new code
-        should use :meth:`replay` (record streams) or the segmented
-        engine entry points (:meth:`repro.engine.Engine.replay` /
-        :meth:`repro.engine.Engine.stream`).
-        """
-        warnings.warn(
-            "FrontEnd.run() is deprecated; use FrontEnd.replay() or the "
-            "engine's replay/stream entry points",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.replay(trace, warmup=warmup, result=result)
 
     def events(self, trace: Trace) -> Iterable[FrontEndEvent]:
         """Yield per-branch events (the pipeline simulator's input)."""

@@ -26,17 +26,9 @@ from repro.engine.executor import (
 )
 from repro.engine.job import ReplayOutcome, SimJob
 from repro.engine.segmented import (
-    ChainGuessProvider,
-    ChainRecord,
-    CorruptingGuessProvider,
-    GuessProvider,
     ReplayCheckpoint,
-    SegmentPlan,
-    SequentialChain,
-    SpeculativeShardScheduler,
     replay_segmented,
     segment_fingerprint,
-    select_scheduler,
 )
 from repro.engine.specs import (
     ALWAYS_HIGH,
@@ -55,9 +47,6 @@ __all__ = [
     "ALWAYS_HIGH",
     "BASELINE_PREDICTOR",
     "CacheStats",
-    "ChainGuessProvider",
-    "ChainRecord",
-    "CorruptingGuessProvider",
     "EXECUTOR_NAMES",
     "Engine",
     "EngineStats",
@@ -66,7 +55,6 @@ __all__ = [
     "PoolExecutor",
     "SerialExecutor",
     "GATING_POLICY",
-    "GuessProvider",
     "METRICS_SCHEMA",
     "NO_POLICY",
     "PolicySpec",
@@ -75,12 +63,9 @@ __all__ = [
     "ReplayCheckpoint",
     "ReplayOutcome",
     "SegmentCache",
-    "SegmentPlan",
-    "SequentialChain",
     "SimJob",
     "Spec",
     "SpecError",
-    "SpeculativeShardScheduler",
     "THREE_REGION_POLICY",
     "TraceCache",
     "canonical_metrics",
@@ -91,5 +76,4 @@ __all__ = [
     "replay_segmented",
     "resolve_executor",
     "segment_fingerprint",
-    "select_scheduler",
 ]

@@ -14,13 +14,7 @@ Two caches back the engine:
 - :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
   for the segmented execution path (see :mod:`repro.engine.segmented`):
   one entry per replayed trace segment, so re-running a job after a
-  suffix-only change replays only the dirty segments.  It also stores
-  tiny *chain records* (per-configuration checkpoint chains keyed by
-  chain key) that seed the speculative scheduler's guesses; chains
-  survive :meth:`SegmentCache.clear` and disk eviction, because losing
-  them only costs speed on the next warm re-run, while keeping them is
-  what makes a warm re-run embarrassingly parallel even after the bulky
-  event entries are gone.
+  suffix-only change replays only the dirty segments.
 
 The segment cache's disk tier can be bounded (``disk_budget_bytes``):
 when the segment ``.pkl`` files exceed the budget, the least recently
@@ -263,9 +257,7 @@ class SegmentCache:
     :class:`~repro.engine.segmented.ReplayCheckpoint` at the segment's
     end, which chains into the next segment's fingerprint.  The disk
     layer lives under ``<dir>/segments/`` so it can share a cache
-    directory with :class:`ReplayCache` without key collisions; chain
-    records live under ``<dir>/segments/chains/`` and are exempt from
-    the disk budget (they are a few KB and seed speculation guesses).
+    directory with :class:`ReplayCache` without key collisions.
     """
 
     def __init__(
@@ -284,16 +276,10 @@ class SegmentCache:
         self.disk_budget_bytes = disk_budget_bytes
         self.stats = CacheStats()
         self.disk_evictions = 0
-        self._chains: dict = {}
 
     def _disk_path(self, fingerprint: str) -> str:
         return os.path.join(
             self.disk_dir, "segments", fingerprint[:2], fingerprint + ".pkl"
-        )
-
-    def _chain_path(self, chain_key: str) -> str:
-        return os.path.join(
-            self.disk_dir, "segments", "chains", chain_key + ".pkl"
         )
 
     def get(self, fingerprint: str):
@@ -303,7 +289,7 @@ class SegmentCache:
     def get_tiered(self, fingerprint: str):
         """``((events, checkpoint), tier)`` -- tier is ``"memory"``,
         ``"disk"``, or ``None`` on a miss (entry is ``None`` too).
-        Schedulers annotate their per-segment spans with the tier."""
+        The chain annotates its per-segment spans with the tier."""
         tel = telemetry.get_registry()
         entry = self._lru.get(fingerprint)
         if entry is not None:
@@ -392,19 +378,13 @@ class SegmentCache:
                 self._enforce_disk_budget()
 
     def _segment_files(self):
-        """Yield ``(mtime, size, path)`` for every on-disk segment entry.
-
-        Chain records (``segments/chains/``) are excluded: they are not
-        part of the budgeted payload.
-        """
+        """Yield ``(mtime, size, path)`` for every on-disk segment entry."""
         base = os.path.join(self.disk_dir, "segments")
         try:
             shards = os.listdir(base)
         except OSError:
             return
         for shard in shards:
-            if shard == "chains":
-                continue
             shard_dir = os.path.join(base, shard)
             if not os.path.isdir(shard_dir):
                 continue
@@ -440,71 +420,8 @@ class SegmentCache:
             if tel.enabled:
                 tel.counter("cache_segment_disk_evictions_total").inc(evicted)
 
-    def get_chain(self, chain_key: str):
-        """The recorded chain for ``chain_key``, or ``None``.
-
-        Chain records are opaque to the cache (the scheduler owns the
-        type); an unreadable disk record is dropped and treated as a
-        miss -- chains only seed guesses, so losing one is always safe.
-        """
-        record = self._chains.get(chain_key)
-        if record is not None:
-            return record
-        if self.disk_dir is not None:
-            path = self._chain_path(chain_key)
-            try:
-                fh = open(path, "rb")
-            except OSError:
-                return None
-            try:
-                with fh:
-                    record = pickle.load(fh)
-            except Exception as exc:
-                telemetry.log_event(
-                    "cache.corrupt_entry",
-                    level=logging.WARNING,
-                    message="segment cache: dropping corrupt chain record",
-                    logger=logger,
-                    path=path,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-                return None
-            self._chains[chain_key] = record
-            return record
-        return None
-
-    def put_chain(self, chain_key: str, record) -> None:
-        """Store (and overwrite) the chain record for ``chain_key``.
-
-        Unlike segment entries, chains legitimately change content under
-        the same key (a longer run extends the chain), so the disk copy
-        is always rewritten -- atomically, last writer wins.
-        """
-        self._chains[chain_key] = record
-        if self.disk_dir is not None:
-            path = self._chain_path(chain_key)
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(record, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)
-            except BaseException:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise
-
     def clear(self) -> None:
-        """Drop in-memory segment entries.
-
-        The disk tier and the chain records survive: chains are the
-        guess seeds that make the *next* run's speculation profitable
-        precisely when the bulky event entries are gone.
-        """
+        """Drop in-memory segment entries (the disk layer is left alone)."""
         self._lru.clear()
 
     def __len__(self) -> int:

@@ -31,7 +31,7 @@ from repro.engine.cache import (
     TraceCache,
 )
 from repro.engine.executor import EXECUTOR_NAMES, resolve_executor
-from repro.engine.job import SPECULATION_MODES, ReplayOutcome, SimJob
+from repro.engine.job import ReplayOutcome, SimJob
 
 __all__ = [
     "Engine",
@@ -42,30 +42,18 @@ __all__ = [
 ]
 
 
-def _replay_trace(
-    job: SimJob,
-    trace,
-    segments=None,
-    workers: int = 1,
-    speculation: str = "auto",
-) -> ReplayOutcome:
+def _replay_trace(job: SimJob, trace, segments=None) -> ReplayOutcome:
     """Replay a prepared trace (optionally under the cProfile hotspot
     accumulator -- ``--profile`` wraps every executed job here)."""
     from repro.telemetry import profile
 
     if profile.profiling_enabled():
         with profile.profile_block():
-            return _replay_trace_impl(job, trace, segments, workers, speculation)
-    return _replay_trace_impl(job, trace, segments, workers, speculation)
+            return _replay_trace_impl(job, trace, segments)
+    return _replay_trace_impl(job, trace, segments)
 
 
-def _replay_trace_impl(
-    job: SimJob,
-    trace,
-    segments=None,
-    workers: int = 1,
-    speculation: str = "auto",
-) -> ReplayOutcome:
+def _replay_trace_impl(job: SimJob, trace, segments=None) -> ReplayOutcome:
     """Replay a prepared trace through fresh spec-built components.
 
     Pure in the job description: no shared mutable state is read, which
@@ -79,12 +67,7 @@ def _replay_trace_impl(
     Jobs with ``segment_size`` set replay as a checkpointed segment
     chain through ``segments`` (a
     :class:`~repro.engine.cache.SegmentCache`); the chain is
-    bit-identical to the monolithic pass below.  ``workers`` and
-    ``speculation`` reach the scheduler selection for such jobs: with
-    spare workers, speculation allowed, and a prior chain to guess
-    from, the chain fans out speculatively (see
-    :mod:`repro.engine.speculation`) -- a throughput knob only, never
-    an outcome knob.
+    bit-identical to the monolithic pass below.
     """
     from repro.core.frontend import FrontEnd, FrontEndResult
 
@@ -94,9 +77,7 @@ def _replay_trace_impl(
     if job.segment_size is not None:
         from repro.engine.segmented import replay_segmented
 
-        outcome, _ = replay_segmented(
-            job, trace, cache=segments, workers=workers, speculation=speculation
-        )
+        outcome, _ = replay_segmented(job, trace, cache=segments)
         if tel.enabled:
             tel.counter("engine_replays_total", backend=outcome.backend).inc()
             tel.histogram(
@@ -237,13 +218,6 @@ class Engine:
         event_budget: In-memory replay cache size, in cached events.
         cache_dir: Enables the on-disk replay cache at this directory.
         trace_budget: Trace cache size, in total dynamic branches.
-        speculation: ``"auto"`` (default) lets a single segmented job
-            use the speculative shard scheduler when ``max_workers > 1``
-            and a prior chain record supplies guesses; ``"off"`` pins
-            the sequential chain engine-wide.
-        segment_disk_budget: Byte budget for the segment cache's disk
-            tier (least-recently-used ``.pkl`` entries are unlinked past
-            it); ``None`` leaves the tier unbounded.
         executor: Where pending (uncached) jobs run -- an
             :class:`~repro.engine.executor.Executor` instance, a name
             from :data:`~repro.engine.executor.EXECUTOR_NAMES`, or
@@ -257,24 +231,16 @@ class Engine:
         event_budget: int = DEFAULT_EVENT_BUDGET,
         cache_dir: Optional[str] = None,
         trace_budget: int = DEFAULT_TRACE_BUDGET,
-        speculation: str = "auto",
-        segment_disk_budget: Optional[int] = None,
         executor=None,
     ):
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {speculation!r}"
-            )
         if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
             raise ValueError(
                 f"executor must be one of {EXECUTOR_NAMES} or an "
                 f"Executor instance, got {executor!r}"
             )
         self.max_workers = max_workers
-        self.speculation = speculation
         self.executor = executor
         #: Optional ``callable(job, outcome)`` invoked once per
         #: *executed* job (never for cache hits), as each outcome
@@ -285,11 +251,7 @@ class Engine:
         #: dropping results.
         self.result_sink = None
         self._replays = ReplayCache(event_budget, disk_dir=cache_dir)
-        self._segments = SegmentCache(
-            event_budget,
-            disk_dir=cache_dir,
-            disk_budget_bytes=segment_disk_budget,
-        )
+        self._segments = SegmentCache(event_budget, disk_dir=cache_dir)
         self._traces = TraceCache(trace_budget)
         self._executed = 0
         self._parallel_executed = 0
@@ -524,8 +486,6 @@ def configure_engine(
     max_workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     event_budget: Optional[int] = None,
-    speculation: Optional[str] = None,
-    segment_disk_budget: Optional[int] = None,
     executor=None,
     reset: bool = False,
 ) -> Engine:
@@ -541,8 +501,6 @@ def configure_engine(
             max_workers=max_workers or 1,
             event_budget=event_budget or DEFAULT_EVENT_BUDGET,
             cache_dir=cache_dir,
-            speculation=speculation or "auto",
-            segment_disk_budget=segment_disk_budget,
             executor=executor,
         )
         return _default_engine
@@ -551,21 +509,12 @@ def configure_engine(
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         engine.max_workers = max_workers
-    if speculation is not None:
-        if speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {speculation!r}"
-            )
-        engine.speculation = speculation
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir
         engine._segments.disk_dir = cache_dir
     if event_budget is not None:
         engine._replays._lru.budget = event_budget
         engine._segments._lru.budget = event_budget
-    if segment_disk_budget is not None:
-        engine._segments.disk_budget_bytes = segment_disk_budget
     if executor is not None:
         engine.executor = executor
     return engine

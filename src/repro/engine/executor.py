@@ -3,31 +3,19 @@
 Every place the stack runs simulation work "somewhere else" goes
 through one :class:`Executor`:
 
-- :class:`SerialExecutor` -- in the submitting process.  A lone job
-  keeps the full worker budget, so a segmented job can still spend it
-  on speculative shard fan-out inside the replay.
-- :class:`PoolExecutor` -- a per-call ``ProcessPoolExecutor``.  This is
-  the single home of the worker-bootstrap / telemetry-drain /
-  result-marshalling protocol that used to be duplicated (and slowly
-  diverging) between ``Engine.run`` and the speculative shard
-  scheduler; both now speak :mod:`repro.telemetry.workers` shipments
-  through :func:`_pool_entry`.
+- :class:`SerialExecutor` -- in the submitting process.
+- :class:`PoolExecutor` -- a per-call ``ProcessPoolExecutor``, the
+  single home of the local worker-bootstrap / telemetry-drain /
+  result-marshalling protocol: workers speak
+  :mod:`repro.telemetry.workers` shipments through :func:`_pool_entry`.
 - ``FleetExecutor`` (:mod:`repro.fleet.executor`) -- a sqlite work
   queue drained by detached ``python -m repro.fleet worker``
   processes, resolved lazily here so the engine has no import-time
   dependency on the fleet tier.
 
-Executors expose two shapes of work:
-
-- :meth:`Executor.execute` -- run a batch of :class:`SimJob` s,
-  yielding ``(job, outcome)`` pairs in submission order as they land
-  (the engine's per-outcome crash-resume contract).
-- :meth:`Executor.dispatch` -- a lower-level session for callers that
-  submit arbitrary functions and control join order themselves (the
-  speculative scheduler): ``session.submit(fn, *args)`` returns a
-  handle whose ``result()`` yields ``(value, shipment)``, where the
-  shipment carries the worker's telemetry for
-  :func:`~repro.telemetry.workers.absorb_shipment`.
+:meth:`Executor.execute` runs a batch of :class:`SimJob` s, yielding
+``(job, outcome)`` pairs in submission order as they land (the
+engine's per-outcome crash-resume contract).
 
 Executors are throughput knobs only.  Replay is deterministic in the
 job description, so every strategy produces bit-identical events and
@@ -36,8 +24,7 @@ results; the verify layers enforce it.
 
 from __future__ import annotations
 
-from concurrent.futures import CancelledError, ProcessPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -69,76 +56,6 @@ def _pool_entry(payload):
     return value, worker_collect(count=count)
 
 
-class _LazyHandle:
-    """A dispatch handle that executes in-process on first ``result()``.
-
-    Serial dispatch stays lazy so a caller that cancels a handle (the
-    speculative scheduler discarding a mispredicted shard) never pays
-    for the work.  No shipment: the work runs in the caller's own
-    telemetry context.
-    """
-
-    __slots__ = ("_fn", "_args", "_done", "_value", "_cancelled")
-
-    def __init__(self, fn, args):
-        self._fn = fn
-        self._args = args
-        self._done = False
-        self._value = None
-        self._cancelled = False
-
-    def result(self):
-        if self._cancelled:
-            raise CancelledError()
-        if not self._done:
-            self._value = self._fn(*self._args)
-            self._done = True
-        return self._value, None
-
-    def cancel(self) -> bool:
-        if self._done:
-            return False
-        self._cancelled = True
-        return True
-
-
-class _SerialSession:
-    __slots__ = ()
-
-    def submit(self, fn, *args) -> _LazyHandle:
-        return _LazyHandle(fn, args)
-
-
-class _PoolHandle:
-    """Wraps a pool future; ``result()`` absorbs nothing itself --
-    the caller decides whether an accepted result's shipment is
-    merged (mispredicted speculative work is dropped wholesale)."""
-
-    __slots__ = ("_future",)
-
-    def __init__(self, future):
-        self._future = future
-
-    def result(self):
-        return self._future.result()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-
-class _PoolSession:
-    __slots__ = ("_pool", "_count")
-
-    def __init__(self, pool: ProcessPoolExecutor, count: bool):
-        self._pool = pool
-        self._count = count
-
-    def submit(self, fn, *args) -> _PoolHandle:
-        return _PoolHandle(
-            self._pool.submit(_pool_entry, (self._count, fn, args))
-        )
-
-
 class Executor:
     """Strategy interface: where and how submitted work runs."""
 
@@ -156,30 +73,19 @@ class Executor:
         """Run ``jobs`` through ``engine``'s caches; yield per outcome."""
         raise NotImplementedError
 
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        """A submit/join session for caller-ordered work (see module doc)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support dispatch sessions"
-        )
-
 
 class SerialExecutor(Executor):
     """Run everything in the submitting process.
 
-    ``local_workers`` is the budget a *single* job may spend on
-    internal fan-out (speculative shard scheduling for segmented jobs);
-    job-level execution itself never parallelizes here.
+    ``local_workers`` records the worker budget the executor was built
+    from, so every executor constructs from the same argument; serial
+    execution never fans out.
     """
 
     name = "serial"
     distributes = False
 
     def __init__(self, local_workers: int = 1):
-        if local_workers < 1:
-            raise ValueError(
-                f"local_workers must be >= 1, got {local_workers}"
-            )
         self.local_workers = local_workers
 
     def execute(self, jobs, engine):
@@ -187,28 +93,19 @@ class SerialExecutor(Executor):
 
         for job in jobs:
             outcome = _replay_trace(
-                job,
-                engine.trace(*job.trace_key),
-                segments=engine._segments,
-                workers=self.local_workers,
-                speculation=engine.speculation,
+                job, engine.trace(*job.trace_key), segments=engine._segments
             )
             yield job, outcome
-
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        yield _SerialSession()
 
 
 class PoolExecutor(Executor):
     """Fan work out over a per-call ``ProcessPoolExecutor``.
 
-    Pools are scoped to one ``execute``/``dispatch`` call, so forked
-    workers inherit the caller's telemetry state as of that call --
-    the fork-time capture decision the shipment protocol relies on.
-    A batch that cannot benefit (one job, or one worker) delegates to
-    :class:`SerialExecutor` with the full budget, preserving the lone
-    segmented job's speculative fan-out.
+    Pools are scoped to one ``execute`` call, so forked workers inherit
+    the caller's telemetry state as of that call -- the fork-time
+    capture decision the shipment protocol relies on.  A batch that
+    cannot benefit (one job, or one worker) runs in-process through
+    :class:`SerialExecutor`.
     """
 
     name = "pool"
@@ -230,7 +127,7 @@ class PoolExecutor(Executor):
 
         n = self._pool_size(len(jobs))
         if n <= 1:
-            yield from SerialExecutor(self.max_workers).execute(jobs, engine)
+            yield from SerialExecutor().execute(jobs, engine)
             return
         # Workers count into their own registries only when the parent
         # is collecting; each job ships a drained shipment home.
@@ -242,11 +139,6 @@ class PoolExecutor(Executor):
             ):
                 absorb_shipment(shipment)
                 yield job, outcome
-
-    @contextmanager
-    def dispatch(self, count: bool = False):
-        with ProcessPoolExecutor(max_workers=self.max_workers) as pool:
-            yield _PoolSession(pool, count)
 
 
 def resolve_executor(

@@ -28,7 +28,6 @@ __all__ = [
     "ReplayOutcome",
     "FINGERPRINT_SCHEMA",
     "BACKENDS",
-    "SPECULATION_MODES",
 ]
 
 #: Bump when the replay semantics or the canonical job encoding change;
@@ -43,14 +42,6 @@ FINGERPRINT_SCHEMA = 3
 #: supported (bit-identical by construction, enforced by the verify
 #: fastpath layer) and falls back to the reference loop otherwise.
 BACKENDS = ("reference", "fast")
-
-#: Speculation modes for segmented replay.  ``"auto"`` lets the engine
-#: pick the speculative shard scheduler when workers are available and
-#: a prior chain exists to guess from; ``"off"`` pins the sequential
-#: chain.  Outcome-invariant by construction (the speculative verify
-#: layer enforces bit-identity), but part of the canonical encoding so
-#: the knob is auditable in every fingerprinted artifact.
-SPECULATION_MODES = ("auto", "off")
 
 
 @dataclass(frozen=True)
@@ -75,12 +66,6 @@ class SimJob:
             segments of this many branches through the segment-chain
             cache (see :mod:`repro.engine.segmented`).  ``None``
             (default) replays the whole trace in one pass.
-        speculation: ``"auto"`` (default) allows the speculative shard
-            scheduler for segmented replays (guess incoming checkpoints
-            from the prior run's chain, validate digests at joins,
-            abort mispredictions to sequential repair -- see
-            :mod:`repro.engine.speculation`); ``"off"`` pins the
-            sequential chain.
     """
 
     benchmark: str
@@ -93,17 +78,11 @@ class SimJob:
     collect_outputs: bool = False
     backend: str = "reference"
     segment_size: Optional[int] = None
-    speculation: str = "auto"
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.speculation not in SPECULATION_MODES:
-            raise ValueError(
-                f"speculation must be one of {SPECULATION_MODES}, "
-                f"got {self.speculation!r}"
             )
         if self.segment_size is not None and self.segment_size < 1:
             raise ValueError(
@@ -138,11 +117,7 @@ class SimJob:
         ``segment_size`` is deliberately *excluded*: segmentation is an
         execution knob, proven outcome-invariant by the segmented
         verify layer, so segmented and monolithic replays of the same
-        job share one cache identity.  ``speculation`` *is* included
-        (schema 3): it is equally outcome-invariant -- the speculative
-        verify layer enforces that -- but it selects which scheduler
-        produced a cached artifact, and the canonical encoding records
-        every knob a replay ran under so cached outcomes are auditable.
+        job share one cache identity.
         """
         canonical = (
             "simjob",
@@ -156,7 +131,8 @@ class SimJob:
             self.policy.canonical(),
             self.collect_outputs,
             self.backend,
-            self.speculation,
+            # Retired speculation knob, kept so recorded fingerprints hold.
+            "auto",
         )
         return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
 

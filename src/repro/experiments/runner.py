@@ -55,9 +55,8 @@ from repro.experiments import (
 from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings
 
 __all__ = ["PAPER_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "EXPERIMENTS",
-           "EXPERIMENT_JOBS", "SUITES", "ExperimentRecord", "RunReport",
-           "select_experiments", "resolve_suite", "resolve_settings",
-           "run_all", "main"]
+           "EXPERIMENT_JOBS", "ExperimentRecord", "RunReport",
+           "select_experiments", "resolve_settings", "run_all", "main"]
 
 #: The paper's tables and figures.
 PAPER_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
@@ -122,32 +121,6 @@ EXPERIMENT_JOBS: Dict[str, Callable[[ExperimentSettings], list]] = {
     "warmup_curve": warmup_curve.jobs,
     "h2p_confidence": h2p_confidence.jobs,
 }
-
-#: Legacy suite names, kept as a back-compat shim for the retired
-#: ``experiments_*.txt`` console logs: each maps to the experiment list
-#: that produced the corresponding log, in its original order.  The
-#: same groupings live on as checked-in sweep specs
-#: (``src/repro/sweeps/specs/``).
-SUITES: Dict[str, tuple] = {
-    "full": tuple(PAPER_EXPERIMENTS),
-    "fig89": ("figure8", "figure9", "figure6_7"),
-    "ext": ("oracle_bound", "energy", "smt", "ablation_training",
-            "ablation_combined"),
-    "ext2": ("ablation_history", "seed_stability"),
-    "ext3": ("ablation_indexing",),
-    "ext4": ("throttle",),
-}
-
-
-def resolve_suite(name: str) -> List[str]:
-    """Experiment ids for one legacy suite name."""
-    try:
-        return list(SUITES[name])
-    except KeyError:
-        raise KeyError(
-            f"unknown suite {name!r}; known suites: {', '.join(SUITES)}"
-        ) from None
-
 
 @dataclass
 class ExperimentRecord:
@@ -313,19 +286,6 @@ def main(argv=None) -> int:
         help=f"experiment ids to run (default: all of {', '.join(EXPERIMENTS)})",
     )
     parser.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        choices=sorted(SUITES),
-        help=(
-            "prepend a legacy suite's experiments to the selection "
-            f"(one of: {', '.join(SUITES)}; repeatable); these mirror "
-            "the retired experiments_*.txt groupings, now checked in "
-            "as sweep specs under src/repro/sweeps/specs/"
-        ),
-    )
-    parser.add_argument(
         "--extensions",
         action="store_true",
         help=(
@@ -377,18 +337,6 @@ def main(argv=None) -> int:
         help="persist the replay cache on disk at PATH across runs",
     )
     parser.add_argument(
-        "--speculation",
-        choices=("auto", "off"),
-        default="auto",
-        help=(
-            "segmented-replay scheduler selection: 'auto' (default) "
-            "speculates shard-parallel from the prior run's chain when "
-            "--jobs > 1, 'off' pins the sequential chain; outcomes are "
-            "bit-identical either way (enforced by the speculative "
-            "verify layer)"
-        ),
-    )
-    parser.add_argument(
         "--executor",
         choices=("auto", "serial", "pool", "fleet"),
         default="auto",
@@ -406,16 +354,6 @@ def main(argv=None) -> int:
         help=(
             "fleet work queue for --executor fleet "
             "(default <cache-dir>/fleet/queue.sqlite)"
-        ),
-    )
-    parser.add_argument(
-        "--segment-disk-budget",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help=(
-            "bound the on-disk segment cache at BYTES (least recently "
-            "used entries evicted past it; requires --cache-dir)"
         ),
     )
     parser.add_argument(
@@ -459,13 +397,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.suite:
-        suite_ids = [
-            name for suite in args.suite for name in resolve_suite(suite)
-        ]
-        args.experiments = suite_ids + [
-            n for n in args.experiments if n not in suite_ids
-        ]
     if args.verify:
         from repro.verify.cli import run_verification
 
@@ -478,11 +409,6 @@ def main(argv=None) -> int:
                 "from this tree would not be trustworthy"
             )
             return status
-    if args.segment_disk_budget is not None and args.segment_disk_budget <= 0:
-        parser.error(
-            f"--segment-disk-budget must be positive, "
-            f"got {args.segment_disk_budget}"
-        )
     executor = args.executor
     if executor == "fleet":
         from repro.fleet import FleetExecutor, default_queue_path
@@ -498,8 +424,6 @@ def main(argv=None) -> int:
     engine = configure_engine(
         max_workers=args.jobs,
         cache_dir=args.cache_dir,
-        speculation=args.speculation,
-        segment_disk_budget=args.segment_disk_budget,
         executor=executor,
     )
     settings = resolve_settings(

@@ -465,16 +465,12 @@ def replay_segment(job, segment, predictor_state, estimator_state, history_bits,
     describing all of the segment's events (warm-up applies at merge
     time, not here) and the outgoing checkpoint fields.
 
-    The incoming states are *trusted for shape, not for truth*: the
-    speculative scheduler hands this function guessed -- possibly
-    wrong, possibly corrupted -- checkpoints, executes faithfully from
-    whatever state arrives, and lets the join-time digest guard decide
-    whether the result is usable.  A wrong-but-well-formed state simply
-    replays to a different (discarded) outcome; a *malformed* state
-    (truncated tuple, wrong types -- e.g. a garbled chain record) is
-    rejected cheaply as :class:`~repro.fastpath.FastPathUnsupported`
-    rather than crashing deep inside a kernel, so callers keep their
-    ordinary fallback/requeue path.
+    The incoming states are *trusted for shape, not for truth*:
+    checkpoints are read back from the on-disk segment cache, so a
+    *malformed* state (truncated tuple, wrong types) is rejected
+    cheaply as :class:`~repro.fastpath.FastPathUnsupported` rather than
+    crashing deep inside a kernel, and callers keep their ordinary
+    fast-to-reference fallback path.
 
     The columnar view is built per call rather than through
     :func:`get_columnar`: its derived columns depend on the incoming

@@ -115,7 +115,6 @@ def _cmd_run(args) -> int:
     configure_engine(
         max_workers=args.jobs,
         cache_dir=args.cache_dir,
-        speculation=args.speculation,
         executor=_resolve_executor_arg(args),
     )
     collecting = bool(args.telemetry or args.trace_out or args.profile)
@@ -385,10 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "engine disk replay cache (default "
             f"{DEFAULT_CACHE_DIR}; events live here, metrics in the store)"
         ),
-    )
-    p_run.add_argument(
-        "--speculation", choices=("auto", "off"), default="auto",
-        help="segmented-replay scheduler selection (see docs/engine.md)",
     )
     p_run.add_argument(
         "--executor", choices=("auto", "serial", "pool", "fleet"),

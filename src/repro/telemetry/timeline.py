@@ -5,12 +5,12 @@ converts a recorded trace (schema 2: every span carries ``pid`` and a
 shared-monotonic ``ts``) into the Chrome Trace Event JSON format that
 ``chrome://tracing`` and https://ui.perfetto.dev load directly.
 
-Each process becomes a lane (``pid``/``tid``), so a ``--jobs N``
-speculative replay renders as the parent's span tree with worker shard
-lanes beside it; ``log`` events (speculation guess/validate/abort
-markers, cache warnings) become instant events pinned at their
-timestamps, and span fields (backend, segment index, cache tier) ride
-along in ``args`` where the UI shows them on click.
+Each process becomes a lane (``pid``/``tid``), so a ``--jobs N`` run
+renders as the parent's span tree with worker replay lanes beside it;
+``log`` events (cache warnings, fleet lease expiries) become instant
+events pinned at their timestamps, and span fields (backend, segment
+index, cache tier) ride along in ``args`` where the UI shows them on
+click.
 
 Linux's ``CLOCK_MONOTONIC`` is system-wide, so ``time.monotonic()``
 start times recorded in forked workers are directly comparable with the

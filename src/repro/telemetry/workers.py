@@ -1,8 +1,8 @@
 """The worker-process telemetry handoff protocol.
 
 Every executor that runs work in another process -- the engine's job
-pool, the speculative shard scheduler, the fleet worker loop -- speaks
-the same three-step protocol, defined once here:
+pool and the fleet worker loop -- speaks the same three-step protocol,
+defined once here:
 
 1. :func:`worker_begin` -- shed inherited parent state (a fork-started
    worker inherits the parent's registry *contents* and its open trace
@@ -23,11 +23,11 @@ worker.  Fleet workers force it instead (``capture=True``): they run in
 processes the submitter never forked, so spans must always ship home
 through the queue.
 
-The *count* flag separates the two counting regimes: the engine's job
-pool counts in the worker and ships a drained snapshot home per job
-(``count=True``), while the speculative scheduler counts entirely in
-the parent -- workers stay silent (``count=False``) and only captured
-spans ride the shipment.
+The *count* flag says whether the worker counts at all: with
+``count=True`` it counts into its own registry and ships a drained
+snapshot home per job; with ``count=False`` it stays silent and only
+captured spans ride the shipment.  The engine's job pool counts exactly
+when the parent is collecting.
 """
 
 from __future__ import annotations

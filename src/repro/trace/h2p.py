@@ -12,8 +12,8 @@ carry a *tunable* per-branch predictability knob.
 Profiles are named ``h2p.<variant>`` and plug into the same dispatch
 points as the Table 2 benchmarks (``benchmark_record_stream`` /
 ``generate_benchmark_trace``), so every downstream layer -- the engine
-trace cache, segmented streaming, speculative shard replay, sweeps --
-works on H2P workloads unchanged.
+trace cache, segmented streaming and replay, sweeps -- works on H2P
+workloads unchanged.
 
 The ``predictability`` knob of an :class:`H2PBranch` is the *ceiling*
 accuracy an ideal predictor of the branch's class could reach:

@@ -6,8 +6,8 @@ family of the ChampSim / CBP contest traces -- a flat stream of
 ``(pc, taken)`` records -- and an ingestion path that lands such files
 into the repo's indexed :class:`~repro.trace.segments.SegmentedTrace`
 on-disk format, after which *every* downstream layer (segmented
-streaming, speculative shard replay, sweeps, the verify stack) replays
-them exactly like a generated trace.
+streaming and replay, sweeps, the verify stack) replays them exactly
+like a generated trace.
 
 Wire format, little-endian throughout::
 

@@ -382,8 +382,8 @@ class SegmentedTraceView:
     consume (``len``, iteration, ``slice``, name/seed metadata) for the
     first ``n_branches`` records, loading only the segments each access
     touches -- so a ``SimJob`` shorter than the recorded trace flows
-    through segmented (and speculative) replay without the whole trace
-    ever being materialized.
+    through segmented replay without the whole trace ever being
+    materialized.
     """
 
     def __init__(self, trace: SegmentedTrace, n_branches: int):

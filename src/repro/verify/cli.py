@@ -130,41 +130,6 @@ def _run_segmented_layer(engine, profile, stream) -> List[str]:
     return failures
 
 
-def _run_speculative_layer(engine, profile, stream, jobs) -> List[str]:
-    from repro import fastpath
-    from repro.verify.speculative import (
-        SPECULATIVE_SIZES,
-        run_speculative_equivalence,
-    )
-
-    failures = []
-    shard_jobs = max(2, jobs)
-    print(
-        f"== speculative: {len(CASES)} cases x "
-        f"{profile.differential_branches} branches x "
-        f"sizes={','.join(str(s) for s in SPECULATIVE_SIZES)} "
-        f"(jobs={shard_jobs}) ==",
-        file=stream,
-    )
-    backends = ("reference", "fast") if fastpath.available() else ("reference",)
-    if len(backends) == 1:
-        print(
-            "note speculative: fast backend skipped (numpy not installed)",
-            file=stream,
-        )
-    trace = engine.trace(
-        profile.benchmarks[0], profile.differential_branches, seed=1
-    )
-    for case in CASES:
-        for report in run_speculative_equivalence(
-            trace, case, backends=backends, jobs=shard_jobs
-        ):
-            print(report.format(), file=stream)
-            if not report.ok:
-                failures.append(f"speculative: {report.format()}")
-    return failures
-
-
 def _run_store_layer(engine, profile, stream) -> List[str]:
     """Round-trip the result store on one real replay.
 
@@ -248,7 +213,6 @@ def run_verification(
     stream=None,
     fastpath: bool = True,
     segmented: bool = True,
-    speculative: bool = True,
     store: bool = True,
     backend: str = "reference",
     telemetry_path: Optional[str] = None,
@@ -303,10 +267,6 @@ def run_verification(
         if segmented:
             yield "segmented", lambda: _run_segmented_layer(
                 engine, profile, stream
-            )
-        if speculative:
-            yield "speculative", lambda: _run_speculative_layer(
-                engine, profile, stream, jobs
             )
         if store:
             yield "store", lambda: _run_store_layer(
@@ -424,14 +384,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the segmented-vs-monolithic equivalence layer",
     )
     parser.add_argument(
-        "--skip-speculative",
-        action="store_true",
-        help=(
-            "skip the speculative-scheduler equivalence layer "
-            "(guess/guard/abort under adversarial corruption)"
-        ),
-    )
-    parser.add_argument(
         "--skip-store",
         action="store_true",
         help="skip the result-store round-trip/corruption layer",
@@ -486,7 +438,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         markdown=args.markdown,
         fastpath=not args.skip_fastpath,
         segmented=not args.skip_segmented,
-        speculative=not args.skip_speculative,
         store=not args.skip_store,
         backend=args.backend,
         telemetry_path=args.telemetry,

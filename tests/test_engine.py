@@ -102,7 +102,6 @@ class TestSimJob:
             JOB.with_(policy=GATING_POLICY),
             JOB.with_(collect_outputs=True),
             JOB.with_(backend="fast"),
-            JOB.with_(speculation="off"),
         ):
             assert changed.fingerprint != JOB.fingerprint
 

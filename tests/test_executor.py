@@ -1,10 +1,9 @@
-"""The pluggable executor layer: serial, pool, dispatch sessions.
+"""The pluggable executor layer: serial and pool.
 
 The refactor contract: all process fan-out goes through
 :mod:`repro.engine.executor` (no direct ``ProcessPoolExecutor`` usage
-left in the engine or the speculative scheduler), and executor choice
-is a throughput knob only -- serial, pool and auto produce
-bit-identical outcomes.
+left in the engine), and executor choice is a throughput knob only --
+serial, pool and auto produce bit-identical outcomes.
 """
 
 import inspect
@@ -20,7 +19,6 @@ from repro.engine import (
     resolve_executor,
 )
 from repro.engine.canonical import canonical_metrics
-from repro.engine.executor import Executor
 
 
 def _jobs(n=3, n_branches=1500):
@@ -30,14 +28,10 @@ def _jobs(n=3, n_branches=1500):
     ]
 
 
-def _double(x):
-    return x * 2
-
-
 class TestNoDirectPoolUsage:
     """Acceptance criterion: fan-out only via the Executor abstraction."""
 
-    @pytest.mark.parametrize("module_name", ["engine", "speculation"])
+    @pytest.mark.parametrize("module_name", ["engine"])
     def test_no_process_pool_executor(self, module_name):
         import importlib
 
@@ -132,90 +126,3 @@ class TestPoolTelemetryShipments:
         finally:
             telemetry.disable()
             registry.reset()
-
-
-class TestDispatchSessions:
-    def test_pool_dispatch_returns_value_and_shipment(self):
-        with PoolExecutor(2).dispatch(count=False) as session:
-            handle = session.submit(_double, 21)
-            value, shipment = handle.result()
-        assert value == 42
-        # count=False: the parent owns counting, nothing ships back.
-        assert shipment is not None and shipment.metrics is None
-
-    def test_pool_dispatch_counting_ships_a_snapshot(self):
-        registry = telemetry.enable()
-        registry.reset()
-        try:
-            with PoolExecutor(2).dispatch(count=True) as session:
-                value, shipment = session.submit(_double, 3).result()
-            assert value == 6
-            assert shipment.metrics is not None
-        finally:
-            telemetry.disable()
-            registry.reset()
-
-    def test_serial_dispatch_is_lazy(self):
-        calls = []
-
-        def task(x):
-            calls.append(x)
-            return x
-
-        with SerialExecutor().dispatch() as session:
-            handle = session.submit(task, 1)
-            assert calls == []
-            value, shipment = handle.result()
-        assert value == 1 and shipment is None and calls == [1]
-
-    def test_serial_dispatch_cancel_skips_work(self):
-        from concurrent.futures import CancelledError
-
-        calls = []
-
-        def task():
-            calls.append(1)
-
-        with SerialExecutor().dispatch() as session:
-            handle = session.submit(task)
-            assert handle.cancel()
-            with pytest.raises(CancelledError):
-                handle.result()
-        assert calls == []
-
-    def test_base_executor_has_no_dispatch(self):
-        with pytest.raises(NotImplementedError):
-            with Executor().dispatch():
-                pass
-
-
-class TestSpeculationThroughExecutor:
-    def test_scheduler_accepts_injected_executor(self):
-        """The shard fan-out runs through any dispatch-capable executor."""
-        from repro.engine import SequentialChain, SpeculativeShardScheduler
-        from repro.engine import replay_segmented
-        from repro.engine.cache import SegmentCache
-        from repro.trace.benchmarks import generate_benchmark_trace
-
-        job = SimJob(
-            benchmark="gzip", n_branches=2000, warmup=0, seed=11,
-            collect_outputs=True, segment_size=500,
-        )
-        trace = generate_benchmark_trace("gzip", n_branches=2000, seed=11)
-        cache = SegmentCache()
-        expected, expected_cp = replay_segmented(
-            job, trace, cache=cache, scheduler=SequentialChain()
-        )
-        cache.clear()  # events gone, chain record survives: shards re-run
-
-        scheduler = SpeculativeShardScheduler(
-            max_workers=2, executor=SerialExecutor(2)
-        )
-        outcome, checkpoint = replay_segmented(
-            job, trace, cache=cache, scheduler=scheduler
-        )
-        assert outcome.events == expected.events
-        assert canonical_metrics(outcome.result) == canonical_metrics(
-            expected.result
-        )
-        assert checkpoint.digest == expected_cp.digest

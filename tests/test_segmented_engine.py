@@ -3,8 +3,9 @@
 Covers the executor chain (:func:`repro.engine.segmented.replay_segmented`),
 its integration with :class:`repro.engine.Engine` (``segment_size`` jobs,
 :meth:`Engine.stream`), the segment cache's prefix-reuse behaviour
-(observed through telemetry counters), the peak-memory contract of
-streaming, and the deprecation shim on the old whole-trace entry point.
+(observed through telemetry counters) and disk budget, the peak-memory
+contract of streaming and its fast path, and recorded segment
+directories (orphan sweeps, ``segtrace:`` job sources).
 
 ``SimJob.fingerprint`` deliberately excludes ``segment_size`` (it is an
 execution knob, not an outcome input), so tests that re-run the same
@@ -13,12 +14,13 @@ job-level replay cache first -- otherwise the cached monolithic outcome
 is served and segmentation is never exercised.
 """
 
+import os
 import tracemalloc
 
 import pytest
 
 from repro import telemetry
-from repro.core.frontend import FrontEnd, FrontEndResult, aggregate_event
+from repro.core.frontend import FrontEnd, FrontEndResult
 from repro.engine import (
     Engine,
     ReplayCheckpoint,
@@ -28,7 +30,16 @@ from repro.engine import (
     segment_fingerprint,
 )
 from repro.engine.cache import SegmentCache
+from repro.trace.benchmarks import generate_benchmark_trace
+from repro.trace.segments import (
+    SegmentedTrace,
+    save_segmented,
+    sweep_orphan_segments,
+)
 from repro.verify.matrix import CASES
+
+N_BRANCHES = 2_000
+SEGMENT_SIZE = 500  # 4 segments over the 2k-branch trace
 
 
 @pytest.fixture(autouse=True)
@@ -49,6 +60,28 @@ def _job(case, **overrides):
         predictor=case.predictor,
         estimator=case.estimator,
         policy=case.policy,
+    )
+    base.update(overrides)
+    return SimJob(**base)
+
+
+@pytest.fixture(scope="module")
+def trace():
+    return generate_benchmark_trace("gzip", n_branches=N_BRANCHES, seed=11)
+
+
+def _trace_job(**overrides):
+    """A job over the ``trace`` fixture's benchmark, length and seed."""
+    case = CASES[0]
+    base = dict(
+        benchmark="gzip",
+        n_branches=N_BRANCHES,
+        warmup=0,
+        seed=11,
+        predictor=case.predictor,
+        estimator=case.estimator,
+        policy=case.policy,
+        collect_outputs=True,
     )
     base.update(overrides)
     return SimJob(**base)
@@ -217,17 +250,158 @@ class TestEngineStream:
         )
 
 
-class TestDeprecatedRun:
-    def test_frontend_run_warns_and_delegates(self, simple_trace):
-        case = CASES[0]
-        shim = FrontEnd(
-            case.predictor.build(), case.estimator.build(), case.policy.build()
-        )
-        with pytest.warns(DeprecationWarning, match="FrontEnd.run"):
-            shimmed = shim.run(simple_trace.slice(0, 500), warmup=100)
+class TestDiskHygiene:
+    def _fill(self, cache, n, payload_events=128):
+        # Distinct strings per entry: pickle memoizes repeated objects,
+        # so a shared payload would serialize to almost nothing.
+        for k in range(n):
+            events = [f"{k:03d}-{i:03d}" * 8 for i in range(payload_events)]
+            cache.put(f"fp{k:02d}", events, ReplayCheckpoint.initial())
 
-        direct = FrontEnd(
-            case.predictor.build(), case.estimator.build(), case.policy.build()
+    def test_disk_budget_evicts_lru(self, tmp_path):
+        tel = telemetry.enable()
+        tel.reset()
+        cache = SegmentCache(
+            event_budget=1, disk_dir=str(tmp_path), disk_budget_bytes=20_000
         )
-        replayed = direct.replay(simple_trace.slice(0, 500), warmup=100)
-        assert canonical_metrics(shimmed) == canonical_metrics(replayed)
+        self._fill(cache, 8)
+        assert cache.disk_evictions > 0
+        assert (
+            tel.counter("cache_segment_disk_evictions_total").value
+            == cache.disk_evictions
+        )
+        segment_dir = tmp_path / "segments"
+        kept = [p for p in segment_dir.iterdir() if p.is_file()]
+        assert sum(p.stat().st_size for p in kept) <= 20_000
+        # Most-recently-written entries survive; the oldest went first.
+        assert cache.get("fp07") is not None
+
+    def test_budget_validation(self, tmp_path):
+        with pytest.raises(ValueError):
+            SegmentCache(disk_dir=str(tmp_path), disk_budget_bytes=0)
+
+
+class TestOrphanSweep:
+    def test_sweep_removes_unindexed_payloads(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        stray = os.path.join(directory, "segment-9999.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"orphan")
+
+        tel = telemetry.enable()
+        tel.reset()
+        removed = sweep_orphan_segments(directory)
+        assert removed == 1
+        assert not os.path.exists(stray)
+        assert tel.counter("trace_segment_orphans_removed_total").value == 1
+        # Indexed payloads are untouched and the trace still reads.
+        assert len(SegmentedTrace(directory)) == N_BRANCHES
+
+    def test_save_sweeps_crashed_writer_leftovers(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        os.makedirs(directory)
+        stray = os.path.join(directory, "segment-0042.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"crashed writer leftovers")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        assert not os.path.exists(stray)
+
+
+class TestSegtraceJobSource:
+    @pytest.fixture()
+    def recorded(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        return save_segmented(
+            trace, str(tmp_path / "seg"), segment_size=SEGMENT_SIZE
+        )
+
+    def test_job_token_pins_content(self, recorded):
+        token = recorded.job_token()
+        assert token.startswith("segtrace:")
+        assert recorded.content_digest[:16] in token
+
+    def test_engine_replays_from_token(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        from_token = engine.replay(
+            _trace_job(benchmark=token, segment_size=None)
+        )
+        generated = engine.replay(_trace_job(segment_size=None))
+        assert from_token.events == generated.events
+        assert canonical_metrics(from_token.result) == canonical_metrics(
+            generated.result
+        )
+
+    def test_prefix_view_bounds_job_window(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        short = engine.replay(
+            _trace_job(benchmark=token, n_branches=700, segment_size=None)
+        )
+        full = engine.replay(_trace_job(segment_size=None))
+        assert short.events == full.events[:700]
+
+    def test_digest_mismatch_rejected(self, recorded):
+        bad = "segtrace:" + "0" * 16 + ":" + recorded.directory
+        with pytest.raises(ValueError, match="digest"):
+            Engine(max_workers=1).replay(
+                _trace_job(benchmark=bad, segment_size=None)
+            )
+
+    def test_oversized_window_rejected(self, recorded):
+        with pytest.raises(ValueError):
+            Engine(max_workers=1).replay(
+                _trace_job(
+                    benchmark=recorded.job_token(),
+                    n_branches=N_BRANCHES + 1,
+                    segment_size=None,
+                )
+            )
+
+
+class TestFastStream:
+    def test_fast_stream_matches_reference(self):
+        pytest.importorskip("numpy")
+        engine = Engine(max_workers=1)
+        ref = engine.stream(_trace_job(segment_size=None), segment_size=600)
+        tel = telemetry.enable()
+        tel.reset()
+        fast = engine.stream(
+            _trace_job(backend="fast", segment_size=None), segment_size=600
+        )
+        assert canonical_metrics(fast) == canonical_metrics(ref)
+        assert tel.counter("engine_stream_segments_total").value == 4
+        assert tel.counter("fastpath_fallbacks_total").value == 0
+
+    def test_midstream_fallback_is_bit_identical(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro import fastpath
+        from repro.fastpath import driver
+
+        real = driver.replay_segment
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise fastpath.FastPathUnsupported("injected mid-stream")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "replay_segment", flaky)
+        engine = Engine(max_workers=1)
+        tel = telemetry.enable()
+        tel.reset()
+        fast = engine.stream(
+            _trace_job(backend="fast", segment_size=None), segment_size=600
+        )
+        fallbacks = tel.counter(
+            "fastpath_fallbacks_total", reason="runtime"
+        ).value
+        telemetry.disable()
+        ref = engine.stream(_trace_job(segment_size=None), segment_size=600)
+        assert canonical_metrics(fast) == canonical_metrics(ref)
+        assert calls["n"] == 3  # two fast segments, then the injection
+        assert fallbacks == 1

@@ -13,14 +13,12 @@ import pytest
 
 from repro import telemetry
 from repro.engine import configure_engine
-from repro.experiments import runner
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import (
     EXPERIMENT_JOBS,
     EXPERIMENTS,
+    EXTENSION_EXPERIMENTS,
     PAPER_EXPERIMENTS,
-    SUITES,
-    resolve_suite,
 )
 from repro.results import ResultStore
 from repro.sweeps import (
@@ -78,14 +76,13 @@ class TestSpec:
                 assert experiment in EXPERIMENT_JOBS
 
     def test_paper_spec_matches_full_suite(self):
-        assert load_spec("paper").experiments == SUITES["full"]
+        assert load_spec("paper").experiments == tuple(PAPER_EXPERIMENTS)
 
     def test_extension_specs_cover_retired_suites(self):
-        covered = set(load_spec("extensions").experiments)
-        retired = set(
-            SUITES["ext"] + SUITES["ext2"] + SUITES["ext3"] + SUITES["ext4"]
+        covered = set(load_spec("extensions").experiments) | set(
+            load_spec("h2p").experiments
         )
-        assert retired <= covered
+        assert covered == set(EXTENSION_EXPERIMENTS)
 
     def test_load_rejects_bad_specs(self, tmp_path):
         def _load(doc):
@@ -327,33 +324,3 @@ class TestCli:
         assert "REGRESSION" in out
         doc = json.loads((tmp_path / "BENCH_tiny.json").read_text())
         assert len(doc["points"]) == 2
-
-
-class TestRunnerSuiteShim:
-    def test_suites_resolve_to_known_experiments(self):
-        for name in SUITES:
-            for experiment in resolve_suite(name):
-                assert experiment in EXPERIMENTS
-        assert resolve_suite("full") == list(PAPER_EXPERIMENTS)
-        with pytest.raises(KeyError, match="known suites"):
-            resolve_suite("nonesuch")
-
-    def test_suite_flag_expands_like_the_retired_txt_lists(self, monkeypatch):
-        captured = {}
-
-        def fake_run_all(settings, names=None, extensions=False):
-            captured["names"] = names
-            return runner.RunReport()
-
-        monkeypatch.setattr(runner, "run_all", fake_run_all)
-        assert runner.main(["--suite", "fig89"]) == 0
-        assert captured["names"] == ["figure8", "figure9", "figure6_7"]
-
-        assert runner.main(["--suite", "ext3", "--suite", "ext4"]) == 0
-        assert captured["names"] == ["ablation_indexing", "throttle"]
-
-        # Explicit ids append after the suite, without repeats.
-        assert runner.main(["--suite", "fig89", "figure8", "table2"]) == 0
-        assert captured["names"] == [
-            "figure8", "figure9", "figure6_7", "table2",
-        ]
