@@ -25,7 +25,7 @@ from repro.engine.executor import (
     resolve_executor,
 )
 from repro.engine.job import ReplayOutcome, SimJob
-from repro.engine.segmented import (
+from repro.engine.replay import (
     ReplayCheckpoint,
     replay_segmented,
     segment_fingerprint,

@@ -12,7 +12,7 @@ Two caches back the engine:
 - :class:`TraceCache` -- (name, n_branches, seed) -> generated trace,
   LRU-evicted against a total-branches budget.
 - :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
-  for the segmented execution path (see :mod:`repro.engine.segmented`):
+  for the segment chain (see :mod:`repro.engine.replay`):
   one entry per replayed trace segment, so re-running a job after a
   suffix-only change replays only the dirty segments.
 
@@ -254,7 +254,7 @@ class SegmentCache:
 
     The value is one replayed segment: its *complete* event list (no
     warm-up applied -- aggregation happens at merge time) and the
-    :class:`~repro.engine.segmented.ReplayCheckpoint` at the segment's
+    :class:`~repro.engine.replay.ReplayCheckpoint` at the segment's
     end, which chains into the next segment's fingerprint.  The disk
     layer lives under ``<dir>/segments/`` so it can share a cache
     directory with :class:`ReplayCache` without key collisions.

@@ -32,6 +32,7 @@ from repro.engine.cache import (
 )
 from repro.engine.executor import EXECUTOR_NAMES, resolve_executor
 from repro.engine.job import ReplayOutcome, SimJob
+from repro.engine.replay import Replayer, _count_replay, _replay_trace
 
 __all__ = [
     "Engine",
@@ -42,96 +43,6 @@ __all__ = [
 ]
 
 
-def _replay_trace(job: SimJob, trace, segments=None) -> ReplayOutcome:
-    """Replay a prepared trace (optionally under the cProfile hotspot
-    accumulator -- ``--profile`` wraps every executed job here)."""
-    from repro.telemetry import profile
-
-    if profile.profiling_enabled():
-        with profile.profile_block():
-            return _replay_trace_impl(job, trace, segments)
-    return _replay_trace_impl(job, trace, segments)
-
-
-def _replay_trace_impl(job: SimJob, trace, segments=None) -> ReplayOutcome:
-    """Replay a prepared trace through fresh spec-built components.
-
-    Pure in the job description: no shared mutable state is read, which
-    is what lets serial, parallel and cached execution agree bit for
-    bit.  Jobs requesting ``backend="fast"`` run the vectorized
-    :mod:`repro.fastpath` driver when the configuration is inside its
-    proven support matrix; anything else (including a missing numpy)
-    falls back to the reference loop below, which is the semantic
-    definition both backends must match.
-
-    Jobs with ``segment_size`` set replay as a checkpointed segment
-    chain through ``segments`` (a
-    :class:`~repro.engine.cache.SegmentCache`); the chain is
-    bit-identical to the monolithic pass below.
-    """
-    from repro.core.frontend import FrontEnd, FrontEndResult
-
-    tel = telemetry.get_registry()
-    started = time.monotonic() if tel.enabled else 0.0
-
-    if job.segment_size is not None:
-        from repro.engine.segmented import replay_segmented
-
-        outcome, _ = replay_segmented(job, trace, cache=segments)
-        if tel.enabled:
-            tel.counter("engine_replays_total", backend=outcome.backend).inc()
-            tel.histogram(
-                "engine_replay_seconds", backend=outcome.backend
-            ).observe(time.monotonic() - started)
-        return outcome
-
-    if job.backend == "fast":
-        from repro import fastpath
-
-        if fastpath.supports(job):
-            try:
-                events, result = fastpath.replay(job, trace)
-            except fastpath.FastPathUnsupported:
-                # runtime rejection (e.g. oversized pcs): fall back
-                if tel.enabled:
-                    tel.counter(
-                        "fastpath_fallbacks_total", reason="runtime"
-                    ).inc()
-            else:
-                if tel.enabled:
-                    tel.counter("engine_replays_total", backend="fast").inc()
-                    tel.histogram(
-                        "engine_replay_seconds", backend="fast"
-                    ).observe(time.monotonic() - started)
-                return ReplayOutcome(events=events, result=result, backend="fast")
-        elif tel.enabled:
-            tel.counter(
-                "fastpath_fallbacks_total",
-                reason=fastpath.unsupported_reason(job) or "unknown",
-            ).inc()
-
-    frontend = FrontEnd(
-        job.predictor.build(),
-        job.estimator.build(),
-        job.policy.build(),
-        collect_outputs=job.collect_outputs,
-    )
-    result = FrontEndResult()
-    events = []
-    for i, record in enumerate(trace):
-        event = frontend.process(record)
-        if i < job.warmup:
-            continue
-        frontend.aggregate(result, event)
-        events.append(event)
-    if tel.enabled:
-        tel.counter("engine_replays_total", backend="reference").inc()
-        tel.histogram("engine_replay_seconds", backend="reference").observe(
-            time.monotonic() - started
-        )
-    return ReplayOutcome(events=events, result=result)
-
-
 def execute_job(job: SimJob) -> ReplayOutcome:
     """Run one job start to finish (also the worker-process entry).
 
@@ -139,10 +50,7 @@ def execute_job(job: SimJob) -> ReplayOutcome:
     are generated once per (worker, trace key) and reused across the
     jobs that land on that worker.
     """
-    engine = get_engine()
-    return _replay_trace(
-        job, engine.trace(*job.trace_key), segments=engine._segments
-    )
+    return get_engine().execute(job)
 
 
 def _traced_execute_job(job: SimJob) -> ReplayOutcome:
@@ -288,6 +196,16 @@ class Engine:
         """Run (or fetch) a single job."""
         return self.run([job])[0]
 
+    def execute(self, job: SimJob) -> ReplayOutcome:
+        """Replay ``job`` against this engine's trace and segment caches.
+
+        The replay cache is not consulted: :meth:`run` looks jobs up
+        before they reach an executor and stores what comes back.
+        """
+        return _replay_trace(
+            job, self.trace(*job.trace_key), segments=self._segments
+        )
+
     def run(
         self,
         jobs: Sequence[SimJob],
@@ -362,104 +280,46 @@ class Engine:
         """Replay ``job`` with bounded memory; aggregates, keeps no events.
 
         Pulls records lazily from the benchmark generator one segment
-        at a time and folds each event into the result as it is
-        produced, so peak memory is one segment of records regardless
-        of ``job.n_branches`` -- the trace is never materialized and
-        the trace cache is bypassed.  The returned
+        at a time and steps one :class:`~repro.engine.replay.Replayer`
+        over each, merging the step results and dropping the events,
+        so peak memory is one segment regardless of
+        ``job.n_branches`` -- the trace is never materialized and the
+        trace cache is bypassed.  The returned
         :class:`~repro.core.frontend.FrontEndResult` is bit-identical
         to ``self.replay(job).result`` (generator prefixes are
-        length-stable, and replay order is unchanged).
+        length-stable, and replay order is unchanged), and the replay
+        counts under the backend that produced it.
 
-        ``segment_size`` overrides the pull granularity (default:
-        ``job.segment_size`` or 8192); it only bounds memory, never
-        changes the result.
-
-        Jobs requesting ``backend="fast"`` drive each pulled segment
-        through :func:`repro.fastpath.driver.replay_segment`, rolling
-        the component states and history/path windows across segments
-        exactly like the segmented chain does -- so streaming keeps the
-        bounded footprint *and* the vectorized passes.  A mid-stream
-        runtime rejection hands the rolled states to a reference front
-        end and finishes there, bit-identically.
+        ``segment_size`` (at least 1) overrides the pull granularity
+        (``None``: ``job.segment_size`` or 8192); it only bounds memory,
+        never changes the result.
         """
         from itertools import islice
 
-        from repro.core.frontend import FrontEnd, FrontEndResult, aggregate_event
+        from repro.core.frontend import FrontEndResult
         from repro.trace.benchmarks import benchmark_record_stream
         from repro.trace.segments import iter_record_segments
 
-        size = segment_size or job.segment_size or 8192
+        if segment_size is None:
+            segment_size = job.segment_size or 8192
+        started = time.monotonic()
         tel = telemetry.get_registry()
         with telemetry.trace_span(
-            "engine.stream", job=job.benchmark, segment_size=size
+            "engine.stream", job=job.benchmark, segment_size=segment_size
         ):
-            use_fast = False
-            if job.backend == "fast":
-                from repro import fastpath
-
-                use_fast = fastpath.supports(job)
-                if not use_fast and tel.enabled:
-                    tel.counter(
-                        "fastpath_fallbacks_total",
-                        reason=fastpath.unsupported_reason(job) or "unknown",
-                    ).inc()
-            frontend = None
-            pred_state = est_state = None
-            history = 0
-            path = ()
-            result = FrontEndResult()
-            processed = 0
             records = islice(
                 benchmark_record_stream(job.benchmark, job.seed),
                 job.n_branches,
             )
-            for segment in iter_record_segments(records, size):
-                if use_fast:
-                    from repro import fastpath
-                    from repro.fastpath.driver import replay_segment
-
-                    try:
-                        events, pred_state, est_state, history, path = (
-                            replay_segment(
-                                job, segment, pred_state, est_state,
-                                history, path,
-                            )
-                        )
-                    except fastpath.FastPathUnsupported:
-                        if tel.enabled:
-                            tel.counter(
-                                "fastpath_fallbacks_total", reason="runtime"
-                            ).inc()
-                        use_fast = False
-                    else:
-                        for event in events[max(0, job.warmup - processed):]:
-                            aggregate_event(result, event, job.collect_outputs)
-                        processed += len(segment)
-                        if tel.enabled:
-                            tel.counter("engine_stream_segments_total").inc()
-                        continue
-                if frontend is None:
-                    frontend = FrontEnd(
-                        job.predictor.build(),
-                        job.estimator.build(),
-                        job.policy.build(),
-                        collect_outputs=job.collect_outputs,
-                    )
-                    if pred_state is not None:
-                        # Mid-stream hand-off: the fast prefix's rolled
-                        # states resume the reference loop exactly.
-                        frontend.predictor.restore(pred_state)
-                        frontend.estimator.restore(est_state)
-                frontend.replay(
-                    segment,
-                    warmup=max(0, job.warmup - processed),
-                    result=result,
-                )
-                processed += len(segment)
+            replayer = Replayer(job)
+            result = FrontEndResult()
+            for segment in iter_record_segments(records, segment_size):
+                warmup = max(0, job.warmup - replayer.position)
+                _, part = replayer.step(segment, warmup)
+                result = result.merge(part)
                 if tel.enabled:
                     tel.counter("engine_stream_segments_total").inc()
-        if tel.enabled:
-            tel.counter("engine_replays_total", backend="stream").inc()
+        _count_replay(replayer.backend, started)
         return result
 
     @staticmethod

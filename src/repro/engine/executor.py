@@ -89,13 +89,8 @@ class SerialExecutor(Executor):
         self.local_workers = local_workers
 
     def execute(self, jobs, engine):
-        from repro.engine.engine import _replay_trace
-
         for job in jobs:
-            outcome = _replay_trace(
-                job, engine.trace(*job.trace_key), segments=engine._segments
-            )
-            yield job, outcome
+            yield job, engine.execute(job)
 
 
 class PoolExecutor(Executor):

@@ -64,7 +64,7 @@ class SimJob:
             ``"fast"`` (vectorized replay via :mod:`repro.fastpath`).
         segment_size: When set, replay the trace in checkpointed
             segments of this many branches through the segment-chain
-            cache (see :mod:`repro.engine.segmented`).  ``None``
+            cache (see :mod:`repro.engine.replay`).  ``None``
             (default) replays the whole trace in one pass.
     """
 

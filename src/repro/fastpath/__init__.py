@@ -20,7 +20,6 @@ __all__ = [
     "supports",
     "unsupported_reason",
     "replay",
-    "replay_with_state",
 ]
 
 try:
@@ -77,21 +76,16 @@ def unsupported_reason(job) -> "str | None":
 
 
 def replay(job, trace):
-    """Fast replay of ``job`` over ``trace``; ``(events, result)``.
+    """Fast replay of ``job`` over the whole of ``trace``; ``(events, result)``.
 
-    Raises :class:`FastPathUnavailable` without numpy and
+    The fresh whole-trace case of
+    :func:`repro.fastpath.driver.replay_segment`, under the job's
+    warm-up.  Raises :class:`FastPathUnavailable` without numpy and
     :class:`FastPathUnsupported` for configurations outside the proven
     support matrix.
     """
     require()
-    from repro.fastpath.driver import replay_trace
+    from repro.fastpath.driver import replay_segment
 
-    return replay_trace(job, trace)
-
-
-def replay_with_state(job, trace):
-    """Fast replay also returning final predictor/estimator state."""
-    require()
-    from repro.fastpath.driver import replay_with_state as _rws
-
-    return _rws(job, trace)
+    events, result, _ = replay_segment(job, trace, warmup=job.warmup)
+    return events, result

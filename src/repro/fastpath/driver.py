@@ -1,11 +1,13 @@
 """Chunked trace-replay driver for the fast backend.
 
-Decomposes one ``SimJob`` replay into three whole-trace passes instead
-of the reference's per-branch protocol loop:
+Decomposes one replay step of a ``SimJob`` (a whole trace, or one
+segment of it resumed from a checkpoint) into three passes instead of
+the reference's per-branch protocol loop:
 
-1. **Predictor pass** -- depends only on the trace, so it is cached per
-   ``(trace, predictor canonical)`` and shared across every estimator/
-   policy/threshold sweep over the same trace.
+1. **Predictor pass** -- depends only on the trace, so a fresh
+   whole-trace step caches it per ``(trace, predictor canonical)`` and
+   shares it across every estimator/policy/threshold sweep over the
+   same trace.
 2. **Estimator pass** -- consumes the prediction/correctness streams
    (estimators train on the *raw* predictor outcome, never on the
    policy's final prediction, so the pass is policy-independent).
@@ -36,8 +38,6 @@ from repro.telemetry import COUNT_BUCKETS, get_registry
 __all__ = [
     "supports_job",
     "unsupported_reason",
-    "replay_trace",
-    "replay_with_state",
     "replay_segment",
 ]
 
@@ -268,15 +268,6 @@ def _predictor_pass(job, trace, col: ColumnarTrace):
     return ppass
 
 
-def _columnar(trace) -> ColumnarTrace:
-    from repro.fastpath import FastPathUnsupported
-
-    try:
-        return get_columnar(trace)
-    except ValueError as exc:
-        raise FastPathUnsupported(str(exc)) from None
-
-
 def _decide(job, col, ppass, epass):
     """Apply the policy: per-branch decisions plus aggregate arrays."""
     from repro.core.reversal import BranchAction, PolicyDecision
@@ -351,11 +342,11 @@ def _signals(epass):
     return signals
 
 
-def _aggregate(job, col, ppass, epass, final_arr, reverse_arr):
-    """Vectorized equivalent of FrontEnd._aggregate over the tail."""
+def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
+    """Vectorized equivalent of FrontEnd._aggregate after ``warmup``."""
     from repro.core.frontend import FrontEndResult
 
-    w = job.warmup
+    w = warmup
     taken_tail = col.takens.astype(bool)[w:]
     pred_correct = ppass.correct_arr[w:]
     final_correct = final_arr[w:] == taken_tail
@@ -384,10 +375,9 @@ def _aggregate(job, col, ppass, epass, final_arr, reverse_arr):
     return result
 
 
-def _materialize_events(job, col, ppass, signals, decisions, warmup=None):
+def _materialize_events(col, ppass, signals, decisions, warmup):
     from repro.core.frontend import FrontEndEvent
 
-    w = job.warmup if warmup is None else warmup
     n = col.n
     pcs = col.pc_list
     takens = col.taken_list
@@ -397,7 +387,7 @@ def _materialize_events(job, col, ppass, signals, decisions, warmup=None):
     append = events.append
     new = object.__new__
     cls = FrontEndEvent
-    for i in range(w, n):
+    for i in range(warmup, n):
         o = new(cls)
         d = o.__dict__
         d["pc"] = pcs[i]
@@ -412,76 +402,44 @@ def _materialize_events(job, col, ppass, signals, decisions, warmup=None):
     return events
 
 
-def _run_passes(job, trace):
-    col = _columnar(trace)
-    tel = get_registry()
-    if tel.enabled:
-        tel.histogram(
-            "fastpath_batch_branches", buckets=COUNT_BUCKETS
-        ).observe(col.n)
-    ppass = _predictor_pass(job, trace, col)
-    epass = run_estimator(job.estimator, col, ppass.pred, ppass.correct)
-    return col, ppass, epass
+def replay_segment(job, segment, state=None, warmup=0):
+    """Fast replay of one step of ``job``'s trace from an incoming state.
 
+    ``state`` is the incoming ``(predictor_state, estimator_state,
+    history_bits, path)``: the component canonical tuples and the
+    trailing outcome/address windows
+    (:data:`~repro.engine.replay.CHECKPOINT_WINDOW` wide), or ``None``
+    for a fresh start.  Returns ``(events, result, state)``: the events
+    after the first ``warmup`` branches, their
+    :class:`~repro.core.frontend.FrontEndResult`, and the outgoing
+    state in the same layout.
 
-def replay_trace(job, trace):
-    """Fast whole-trace replay; returns ``(events, FrontEndResult)``.
+    A fresh start over a trace object takes the whole-trace caches: the
+    columnar view from :func:`get_columnar` and the per-trace
+    predictor pass.  Streamed segments are lists, which cannot key
+    those weak caches, and a resumed step's derived columns depend on
+    its incoming context, so both lower per call.
 
-    Bit-identical to the reference ``engine._replay_trace``: the event
-    list covers post-warmup branches only and the result aggregates the
-    same tail.
-    """
-    col, ppass, epass = _run_passes(job, trace)
-    decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
-    signals = _signals(epass)
-    result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr)
-    events = _materialize_events(job, col, ppass, signals, decisions)
-    return events, result
-
-
-def replay_with_state(job, trace):
-    """Replay plus final component states (for the verify layer).
-
-    Returns ``(events, result, predictor_state, estimator_state)``
-    where the state tuples match the reference components'
-    ``state_canonical()`` after the same trace.
-    """
-    col, ppass, epass = _run_passes(job, trace)
-    decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
-    signals = _signals(epass)
-    result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr)
-    events = _materialize_events(job, col, ppass, signals, decisions)
-    return events, result, ppass.state, epass.state
-
-
-def replay_segment(job, segment, predictor_state, estimator_state, history_bits, path):
-    """Fast replay of one checkpointed segment of ``job``'s trace.
-
-    ``predictor_state``/``estimator_state`` are the incoming
-    checkpoint's canonical tuples (``None`` for a fresh start), and
-    ``history_bits``/``path`` its trailing outcome/address windows
-    (:data:`~repro.engine.segmented.CHECKPOINT_WINDOW` wide).  Returns
-    ``(events, predictor_state, estimator_state, history_bits, path)``
-    describing all of the segment's events (warm-up applies at merge
-    time, not here) and the outgoing checkpoint fields.
-
-    The incoming states are *trusted for shape, not for truth*:
+    An incoming state is *trusted for shape, not for truth*:
     checkpoints are read back from the on-disk segment cache, so a
     *malformed* state (truncated tuple, wrong types) is rejected
     cheaply as :class:`~repro.fastpath.FastPathUnsupported` rather than
     crashing deep inside a kernel, and callers keep their ordinary
     fast-to-reference fallback path.
-
-    The columnar view is built per call rather than through
-    :func:`get_columnar`: its derived columns depend on the incoming
-    context, so the whole-trace cache must not serve it.  The
-    per-trace predictor-pass cache is skipped for the same reason.
     """
-    from repro.engine.segmented import CHECKPOINT_WINDOW
+    from repro.engine.replay import CHECKPOINT_WINDOW
     from repro.fastpath import FastPathUnsupported
 
+    fresh = state is None
+    predictor_state, estimator_state, history_bits, path = (
+        (None, None, 0, ()) if fresh else state
+    )
+    cached = fresh and not isinstance(segment, list)
     try:
-        col = ColumnarTrace(segment, init_history=history_bits, init_path=path)
+        if cached:
+            col = get_columnar(segment)
+        else:
+            col = ColumnarTrace(segment, init_history=history_bits, init_path=path)
     except (TypeError, ValueError) as exc:
         raise FastPathUnsupported(str(exc)) from None
     tel = get_registry()
@@ -490,17 +448,28 @@ def replay_segment(job, segment, predictor_state, estimator_state, history_bits,
             "fastpath_batch_branches", buckets=COUNT_BUCKETS
         ).observe(col.n)
     try:
-        ppass = run_predictor(job.predictor, col, predictor_state)
+        if cached:
+            ppass = _predictor_pass(job, segment, col)
+        else:
+            ppass = run_predictor(job.predictor, col, predictor_state)
         epass = run_estimator(
             job.estimator, col, ppass.pred, ppass.correct, estimator_state
         )
     except (TypeError, ValueError, IndexError, KeyError) as exc:
+        if fresh:
+            raise
         raise FastPathUnsupported(
             f"malformed init state: {type(exc).__name__}: {exc}"
         ) from None
-    decisions, _final_arr, _reverse_arr = _decide(job, col, ppass, epass)
+    decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
     signals = _signals(epass)
-    events = _materialize_events(job, col, ppass, signals, decisions, warmup=0)
-    out_history = col.final_history(CHECKPOINT_WINDOW)
-    out_path = tuple((list(path) + col.pc_list)[-CHECKPOINT_WINDOW:])
-    return events, ppass.state, epass.state, out_history, out_path
+    result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup)
+    events = _materialize_events(col, ppass, signals, decisions, warmup)
+    out_path = tuple(path) + tuple(col.pc_list[-CHECKPOINT_WINDOW:])
+    out_state = (
+        ppass.state,
+        epass.state,
+        col.final_history(CHECKPOINT_WINDOW),
+        out_path[-CHECKPOINT_WINDOW:],
+    )
+    return events, result, out_state

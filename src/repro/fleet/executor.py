@@ -151,13 +151,9 @@ class FleetExecutor(Executor):
         outcome = engine._replays.get(job.fingerprint)
         if outcome is not None:
             return outcome
-        from repro.engine.engine import _replay_trace
-
         telemetry.log_event(
             "fleet_outcome_missing",
             message="done job absent from shared cache; re-executing",
             fingerprint=job.fingerprint[:12],
         )
-        return _replay_trace(
-            job, engine.trace(*job.trace_key), segments=engine._segments
-        )
+        return engine.execute(job)

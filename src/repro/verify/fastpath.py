@@ -64,7 +64,9 @@ def run_fastpath_differential(
                 "every verify-matrix case must have a fast pass",
             ),
         )
-    events, result, predictor_state, estimator_state = fastpath.replay_with_state(
+    from repro.fastpath.driver import replay_segment
+
+    events, result, (predictor_state, estimator_state, _, _) = replay_segment(
         job, trace
     )
 

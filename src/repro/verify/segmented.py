@@ -1,6 +1,6 @@
 """Segmented-vs-monolithic equivalence: the chain must change nothing.
 
-The segmented executor (:func:`repro.engine.segmented.replay_segmented`)
+The segment chain (:func:`repro.engine.replay.replay_segmented`)
 promises that cutting a replay into checkpointed segments is
 *invisible*: the event stream, the canonical metrics, and the final
 component states are bit-identical to the monolithic replay of the same
@@ -33,7 +33,7 @@ from repro.core.frontend import FrontEnd, FrontEndResult, aggregate_event
 from repro.engine.cache import SegmentCache
 from repro.engine.canonical import canonical_metrics
 from repro.engine.job import SimJob
-from repro.engine.segmented import replay_segmented
+from repro.engine.replay import replay_segmented
 
 __all__ = [
     "REFERENCE_SIZES",

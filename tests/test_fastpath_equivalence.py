@@ -25,7 +25,7 @@ np = pytest.importorskip("numpy")
 
 from repro import fastpath
 from repro.engine import Engine, EstimatorSpec, PredictorSpec, SimJob
-from repro.engine.engine import _replay_trace
+from repro.engine.replay import _replay_trace
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.record import BranchRecord, Trace
 from repro.verify.fastpath import run_fastpath_differential

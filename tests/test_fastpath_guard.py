@@ -51,8 +51,6 @@ def test_fastpath_degrades_cleanly_without_numpy(monkeypatch):
 
         with pytest.raises(fastpath.FastPathUnavailable):
             fastpath.replay(job, trace=None)
-        with pytest.raises(fastpath.FastPathUnavailable):
-            fastpath.replay_with_state(job, trace=None)
     finally:
         for name in _fastpath_module_names():
             del sys.modules[name]

@@ -1,6 +1,6 @@
 """Segmented streaming execution at the engine layer.
 
-Covers the executor chain (:func:`repro.engine.segmented.replay_segmented`),
+Covers the segment chain (:func:`repro.engine.replay.replay_segmented`),
 its integration with :class:`repro.engine.Engine` (``segment_size`` jobs,
 :meth:`Engine.stream`), the segment cache's prefix-reuse behaviour
 (observed through telemetry counters) and disk budget, the peak-memory
@@ -30,6 +30,7 @@ from repro.engine import (
     segment_fingerprint,
 )
 from repro.engine.cache import SegmentCache
+from repro.engine.replay import CHECKPOINT_WINDOW
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.segments import (
     SegmentedTrace,
@@ -156,6 +157,27 @@ class TestSegmentedEquivalence:
         assert checkpoint.predictor_state == frontend.predictor.checkpoint()
         assert checkpoint.estimator_state == frontend.estimator.checkpoint()
 
+    def test_final_checkpoint_is_backend_independent(self):
+        """Both backends end a chain on one checkpoint, windows included.
+
+        The last segment (20 branches) is shorter than the window, so
+        the history/path window spans a segment cut.
+        """
+        pytest.importorskip("numpy")
+        engine = Engine()
+        trace = engine.trace("gzip", 4000, seed=5)
+        job = _job(CASES[3], segment_size=1990)  # perceptron-cic-l0
+        _, ref = replay_segmented(job, trace, cache=SegmentCache())
+        _, fast = replay_segmented(
+            job.with_(backend="fast"), trace, cache=SegmentCache()
+        )
+        assert fast == ref
+        tail = trace[-CHECKPOINT_WINDOW:]
+        assert ref.path == tuple(record.pc for record in tail)
+        assert ref.history_bits == int(
+            "".join("1" if record.taken else "0" for record in tail), 2
+        )
+
 
 class TestPrefixReuse:
     def test_extending_a_trace_replays_only_dirty_segments(self):
@@ -219,9 +241,18 @@ class TestEngineStream:
         engine = Engine()
         job = _job(CASES[1])
         mono = engine.replay(job)
+        tel = telemetry.enable()
+        tel.reset()
         streamed = engine.stream(job, segment_size=700)
         assert isinstance(streamed, FrontEndResult)
         assert canonical_metrics(streamed) == canonical_metrics(mono.result)
+        assert tel.snapshot().counter_series("engine_replays_total") == {
+            "engine_replays_total{backend=reference}": 1
+        }
+        # Only ``None`` selects the default pull granularity.
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="segment_size"):
+                engine.stream(job, segment_size=bad)
 
     def test_stream_peak_memory_stays_bounded(self):
         """tracemalloc guard: streaming must not scale with trace length.
@@ -375,33 +406,54 @@ class TestFastStream:
         assert canonical_metrics(fast) == canonical_metrics(ref)
         assert tel.counter("engine_stream_segments_total").value == 4
         assert tel.counter("fastpath_fallbacks_total").value == 0
+        assert tel.snapshot().counter_series("engine_replays_total") == {
+            "engine_replays_total{backend=fast}": 1
+        }
 
-    def test_midstream_fallback_is_bit_identical(self, monkeypatch):
+    @pytest.mark.parametrize("driver", ["monolithic", "chain", "stream"])
+    def test_midstream_fallback_is_bit_identical(self, monkeypatch, driver):
+        """A runtime rejection re-runs the failing step on the reference loop.
+
+        The injection rejects a monolithic replay's only fast step, and
+        the third step of a chain or a stream, after two fast steps have
+        rolled the state forward.
+        """
         pytest.importorskip("numpy")
         from repro import fastpath
-        from repro.fastpath import driver
+        from repro.fastpath import driver as fast_driver
 
-        real = driver.replay_segment
+        real = fast_driver.replay_segment
+        fast_steps = 0 if driver == "monolithic" else 2
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
-            if calls["n"] > 2:
+            if calls["n"] > fast_steps:
                 raise fastpath.FastPathUnsupported("injected mid-stream")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(driver, "replay_segment", flaky)
-        engine = Engine(max_workers=1)
+        def replay(backend):
+            """``(outcome or None, result)`` of the driver under test."""
+            engine = Engine(max_workers=1)
+            if driver == "stream":
+                job = _trace_job(backend=backend, segment_size=None)
+                return None, engine.stream(job, segment_size=600)
+            size = 600 if driver == "chain" else None
+            outcome = engine.replay(_trace_job(backend=backend, segment_size=size))
+            return outcome, outcome.result
+
+        monkeypatch.setattr(fast_driver, "replay_segment", flaky)
         tel = telemetry.enable()
         tel.reset()
-        fast = engine.stream(
-            _trace_job(backend="fast", segment_size=None), segment_size=600
-        )
+        fast, fast_result = replay("fast")
         fallbacks = tel.counter(
             "fastpath_fallbacks_total", reason="runtime"
         ).value
         telemetry.disable()
-        ref = engine.stream(_trace_job(segment_size=None), segment_size=600)
-        assert canonical_metrics(fast) == canonical_metrics(ref)
-        assert calls["n"] == 3  # two fast segments, then the injection
+        ref, ref_result = replay("reference")
+        assert canonical_metrics(fast_result) == canonical_metrics(ref_result)
+        assert calls["n"] == fast_steps + 1
         assert fallbacks == 1
+        if fast is not None:
+            assert fast.events == ref.events
+            assert fast.backend == "reference"
