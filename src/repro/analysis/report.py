@@ -3,8 +3,10 @@
 Renders any collection of experiment results (objects exposing rows via
 ``as_dict`` and a ``format()`` summary) into one Markdown document with
 a section per experiment -- the machine-generated counterpart of the
-hand-curated EXPERIMENTS.md.  Used by ``python -m repro.experiments
---markdown <path>`` and directly scriptable.
+hand-curated EXPERIMENTS.md.  The sweep report behind ``--markdown`` on
+``python -m repro.sweeps run`` and ``python -m repro.experiments`` is
+rendered here (:func:`repro.sweeps.report_markdown`); directly
+scriptable too.
 """
 
 from __future__ import annotations
@@ -49,29 +51,19 @@ def render_report(
     results: Dict[str, object],
     title: str = "Experiment report",
     preamble: Optional[str] = None,
-    records: Optional[Sequence[object]] = None,
 ) -> str:
     """Render experiment results into one Markdown document.
 
     Args:
-        results: Mapping of experiment id to result object (as returned
-            by :func:`repro.experiments.runner.run_all`).
+        results: Mapping of section name to result object (a live
+            experiment result, or a
+            :class:`repro.sweeps.StoredResult` read back from the store).
         title: Document heading.
         preamble: Optional text inserted after the heading.
-        records: Optional run records (objects with ``as_dict``, e.g.
-            :class:`repro.experiments.runner.ExperimentRecord`) rendered
-            as a timing/cache summary table after the preamble.
     """
     lines: List[str] = [f"# {title}", ""]
     if preamble:
         lines += [preamble, ""]
-    if records:
-        lines += [
-            "## Run summary",
-            "",
-            markdown_table([r.as_dict() for r in records]),
-            "",
-        ]
     for name, result in results.items():
         lines.append(f"## {name}")
         lines.append("")
@@ -133,13 +125,8 @@ def write_report(
     path: str,
     title: str = "Experiment report",
     preamble: Optional[str] = None,
-    records: Optional[Sequence[object]] = None,
 ) -> None:
     """Render and write a Markdown report to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            render_report(
-                results, title=title, preamble=preamble, records=records
-            )
-        )
+        fh.write(render_report(results, title=title, preamble=preamble))
         fh.write("\n")

@@ -22,7 +22,7 @@ when the segment ``.pkl`` files exceed the budget, the least recently
 not creation), counted in ``cache_segment_disk_evictions_total``.
 
 All expose monotonic counters; :class:`CacheStats` snapshots support
-per-experiment deltas in the run summary.
+deltas over any stretch of work (``Engine.stats.since``).
 """
 
 from __future__ import annotations
@@ -76,10 +76,6 @@ class CacheStats:
             evictions=self.evictions - other.evictions,
             corrupt=self.corrupt - other.corrupt,
         )
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
 
     def format(self) -> str:
         disk = f" ({self.disk_hits} from disk)" if self.disk_hits else ""

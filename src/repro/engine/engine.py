@@ -107,15 +107,6 @@ class EngineStats:
             self.segments.since(other.segments),
         )
 
-    def format(self) -> str:
-        out = (
-            f"replays: {self.replay.format()}; "
-            f"traces: {self.traces.format()}"
-        )
-        if self.segments.requests:
-            out += f"; segments: {self.segments.format()}"
-        return out
-
 
 class Engine:
     """Runs :class:`SimJob` s through the replay cache and executors.

@@ -1,10 +1,19 @@
-"""Run every paper experiment and emit a combined report.
+"""Run paper experiments by id: a one-spec alias of ``sweeps run``.
 
 ``python -m repro.experiments`` runs the full suite at the default
 settings (this is how the EXPERIMENTS.md numbers are produced);
 ``python -m repro.experiments --quick`` runs a reduced sizing for a
 fast sanity pass.  Individual experiments can be selected by id, e.g.
 ``python -m repro.experiments table3 figure8``.
+
+The selection becomes a one-instance sweep spec
+(:func:`selection_spec`) run through the body of ``python -m
+repro.sweeps run`` (:func:`repro.sweeps.cli.run_specs`) against an
+in-memory result store: both commands take the same run flags, print
+the same per-experiment blocks and write the same ``--markdown``
+report.  Nothing persists between runs unless ``--cache-dir`` is
+given; use ``python -m repro.sweeps run`` for a persistent store and
+resume.
 
 Sizing flags compose in a fixed order: defaults, then ``--quick``
 (scales the default sizing to 1/5), then ``--branches N`` (overrides
@@ -21,14 +30,9 @@ changes any result (see :mod:`repro.engine`).
 from __future__ import annotations
 
 import argparse
-import sys
-import time
-from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro import telemetry
-from repro.engine import EngineStats, configure_engine, get_engine
-from repro.telemetry import MetricsSnapshot
 from repro.experiments import (
     ablation_combined,
     ablation_history,
@@ -55,8 +59,8 @@ from repro.experiments import (
 from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings
 
 __all__ = ["PAPER_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "EXPERIMENTS",
-           "EXPERIMENT_JOBS", "ExperimentRecord", "RunReport",
-           "select_experiments", "resolve_settings", "run_all", "main"]
+           "EXPERIMENT_JOBS", "select_experiments", "selection_spec",
+           "resolve_settings", "main"]
 
 #: The paper's tables and figures.
 PAPER_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
@@ -122,81 +126,6 @@ EXPERIMENT_JOBS: Dict[str, Callable[[ExperimentSettings], list]] = {
     "h2p_confidence": h2p_confidence.jobs,
 }
 
-@dataclass
-class ExperimentRecord:
-    """One experiment's result plus how it was obtained.
-
-    The cache/execution counters are deltas over this experiment only,
-    so a record shows how much of its work was served by replays cached
-    from earlier experiments in the same run.  ``telemetry`` holds the
-    registry delta for the experiment; the run-summary table is sourced
-    from it (cache hit/miss, executing backend), which -- unlike the
-    legacy ``EngineStats`` fields -- also folds in counters merged back
-    from ``--jobs`` worker processes.
-    """
-
-    name: str
-    result: object
-    seconds: float
-    stats: EngineStats
-    telemetry: Optional[MetricsSnapshot] = None
-
-    def as_dict(self) -> dict:
-        t = self.telemetry if self.telemetry is not None else MetricsSnapshot()
-        reference = t.counter("engine_replays_total", backend="reference")
-        fast = t.counter("engine_replays_total", backend="fast")
-        if fast and reference:
-            backend = f"mixed ({reference} ref / {fast} fast)"
-        elif fast:
-            backend = "fast"
-        elif reference:
-            backend = "reference"
-        else:
-            backend = "-"  # fully served from cache
-        return {
-            "experiment": self.name,
-            "seconds": round(self.seconds, 1),
-            "replays executed": reference + fast,
-            "cache hits": (
-                t.counter("cache_replay_hits_total", tier="memory")
-                + t.counter("cache_replay_hits_total", tier="disk")
-            ),
-            "cache misses": t.counter("cache_replay_misses_total"),
-            "backend": backend,
-        }
-
-
-class RunReport(Mapping):
-    """Ordered experiment results plus per-experiment run records.
-
-    Behaves as a mapping of experiment id to result object (so existing
-    ``report["table2"]`` / ``"table2" in report`` call sites keep
-    working) and carries :attr:`records` with timing and cache-counter
-    deltas for the report generator.
-    """
-
-    def __init__(self, records: Optional[List[ExperimentRecord]] = None):
-        self.records: List[ExperimentRecord] = list(records or [])
-
-    def add(self, record: ExperimentRecord) -> None:
-        self.records.append(record)
-
-    def __getitem__(self, name: str) -> object:
-        for record in self.records:
-            if record.name == name:
-                return record.result
-        raise KeyError(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return (record.name for record in self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(record.seconds for record in self.records)
-
 
 def select_experiments(
     names: Optional[Sequence[str]] = None, extensions: bool = False
@@ -233,49 +162,23 @@ def resolve_settings(
     return settings
 
 
-def run_all(
-    settings: ExperimentSettings,
-    names: Optional[Sequence[str]] = None,
-    stream=None,
-    extensions: bool = False,
-) -> RunReport:
-    """Run the selected experiments, printing each report as it lands."""
-    out = stream if stream is not None else sys.stdout
-    selected = select_experiments(names, extensions=extensions)
-    engine = get_engine()
-    report = RunReport()
-    # The run-summary columns are sourced from the telemetry registry,
-    # so it is always on for the duration of the run (observational
-    # only: results and fingerprints are unchanged).
-    tel = telemetry.get_registry()
-    was_enabled = tel.enabled
-    tel.enabled = True
-    try:
-        for name in selected:
-            before = engine.stats.snapshot()
-            tel_before = tel.snapshot()
-            start = time.time()
-            with telemetry.trace_span("experiment", experiment=name):
-                result = EXPERIMENTS[name](settings)
-            elapsed = time.time() - start
-            report.add(
-                ExperimentRecord(
-                    name=name,
-                    result=result,
-                    seconds=elapsed,
-                    stats=engine.stats.since(before),
-                    telemetry=tel.snapshot().since(tel_before),
-                )
-            )
-            print(f"\n=== {name} ({elapsed:.0f}s) ===", file=out)
-            print(result.format(), file=out)
-            out.flush()
-    finally:
-        tel.enabled = was_enabled
-    return report
+def selection_spec(
+    names: Optional[Sequence[str]] = None, extensions: bool = False
+):
+    """The one-instance sweep spec ``python -m repro.experiments`` runs."""
+    from repro.sweeps import SweepInstance, SweepSpec
+
+    return SweepSpec(
+        name="experiments",
+        description="the experiments selected on the command line",
+        experiments=tuple(select_experiments(names, extensions=extensions)),
+        instances=(SweepInstance("default"),),
+    )
 
 
 def main(argv=None) -> int:
+    from repro.sweeps.cli import add_run_args, run_specs
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Reproduce the paper's tables and figures.",
@@ -294,69 +197,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run at 1/5 scale for a fast sanity pass",
-    )
-    parser.add_argument(
-        "--markdown",
-        metavar="PATH",
-        default=None,
-        help="also write the results as a Markdown report to PATH",
-    )
-    parser.add_argument(
-        "--branches",
-        type=int,
-        default=None,
-        help=(
-            "override trace length (warm-up scales to one third); "
-            "applied after --quick, so it wins over the 1/5 scaling"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("reference", "fast"),
-        default=None,
-        help=(
-            "engine backend for every replay: the pure-Python reference "
-            "loop (default) or the vectorized fast path (requires "
-            "numpy; bit-identical results, see docs/fastpath.md)"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="fan replay execution out over N worker processes",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="PATH",
-        help="persist the replay cache on disk at PATH across runs",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "serial", "pool", "fleet"),
-        default="auto",
-        help=(
-            "where pending jobs run: auto (pool when --jobs > 1), "
-            "serial, pool, or the distributed fleet queue drained by "
-            "'python -m repro.fleet worker' (fleet requires "
-            "--cache-dir; see docs/distributed.md)"
-        ),
-    )
-    parser.add_argument(
-        "--fleet-queue",
-        default=None,
-        metavar="PATH",
-        help=(
-            "fleet work queue for --executor fleet "
-            "(default <cache-dir>/fleet/queue.sqlite)"
-        ),
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help=(
@@ -364,39 +204,12 @@ def main(argv=None) -> int:
             "and abort if it fails; --quick selects the quick profile"
         ),
     )
-    parser.add_argument(
-        "--telemetry",
-        nargs="?",
-        const="telemetry.json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the run's telemetry metrics document to PATH (default "
-            "telemetry.json); observational only -- experiment numbers "
-            "are unchanged (see docs/observability.md)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="PATH",
-        help="also write the span/log event stream as JSON lines to PATH",
-    )
-    parser.add_argument(
-        "--profile",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
-        help=(
-            "profile each replay (cProfile hotspots plus per-span "
-            "CPU/alloc attribution); with PATH, also write the profile "
-            "document there (see docs/observability.md)"
-        ),
-    )
+    add_run_args(parser)
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    try:
+        spec = selection_spec(args.experiments, extensions=args.extensions)
+    except KeyError as exc:
+        parser.error(f"{exc.args[0]}; known ids: {', '.join(EXPERIMENTS)}")
     if args.verify:
         from repro.verify.cli import run_verification
 
@@ -409,75 +222,7 @@ def main(argv=None) -> int:
                 "from this tree would not be trustworthy"
             )
             return status
-    executor = args.executor
-    if executor == "fleet":
-        from repro.fleet import FleetExecutor, default_queue_path
-
-        if args.cache_dir is None:
-            parser.error(
-                "--executor fleet requires --cache-dir (the shared disk "
-                "cache is how fleet workers hand outcomes back)"
-            )
-        executor = FleetExecutor(
-            args.fleet_queue or default_queue_path(args.cache_dir)
-        )
-    engine = configure_engine(
-        max_workers=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=executor,
-    )
-    settings = resolve_settings(
-        quick=args.quick, branches=args.branches, backend=args.backend
-    )
-    if args.telemetry or args.trace_out or args.profile is not None:
-        telemetry.enable()
-        if args.trace_out:
-            telemetry.set_trace_path(args.trace_out)
-    if args.profile is not None:
-        telemetry.enable_profiling()
-        telemetry.reset_profile()
-
-    overall = engine.stats.snapshot()
-    report = run_all(
-        settings, names=args.experiments or None, extensions=args.extensions
-    )
-    delta = engine.stats.since(overall)
-    print(
-        f"\n{len(report)} experiments in {report.total_seconds:.0f}s "
-        f"({delta.executed} replays executed, "
-        f"{delta.parallel_executed} in parallel; {delta.format()})"
-    )
-    if args.markdown:
-        from repro.analysis.report import write_report
-
-        write_report(
-            report,
-            args.markdown,
-            title="Reproduction report",
-            preamble=(
-                f"Generated by `python -m repro.experiments` at "
-                f"{settings.n_branches} branches per benchmark, "
-                f"seed {settings.seed}."
-            ),
-            records=report.records,
-        )
-        print("\nwrote Markdown report to " + args.markdown)
-    if args.telemetry:
-        print(
-            "\nwrote telemetry metrics to "
-            + telemetry.write_metrics(args.telemetry)
-        )
-    if args.profile is not None:
-        if args.profile:
-            from repro.telemetry.profile import write_profile
-
-            write_profile(args.profile)
-            print("wrote profile document to " + args.profile)
-        telemetry.disable_profiling()
-    if args.trace_out:
-        telemetry.close_trace()
-        print("wrote telemetry trace to " + args.trace_out)
-    return 0
+    return run_specs(parser, args, [spec], ":memory:")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

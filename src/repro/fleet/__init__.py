@@ -10,9 +10,9 @@ many-machine, many-user one with two shared artifacts:
   ``--cache-dir``, through which workers hand outcomes back and two
   submitters of the same fingerprint share one execution.
 
-Submit with ``--executor fleet`` on ``python -m repro.experiments`` or
-``python -m repro.sweeps run``, or programmatically via
-:class:`~repro.fleet.executor.FleetExecutor`.  See
+Submit with ``--executor fleet``, one of the run flags that ``python -m
+repro.sweeps run`` and its alias ``python -m repro.experiments`` share,
+or programmatically via :class:`~repro.fleet.executor.FleetExecutor`.  See
 ``docs/distributed.md`` for the queue schema and lease protocol.
 """
 

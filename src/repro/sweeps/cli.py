@@ -14,9 +14,12 @@ the sqlite store and only missing jobs execute.  The default store
 lives at ``.sweeps/results.sqlite`` with the engine's disk replay
 cache beside it at ``.sweeps/cache``.
 
-Sizing flags (``--quick`` / ``--branches`` / ``--backend``) compose
-exactly as in ``python -m repro.experiments``; instance overrides in
-the spec apply on top.
+``run`` takes the flags :func:`add_run_args` declares, and
+:func:`run_specs` is its body; ``python -m repro.experiments`` is the
+same ``run`` over a one-spec selection against an in-memory store.
+Sizing flags (``--quick`` / ``--branches`` / ``--backend``) compose in
+the order :func:`repro.experiments.runner.resolve_settings` documents;
+instance overrides in the spec apply on top.
 """
 
 from __future__ import annotations
@@ -29,16 +32,23 @@ import time
 from typing import List, Optional
 
 from repro import telemetry
+from repro.engine import configure_engine
 from repro.results import ResultStore, append_trajectory, check_regression
 
-from repro.sweeps.executor import render_from_store, report_markdown, run_sweep
+from repro.sweeps.executor import render_from_store, run_sweep
 from repro.sweeps.spec import (
     SweepSpecError,
     builtin_spec_names,
     load_spec,
 )
 
-__all__ = ["main", "DEFAULT_STORE", "DEFAULT_CACHE_DIR"]
+__all__ = [
+    "DEFAULT_CACHE_DIR",
+    "DEFAULT_STORE",
+    "add_run_args",
+    "main",
+    "run_specs",
+]
 
 DEFAULT_STORE = ".sweeps/results.sqlite"
 DEFAULT_CACHE_DIR = ".sweeps/cache"
@@ -73,6 +83,76 @@ def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _worker_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
+def add_run_args(
+    parser: argparse.ArgumentParser, cache_dir: Optional[str] = None
+) -> None:
+    """Declare the flags of a suite run: sizing, engine, outputs.
+
+    The one declaration behind ``sweeps run`` and ``python -m
+    repro.experiments``, consumed by :func:`run_specs`; only the
+    ``--cache-dir`` default differs between the two commands.
+    """
+    _add_sizing_args(parser)
+    parser.add_argument(
+        "--jobs", type=_worker_count, default=1, metavar="N",
+        help="fan replay execution out over N worker processes",
+    )
+    parser.add_argument(
+        "--cache-dir", default=cache_dir, metavar="PATH",
+        help=(
+            "persist replays on disk at PATH across runs"
+            + (f" (default {cache_dir})" if cache_dir else "")
+        ),
+    )
+    parser.add_argument(
+        "--executor", choices=("auto", "serial", "pool", "fleet"),
+        default="auto",
+        help=(
+            "where pending jobs run: auto (pool when --jobs > 1), "
+            "serial, pool, or the distributed fleet queue drained by "
+            "'python -m repro.fleet worker' (fleet requires --cache-dir; "
+            "see docs/distributed.md)"
+        ),
+    )
+    parser.add_argument(
+        "--fleet-queue", default=None, metavar="PATH",
+        help=(
+            "fleet work queue for --executor fleet "
+            "(default <cache-dir>/fleet/queue.sqlite)"
+        ),
+    )
+    parser.add_argument(
+        "--markdown", default=None, metavar="PATH",
+        help="also render the report from the store to PATH",
+    )
+    parser.add_argument(
+        "--telemetry", nargs="?", const="telemetry.json", default=None,
+        metavar="PATH",
+        help=(
+            "write the telemetry metrics document to PATH (default "
+            "telemetry.json); observational only, see docs/observability.md"
+        ),
+    )
+    parser.add_argument(
+        "--trace-out", default=None, metavar="PATH",
+        help="write the span/log event stream as JSON lines to PATH",
+    )
+    parser.add_argument(
+        "--profile", nargs="?", const="", default=None, metavar="PATH",
+        help=(
+            "profile each replay (cProfile + per-span CPU/alloc); "
+            "with PATH, also write the profile document there"
+        ),
+    )
+
+
 def _specs(names: List[str]):
     return [load_spec(name) for name in names]
 
@@ -97,45 +177,68 @@ def _jobs_fingerprint(specs, base) -> str:
     return hashlib.sha256("\n".join(fingerprints).encode("utf-8")).hexdigest()
 
 
-def _resolve_executor_arg(args):
-    """Map --executor/--fleet-queue to a configure_engine executor."""
-    if args.executor != "fleet":
-        return args.executor
-    from repro.fleet import FleetExecutor, default_queue_path
-
-    queue_path = args.fleet_queue or default_queue_path(args.cache_dir)
-    return FleetExecutor(queue_path)
+def _write_markdown(path: str, markdown: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(markdown)
+        fh.write("\n")
+    print(f"wrote Markdown report to {path}")
 
 
-def _cmd_run(args) -> int:
-    from repro.engine import configure_engine
-
-    specs = _specs(args.specs)
-    base = _settings(args)
-    configure_engine(
-        max_workers=args.jobs,
-        cache_dir=args.cache_dir,
-        executor=_resolve_executor_arg(args),
+def _store_line(path: str, summary: dict) -> str:
+    return (
+        f"store {path}: {summary['jobs']} job(s), "
+        f"{summary['experiments']} experiment record(s), "
+        f"{summary['bench']} bench sample(s), "
+        f"{summary['telemetry']} telemetry run(s)"
     )
-    collecting = bool(args.telemetry or args.trace_out or args.profile)
+
+
+def run_specs(
+    parser: argparse.ArgumentParser, args, specs, store_path: str
+) -> int:
+    """Run sweep specs into the store at ``store_path``.
+
+    The body of ``sweeps run`` and ``python -m repro.experiments``,
+    driven by the flags :func:`add_run_args` declares: engine, executor
+    and telemetry set-up, one :func:`run_sweep` per spec, then the
+    report and the end-of-run writes.
+    """
+    base = _settings(args)
+    executor = args.executor
+    if executor == "fleet":
+        from repro.fleet import FleetExecutor, default_queue_path
+
+        if args.cache_dir is None:
+            parser.error(
+                "--executor fleet requires --cache-dir (the shared disk "
+                "cache is how fleet workers hand outcomes back)"
+            )
+        executor = FleetExecutor(
+            args.fleet_queue or default_queue_path(args.cache_dir)
+        )
+    configure_engine(
+        max_workers=args.jobs, cache_dir=args.cache_dir, executor=executor
+    )
+    collecting = bool(
+        args.telemetry or args.trace_out or args.profile is not None
+    )
     if collecting:
         telemetry.enable()
         if args.trace_out:
             telemetry.set_trace_path(args.trace_out)
-        if args.profile is not None:
-            telemetry.enable_profiling()
-    with ResultStore(args.store) as store:
+    if args.profile is not None:
+        telemetry.enable_profiling()
+        telemetry.reset_profile()
+    with ResultStore(store_path) as store:
         for spec in specs:
-            outcome = run_sweep(spec, store, base, stream=sys.stdout)
-            print(outcome.format())
+            print(run_sweep(spec, store, base, stream=sys.stdout).format())
         if args.markdown:
-            markdown = "\n".join(
-                render_from_store(spec, store, base) for spec in specs
+            _write_markdown(
+                args.markdown,
+                "\n".join(
+                    render_from_store(spec, store, base) for spec in specs
+                ),
             )
-            with open(args.markdown, "w", encoding="utf-8") as fh:
-                fh.write(markdown)
-                fh.write("\n")
-            print(f"wrote Markdown report to {args.markdown}")
         if collecting:
             # Persist this run's telemetry (and profile digest) so the
             # history is queryable and diffable later.
@@ -152,14 +255,9 @@ def _cmd_run(args) -> int:
                 meta={"specs": [spec.name for spec in specs],
                       "workers": args.jobs},
             )
-            print(f"stored telemetry run {run_id} in {args.store}")
+            print(f"stored telemetry run {run_id} in {store_path}")
         summary = store.summary()
-    print(
-        f"store {args.store}: {summary['jobs']} job(s), "
-        f"{summary['experiments']} experiment record(s), "
-        f"{summary['bench']} bench sample(s), "
-        f"{summary['telemetry']} telemetry run(s)"
-    )
+    print(_store_line(store_path, summary))
     if args.telemetry:
         print("wrote telemetry metrics to "
               + telemetry.write_metrics(args.telemetry))
@@ -188,10 +286,7 @@ def _cmd_render(args) -> int:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 1
     if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as fh:
-            fh.write(markdown)
-            fh.write("\n")
-        print(f"wrote Markdown report to {args.markdown}")
+        _write_markdown(args.markdown, markdown)
     else:
         print(markdown)
     return 0
@@ -201,12 +296,7 @@ def _cmd_status(args) -> int:
     with ResultStore(args.store) as store:
         summary = store.summary()
         records = store.experiment_keys()
-        print(
-            f"store {args.store}: {summary['jobs']} job(s), "
-            f"{summary['experiments']} experiment record(s), "
-            f"{summary['bench']} bench sample(s), "
-            f"{summary['telemetry']} telemetry run(s)"
-        )
+        print(_store_line(args.store, summary))
         for key, experiment in records:
             print(f"  {key[:12]}  {experiment}")
         print(f"builtin specs: {', '.join(builtin_spec_names())}")
@@ -371,56 +461,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="builtin spec names or paths (default: paper)",
     )
     _add_store_arg(p_run)
-    _add_sizing_args(p_run)
-    p_run.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="engine worker processes",
+    add_run_args(p_run, cache_dir=DEFAULT_CACHE_DIR)
+    p_run.set_defaults(
+        func=lambda args: run_specs(
+            p_run, args, _specs(args.specs), args.store
+        )
     )
-    p_run.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        metavar="PATH",
-        help=(
-            "engine disk replay cache (default "
-            f"{DEFAULT_CACHE_DIR}; events live here, metrics in the store)"
-        ),
-    )
-    p_run.add_argument(
-        "--executor", choices=("auto", "serial", "pool", "fleet"),
-        default="auto",
-        help=(
-            "where pending jobs run: auto (pool when --jobs > 1), "
-            "serial, pool, or the distributed fleet queue drained by "
-            "'python -m repro.fleet worker' (see docs/distributed.md)"
-        ),
-    )
-    p_run.add_argument(
-        "--fleet-queue", default=None, metavar="PATH",
-        help=(
-            "fleet work queue for --executor fleet "
-            "(default <cache-dir>/fleet/queue.sqlite)"
-        ),
-    )
-    p_run.add_argument(
-        "--markdown", default=None, metavar="PATH",
-        help="also render the report from the store to PATH",
-    )
-    p_run.add_argument(
-        "--telemetry", nargs="?", const="telemetry.json", default=None,
-        metavar="PATH", help="write the telemetry metrics document to PATH",
-    )
-    p_run.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write the span/log event stream as JSON lines to PATH",
-    )
-    p_run.add_argument(
-        "--profile", nargs="?", const="", default=None, metavar="PATH",
-        help=(
-            "profile each replay (cProfile + per-span CPU/alloc); "
-            "with PATH, also write the profile document there"
-        ),
-    )
-    p_run.set_defaults(func=_cmd_run)
 
     p_render = sub.add_parser(
         "render", help="rebuild the Markdown report purely from the store"
@@ -469,7 +515,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_store_arg(p_bench)
     _add_sizing_args(p_bench)
     p_bench.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_worker_count, default=1, metavar="N",
         help="engine worker processes",
     )
     p_bench.add_argument(
@@ -501,8 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
     except SweepSpecError as exc:

@@ -1,19 +1,26 @@
 """Sweep execution against the result store.
 
-Two phases, both idempotent against the store so a crashed or killed
-sweep resumes by re-running the same command:
+One pass over the DAG, idempotent against the store so a crashed or
+killed sweep resumes by re-running the same command.  The jobs without
+a valid stored outcome are read once up front
+(``store.missing(dag.job_list())``); then, for each experiment node in
+order:
 
-1. **Jobs.**  ``store.missing(dag.job_list())`` is exactly the replay
-   work not yet persisted; it goes to the engine in one batch (normal
-   dedup/fan-out/caching apply).  An ``Engine.result_sink`` persists
-   each outcome *as it lands*, so an interrupt mid-batch loses only
-   in-flight jobs, and a follow-up pass persists outcomes the engine
-   served from its own caches (store deleted, replay cache intact).
-2. **Experiments.**  Every experiment record missing from the store is
-   produced by calling the experiment's ``run()`` -- which re-submits
-   its jobs and hits the engine cache warmed by phase 1 -- then stored
-   as structured rows plus formatted text, keyed by
-   :func:`repro.sweeps.spec.record_key`.
+1. **Record.**  When the node's record is missing, the experiment's
+   ``run()`` submits its jobs to the engine (normal dedup, fan-out and
+   caching apply) while an ``Engine.result_sink`` persists each
+   executed outcome *as it lands*, so an interrupt mid-batch loses only
+   in-flight jobs.  The result is stored as structured rows plus
+   formatted text, keyed by :func:`repro.sweeps.spec.record_key`, and
+   its block is printed to ``stream``.
+2. **Jobs.**  Any of the node's jobs the store still lacks -- served
+   from an engine cache rather than executed, or behind a record that
+   was already stored (a corrupt row, a deleted store) -- go through
+   ``engine.run`` and are persisted, so the store heals.
+
+Each outcome is persisted while the experiment that needs it runs, so
+no job is replayed a second time just to reach the store, and replays
+fan out one experiment batch at a time.
 
 Rendering (:func:`render_from_store`) rebuilds the Markdown report
 purely from stored records through the same
@@ -23,6 +30,7 @@ so the two are bit-identical (asserted in tests/test_sweeps.py).
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -35,7 +43,7 @@ from repro.experiments.common import ExperimentSettings
 from repro.results import ResultStore
 from repro.telemetry.spans import log_event
 
-from repro.sweeps.dag import SweepDag
+from repro.sweeps.dag import ExperimentNode, SweepDag
 from repro.sweeps.spec import SweepSpec, settings_dict
 
 __all__ = [
@@ -95,9 +103,11 @@ def run_sweep(
     base: ExperimentSettings,
     stream=None,
 ) -> SweepOutcome:
-    """Execute one sweep to completion against the store."""
-    from repro.experiments.runner import EXPERIMENTS
+    """Execute one sweep to completion against the store, in one pass.
 
+    Prints ``=== <section> (<N>s) ===`` and the result's ``format()``
+    to ``stream`` (when given) for every record it renders.
+    """
     start = time.monotonic()
     dag = SweepDag.from_spec(spec, base)
     engine = get_engine()
@@ -105,11 +115,17 @@ def run_sweep(
     was_enabled = tel.enabled
     tel.enabled = True
     executed_before = engine.stats.executed
+    experiments_run = 0
     try:
         with telemetry.trace_span("sweep", spec=spec.name):
-            todo = store.missing(dag.job_list())
+            # Jobs without a valid stored outcome; each leaves the map
+            # the moment the store holds it.
+            todo = {
+                job.fingerprint: job for job in store.missing(dag.job_list())
+            }
             log_event(
                 "sweep_plan",
+                level=logging.INFO,
                 message="sweep expanded",
                 spec=spec.name,
                 unique_jobs=len(dag.jobs),
@@ -117,46 +133,29 @@ def run_sweep(
                 missing_jobs=len(todo),
                 experiments=len(dag.experiments),
             )
-            engine.result_sink = lambda job, outcome: store.put_job(
-                job, outcome.canonical_metrics()
-            )
+
+            def persist(job, outcome) -> None:
+                if job.fingerprint in todo:
+                    store.put_job(job, outcome.canonical_metrics())
+                    del todo[job.fingerprint]
+
+            engine.result_sink = persist
             try:
-                outcomes = engine.run(todo)
+                for node in dag.experiments:
+                    if store.get_experiment(node.key) is None:
+                        _render(node, store, stream)
+                        experiments_run += 1
+                    # Outcomes served from the engine's caches never
+                    # reach the sink; persist them so the store heals.
+                    pending = [
+                        todo[fp] for fp in node.job_fingerprints if fp in todo
+                    ]
+                    if pending:
+                        outcomes = engine.run(pending)
+                        for job, outcome in zip(pending, outcomes):
+                            persist(job, outcome)
             finally:
                 engine.result_sink = None
-            # Outcomes served from the engine's own caches never reach
-            # the sink; persist them here so a deleted store heals.
-            for job, outcome in zip(todo, outcomes):
-                if not store.has_job(job.fingerprint):
-                    store.put_job(job, outcome.canonical_metrics())
-
-            experiments_run = 0
-            for node in dag.experiments:
-                if store.get_experiment(node.key) is not None:
-                    continue
-                with telemetry.trace_span(
-                    "sweep.experiment",
-                    experiment=node.experiment,
-                    instance=node.instance,
-                ):
-                    result = EXPERIMENTS[node.experiment](node.settings)
-                try:
-                    rows = rows_from_result(result)
-                except TypeError:
-                    rows = None
-                store.put_experiment(
-                    key=node.key,
-                    experiment=node.experiment,
-                    settings=settings_dict(node.settings),
-                    rows=rows,
-                    formatted=result.format(),
-                )
-                experiments_run += 1
-                if stream is not None:
-                    print(
-                        f"stored {node.section} ({node.key[:12]})",
-                        file=stream,
-                    )
     finally:
         tel.enabled = was_enabled
     return SweepOutcome(
@@ -167,6 +166,34 @@ def run_sweep(
         experiments_cached=len(dag.experiments) - experiments_run,
         seconds=time.monotonic() - start,
     )
+
+
+def _render(node: ExperimentNode, store: ResultStore, stream) -> None:
+    """Run one experiment node, store its record and print its block."""
+    from repro.experiments.runner import EXPERIMENTS
+
+    started = time.monotonic()
+    with telemetry.trace_span(
+        "sweep.experiment", experiment=node.experiment, instance=node.instance
+    ):
+        result = EXPERIMENTS[node.experiment](node.settings)
+    seconds = time.monotonic() - started
+    try:
+        rows = rows_from_result(result)
+    except TypeError:
+        rows = None
+    formatted = result.format()
+    store.put_experiment(
+        key=node.key,
+        experiment=node.experiment,
+        settings=settings_dict(node.settings),
+        rows=rows,
+        formatted=formatted,
+    )
+    if stream is not None:
+        print(f"\n=== {node.section} ({seconds:.0f}s) ===", file=stream)
+        print(formatted, file=stream)
+        stream.flush()
 
 
 def _preamble(spec: SweepSpec, base: ExperimentSettings) -> str:

@@ -274,23 +274,6 @@ class TestRunnerFlags:
         with pytest.raises(KeyError):
             select_experiments(["bogus"])
 
-    def test_run_report_mapping(self):
-        from repro.experiments.runner import ExperimentRecord, RunReport
-
-        report = RunReport()
-        report.add(
-            ExperimentRecord(
-                name="table2", result="r", seconds=1.0,
-                stats=Engine().stats.snapshot(),
-            )
-        )
-        assert "table2" in report
-        assert report["table2"] == "r"
-        assert list(report) == ["table2"]
-        assert report.total_seconds == 1.0
-        with pytest.raises(KeyError):
-            report["nonesuch"]
-
 
 class TestCorruptDiskCache:
     """A damaged disk entry must be dropped and recomputed, not raised."""

@@ -19,7 +19,7 @@ from repro.experiments import (
     table6,
 )
 from repro.experiments.common import ExperimentSettings
-from repro.experiments.runner import EXPERIMENTS, run_all
+from repro.experiments.runner import EXPERIMENTS, main
 
 SMALL = ExperimentSettings(
     n_branches=10_000, warmup=3_500, benchmarks=("gzip", "mcf", "gcc")
@@ -158,14 +158,16 @@ class TestLatency:
 
 class TestRunner:
     def test_run_all_selected(self, capsys):
-        results = run_all(TINY, names=["figure6_7"])
-        assert "figure6_7" in results
+        assert main(["--branches", "4000", "figure6_7"]) == 0
         out = capsys.readouterr().out
-        assert "figure6_7" in out
+        assert "\n=== figure6_7 (" in out
+        assert "sweep[experiments]: " in out
 
-    def test_unknown_experiment(self):
-        with pytest.raises(KeyError):
-            run_all(TINY, names=["bogus"])
+    def test_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err
 
     def test_registry_complete(self):
         from repro.experiments.runner import PAPER_EXPERIMENTS

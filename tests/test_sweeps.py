@@ -247,6 +247,24 @@ class TestRunSweep:
             assert store.get_job(victim) is not None
             assert first.planned_jobs == store.job_count()
 
+    def test_single_pass_replays_each_job_once(self):
+        # A memory cache too small to hold any outcome: a job the sweep
+        # needed twice (to persist it, then to run its experiment)
+        # would replay twice.
+        configure_engine(reset=True, event_budget=1)
+        try:
+            telemetry.enable()
+            before = telemetry.get_registry().snapshot()
+            with ResultStore(":memory:") as store:
+                outcome = run_sweep(SPEC, store, BASE)
+                assert store.job_count() == outcome.planned_jobs
+            delta = telemetry.get_registry().snapshot().since(before)
+        finally:
+            configure_engine(reset=True)
+        replays = sum(delta.counter_series("engine_replays_total").values())
+        assert outcome.executed_jobs == outcome.planned_jobs == 2
+        assert replays == 2
+
 
 def _write_tiny_spec(tmp_path) -> str:
     path = tmp_path / "tiny.json"
@@ -306,6 +324,48 @@ class TestCli:
         assert sweeps_main([
             "run", "nonesuch-spec", "--store", str(tmp_path / "r.sqlite"),
         ]) == 2
+
+    def test_bare_profile_stores_a_profiled_telemetry_run(
+        self, tmp_path, fresh_engine, capsys
+    ):
+        spec = _write_tiny_spec(tmp_path)
+        store = str(tmp_path / "r.sqlite")
+        assert sweeps_main([
+            "run", spec, "--store", store,
+            "--cache-dir", str(tmp_path / "cli-cache"), "--profile",
+        ]) == 0
+        assert "1 telemetry run(s)" in capsys.readouterr().out
+        with ResultStore(store) as results:
+            runs = results.telemetry_runs()
+            assert [has_profile for _, _, _, has_profile in runs] == [True]
+            assert results.get_telemetry(runs[0][0]).profile
+
+    def test_runner_report_matches_sweeps_run_of_its_spec(
+        self, tmp_path, fresh_engine
+    ):
+        from repro.experiments.runner import main as runner_main
+        from repro.experiments.runner import selection_spec
+
+        selection = selection_spec(["table2"])
+        spec = tmp_path / "selection.json"
+        spec.write_text(json.dumps({
+            "schema": 1,
+            "name": selection.name,
+            "description": selection.description,
+            "experiments": list(selection.experiments),
+        }))
+        runner_md = tmp_path / "runner.md"
+        sweeps_md = tmp_path / "sweeps.md"
+        assert runner_main([
+            "--branches", "4000", "table2", "--markdown", str(runner_md),
+        ]) == 0
+        assert sweeps_main([
+            "run", str(spec), "--branches", "4000",
+            "--store", str(tmp_path / "r.sqlite"),
+            "--cache-dir", str(tmp_path / "cli-cache"),
+            "--markdown", str(sweeps_md),
+        ]) == 0
+        assert runner_md.read_bytes() == sweeps_md.read_bytes()
 
     def test_bench_gate_fires_under_injected_slowdown(
         self, tmp_path, fresh_engine, capsys

@@ -402,46 +402,3 @@ class TestDeterminism:
             assert a.metrics_digest() == b.metrics_digest()
             assert a.canonical_metrics() == b.canonical_metrics()
             assert a.events == b.events
-
-    def test_runner_table_sources_registry(self):
-        from repro.experiments.runner import ExperimentRecord
-
-        snap = MetricsSnapshot(
-            counters={
-                "engine_replays_total{backend=fast}": 5,
-                "cache_replay_hits_total{tier=memory}": 2,
-                "cache_replay_hits_total{tier=disk}": 1,
-                "cache_replay_misses_total": 5,
-            }
-        )
-        row = ExperimentRecord(
-            name="t", result=None, seconds=0.0,
-            stats=Engine().stats.snapshot(), telemetry=snap,
-        ).as_dict()
-        assert row["replays executed"] == 5
-        assert row["cache hits"] == 3
-        assert row["cache misses"] == 5
-        assert row["backend"] == "fast"
-
-    def test_runner_table_backend_labels(self):
-        from repro.experiments.runner import ExperimentRecord
-
-        def row(counters):
-            return ExperimentRecord(
-                name="t", result=None, seconds=0.0,
-                stats=Engine().stats.snapshot(),
-                telemetry=MetricsSnapshot(counters=counters),
-            ).as_dict()
-
-        assert row({})["backend"] == "-"
-        assert (
-            row({"engine_replays_total{backend=reference}": 1})["backend"]
-            == "reference"
-        )
-        mixed = row(
-            {
-                "engine_replays_total{backend=reference}": 1,
-                "engine_replays_total{backend=fast}": 2,
-            }
-        )
-        assert mixed["backend"] == "mixed (1 ref / 2 fast)"
