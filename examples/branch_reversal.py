@@ -95,13 +95,6 @@ def main() -> None:
     combined = engine.simulate(combined_events, machine)
     gating_only = engine.simulate(gating_events, machine)
 
-    def u_and_p(stats):
-        u = 100.0 * (
-            base.total_uops_executed - stats.total_uops_executed
-        ) / base.total_uops_executed
-        p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-        return u, p
-
     print(
         f"\nreversals: {combined.reversals} "
         f"({combined.reversals_correcting} fixed, "
@@ -109,7 +102,7 @@ def main() -> None:
     )
     for label, stats in (("gating alone   ", gating_only),
                          ("gating+reversal", combined)):
-        u, p = u_and_p(stats)
+        u, p = stats.cost_vs(base)
         print(f"{label}: U = {u:5.1f}%   P = {p:5.1f}%")
 
 

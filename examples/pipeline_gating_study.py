@@ -58,21 +58,13 @@ def main() -> None:
         gated = config.with_gating(pl)
         for threshold, outcome in zip(THRESHOLDS, outcomes[1:]):
             stats = engine.simulate(outcome.events, gated)
+            u, p = stats.cost_vs(base)
             rows.append(
                 {
                     "lambda": threshold,
                     "PL": pl,
-                    "U %": round(
-                        100.0
-                        * (base.total_uops_executed - stats.total_uops_executed)
-                        / base.total_uops_executed,
-                        1,
-                    ),
-                    "P %": round(
-                        100.0 * (stats.total_cycles - base.total_cycles)
-                        / base.total_cycles,
-                        1,
-                    ),
+                    "U %": round(u, 1),
+                    "P %": round(p, 1),
                     "stalls": stats.gating_stalls,
                     "wrong-path saved": round(stats.wrong_path_uops_saved),
                 }

@@ -1,25 +1,22 @@
-"""Keyed replay and trace caches with hit/miss accounting.
+"""Keyed replay, segment and trace caches with hit/miss accounting.
 
-Two caches back the engine:
+Three caches back the engine:
 
 - :class:`ReplayCache` -- job fingerprint -> :class:`ReplayOutcome`.
-  In-memory entries are LRU-evicted against an *event budget* (replay
-  event lists dominate memory at ~300 bytes/event), because the
-  unbounded ``lru_cache`` it replaces could grow without limit over a
-  long experiment suite.  An optional on-disk layer pickles outcomes
-  under ``<dir>/<aa>/<fingerprint>.pkl`` (two-level fan-out keeps
-  directories small), so replays survive across processes and runs.
+- :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
+  for the segment chain (see :mod:`repro.engine.replay`): one entry per
+  replayed trace segment, so re-running a job after a suffix-only
+  change replays only the dirty segments.
 - :class:`TraceCache` -- (name, n_branches, seed) -> generated trace,
   LRU-evicted against a total-branches budget.
-- :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
-  for the segment chain (see :mod:`repro.engine.replay`):
-  one entry per replayed trace segment, so re-running a job after a
-  suffix-only change replays only the dirty segments.
 
-The segment cache's disk tier can be bounded (``disk_budget_bytes``):
-when the segment ``.pkl`` files exceed the budget, the least recently
-*used* entries are unlinked (reads touch mtime, so recency tracks use,
-not creation), counted in ``cache_segment_disk_evictions_total``.
+The first two are kinds of one tiered cache.  Its memory tier is
+LRU-evicted against an *event budget* (event lists dominate memory at
+~300 bytes/event).  Its optional disk tier pickles each entry under
+``<dir>/<aa>/<fingerprint>.pkl`` (replays) or
+``<dir>/segments/<aa>/<fingerprint>.pkl`` (segments) -- the two-level
+fan-out keeps directories small -- so entries survive across processes
+and runs.  An unreadable disk entry is dropped, counted and recomputed.
 
 All expose monotonic counters; :class:`CacheStats` snapshots support
 deltas over any stretch of work (``Engine.stats.since``).
@@ -77,11 +74,6 @@ class CacheStats:
             corrupt=self.corrupt - other.corrupt,
         )
 
-    def format(self) -> str:
-        disk = f" ({self.disk_hits} from disk)" if self.disk_hits else ""
-        bad = f", {self.corrupt} corrupt dropped" if self.corrupt else ""
-        return f"{self.hits} hits{disk} / {self.misses} misses{bad}"
-
 
 class _LruBudget:
     """An OrderedDict LRU bounded by a caller-defined cost budget."""
@@ -126,8 +118,19 @@ class _LruBudget:
         return self._spent
 
 
-class ReplayCache:
-    """Fingerprint-keyed outcome cache: memory LRU plus optional disk."""
+class _TieredCache:
+    """``(events, value)`` entries: a memory LRU over an optional disk tier.
+
+    The memory tier is LRU-evicted against an event budget (an entry
+    costs its event count).  The disk tier pickles each entry once, at
+    ``<disk_dir>/[<subdir>/]<aa>/<key>.pkl``, and serves it to later
+    processes and runs.  ``kind`` names the telemetry counters
+    (``cache_<kind>_{hits,misses,evictions}_total``) and the
+    corrupt-entry warning; subclasses set both and shape the values.
+    """
+
+    kind: str
+    subdir: str
 
     def __init__(
         self,
@@ -138,102 +141,98 @@ class ReplayCache:
         self.disk_dir = disk_dir
         self.stats = CacheStats()
 
-    def _disk_path(self, fingerprint: str) -> str:
-        return os.path.join(
-            self.disk_dir, fingerprint[:2], fingerprint + ".pkl"
-        )
+    def _disk_path(self, key: str) -> str:
+        return os.path.join(self.disk_dir, self.subdir, key[:2], key + ".pkl")
 
-    def get(self, fingerprint: str) -> Optional[ReplayOutcome]:
+    def lookup(self, key: str):
+        """``(entry, tier)`` -- tier is ``"memory"``, ``"disk"``, or
+        ``None`` on a miss (entry is ``None`` too)."""
         tel = telemetry.get_registry()
-        outcome = self._lru.get(fingerprint)
-        if outcome is not None:
-            self.stats.hits += 1
+        entry = self._lru.get(key)
+        tier = "memory"
+        if entry is None and self.disk_dir is not None:
+            entry = self._load(key, tel)
+            tier = "disk"
+        if entry is None:
+            self.stats.misses += 1
             if tel.enabled:
-                tel.counter("cache_replay_hits_total", tier="memory").inc()
-            return ReplayOutcome(outcome.events, outcome.result, from_cache=True)
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            try:
-                fh = open(path, "rb")
-            except OSError:
-                fh = None  # no entry on disk: an ordinary miss
-            if fh is not None:
-                try:
-                    with fh:
-                        events, result = pickle.load(fh)
-                except Exception as exc:
-                    # Truncated/garbled/wrong-shape pickle: the entry is
-                    # unusable.  Drop it (so put() can rewrite a good
-                    # one), record the corruption, and fall through to a
-                    # recompute.  log_event keeps the stdlib warning on
-                    # this module's logger and mirrors a structured copy
-                    # into the trace stream, so corruption is countable
-                    # rather than grep-able only.
-                    self.stats.corrupt += 1
-                    if tel.enabled:
-                        tel.counter("cache_disk_corrupt_total").inc()
-                    telemetry.log_event(
-                        "cache.corrupt_entry",
-                        level=logging.WARNING,
-                        message=(
-                            "replay cache: dropping corrupt entry; recomputing"
-                        ),
-                        logger=logger,
-                        path=path,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                else:
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    if tel.enabled:
-                        tel.counter("cache_replay_hits_total", tier="disk").inc()
-                    outcome = ReplayOutcome(events, result, from_cache=True)
-                    self._lru.put(fingerprint, outcome, cost=max(1, len(events)))
-                    self._note_evictions(tel)
-                    return outcome
-        self.stats.misses += 1
+                tel.counter(f"cache_{self.kind}_misses_total").inc()
+            return None, None
+        self.stats.hits += 1
         if tel.enabled:
-            tel.counter("cache_replay_misses_total").inc()
-        return None
+            tel.counter(f"cache_{self.kind}_hits_total", tier=tier).inc()
+        if tier == "disk":
+            self.stats.disk_hits += 1
+            self._remember(key, entry, tel)
+        return entry, tier
 
-    def _note_evictions(self, tel) -> None:
-        """Sync the evictions counter with the LRU's running total."""
+    def _load(self, key: str, tel):
+        """The disk entry for ``key``; ``None`` if absent or unreadable."""
+        path = self._disk_path(key)
+        try:
+            fh = open(path, "rb")
+        except OSError:
+            return None  # no entry on disk: an ordinary miss
+        try:
+            with fh:
+                events, value = pickle.load(fh)
+        except Exception as exc:
+            # Truncated/garbled/wrong-shape pickle: the entry is
+            # unusable.  Drop it (so store() can rewrite a good one),
+            # record the corruption, and let the caller recompute.
+            # log_event keeps the stdlib warning on this module's
+            # logger and mirrors a structured copy into the trace
+            # stream, so corruption is countable rather than grep-able.
+            self.stats.corrupt += 1
+            if tel.enabled:
+                tel.counter("cache_disk_corrupt_total").inc()
+            telemetry.log_event(
+                "cache.corrupt_entry",
+                level=logging.WARNING,
+                message=f"{self.kind} cache: dropping corrupt entry; recomputing",
+                logger=logger,
+                path=path,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None
+        return events, value
+
+    def store(self, key: str, entry) -> None:
+        """Cache ``entry`` in memory and, if not already there, on disk."""
+        self._remember(key, entry, telemetry.get_registry())
+        if self.disk_dir is None:
+            return
+        path = self._disk_path(key)
+        if os.path.exists(path):
+            return
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        # Atomic publish: concurrent writers of the same key produce
+        # identical bytes, last rename wins.
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+    def _remember(self, key: str, entry, tel) -> None:
+        """Put ``entry`` in the memory LRU and count what it evicted."""
+        self._lru.put(key, entry, cost=max(1, len(entry[0])))
         new = self._lru.evictions - self.stats.evictions
         self.stats.evictions = self._lru.evictions
         if new and tel.enabled:
-            tel.counter("cache_replay_evictions_total").inc(new)
-
-    def put(self, fingerprint: str, outcome: ReplayOutcome) -> None:
-        self._lru.put(fingerprint, outcome, cost=max(1, len(outcome.events)))
-        self._note_evictions(telemetry.get_registry())
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            if not os.path.exists(path):
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                # Atomic publish: concurrent writers of the same
-                # fingerprint produce identical bytes, last rename wins.
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(
-                            (outcome.events, outcome.result),
-                            fh,
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    os.replace(tmp, path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
+            tel.counter(f"cache_{self.kind}_evictions_total").inc(new)
 
     def clear(self) -> None:
-        """Drop in-memory entries (the disk layer is left alone)."""
+        """Drop in-memory entries (the disk tier is left alone)."""
         self._lru.clear()
 
     def __len__(self) -> int:
@@ -245,188 +244,43 @@ class ReplayCache:
         return self._lru.spent
 
 
-class SegmentCache:
-    """Segment fingerprint -> ``(events, checkpoint)``, LRU plus disk.
+class ReplayCache(_TieredCache):
+    """Job fingerprint -> :class:`ReplayOutcome`.
+
+    Entries are ``(events, result)``; the disk tier keeps them at the
+    top of the cache directory.
+    """
+
+    kind = "replay"
+    subdir = ""
+
+    def get(self, fingerprint: str) -> Optional[ReplayOutcome]:
+        entry, _ = self.lookup(fingerprint)
+        if entry is None:
+            return None
+        events, result = entry
+        return ReplayOutcome(events, result, from_cache=True)
+
+    def put(self, fingerprint: str, outcome: ReplayOutcome) -> None:
+        self.store(fingerprint, (outcome.events, outcome.result))
+
+
+class SegmentCache(_TieredCache):
+    """Segment fingerprint -> ``(events, checkpoint)``.
 
     The value is one replayed segment: its *complete* event list (no
     warm-up applied -- aggregation happens at merge time) and the
     :class:`~repro.engine.replay.ReplayCheckpoint` at the segment's
     end, which chains into the next segment's fingerprint.  The disk
-    layer lives under ``<dir>/segments/`` so it can share a cache
+    tier lives under ``<dir>/segments/`` so it can share a cache
     directory with :class:`ReplayCache` without key collisions.
     """
 
-    def __init__(
-        self,
-        event_budget: int = DEFAULT_EVENT_BUDGET,
-        disk_dir: Optional[str] = None,
-        disk_budget_bytes: Optional[int] = None,
-    ):
-        if disk_budget_bytes is not None and disk_budget_bytes <= 0:
-            raise ValueError(
-                f"disk_budget_bytes must be None or positive, "
-                f"got {disk_budget_bytes}"
-            )
-        self._lru = _LruBudget(event_budget)
-        self.disk_dir = disk_dir
-        self.disk_budget_bytes = disk_budget_bytes
-        self.stats = CacheStats()
-        self.disk_evictions = 0
-
-    def _disk_path(self, fingerprint: str) -> str:
-        return os.path.join(
-            self.disk_dir, "segments", fingerprint[:2], fingerprint + ".pkl"
-        )
-
-    def get(self, fingerprint: str):
-        """``(events, checkpoint)`` for a cached segment, else ``None``."""
-        return self.get_tiered(fingerprint)[0]
-
-    def get_tiered(self, fingerprint: str):
-        """``((events, checkpoint), tier)`` -- tier is ``"memory"``,
-        ``"disk"``, or ``None`` on a miss (entry is ``None`` too).
-        The chain annotates its per-segment spans with the tier."""
-        tel = telemetry.get_registry()
-        entry = self._lru.get(fingerprint)
-        if entry is not None:
-            self.stats.hits += 1
-            if tel.enabled:
-                tel.counter("cache_segment_hits_total", tier="memory").inc()
-            return entry, "memory"
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            try:
-                fh = open(path, "rb")
-            except OSError:
-                fh = None
-            if fh is not None:
-                try:
-                    with fh:
-                        events, checkpoint = pickle.load(fh)
-                except Exception as exc:
-                    self.stats.corrupt += 1
-                    if tel.enabled:
-                        tel.counter("cache_disk_corrupt_total").inc()
-                    telemetry.log_event(
-                        "cache.corrupt_entry",
-                        level=logging.WARNING,
-                        message=(
-                            "segment cache: dropping corrupt entry; recomputing"
-                        ),
-                        logger=logger,
-                        path=path,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                else:
-                    self.stats.hits += 1
-                    self.stats.disk_hits += 1
-                    if tel.enabled:
-                        tel.counter("cache_segment_hits_total", tier="disk").inc()
-                    try:
-                        # Touch: disk eviction is least-recently-USED,
-                        # so reads must refresh recency.
-                        os.utime(path)
-                    except OSError:
-                        pass
-                    entry = (events, checkpoint)
-                    self._lru.put(fingerprint, entry, cost=max(1, len(events)))
-                    self._note_evictions(tel)
-                    return entry, "disk"
-        self.stats.misses += 1
-        if tel.enabled:
-            tel.counter("cache_segment_misses_total").inc()
-        return None, None
-
-    def _note_evictions(self, tel) -> None:
-        new = self._lru.evictions - self.stats.evictions
-        self.stats.evictions = self._lru.evictions
-        if new and tel.enabled:
-            tel.counter("cache_segment_evictions_total").inc(new)
+    kind = "segment"
+    subdir = "segments"
 
     def put(self, fingerprint: str, events, checkpoint) -> None:
-        self._lru.put(
-            fingerprint, (events, checkpoint), cost=max(1, len(events))
-        )
-        self._note_evictions(telemetry.get_registry())
-        if self.disk_dir is not None:
-            path = self._disk_path(fingerprint)
-            if not os.path.exists(path):
-                os.makedirs(os.path.dirname(path), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=os.path.dirname(path), suffix=".tmp"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        pickle.dump(
-                            (events, checkpoint),
-                            fh,
-                            protocol=pickle.HIGHEST_PROTOCOL,
-                        )
-                    os.replace(tmp, path)
-                except BaseException:
-                    if os.path.exists(tmp):
-                        os.unlink(tmp)
-                    raise
-                self._enforce_disk_budget()
-
-    def _segment_files(self):
-        """Yield ``(mtime, size, path)`` for every on-disk segment entry."""
-        base = os.path.join(self.disk_dir, "segments")
-        try:
-            shards = os.listdir(base)
-        except OSError:
-            return
-        for shard in shards:
-            shard_dir = os.path.join(base, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for filename in os.listdir(shard_dir):
-                if not filename.endswith(".pkl"):
-                    continue
-                path = os.path.join(shard_dir, filename)
-                try:
-                    st = os.stat(path)
-                except OSError:
-                    continue
-                yield st.st_mtime, st.st_size, path
-
-    def _enforce_disk_budget(self) -> None:
-        """Unlink least-recently-used segment files past the byte budget."""
-        if self.disk_budget_bytes is None:
-            return
-        files = sorted(self._segment_files())
-        total = sum(size for _, size, _ in files)
-        evicted = 0
-        for _, size, path in files:
-            if total <= self.disk_budget_bytes:
-                break
-            try:
-                os.unlink(path)
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        if evicted:
-            self.disk_evictions += evicted
-            tel = telemetry.get_registry()
-            if tel.enabled:
-                tel.counter("cache_segment_disk_evictions_total").inc(evicted)
-
-    def clear(self) -> None:
-        """Drop in-memory segment entries (the disk layer is left alone)."""
-        self._lru.clear()
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    @property
-    def cached_events(self) -> int:
-        """Total events currently held in memory."""
-        return self._lru.spent
+        self.store(fingerprint, (events, checkpoint))
 
 
 class TraceCache:

@@ -348,7 +348,7 @@ def replay_segmented(
                 fingerprint = segment_fingerprint(
                     job, start, stop, checkpoint.digest
                 )
-                hit, tier = cache.get_tiered(fingerprint)
+                hit, tier = cache.lookup(fingerprint)
                 span.note(cache=tier or "miss")
                 if hit is not None:
                     events, checkpoint = hit

@@ -114,9 +114,7 @@ def run(
         for lam in THRESHOLDS:
             stats = simulate_events(outcomes[(name, lam)].events, gated)
             energy = model.evaluate(stats, estimator_active=True)
-            u = 100.0 * (
-                base_stats.total_uops_executed - stats.total_uops_executed
-            ) / base_stats.total_uops_executed
+            u, _ = stats.cost_vs(base_stats)
             samples[lam].append(
                 (
                     u,

@@ -135,10 +135,7 @@ def run(
         events, frontend = outcomes[2 * i + 1]
         base = simulate_events(base_events, config)
         stats = simulate_events(events, gated_config)
-        u = 100.0 * (
-            base.total_uops_executed - stats.total_uops_executed
-        ) / base.total_uops_executed
-        p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
+        u, p = stats.cost_vs(base)
         rows.append(
             Figure8Row(
                 benchmark=name,

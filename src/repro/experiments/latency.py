@@ -110,11 +110,7 @@ def run(
             stats = simulate_events(
                 events, config.with_gating(1, estimator_latency=lat)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples[lat].append((u, p))
+            samples[lat].append(stats.cost_vs(base))
     rows = [
         LatencyRow(
             latency=lat,

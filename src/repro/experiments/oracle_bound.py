@@ -105,14 +105,7 @@ def run(
         base = simulate_events(base_events, config)
 
         def measure(events):
-            stats = simulate_events(events, gated)
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (
-                stats.total_cycles - base.total_cycles
-            ) / base.total_cycles
-            return u, p
+            return simulate_events(events, gated).cost_vs(base)
 
         for cov, acc in ORACLE_POINTS:
             events = oracle_events(

@@ -165,10 +165,7 @@ def run(
         bench_cells: List[GatingCell] = []
 
         def record(estimator: str, lam: float, pl: int, stats) -> None:
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
+            u, p = stats.cost_vs(base)
             samples.setdefault((estimator, lam, pl), []).append((u, p))
             bench_cells.append(
                 GatingCell(estimator, lam, pl, u, p)

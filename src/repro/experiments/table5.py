@@ -148,11 +148,7 @@ def _ladder(
             stats = simulate_events(
                 outcomes[(name, lam)].events, config.with_gating(1)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples[lam].append((u, p))
+            samples[lam].append(stats.cost_vs(base))
     avg_kuop = sum(kuops) / len(kuops)
     rows = []
     for lam in thresholds:

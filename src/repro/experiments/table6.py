@@ -161,11 +161,7 @@ def run(
             stats = simulate_events(
                 outcomes[(name, size.label)].events, config.with_gating(1)
             )
-            u = 100.0 * (
-                base.total_uops_executed - stats.total_uops_executed
-            ) / base.total_uops_executed
-            p = 100.0 * (stats.total_cycles - base.total_cycles) / base.total_cycles
-            samples.setdefault(size.label, []).append((u, p))
+            samples.setdefault(size.label, []).append(stats.cost_vs(base))
     rows: List[Table6Row] = []
     for size_label, size in CONFIGURATIONS:
         pts = samples[size.label]

@@ -120,13 +120,9 @@ def run(
                     throttle_factor=factor,
                 )
                 stats = simulate_events(events, machine)
-                u = 100.0 * (
-                    base.total_uops_executed - stats.total_uops_executed
-                ) / base.total_uops_executed
-                p = 100.0 * (
-                    stats.total_cycles - base.total_cycles
-                ) / base.total_cycles
-                samples.setdefault((label, lam), []).append((u, p))
+                samples.setdefault((label, lam), []).append(
+                    stats.cost_vs(base)
+                )
     rows = [
         ThrottleRow(
             mechanism=label,

@@ -39,9 +39,10 @@ Mechanisms modelled explicitly:
   retire stream pays the refill (``depth``) on the next correct-path
   uops -- the squashed window cannot hide it.
 
-Determinism: resolution jitter is a hash of (pc, sequence number), so a
-given (trace, config, policy) triple always produces identical
-statistics.
+Determinism: resolution jitter is a hash of (pc, sequence number), and
+every :meth:`PipelineSimulator.simulate` call starts from a reset
+machine, so a given (trace, config, policy) triple always produces
+identical statistics.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.common.bits import mix_hash
 from repro.core.frontend import FrontEndEvent
@@ -321,117 +322,32 @@ class PipelineSimulator:
     # Public API
     # ------------------------------------------------------------------
 
-    def checkpoint(self) -> tuple:
-        """Resumable snapshot of the simulator's clocks and queues.
-
-        Plain nested tuples (picklable, digest-stable).  The in-flight
-        heap is canonicalised by sorting: heap layout among equal
-        resolve times is unobservable (ties always resolve together in
-        ``_resolve_until``), so the sorted form restores bit-identical
-        behaviour regardless of the original insertion order.
-        """
-        return (
-            "pipeline_simulator",
-            self._fetch_time,
-            self._retire_time,
-            tuple(
-                sorted(
-                    (b.resolve_time, b.activation_time, b.counts_gating)
-                    for b in self._inflight
-                )
-            ),
-            self._seq,
-            tuple((t, u) for t, u in self._retire_queue),
-            self._fetched_uops,
-            self._retired_uops,
-        )
-
-    def restore(self, state: tuple) -> None:
-        """Restore a :meth:`checkpoint` snapshot."""
-        if not state or state[0] != "pipeline_simulator":
-            raise ValueError(
-                f"not a pipeline simulator checkpoint: {state[:1]!r}"
-            )
-        (
-            _,
-            fetch_time,
-            retire_time,
-            inflight,
-            seq,
-            retire_queue,
-            fetched_uops,
-            retired_uops,
-        ) = state
-        self._fetch_time = float(fetch_time)
-        self._retire_time = float(retire_time)
-        heap = [
-            _InFlight(
-                resolve_time=float(resolve),
-                activation_time=float(activation),
-                counts_gating=bool(counts),
-            )
-            for resolve, activation, counts in inflight
-        ]
-        heapq.heapify(heap)
-        self._inflight = heap
-        self._seq = int(seq)
-        self._retire_queue = deque((float(t), float(u)) for t, u in retire_queue)
-        self._fetched_uops = float(fetched_uops)
-        self._retired_uops = float(retired_uops)
-
-    def simulate(
-        self,
-        events: Iterable[FrontEndEvent],
-        stats: Optional[SimStats] = None,
-        resume: bool = False,
-    ) -> SimStats:
-        """Replay a front-end event stream; returns accumulated stats.
-
-        Internal time state is reset at the start of every call unless
-        ``resume=True``, which continues from the current clocks (after
-        :meth:`restore`, or from a previous ``simulate`` call on the
-        same instance).  A resumed call adds this call's *cycle delta*
-        to ``stats.total_cycles`` instead of overwriting it with the
-        absolute retire clock, so per-segment stats from a resumed chain
-        sum (:meth:`repro.pipeline.stats.SimStats.merge`) to exactly the
-        monolithic totals.
-        """
-        if not resume:
-            self._reset()
-        retire_base = self._retire_time
-        result = stats if stats is not None else SimStats()
+    def simulate(self, events: Iterable[FrontEndEvent]) -> SimStats:
+        """Replay a front-end event stream from a reset machine."""
+        self._reset()
+        result = SimStats()
+        for event in events:
+            self._process(event, result)
+        result.total_cycles = self._retire_time
         from repro import telemetry
 
         tel = telemetry.get_registry()
-        if tel.enabled:
-            # Callers may pass an accumulating SimStats: record this
-            # call's contribution, not the running totals.
-            base_wrong = result.wrong_path_uops
-            base_stalls = result.gating_stalls
-            base_correcting = result.reversals_correcting
-            base_breaking = result.reversals_breaking
-        for event in events:
-            self._process(event, result)
-        if resume:
-            result.total_cycles += self._retire_time - retire_base
-        else:
-            result.total_cycles = self._retire_time
         if tel.enabled:
             buckets = telemetry.COUNT_BUCKETS
             tel.counter("pipeline_simulations_total").inc()
             tel.histogram(
                 "pipeline_wrong_path_uops", buckets=buckets
-            ).observe(result.wrong_path_uops - base_wrong)
+            ).observe(result.wrong_path_uops)
             tel.histogram(
                 "pipeline_gating_stalls", buckets=buckets
-            ).observe(result.gating_stalls - base_stalls)
+            ).observe(result.gating_stalls)
             tel.histogram(
                 "pipeline_reversal_recoveries", buckets=buckets
-            ).observe(result.reversals_correcting - base_correcting)
+            ).observe(result.reversals_correcting)
             tel.counter(
                 "pipeline_reversals_total", kind="correcting"
-            ).inc(result.reversals_correcting - base_correcting)
+            ).inc(result.reversals_correcting)
             tel.counter(
                 "pipeline_reversals_total", kind="breaking"
-            ).inc(result.reversals_breaking - base_breaking)
+            ).inc(result.reversals_breaking)
         return result

@@ -2,12 +2,16 @@
 
 Everything the paper's evaluation tables are computed from: uop counts
 split into correct-path and wrong-path, cycle counts split into useful,
-gated and refill time, and per-mechanism event counters.
+gated and refill time, and per-mechanism event counters.  One
+:class:`SimStats` covers one whole simulated replay;
+:meth:`SimStats.cost_vs` turns a gated run and its ungated baseline
+into the paper's U and P percentages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Tuple
 
 __all__ = ["SimStats"]
 
@@ -76,41 +80,19 @@ class SimStats:
             return 0.0
         return 1000.0 * self.mispredictions / self.correct_path_uops
 
-    def merge(self, other: "SimStats") -> "SimStats":
-        """Return a new stats object summing ``self`` and ``other``.
+    def cost_vs(self, base: "SimStats") -> Tuple[float, float]:
+        """``(U, P)`` of this run against an ungated ``base`` run, in %.
 
-        Every field -- including the cycle fields -- is a plain sum, so
-        the merge is associative and commutative.  Cycle sums reduce to
-        the monolithic totals when the operands are per-segment *deltas*
-        from a resumed simulator chain
-        (:meth:`repro.pipeline.simulator.PipelineSimulator.simulate`
-        with ``resume=True`` records deltas, not absolute clocks).
+        U is the reduction in uops executed and P the performance loss
+        (extra cycles), the two numbers of the paper's gating tables
+        (Tables 4-6, Figures 8-9).  Positive U saves work; positive P
+        costs time.
         """
-        return SimStats(
-            correct_path_uops=self.correct_path_uops + other.correct_path_uops,
-            wrong_path_uops=self.wrong_path_uops + other.wrong_path_uops,
-            branches=self.branches + other.branches,
-            mispredictions=self.mispredictions + other.mispredictions,
-            raw_mispredictions=(
-                self.raw_mispredictions + other.raw_mispredictions
-            ),
-            reversals=self.reversals + other.reversals,
-            reversals_correcting=(
-                self.reversals_correcting + other.reversals_correcting
-            ),
-            reversals_breaking=(
-                self.reversals_breaking + other.reversals_breaking
-            ),
-            gated_branches=self.gated_branches + other.gated_branches,
-            total_cycles=self.total_cycles + other.total_cycles,
-            gated_cycles=self.gated_cycles + other.gated_cycles,
-            throttled_cycles=self.throttled_cycles + other.throttled_cycles,
-            squash_cycles=self.squash_cycles + other.squash_cycles,
-            gating_stalls=self.gating_stalls + other.gating_stalls,
-            wrong_path_uops_saved=(
-                self.wrong_path_uops_saved + other.wrong_path_uops_saved
-            ),
-        )
+        u = 100.0 * (
+            base.total_uops_executed - self.total_uops_executed
+        ) / base.total_uops_executed
+        p = 100.0 * (self.total_cycles - base.total_cycles) / base.total_cycles
+        return u, p
 
     def as_dict(self) -> dict:
         """Summary dictionary for reports."""

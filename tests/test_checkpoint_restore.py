@@ -3,15 +3,12 @@
 For every verify-matrix configuration, a front end trained on a trace
 prefix is checkpointed, a *fresh* front end restores the snapshot, and
 both replay the suffix in lockstep -- events and final state digests
-must be identical.  The pipeline simulator gets the same treatment via
-its resume-delta contract.
+must be identical.
 """
 
 import pytest
 
 from repro.core.frontend import FrontEnd
-from repro.pipeline.config import PipelineConfig
-from repro.pipeline.simulator import PipelineSimulator
 from repro.verify.matrix import CASES
 
 CUT = 900
@@ -67,39 +64,3 @@ def test_restore_rejects_foreign_snapshot():
         frontend.predictor.restore(("not", "a", "checkpoint"))
     with pytest.raises(ValueError):
         frontend.estimator.restore(("bogus",))
-
-
-class TestPipelineSimulatorResume:
-    def _events(self, simple_trace):
-        case = CASES[3]  # perceptron-cic-l0, gating policy: exercises stalls
-        frontend = _build(case)
-        return [frontend.process(r) for r in simple_trace.slice(0, 1200)]
-
-    def test_resumed_chain_merges_to_monolithic(self, simple_trace):
-        events = self._events(simple_trace)
-        config = PipelineConfig()
-
-        mono = PipelineSimulator(config).simulate(events)
-
-        chained = PipelineSimulator(config)
-        first = chained.simulate(events[:500])
-        snapshot = chained.checkpoint()
-
-        resumed = PipelineSimulator(config)
-        resumed.restore(snapshot)
-        second = resumed.simulate(events[500:], resume=True)
-
-        merged = first.merge(second)
-        assert merged.branches == mono.branches
-        assert merged.correct_path_uops == mono.correct_path_uops
-        assert merged.wrong_path_uops == mono.wrong_path_uops
-        assert merged.mispredictions == mono.mispredictions
-        assert merged.gating_stalls == mono.gating_stalls
-        assert merged.total_cycles == pytest.approx(mono.total_cycles)
-        assert merged.gated_cycles == pytest.approx(mono.gated_cycles)
-        assert merged.squash_cycles == pytest.approx(mono.squash_cycles)
-
-    def test_restore_rejects_foreign_snapshot(self):
-        simulator = PipelineSimulator(PipelineConfig())
-        with pytest.raises(ValueError):
-            simulator.restore(("front_end", 1, 2))

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro import telemetry
 from repro.engine import (
     ALWAYS_HIGH,
     BASELINE_PREDICTOR,
@@ -23,6 +24,7 @@ from repro.engine import (
     PredictorSpec,
     ReplayCache,
     ReplayOutcome,
+    SegmentCache,
     SimJob,
     SpecError,
     TraceCache,
@@ -166,6 +168,22 @@ class TestReplayCacheDisk:
         assert restored.events == outcome.events
         assert restored.result.branches == outcome.result.branches
 
+    def test_disk_layout(self, tmp_path):
+        """Both kinds pickle a plain pair at a fixed path, so cache
+        directories written by earlier versions stay readable."""
+        outcome = Engine().replay(JOB)
+        fp = JOB.fingerprint
+        ReplayCache(disk_dir=str(tmp_path)).put(fp, outcome)
+        SegmentCache(disk_dir=str(tmp_path)).put(fp, outcome.events, "cp")
+        assert (tmp_path / fp[:2] / f"{fp}.pkl").read_bytes() == pickle.dumps(
+            (outcome.events, outcome.result), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        assert (
+            tmp_path / "segments" / fp[:2] / f"{fp}.pkl"
+        ).read_bytes() == pickle.dumps(
+            (outcome.events, "cp"), protocol=pickle.HIGHEST_PROTOCOL
+        )
+
     def test_miss_on_empty_dir(self, tmp_path):
         cache = ReplayCache(disk_dir=str(tmp_path))
         assert cache.get(JOB.fingerprint) is None
@@ -276,10 +294,16 @@ class TestRunnerFlags:
 
 
 class TestCorruptDiskCache:
-    """A damaged disk entry must be dropped and recomputed, not raised."""
+    """A damaged disk entry must be dropped and recomputed, not raised.
 
-    def _plant(self, tmp_path, payload: bytes) -> ReplayCache:
-        cache = ReplayCache(disk_dir=str(tmp_path))
+    Written against the replay cache; :class:`TestCorruptSegmentCache`
+    runs every case again against the segment cache.
+    """
+
+    cache_type = ReplayCache
+
+    def _plant(self, tmp_path, payload: bytes):
+        cache = self.cache_type(disk_dir=str(tmp_path))
         path = cache._disk_path(JOB.fingerprint)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as fh:
@@ -291,14 +315,16 @@ class TestCorruptDiskCache:
         good = pickle.dumps((outcome.events, outcome.result))
         cache = self._plant(tmp_path, good[: len(good) // 2])
         with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
-            assert cache.get(JOB.fingerprint) is None
+            assert cache.lookup(JOB.fingerprint) == (None, None)
         assert cache.stats.corrupt == 1
         assert cache.stats.misses == 1
-        assert any("corrupt" in r.message for r in caplog.records)
+        assert not os.path.exists(cache._disk_path(JOB.fingerprint))
+        message = f"{cache.kind} cache: dropping corrupt entry; recomputing"
+        assert any(message in r.message for r in caplog.records)
 
     def test_wrong_structure_recovers(self, tmp_path):
         cache = self._plant(tmp_path, pickle.dumps("not an outcome tuple"))
-        assert cache.get(JOB.fingerprint) is None
+        assert cache.lookup(JOB.fingerprint) == (None, None)
         assert cache.stats.corrupt == 1
 
     def test_engine_recomputes_and_repairs(self, tmp_path, caplog):
@@ -323,10 +349,49 @@ class TestCorruptDiskCache:
         assert again.from_cache
         assert again.events == expected.events
 
-    def test_corrupt_count_in_format(self, tmp_path):
-        cache = self._plant(tmp_path, b"\x80garbage")
-        cache.get(JOB.fingerprint)
-        assert "corrupt" in cache.stats.format()
+
+class TestCorruptSegmentCache(TestCorruptDiskCache):
+    cache_type = SegmentCache
+
+    def test_engine_recomputes_and_repairs(self, tmp_path, caplog):
+        job = JOB.with_(segment_size=1_000)  # three segments
+        expected = Engine(cache_dir=str(tmp_path)).replay(job)
+        segment_files = sorted((tmp_path / "segments").glob("*/*.pkl"))
+        assert len(segment_files) == 3
+        damaged = segment_files[0]
+        damaged.write_bytes(damaged.read_bytes()[:64])
+
+        def rerun():
+            # Drop the job's own replay entry (segment_size is not part
+            # of the fingerprint) so it re-executes through the chain.
+            fp = job.fingerprint
+            os.unlink(tmp_path / fp[:2] / f"{fp}.pkl")
+            engine = Engine(cache_dir=str(tmp_path))
+            return engine, engine.replay(job)
+
+        tel = telemetry.enable()
+        tel.reset()
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
+                engine, outcome = rerun()
+            assert tel.counter("cache_disk_corrupt_total").value == 1
+        finally:
+            telemetry.disable()
+            telemetry.reset()
+        assert not outcome.from_cache
+        assert outcome.events == expected.events
+        segments = engine.stats.segments
+        assert (segments.corrupt, segments.misses, segments.disk_hits) == (
+            1, 1, 2
+        )
+        # The damaged segment alone was recomputed and re-written: a
+        # third engine reads the whole chain cleanly from disk.
+        engine, again = rerun()
+        assert again.events == expected.events
+        segments = engine.stats.segments
+        assert (segments.corrupt, segments.misses, segments.disk_hits) == (
+            0, 0, 3
+        )
 
 
 class TestDeterminismExtended:

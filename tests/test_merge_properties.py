@@ -12,8 +12,6 @@ cut points:
   exactly what in-order segment merging needs).
 """
 
-import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +19,6 @@ from repro.core.frontend import FrontEndEvent, FrontEndResult, aggregate_event
 from repro.core.metrics import MetricsCollector
 from repro.core.reversal import BranchAction, PolicyDecision
 from repro.core.types import ConfidenceSignal
-from repro.pipeline.stats import SimStats
 
 _ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
 
@@ -152,43 +149,3 @@ class TestMetricsCollectorMerge:
         assert {
             pc: m.as_dict() for pc, m in merged.per_pc.items()
         } == {pc: m.as_dict() for pc, m in monolithic.per_pc.items()}
-
-
-class TestSimStatsMerge:
-    @given(
-        values=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=1000),
-                st.integers(min_value=0, max_value=1000),
-                st.floats(min_value=0, max_value=1e6, allow_nan=False),
-            ),
-            min_size=3,
-            max_size=3,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_is_associative_and_commutative(self, values):
-        stats = [
-            SimStats(
-                branches=b,
-                mispredictions=m,
-                total_cycles=c,
-                gated_cycles=c / 2,
-            )
-            for b, m, c in values
-        ]
-        a, b, c = stats
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        # Integer counters are exactly associative; cycle floats are
-        # associative up to rounding (the engine merges segments in one
-        # fixed order, so rounding is also deterministic there).
-        assert (left.branches, left.mispredictions) == (
-            right.branches,
-            right.mispredictions,
-        )
-        assert left.total_cycles == pytest.approx(right.total_cycles)
-        assert left.gated_cycles == pytest.approx(right.gated_cycles)
-        ab, ba = a.merge(b), b.merge(a)
-        assert (ab.branches, ab.mispredictions) == (ba.branches, ba.mispredictions)
-        assert ab.total_cycles == pytest.approx(ba.total_cycles)

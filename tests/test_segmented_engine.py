@@ -3,7 +3,7 @@
 Covers the segment chain (:func:`repro.engine.replay.replay_segmented`),
 its integration with :class:`repro.engine.Engine` (``segment_size`` jobs,
 :meth:`Engine.stream`), the segment cache's prefix-reuse behaviour
-(observed through telemetry counters) and disk budget, the peak-memory
+(observed through telemetry counters), the peak-memory
 contract of streaming and its fast path, and recorded segment
 directories (orphan sweeps, ``segtrace:`` job sources).
 
@@ -279,37 +279,6 @@ class TestEngineStream:
         assert stream_peak * 3 < replay_peak, (
             f"stream peak {stream_peak} vs monolithic {replay_peak}"
         )
-
-
-class TestDiskHygiene:
-    def _fill(self, cache, n, payload_events=128):
-        # Distinct strings per entry: pickle memoizes repeated objects,
-        # so a shared payload would serialize to almost nothing.
-        for k in range(n):
-            events = [f"{k:03d}-{i:03d}" * 8 for i in range(payload_events)]
-            cache.put(f"fp{k:02d}", events, ReplayCheckpoint.initial())
-
-    def test_disk_budget_evicts_lru(self, tmp_path):
-        tel = telemetry.enable()
-        tel.reset()
-        cache = SegmentCache(
-            event_budget=1, disk_dir=str(tmp_path), disk_budget_bytes=20_000
-        )
-        self._fill(cache, 8)
-        assert cache.disk_evictions > 0
-        assert (
-            tel.counter("cache_segment_disk_evictions_total").value
-            == cache.disk_evictions
-        )
-        segment_dir = tmp_path / "segments"
-        kept = [p for p in segment_dir.iterdir() if p.is_file()]
-        assert sum(p.stat().st_size for p in kept) <= 20_000
-        # Most-recently-written entries survive; the oldest went first.
-        assert cache.get("fp07") is not None
-
-    def test_budget_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            SegmentCache(disk_dir=str(tmp_path), disk_budget_bytes=0)
 
 
 class TestOrphanSweep:

@@ -7,6 +7,7 @@ from repro.core.reversal import BranchAction, PolicyDecision
 from repro.core.types import ConfidenceSignal
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.simulator import PipelineSimulator
+from repro.pipeline.stats import SimStats
 
 
 def event(pc=0x40, taken=True, prediction=True, action=BranchAction.NORMAL,
@@ -232,6 +233,17 @@ class TestStats:
         d = stats.as_dict()
         for key in ("branches", "total_uops_executed", "total_cycles"):
             assert key in d
+
+    def test_cost_vs_base(self):
+        # U: % fewer uops executed than the base; P: % more cycles.
+        base = SimStats(
+            correct_path_uops=900, wrong_path_uops=100, total_cycles=400.0
+        )
+        gated = SimStats(
+            correct_path_uops=900, wrong_path_uops=25, total_cycles=410.0
+        )
+        assert gated.cost_vs(base) == (7.5, 2.5)
+        assert base.cost_vs(base) == (0.0, 0.0)
 
 
 class TestThrottleMode:
