@@ -4,15 +4,14 @@
 work.  ``Engine.run(jobs)`` deduplicates the job list by fingerprint,
 serves repeats from the replay cache (memory, then disk), and hands the
 remainder to an :class:`~repro.engine.executor.Executor` -- in-process
-(serial), fanned out over a local process pool, or enqueued on the
-distributed fleet (:mod:`repro.fleet`) -- returning outcomes in the
-order the jobs were given.  Replay is fully deterministic in the job
-description, so serial, parallel, fleet and cached runs of the same job
+(serial) or fanned out over a local process pool -- returning outcomes
+in the order the jobs were given.  Replay is fully deterministic in the
+job description, so serial, parallel and cached runs of the same job
 produce bit-identical events and results; the execution mode is purely
 a throughput knob.
 
 A module-level default engine serves the experiment suite; configure it
-once from the CLI (``--jobs``, ``--cache-dir``, ``--executor``) via
+once from the CLI (``--jobs``, ``--cache-dir``) via
 :func:`configure_engine`.
 """
 
@@ -30,7 +29,7 @@ from repro.engine.cache import (
     SegmentCache,
     TraceCache,
 )
-from repro.engine.executor import EXECUTOR_NAMES, resolve_executor
+from repro.engine.executor import EXECUTOR_NAMES, Executor, resolve_executor
 from repro.engine.job import ReplayOutcome, SimJob
 from repro.engine.replay import Replayer, _count_replay, _replay_trace
 
@@ -58,7 +57,7 @@ def _traced_execute_job(job: SimJob) -> ReplayOutcome:
 
     The executor layer owns the telemetry bootstrap and shipment
     (:mod:`repro.telemetry.workers`); this wrapper only contributes the
-    span that names the work, so fleet and pool timelines both show one
+    span that names the work, so pool timelines show one
     ``worker.replay`` lane entry per executed job.
     """
     with telemetry.trace_span(
@@ -70,6 +69,27 @@ def _traced_execute_job(job: SimJob) -> ReplayOutcome:
         outcome = execute_job(job)
         span.note(backend=outcome.backend)
     return outcome
+
+
+def _check_settings(max_workers, event_budget, executor) -> None:
+    """Reject invalid engine settings; ``None`` means default/unchanged.
+
+    The one check behind :class:`Engine` and both paths of
+    :func:`configure_engine`.
+    """
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    if event_budget is not None and event_budget <= 0:
+        raise ValueError(f"event_budget must be positive, got {event_budget}")
+    if not (
+        executor is None
+        or isinstance(executor, Executor)
+        or executor in EXECUTOR_NAMES
+    ):
+        raise ValueError(
+            f"executor must be one of {EXECUTOR_NAMES} or an "
+            f"Executor instance, got {executor!r}"
+        )
 
 
 class EngineStats:
@@ -112,16 +132,15 @@ class Engine:
     """Runs :class:`SimJob` s through the replay cache and executors.
 
     Args:
-        max_workers: Default process fan-out for :meth:`run`.  1 means
+        max_workers: Process fan-out for :meth:`run`.  1 means
             in-process execution (still cached and deduplicated).
         event_budget: In-memory replay cache size, in cached events.
         cache_dir: Enables the on-disk replay cache at this directory.
         trace_budget: Trace cache size, in total dynamic branches.
-        executor: Where pending (uncached) jobs run -- an
-            :class:`~repro.engine.executor.Executor` instance, a name
-            from :data:`~repro.engine.executor.EXECUTOR_NAMES`, or
-            ``None``/"auto" to pick pool-vs-serial from the worker
-            budget per batch (the historical behavior).
+        executor: Where pending (uncached) jobs run -- ``None`` (or
+            ``"auto"``) for a pool when ``max_workers > 1`` and serial
+            otherwise, ``"serial"``/``"pool"``, or an
+            :class:`~repro.engine.executor.Executor` instance.
     """
 
     def __init__(
@@ -132,13 +151,7 @@ class Engine:
         trace_budget: int = DEFAULT_TRACE_BUDGET,
         executor=None,
     ):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if isinstance(executor, str) and executor not in EXECUTOR_NAMES:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_NAMES} or an "
-                f"Executor instance, got {executor!r}"
-            )
+        _check_settings(max_workers, event_budget, executor)
         self.max_workers = max_workers
         self.executor = executor
         #: Optional ``callable(job, outcome)`` invoked once per
@@ -156,10 +169,6 @@ class Engine:
         self._parallel_executed = 0
 
     # -- caching ----------------------------------------------------------
-
-    @property
-    def cache_dir(self) -> Optional[str]:
-        return self._replays.disk_dir
 
     @property
     def stats(self) -> EngineStats:
@@ -197,11 +206,7 @@ class Engine:
             job, self.trace(*job.trace_key), segments=self._segments
         )
 
-    def run(
-        self,
-        jobs: Sequence[SimJob],
-        max_workers: Optional[int] = None,
-    ) -> List[ReplayOutcome]:
+    def run(self, jobs: Sequence[SimJob]) -> List[ReplayOutcome]:
         """Execute a batch of jobs; outcomes align with ``jobs`` order.
 
         Duplicate jobs (same fingerprint) are executed once.  Cache
@@ -210,10 +215,6 @@ class Engine:
         execution fans out across processes -- results are collected in
         submission order, so parallelism never perturbs output order.
         """
-        workers = self.max_workers if max_workers is None else max_workers
-        if workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {workers}")
-
         tel = telemetry.get_registry()
         with telemetry.trace_span("engine.run", jobs=len(jobs)):
             fingerprints = [job.fingerprint for job in jobs]
@@ -235,9 +236,7 @@ class Engine:
                 )
 
             if pending:
-                executor = resolve_executor(
-                    self.executor, workers, cache_dir=self.cache_dir
-                )
+                executor = resolve_executor(self.executor, self.max_workers)
                 distributed = executor.will_distribute(len(pending))
                 # Outcomes land one at a time, in submission order --
                 # the executor owns worker bootstrap and telemetry
@@ -344,21 +343,24 @@ def configure_engine(
 
     Passing ``reset=True`` replaces the engine outright (dropping its
     in-memory caches); otherwise existing caches are preserved and only
-    the requested knobs change.
+    the requested knobs change.  ``None`` means the default (on reset)
+    or unchanged; invalid settings raise ``ValueError`` on either path
+    before anything changes.
     """
     global _default_engine
+    _check_settings(max_workers, event_budget, executor)
     if reset or _default_engine is None:
         _default_engine = Engine(
-            max_workers=max_workers or 1,
-            event_budget=event_budget or DEFAULT_EVENT_BUDGET,
+            max_workers=1 if max_workers is None else max_workers,
+            event_budget=(
+                DEFAULT_EVENT_BUDGET if event_budget is None else event_budget
+            ),
             cache_dir=cache_dir,
             executor=executor,
         )
         return _default_engine
     engine = _default_engine
     if max_workers is not None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         engine.max_workers = max_workers
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir

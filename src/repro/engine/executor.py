@@ -1,17 +1,16 @@
-"""Pluggable execution strategies for the engine's fan-out.
+"""The engine's one fan-out seam: serial or a local process pool.
 
 Every place the stack runs simulation work "somewhere else" goes
 through one :class:`Executor`:
 
 - :class:`SerialExecutor` -- in the submitting process.
 - :class:`PoolExecutor` -- a per-call ``ProcessPoolExecutor``, the
-  single home of the local worker-bootstrap / telemetry-drain /
+  single home of the worker-bootstrap / telemetry-drain /
   result-marshalling protocol: workers speak
   :mod:`repro.telemetry.workers` shipments through :func:`_pool_entry`.
-- ``FleetExecutor`` (:mod:`repro.fleet.executor`) -- a sqlite work
-  queue drained by detached ``python -m repro.fleet worker``
-  processes, resolved lazily here so the engine has no import-time
-  dependency on the fleet tier.
+
+``--jobs N`` picks between them (:func:`resolve_executor`): a pool
+when N > 1, serial otherwise.
 
 :meth:`Executor.execute` runs a batch of :class:`SimJob` s, yielding
 ``(job, outcome)`` pairs in submission order as they land (the
@@ -25,7 +24,7 @@ results; the verify layers enforce it.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 from repro import telemetry
 from repro.telemetry.workers import absorb_shipment, worker_begin, worker_collect
@@ -38,9 +37,9 @@ __all__ = [
     "resolve_executor",
 ]
 
-#: Names accepted by :func:`resolve_executor` (and the ``--executor``
-#: CLI flags).  ``auto`` picks pool or serial from the worker budget.
-EXECUTOR_NAMES = ("auto", "serial", "pool", "fleet")
+#: Names accepted by :func:`resolve_executor`.  ``auto`` picks pool or
+#: serial from the worker budget.
+EXECUTOR_NAMES = ("auto", "serial", "pool")
 
 
 def _pool_entry(payload):
@@ -59,11 +58,8 @@ def _pool_entry(payload):
 class Executor:
     """Strategy interface: where and how submitted work runs."""
 
-    #: Short name used in CLI flags and telemetry labels.
+    #: Short name used in telemetry labels.
     name = "base"
-    #: True when :meth:`execute` can run jobs outside the submitting
-    #: process (feeds the engine's parallel-execution tallies).
-    distributes = False
 
     def will_distribute(self, n_jobs: int) -> bool:
         """Would a batch of ``n_jobs`` actually leave this process?"""
@@ -83,7 +79,6 @@ class SerialExecutor(Executor):
     """
 
     name = "serial"
-    distributes = False
 
     def __init__(self, local_workers: int = 1):
         self.local_workers = local_workers
@@ -104,7 +99,6 @@ class PoolExecutor(Executor):
     """
 
     name = "pool"
-    distributes = True
 
     def __init__(self, max_workers: int = 2):
         if max_workers < 1:
@@ -136,20 +130,12 @@ class PoolExecutor(Executor):
                 yield job, outcome
 
 
-def resolve_executor(
-    spec,
-    workers: int = 1,
-    cache_dir: Optional[str] = None,
-    fleet_queue: Optional[str] = None,
-) -> Executor:
+def resolve_executor(spec, workers: int = 1) -> Executor:
     """Turn an executor spec into an instance.
 
     ``spec`` may be an :class:`Executor` (returned as-is), ``None`` or
     ``"auto"`` (pool when ``workers > 1``, else serial), or one of the
-    names in :data:`EXECUTOR_NAMES`.  ``"fleet"`` resolves lazily
-    against :mod:`repro.fleet` and needs a queue path -- explicit via
-    ``fleet_queue``, or the conventional ``<cache_dir>/fleet/queue.sqlite``
-    beside the shared replay cache the fleet requires anyway.
+    names in :data:`EXECUTOR_NAMES`.
     """
     if isinstance(spec, Executor):
         return spec
@@ -159,18 +145,6 @@ def resolve_executor(
         return SerialExecutor(workers)
     if spec == "pool":
         return PoolExecutor(workers)
-    if spec == "fleet":
-        from repro.fleet import FleetExecutor, default_queue_path
-
-        if fleet_queue is None:
-            if cache_dir is None:
-                raise ValueError(
-                    "executor 'fleet' needs a queue: pass fleet_queue or "
-                    "configure a cache_dir (shared caches are how fleet "
-                    "workers hand results back)"
-                )
-            fleet_queue = default_queue_path(cache_dir)
-        return FleetExecutor(fleet_queue)
     raise ValueError(
         f"unknown executor {spec!r} (expected one of {EXECUTOR_NAMES} "
         "or an Executor instance)"

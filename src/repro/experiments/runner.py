@@ -222,7 +222,7 @@ def main(argv=None) -> int:
                 "from this tree would not be trustworthy"
             )
             return status
-    return run_specs(parser, args, [spec], ":memory:")
+    return run_specs(args, [spec], ":memory:")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

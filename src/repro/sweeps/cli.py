@@ -102,30 +102,16 @@ def add_run_args(
     _add_sizing_args(parser)
     parser.add_argument(
         "--jobs", type=_worker_count, default=1, metavar="N",
-        help="fan replay execution out over N worker processes",
+        help=(
+            "fan replay execution out over N worker processes "
+            "(default 1: run in this process)"
+        ),
     )
     parser.add_argument(
         "--cache-dir", default=cache_dir, metavar="PATH",
         help=(
             "persist replays on disk at PATH across runs"
             + (f" (default {cache_dir})" if cache_dir else "")
-        ),
-    )
-    parser.add_argument(
-        "--executor", choices=("auto", "serial", "pool", "fleet"),
-        default="auto",
-        help=(
-            "where pending jobs run: auto (pool when --jobs > 1), "
-            "serial, pool, or the distributed fleet queue drained by "
-            "'python -m repro.fleet worker' (fleet requires --cache-dir; "
-            "see docs/distributed.md)"
-        ),
-    )
-    parser.add_argument(
-        "--fleet-queue", default=None, metavar="PATH",
-        help=(
-            "fleet work queue for --executor fleet "
-            "(default <cache-dir>/fleet/queue.sqlite)"
         ),
     )
     parser.add_argument(
@@ -193,31 +179,18 @@ def _store_line(path: str, summary: dict) -> str:
     )
 
 
-def run_specs(
-    parser: argparse.ArgumentParser, args, specs, store_path: str
-) -> int:
+def run_specs(args, specs, store_path: str) -> int:
     """Run sweep specs into the store at ``store_path``.
 
     The body of ``sweeps run`` and ``python -m repro.experiments``,
-    driven by the flags :func:`add_run_args` declares: engine, executor
-    and telemetry set-up, one :func:`run_sweep` per spec, then the
-    report and the end-of-run writes.
+    driven by the flags :func:`add_run_args` declares: engine and
+    telemetry set-up, one :func:`run_sweep` per spec, then the report
+    and the end-of-run writes.  ``--jobs`` alone picks the executor
+    (``"auto"``): a process pool when it is above 1, serial otherwise.
     """
     base = _settings(args)
-    executor = args.executor
-    if executor == "fleet":
-        from repro.fleet import FleetExecutor, default_queue_path
-
-        if args.cache_dir is None:
-            parser.error(
-                "--executor fleet requires --cache-dir (the shared disk "
-                "cache is how fleet workers hand outcomes back)"
-            )
-        executor = FleetExecutor(
-            args.fleet_queue or default_queue_path(args.cache_dir)
-        )
     configure_engine(
-        max_workers=args.jobs, cache_dir=args.cache_dir, executor=executor
+        max_workers=args.jobs, cache_dir=args.cache_dir, executor="auto"
     )
     collecting = bool(
         args.telemetry or args.trace_out or args.profile is not None
@@ -463,9 +436,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_store_arg(p_run)
     add_run_args(p_run, cache_dir=DEFAULT_CACHE_DIR)
     p_run.set_defaults(
-        func=lambda args: run_specs(
-            p_run, args, _specs(args.specs), args.store
-        )
+        func=lambda args: run_specs(args, _specs(args.specs), args.store)
     )
 
     p_render = sub.add_parser(

@@ -7,7 +7,7 @@ shared-monotonic ``ts``) into the Chrome Trace Event JSON format that
 
 Each process becomes a lane (``pid``/``tid``), so a ``--jobs N`` run
 renders as the parent's span tree with worker replay lanes beside it;
-``log`` events (cache warnings, fleet lease expiries) become instant
+``log`` events (cache warnings, corrupt store rows) become instant
 events pinned at their timestamps, and span fields (backend, segment
 index, cache tier) ride along in ``args`` where the UI shows them on
 click.

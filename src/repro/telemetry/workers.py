@@ -1,8 +1,8 @@
 """The worker-process telemetry handoff protocol.
 
-Every executor that runs work in another process -- the engine's job
-pool and the fleet worker loop -- speaks the same three-step protocol,
-defined once here:
+The engine's process pool (:class:`~repro.engine.executor.PoolExecutor`)
+runs work in forked workers; they hand their telemetry home through
+this three-step protocol:
 
 1. :func:`worker_begin` -- shed inherited parent state (a fork-started
    worker inherits the parent's registry *contents* and its open trace
@@ -19,9 +19,7 @@ The *capture* decision (should span events be buffered for the parent
 to re-emit?) is sticky per worker process: a forked worker decides from
 the parent's fork-time trace sink on its first job, and the decision
 must outlive that sink's closure because later jobs land on the same
-worker.  Fleet workers force it instead (``capture=True``): they run in
-processes the submitter never forked, so spans must always ship home
-through the queue.
+worker.
 
 The *count* flag says whether the worker counts at all: with
 ``count=True`` it counts into its own registry and ships a drained
@@ -59,8 +57,8 @@ __all__ = [
 
 
 #: Sticky per-worker decision: should spans be captured for the parent?
-#: Decided once per worker process (from the fork-time trace sink, or
-#: forced by the caller) and reused for every later job on that worker.
+#: Decided once per worker process (from the fork-time trace sink) and
+#: reused for every later job on that worker.
 _worker_capture: Optional[bool] = None
 
 
@@ -86,20 +84,17 @@ class WorkerShipment:
         )
 
 
-def worker_begin(count: bool, capture: Optional[bool] = None) -> bool:
-    """Start one worker-side collection window; returns the capture flag.
+def worker_begin(count: bool) -> None:
+    """Start one worker-side collection window.
 
     Sheds the inherited trace sink, then either enables a fresh
     worker-local registry (``count=True``: the worker counts and ships
     a snapshot home) or disables it (``count=False``: the parent owns
-    all counting).  ``capture`` pins the sticky span-capture decision;
-    when omitted, the first call in a process decides from the
-    fork-inherited trace state.
+    all counting).  The first call in a process makes the sticky
+    span-capture decision from the fork-inherited trace state.
     """
     global _worker_capture
-    if capture is not None:
-        _worker_capture = bool(capture)
-    elif _worker_capture is None:
+    if _worker_capture is None:
         _worker_capture = tracing_active()
     close_trace()
     if count:
@@ -110,7 +105,6 @@ def worker_begin(count: bool, capture: Optional[bool] = None) -> bool:
         disable()
     if _worker_capture:
         begin_span_capture()
-    return _worker_capture
 
 
 def worker_collect(count: bool) -> WorkerShipment:

@@ -28,8 +28,10 @@ from repro.engine import (
     SimJob,
     SpecError,
     TraceCache,
+    configure_engine,
+    get_engine,
 )
-from repro.engine.cache import _LruBudget
+from repro.engine.cache import DEFAULT_EVENT_BUDGET, _LruBudget
 
 JOB = SimJob(
     benchmark="gzip",
@@ -256,8 +258,56 @@ class TestEngineRun:
     def test_worker_validation(self):
         with pytest.raises(ValueError):
             Engine(max_workers=0)
+
+
+class TestConfigureEngine:
+    """Both paths of ``configure_engine`` validate the same way."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_default_engine(self):
+        configure_engine(reset=True)
+        yield
+        configure_engine(reset=True)
+
+    @pytest.mark.parametrize("reset", [True, False])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"max_workers": 0},
+            {"event_budget": 0},
+            {"event_budget": -5},
+            {"executor": "carrier-pigeon"},
+        ],
+        ids=["workers", "budget", "negative-budget", "executor"],
+    )
+    def test_invalid_setting_rejected_unchanged(self, reset, setting):
+        engine = get_engine()
+        before = (
+            engine.max_workers,
+            engine._replays._lru.budget,
+            engine.executor,
+        )
         with pytest.raises(ValueError):
-            Engine().run([JOB], max_workers=0)
+            configure_engine(reset=reset, **setting)
+        assert get_engine() is engine
+        assert (
+            engine.max_workers,
+            engine._replays._lru.budget,
+            engine.executor,
+        ) == before
+
+    @pytest.mark.parametrize("reset", [True, False])
+    def test_none_means_default_or_unchanged(self, reset):
+        configure_engine(max_workers=3, event_budget=1234, executor="serial")
+        engine = configure_engine(reset=reset)
+        if reset:
+            assert engine.max_workers == 1
+            assert engine._replays._lru.budget == DEFAULT_EVENT_BUDGET
+            assert engine.executor is None
+        else:
+            assert engine.max_workers == 3
+            assert engine._replays._lru.budget == 1234
+            assert engine.executor == "serial"
 
 
 class TestRunnerFlags:

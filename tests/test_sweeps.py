@@ -325,6 +325,26 @@ class TestCli:
             "run", "nonesuch-spec", "--store", str(tmp_path / "r.sqlite"),
         ]) == 2
 
+    def test_runner_rejects_executor_flag(self, fresh_engine, capsys):
+        from repro.experiments.runner import main as runner_main
+
+        with pytest.raises(SystemExit) as exc:
+            runner_main(["--executor", "serial", "--branches", "2000", "table2"])
+        assert exc.value.code == 2
+        assert "--executor" in capsys.readouterr().err
+
+    def test_sweeps_run_rejects_fleet_queue_flag(
+        self, tmp_path, fresh_engine, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            sweeps_main([
+                "run", "quick", "--fleet-queue", str(tmp_path / "q.sqlite"),
+                "--branches", "2000", "--store", str(tmp_path / "r.sqlite"),
+                "--cache-dir", str(tmp_path / "cli-cache"),
+            ])
+        assert exc.value.code == 2
+        assert "--fleet-queue" in capsys.readouterr().err
+
     def test_bare_profile_stores_a_profiled_telemetry_run(
         self, tmp_path, fresh_engine, capsys
     ):
