@@ -1,19 +1,14 @@
-"""Engine-level benchmarks: cold, cached and deduplicated batches.
+"""Fast-backend speedup guard.
 
-The experiment benches time whole tables/figures through the default
-engine; these isolate the engine itself, so a regression in the cache
-or the batch scheduler shows up without the experiment-level noise.
-
-The fast-backend cases double as the speedup regression guard: the
-vectorized replay must stay measurably faster than the reference loop
-*and* bit-identical to it (tier 2 CI fails on either regression).
+The vectorized replay must stay measurably faster than the reference
+loop *and* bit-identical to it; CI's ``bench-guard`` job fails on
+either regression.  A plain pytest test: run it with ``-s`` to see the
+measured ratio.
 """
 
 import time
 
 import pytest
-
-from conftest import run_once
 
 from repro.engine import Engine, EstimatorSpec, SimJob
 
@@ -31,47 +26,6 @@ def _jobs():
         )
         for t in THRESHOLDS
     ]
-
-
-def test_engine_cold_batch(benchmark):
-    """Replay a fresh batch on a fresh engine (no cache reuse)."""
-    outcomes = run_once(benchmark, lambda: Engine().run(_jobs()))
-    assert len(outcomes) == len(THRESHOLDS)
-    assert all(o.events for o in outcomes)
-
-
-def test_engine_cached_batch(benchmark):
-    """Re-running an identical batch must be served from cache."""
-    engine = Engine()
-    jobs = _jobs()
-    engine.run(jobs)
-    before = engine.stats.snapshot()
-    outcomes = benchmark.pedantic(
-        lambda: engine.run(jobs), rounds=3, iterations=1
-    )
-    delta = engine.stats.since(before)
-    assert delta.executed == 0
-    assert delta.replay.hits == 3 * len(jobs)
-    assert len(outcomes) == len(jobs)
-
-
-def test_engine_dedup_batch(benchmark):
-    """A batch of identical jobs costs one replay, not N."""
-    engine = Engine()
-    job = _jobs()[0]
-    outcomes = run_once(benchmark, lambda: engine.run([job] * 8))
-    assert engine.stats.executed == 1
-    assert len(outcomes) == 8
-
-
-def test_engine_fast_cold_batch(benchmark):
-    """The same fresh batch through the vectorized fast backend."""
-    pytest.importorskip("numpy")
-    jobs = [job.with_(backend="fast") for job in _jobs()]
-    outcomes = run_once(benchmark, lambda: Engine().run(jobs))
-    assert len(outcomes) == len(THRESHOLDS)
-    assert all(o.backend == "fast" for o in outcomes)
-    assert all(o.events for o in outcomes)
 
 
 def test_fast_vs_reference_speedup():

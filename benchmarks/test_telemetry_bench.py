@@ -1,8 +1,8 @@
-"""Telemetry overhead guards.
+"""Telemetry overhead guard.
 
 The telemetry package promises to be cheap while disabled: every
 instrumented call site pays one attribute check and ``trace_span``
-returns a shared no-op context.  This bench holds that promise to a
+returns a shared no-op context.  This guard holds that promise to a
 budget -- the *estimated* total disabled-path cost over a cold engine
 batch must stay within 2% of the batch's runtime.
 
@@ -14,8 +14,6 @@ cannot be resolved by comparing two ~seconds-long wall times.
 """
 
 import time
-
-from conftest import run_once
 
 from repro import telemetry
 from repro.engine import Engine, EstimatorSpec, SimJob
@@ -83,16 +81,3 @@ def test_disabled_overhead_within_budget():
         f"(> {OVERHEAD_BUDGET:.0%})"
     )
 
-
-def test_engine_cold_batch_telemetry_on(benchmark):
-    """The same cold batch as the engine bench, with collection enabled."""
-    telemetry.reset()
-    telemetry.enable()
-    try:
-        outcomes = run_once(benchmark, lambda: Engine().run(_jobs()))
-        snap = telemetry.get_registry().snapshot()
-    finally:
-        telemetry.disable()
-        telemetry.reset()
-    assert len(outcomes) == 4
-    assert snap.counter("engine_replays_total", backend="reference") == 4

@@ -7,8 +7,8 @@ veneer over :mod:`repro.engine`:
 
 - :class:`ExperimentSettings` -- trace length, warm-up and seed used by
   every experiment (the paper runs 30M-instruction traces with 10M
-  warm-up; we default to 150k branches with a one-third warm-up, scaled
-  down for pytest-benchmark runs);
+  warm-up; we default to 150k branches with a one-third warm-up, and
+  ``--quick`` / ``--branches`` scale it down);
 - :func:`job_for` / :func:`run_jobs` -- build :class:`SimJob` batches
   from settings and hand them to the default engine, which deduplicates
   replays across experiments (table 3/4/5/6 and the figures share
@@ -44,7 +44,6 @@ from repro.trace.record import Trace
 __all__ = [
     "ExperimentSettings",
     "DEFAULT_SETTINGS",
-    "BENCH_SETTINGS",
     "get_trace",
     "job_for",
     "run_jobs",
@@ -106,11 +105,6 @@ class ExperimentSettings:
 
 #: Full-size experiment runs (EXPERIMENTS.md numbers).
 DEFAULT_SETTINGS = ExperimentSettings()
-
-#: Reduced sizing used by the pytest-benchmark harness.
-BENCH_SETTINGS = ExperimentSettings(
-    n_branches=24_000, warmup=8_000, benchmarks=BENCHMARK_NAMES
-)
 
 
 def get_trace(name: str, n_branches: int, seed: int) -> Trace:

@@ -153,7 +153,7 @@ def resolve_settings(
     settings = DEFAULT_SETTINGS
     if quick:
         settings = settings.scaled(0.2)
-    if branches:
+    if branches is not None:
         settings = replace(
             settings, n_branches=branches, warmup=branches // 3
         )

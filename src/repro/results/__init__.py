@@ -1,22 +1,14 @@
-"""Queryable, schema-versioned result store and regression gate.
+"""Queryable, schema-versioned result store.
 
 :class:`~repro.results.store.ResultStore` persists every executed
 :class:`~repro.engine.job.SimJob` outcome keyed by fingerprint into a
-sqlite database, alongside rendered experiment records and bench timing
-history.  :mod:`repro.results.gate` compares a fresh bench sample
-against that recorded history and appends ``BENCH_*.json`` trajectory
-points.  See ``docs/sweeps.md``.
+sqlite database, alongside rendered experiment records and the
+telemetry runs of ``sweeps run --telemetry/--trace-out/--profile``.
+See ``docs/sweeps.md``.
 """
 
-from repro.results.gate import (
-    GateVerdict,
-    append_trajectory,
-    check_regression,
-    load_trajectory,
-)
 from repro.results.store import (
     STORE_SCHEMA,
-    BenchSample,
     ExperimentRecord,
     JobRecord,
     ResultStore,
@@ -26,14 +18,9 @@ from repro.results.store import (
 
 __all__ = [
     "STORE_SCHEMA",
-    "BenchSample",
     "ExperimentRecord",
     "JobRecord",
     "ResultStore",
     "StoreSchemaError",
     "TelemetryRun",
-    "GateVerdict",
-    "append_trajectory",
-    "check_regression",
-    "load_trajectory",
 ]

@@ -1,11 +1,12 @@
-"""Schema-versioned sqlite store for job outcomes and bench history.
+"""Schema-versioned sqlite store for job outcomes and telemetry runs.
 
 The store is the durable half of the sweep layer: every executed
 :class:`~repro.engine.job.SimJob` lands here keyed by its fingerprint,
 every rendered experiment record lands here keyed by its settings hash,
-and every bench run appends a timing sample.  Re-running a sweep
-consults the store first, so only missing work executes, and paper
-tables re-render from stored rows without touching the engine.
+and every telemetry-collecting ``sweeps run`` appends its metrics
+document.  Re-running a sweep consults the store first, so only missing
+work executes, and paper tables re-render from stored rows without
+touching the engine.
 
 Integrity follows the golden-gate idiom (:mod:`repro.verify.golden`):
 
@@ -22,7 +23,7 @@ Integrity follows the golden-gate idiom (:mod:`repro.verify.golden`):
 
 Metrics are stored in canonical integer form (events are the replay
 cache's business, not the store's): the store tracks *completion* and
-feeds rendering/bench queries, while the engine's content-addressed
+feeds rendering and queries, while the engine's content-addressed
 caches keep the bulky artifacts.
 """
 
@@ -43,7 +44,6 @@ from repro.telemetry.spans import log_event
 
 __all__ = [
     "STORE_SCHEMA",
-    "BenchSample",
     "ExperimentRecord",
     "JobRecord",
     "ResultStore",
@@ -55,8 +55,8 @@ logger = logging.getLogger(__name__)
 
 #: Version of the sqlite layout.  Bump on any table/column change so a
 #: store written by an older layout fails loudly on open -- unless an
-#: additive migration is registered in ``_MIGRATIONS`` below.
-STORE_SCHEMA = 2
+#: in-place migration is registered in ``_MIGRATIONS`` below.
+STORE_SCHEMA = 3
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -83,12 +83,6 @@ CREATE TABLE IF NOT EXISTS experiments (
     rows TEXT,
     formatted TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS bench (
-    id INTEGER PRIMARY KEY AUTOINCREMENT,
-    name TEXT NOT NULL,
-    seconds REAL NOT NULL,
-    meta TEXT NOT NULL
-);
 CREATE TABLE IF NOT EXISTS telemetry (
     run_id INTEGER PRIMARY KEY AUTOINCREMENT,
     name TEXT NOT NULL,
@@ -98,16 +92,20 @@ CREATE TABLE IF NOT EXISTS telemetry (
     meta TEXT NOT NULL,
     digest TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS bench_name ON bench (name);
 CREATE INDEX IF NOT EXISTS jobs_benchmark ON jobs (benchmark);
 CREATE INDEX IF NOT EXISTS telemetry_name ON telemetry (name);
 """
 
-#: Lossless in-place upgrades: ``old store_schema -> description``.  The
-#: v1 -> v2 step only *adds* the ``telemetry`` table (created by the
-#: ``CREATE TABLE IF NOT EXISTS`` script on open), so the upgrade is
-#: just stamping the new version -- existing rows are untouched.
-_MIGRATIONS = {"1": "add telemetry table (additive)"}
+#: In-place upgrades: ``old store_schema -> description``.  v2 added
+#: the ``telemetry`` table (created by the ``CREATE TABLE IF NOT
+#: EXISTS`` script on open) and v3 dropped the retired ``bench`` table,
+#: so both upgrades run :data:`_DROP_BENCH` and re-stamp; job,
+#: experiment and telemetry rows are untouched.
+_MIGRATIONS = {
+    "1": "add telemetry table, drop bench table",
+    "2": "drop bench table",
+}
+_DROP_BENCH = "DROP INDEX IF EXISTS bench_name; DROP TABLE IF EXISTS bench;"
 
 
 def _telemetry_digest(metrics: Dict, profile: Optional[Dict]) -> str:
@@ -150,21 +148,12 @@ class ExperimentRecord:
 
 
 @dataclass(frozen=True)
-class BenchSample:
-    """One bench timing sample."""
-
-    name: str
-    seconds: float
-    meta: Dict
-
-
-@dataclass(frozen=True)
 class TelemetryRun:
     """One persisted telemetry snapshot (+ optional profile digest).
 
     ``fingerprint`` keys the run to what produced it -- a sweep's
-    job-set fingerprint, a bench name, or a job fingerprint -- while
-    ``run_id`` orders repeated runs of the same thing over time.
+    job-set fingerprint -- while ``run_id`` orders repeated runs of the
+    same thing over time.
     """
 
     run_id: int
@@ -177,7 +166,7 @@ class TelemetryRun:
 
 
 class ResultStore:
-    """Sqlite-backed store for jobs, experiment records and bench runs.
+    """Sqlite-backed store for jobs, experiment records and telemetry runs.
 
     Args:
         path: Database file (parent directories are created), or
@@ -218,9 +207,10 @@ class ResultStore:
         if set(drifted) == {"store_schema"}:
             old = drifted["store_schema"][0]
             if old in _MIGRATIONS:
-                # Lossless upgrade: the new tables were already created
-                # by the CREATE ... IF NOT EXISTS script above, so only
-                # the version stamp needs updating.
+                # The new tables were already created by the CREATE ...
+                # IF NOT EXISTS script above; drop the retired one, then
+                # re-stamp.
+                self._db.executescript(_DROP_BENCH)
                 self._db.execute(
                     "UPDATE meta SET value = ? WHERE key = 'store_schema'",
                     (str(STORE_SCHEMA),),
@@ -456,32 +446,6 @@ class ResultStore:
             )
         )
 
-    # -- bench history ----------------------------------------------------
-
-    def put_bench(
-        self, name: str, seconds: float, meta: Optional[Dict] = None
-    ) -> None:
-        """Append one bench timing sample."""
-        self._db.execute(
-            "INSERT INTO bench (name, seconds, meta) VALUES (?, ?, ?)",
-            (name, float(seconds), json.dumps(meta or {}, sort_keys=True)),
-        )
-        self._db.commit()
-        tel = telemetry.get_registry()
-        if tel.enabled:
-            tel.counter("result_store_puts_total", kind="bench").inc()
-
-    def bench_history(self, name: str) -> List[BenchSample]:
-        """All samples for ``name``, oldest first."""
-        return [
-            BenchSample(name=name, seconds=row[0], meta=json.loads(row[1]))
-            for row in self._db.execute(
-                "SELECT seconds, meta FROM bench WHERE name = ?"
-                " ORDER BY id",
-                (name,),
-            )
-        ]
-
     # -- telemetry runs ---------------------------------------------------
 
     def put_telemetry(
@@ -575,24 +539,6 @@ class ResultStore:
             )
         ]
 
-    def latest_telemetry(
-        self, name: str, before: Optional[int] = None
-    ) -> Optional[TelemetryRun]:
-        """The most recent valid run for ``name`` (optionally with
-        ``run_id < before`` -- the bench gate's baseline lookup)."""
-        clause = " AND run_id < ?" if before is not None else ""
-        params = (name, before) if before is not None else (name,)
-        rows = self._db.execute(
-            "SELECT run_id FROM telemetry WHERE name = ?" + clause
-            + " ORDER BY run_id DESC",
-            params,
-        ).fetchall()
-        for (run_id,) in rows:
-            run = self.get_telemetry(run_id)
-            if run is not None:
-                return run
-        return None
-
     # -- maintenance ------------------------------------------------------
 
     def corrupt_job(self, fingerprint: str) -> None:
@@ -609,9 +555,6 @@ class ResultStore:
             "jobs": self.job_count(),
             "experiments": self._db.execute(
                 "SELECT COUNT(*) FROM experiments"
-            ).fetchone()[0],
-            "bench": self._db.execute(
-                "SELECT COUNT(*) FROM bench"
             ).fetchone()[0],
             "telemetry": self._db.execute(
                 "SELECT COUNT(*) FROM telemetry"

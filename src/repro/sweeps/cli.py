@@ -6,13 +6,13 @@ Subcommands::
     render SPEC...   rebuild the Markdown report purely from the store
     status           row counts and stored records
     query            stored job rows, filterable, optionally as JSON
-    bench  SPEC      time the spec's job set, gate against history
 
 Everything is keyed by content (job fingerprints, record keys), so
 re-running ``run`` is always safe: completed work is read back from
 the sqlite store and only missing jobs execute.  The default store
 lives at ``.sweeps/results.sqlite`` with the engine's disk replay
-cache beside it at ``.sweeps/cache``.
+cache beside it at ``.sweeps/cache``; ``render``, ``status`` and
+``query`` only read it, and refuse a store path that does not exist.
 
 ``run`` takes the flags :func:`add_run_args` declares, and
 :func:`run_specs` is its body; ``python -m repro.experiments`` is the
@@ -27,13 +27,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
-import time
 from typing import List, Optional
 
 from repro import telemetry
 from repro.engine import configure_engine
-from repro.results import ResultStore, append_trajectory, check_regression
+from repro.results import ResultStore
 
 from repro.sweeps.executor import render_from_store, run_sweep
 from repro.sweeps.spec import (
@@ -63,6 +63,13 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quick",
@@ -71,7 +78,7 @@ def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--branches",
-        type=int,
+        type=_positive_int,
         default=None,
         help="override trace length (warm-up scales to one third)",
     )
@@ -81,13 +88,6 @@ def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="engine backend for every replay",
     )
-
-
-def _worker_count(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
 
 
 def add_run_args(
@@ -101,7 +101,7 @@ def add_run_args(
     """
     _add_sizing_args(parser)
     parser.add_argument(
-        "--jobs", type=_worker_count, default=1, metavar="N",
+        "--jobs", type=_positive_int, default=1, metavar="N",
         help=(
             "fan replay execution out over N worker processes "
             "(default 1: run in this process)"
@@ -174,7 +174,6 @@ def _store_line(path: str, summary: dict) -> str:
     return (
         f"store {path}: {summary['jobs']} job(s), "
         f"{summary['experiments']} experiment record(s), "
-        f"{summary['bench']} bench sample(s), "
         f"{summary['telemetry']} telemetry run(s)"
     )
 
@@ -339,80 +338,6 @@ def _cmd_query(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.engine.engine import Engine
-    from repro.telemetry.registry import SECONDS_BUCKETS
-
-    spec = load_spec(args.spec)
-    base = _settings(args)
-    from repro.sweeps.dag import SweepDag
-
-    dag = SweepDag.from_spec(spec, base)
-    jobs = dag.job_list()
-    # A private engine with cold caches: the sample must time real
-    # replay work, not the shared engine's warm cache.
-    engine = Engine(max_workers=args.jobs)
-    # Telemetry rides along (delta-snapshotted around the timed run) so
-    # the gate can attribute a regression, not just flag it.
-    tel = telemetry.get_registry()
-    was_enabled = tel.enabled
-    tel.enabled = True
-    if args.profile is not None:
-        telemetry.enable_profiling()
-        telemetry.reset_profile()
-    before = tel.snapshot()
-    start = time.monotonic()
-    engine.run(jobs)
-    seconds = time.monotonic() - start
-    if args.inject_slowdown != 1.0:
-        # Mutation-smoke hook: scale the measured sample so tests and
-        # CI can prove the gate fires without a real regression.  The
-        # synthetic extra time is attributed to a dedicated span, so
-        # the telemetry diff deterministically names the "culprit".
-        extra = (args.inject_slowdown - 1.0) * seconds
-        seconds *= args.inject_slowdown
-        tel.histogram(
-            "span_seconds", buckets=SECONDS_BUCKETS,
-            span="bench.injected_slowdown",
-        ).observe(extra)
-        print(f"injected slowdown x{args.inject_slowdown:g} (smoke mode)")
-    metrics_doc = telemetry.metrics_doc(tel.snapshot().since(before))
-    profile_doc = (
-        telemetry.profile_document() if args.profile is not None else None
-    )
-    if args.profile:
-        from repro.telemetry.profile import write_profile
-
-        write_profile(args.profile)
-        print(f"wrote profile document to {args.profile}")
-    if args.profile is not None:
-        telemetry.disable_profiling()
-    tel.enabled = was_enabled
-    name = args.name or f"sweep-{spec.name}"
-    with ResultStore(args.store) as store:
-        verdict = check_regression(
-            store,
-            name,
-            seconds,
-            max_ratio=args.max_ratio,
-            meta={
-                "spec": spec.name,
-                "jobs": len(jobs),
-                "n_branches": base.n_branches,
-                "workers": args.jobs,
-            },
-            metrics_doc=metrics_doc,
-            profile_doc=profile_doc,
-        )
-    print(verdict.format())
-    if args.trajectory:
-        points = append_trajectory(
-            args.trajectory, name, seconds, label=args.label
-        )
-        print(f"appended point {len(points)} to {args.trajectory}")
-    return 0 if verdict.passed else 1
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.sweeps",
@@ -478,46 +403,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_query.set_defaults(func=_cmd_query)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="time a spec's job set and gate against stored history",
-    )
-    p_bench.add_argument("spec", metavar="SPEC", help="builtin name or path")
-    _add_store_arg(p_bench)
-    _add_sizing_args(p_bench)
-    p_bench.add_argument(
-        "--jobs", type=_worker_count, default=1, metavar="N",
-        help="engine worker processes",
-    )
-    p_bench.add_argument(
-        "--name", default=None,
-        help="bench series name (default sweep-<spec>)",
-    )
-    p_bench.add_argument(
-        "--max-ratio", type=float, default=1.5,
-        help="fail when sample exceeds best * ratio (default 1.5)",
-    )
-    p_bench.add_argument(
-        "--inject-slowdown", type=float, default=1.0, metavar="R",
-        help="multiply the measured time by R (gate mutation smoke)",
-    )
-    p_bench.add_argument(
-        "--trajectory", default=None, metavar="PATH",
-        help="also append the sample to a BENCH_*.json trajectory file",
-    )
-    p_bench.add_argument(
-        "--label", default="", help="label for the trajectory point"
-    )
-    p_bench.add_argument(
-        "--profile", nargs="?", const="", default=None, metavar="PATH",
-        help=(
-            "profile the timed run; the digest is stored with the "
-            "telemetry run (with PATH, also written as JSON)"
-        ),
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     args = parser.parse_args(argv)
+    if args.command != "run" and not os.path.exists(args.store):
+        # render, status and query only read the store; opening a
+        # missing one would create it (and its directory).
+        print(f"error: result store {args.store} is missing", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except SweepSpecError as exc:

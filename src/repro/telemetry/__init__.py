@@ -11,7 +11,7 @@ Everything here is **off by default** and cheap while off: an
 instrumented call site pays one attribute check
 (``get_registry().enabled``), and :func:`trace_span` returns a shared
 no-op context manager.  ``benchmarks/test_telemetry_bench.py`` guards
-the disabled-path overhead against the engine bench.
+the disabled-path overhead against a cold engine batch.
 
 Determinism contract
 --------------------

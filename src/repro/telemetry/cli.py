@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
@@ -126,6 +127,9 @@ def _resolve_diff_operand(token: str, store_path: Optional[str], stream):
     if token.isdigit() and store_path is not None:
         from repro.results import ResultStore
 
+        if not os.path.exists(store_path):
+            print(f"error: result store {store_path} is missing", file=stream)
+            return None
         with ResultStore(store_path) as store:
             run = store.get_telemetry(int(token))
         if run is None:

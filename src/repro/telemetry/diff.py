@@ -13,9 +13,9 @@ metrics documents, or combined run documents as emitted by
   carry profile documents (``--profile`` runs).
 
 :func:`TelemetryDiff.rank` merges span and hotspot deltas into one
-suspect list, which the bench gate attaches to its
-``bench_gate_regression`` event so a failing gate names the phases that
-slowed down instead of just a wall-clock ratio.
+suspect list, so a slower run names the phases that slowed down instead
+of just a wall-clock ratio.  Stored runs come from ``sweeps run`` with
+``--telemetry``, ``--trace-out`` or ``--profile``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Two complementary signals, both off unless :func:`enable_profiling` is
 called (the ``--profile`` flag on the experiments runner and
-``repro.sweeps run``/``bench``):
+``repro.sweeps run``):
 
 1. **Per-span attribution** -- while profiling is enabled, every traced
    span records its CPU time (``cpu_ns``, from ``time.process_time_ns``)

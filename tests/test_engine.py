@@ -321,6 +321,30 @@ class TestRunnerFlags:
         # --quick still contributed nothing else; defaults otherwise.
         assert settings.seed == resolve_settings().seed
 
+    def test_branches_below_one_is_rejected(self):
+        from repro.experiments.runner import resolve_settings
+
+        for branches in (0, -5):
+            with pytest.raises(ValueError):
+                resolve_settings(branches=branches)
+
+    @pytest.mark.parametrize("branches", ["0", "-5"])
+    def test_branches_below_one_is_a_usage_error(
+        self, tmp_path, capsys, branches
+    ):
+        from repro.experiments.runner import main as runner_main
+        from repro.sweeps.cli import main as sweeps_main
+
+        store = str(tmp_path / "r.sqlite")
+        for main, argv in (
+            (sweeps_main, ["render", "quick", "--store", store]),
+            (runner_main, ["table2"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--branches", branches])
+            assert exc.value.code == 2
+            assert "--branches" in capsys.readouterr().err
+
     def test_extensions_append_to_selection(self):
         from repro.experiments.runner import (
             EXTENSION_EXPERIMENTS,

@@ -49,9 +49,13 @@ class TestTable2:
         mcf = next(r for r in result.rows if r.benchmark == "mcf")
         gcc = next(r for r in result.rows if r.benchmark == "gcc")
         assert mcf.mispredicts_per_kuop > gcc.mispredicts_per_kuop
+        assert mcf.mispredicts_per_kuop == max(
+            r.mispredicts_per_kuop for r in result.rows
+        )
         # Deep and wide machines waste more than the standard machine.
         for row in result.rows:
             assert row.uop_increase_pct["40c4w"] > row.uop_increase_pct["20c4w"]
+            assert row.uop_increase_pct["20c8w"] >= row.uop_increase_pct["20c4w"]
         assert "Table 2" in result.format()
 
 
@@ -64,6 +68,11 @@ class TestTable3:
         assert jrs_specs == sorted(jrs_specs)  # lambda up -> coverage up
         perc_specs = [p.spec_pct for p in result.perceptron]
         assert perc_specs == sorted(perc_specs)  # lambda down -> coverage up
+        # Perceptron is the accuracy side, JRS the coverage side.
+        perc_mid = next(p for p in result.perceptron if p.threshold == 0)
+        jrs_mid = next(p for p in result.jrs if p.threshold == 7)
+        assert perc_mid.pvn_pct > jrs_mid.pvn_pct
+        assert jrs_mid.spec_pct > perc_mid.spec_pct
         assert result.accuracy_ratio() > 1.5
         assert "accuracy ratio" in result.format()
 
@@ -75,6 +84,13 @@ class TestTable4:
         perc = result.cell("perceptron", 0, 1)
         jrs = result.cell("JRS", 7, 1)
         assert jrs.performance_loss_pct > perc.performance_loss_pct
+        # JRS coverage buys more raw uop reduction at PL1, and raising
+        # PL softens its performance loss.
+        assert jrs.uop_reduction_pct > perc.uop_reduction_pct
+        assert (
+            result.cell("JRS", 7, 3).performance_loss_pct
+            < jrs.performance_loss_pct
+        )
         assert "Table 4" in result.format()
 
     def test_per_benchmark_detail(self):
@@ -85,8 +101,12 @@ class TestTable4:
 class TestTable5:
     def test_predictor_ladders(self):
         result = table5.run(TINY)
-        assert len(result.rows_for("bimodal-gshare")) == 4
-        assert len(result.rows_for("gshare-perceptron")) == 4
+        base = result.rows_for("bimodal-gshare")
+        better = result.rows_for("gshare-perceptron")
+        assert len(base) == 4
+        assert len(better) == 4
+        # The better predictor mispredicts less.
+        assert better[0].mispredicts_per_kuop <= base[0].mispredicts_per_kuop
         assert "Table 5" in result.format()
 
 
@@ -94,8 +114,15 @@ class TestTable6:
     def test_configuration_ladder(self):
         result = table6.run(TINY)
         labels = [r.config.label for r in result.rows]
-        assert labels[0] == "P128W8H32"
-        assert "P128W4H32" in labels
+        assert labels == [
+            "P128W8H32", "P96W8H32", "P128W6H32", "P128W8H24",
+            "P64W8H32", "P128W4H32", "P128W8H16",
+        ]
+        # Halving entries is the gentlest 2KB cut: it must not lose
+        # much against the full 4KB configuration.
+        full = result.row("P128W8H32")
+        fewer_entries = result.row("P64W8H32")
+        assert fewer_entries.uop_reduction_pct >= full.uop_reduction_pct - 5
         assert "Table 6" in result.format()
 
     def test_size_accounting(self):
@@ -107,7 +134,11 @@ class TestDensities:
     def test_cic_density(self):
         result = figure4_5.run(SMALL, benchmark="gzip")
         assert result.scheme == "perceptron_cic"
-        assert result.separation > 0  # MB sits right of CB
+        _, cb, mb = result.histogram(bins=30)
+        assert cb.sum() > 0 and mb.sum() > 0
+        assert result.separation > 20  # MB sits well right of CB
+        # The high-confidence region is almost free of mispredictions.
+        assert result.regions[2].mispredict_fraction < 0.1
         assert "Figure 4/5" in result.format()
 
     def test_cic_regions_partition(self):
@@ -122,6 +153,7 @@ class TestDensities:
     def test_tnt_density_has_no_crossover(self):
         result = figure6_7.run(SMALL, benchmark="gzip")
         assert result.mb_never_dominates
+        assert result.crossover is None
         assert "Figure 6/7" in result.format()
 
     def test_cic_separates_better_than_tnt(self):
@@ -137,11 +169,23 @@ class TestFigures89:
         result = figure8.run(TINY)
         assert [r.benchmark for r in result.rows] == list(TINY.benchmarks)
         assert result.machine_label == "40c/4w"
+        # The combined policy removes work and both mechanisms engage.
+        assert any(r.uop_reduction_pct > 0 for r in result.rows)
+        assert sum(r.reversals for r in result.rows) > 0
         assert "Figure 8/9" in result.format()
 
     def test_figure9_uses_wide_machine(self):
         result = figure9.run(TINY)
         assert result.machine_label == "20c/8w"
+        # The wide machine's shorter pipe never costs much more
+        # performance than the deep machine's, and its uop reduction is
+        # comparable: the benefit does not grow with width.
+        deep = figure8.run(TINY)
+        assert result.average_speedup_pct >= deep.average_speedup_pct - 2.0
+        assert (
+            result.average_uop_reduction_pct
+            <= deep.average_uop_reduction_pct + 5.0
+        )
 
 
 class TestLatency:

@@ -8,6 +8,7 @@ from repro.experiments import (
     energy,
     oracle_bound,
     smt,
+    throttle,
 )
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import (
@@ -52,6 +53,7 @@ class TestEnergy:
             result.row(-50).energy_savings_pct
             >= result.row(25).energy_savings_pct
         )
+        assert any(r.energy_savings_pct > 0 for r in result.rows)
         assert "Energy" in result.format()
 
     def test_energy_tracks_uop_reduction(self):
@@ -79,6 +81,17 @@ class TestSmt:
         assert "SMT" in result.format()
 
 
+class TestThrottle:
+    def test_throttle_costs_less_than_stall(self):
+        result = throttle.run(SMALL)
+        # At the same estimator threshold, half-rate fetch loses less
+        # performance than a full stall, and removes less work.
+        stall = result.row("stall", -50)
+        half = result.row("throttle 1/2", -50)
+        assert half.performance_loss_pct <= stall.performance_loss_pct
+        assert half.uop_reduction_pct <= stall.uop_reduction_pct
+
+
 class TestTrainingAblation:
     def test_cb_cluster_tracks_t(self):
         result = ablation_training.run(SMALL, benchmark="gzip")
@@ -101,6 +114,7 @@ class TestCombinedAblation:
         inter = result.row("intersection").matrix
         cascade = result.row("cascade").matrix
         assert union.spec >= max(perc.spec, jrs.spec) - 0.02
+        assert union.spec >= perc.spec
         assert inter.flagged_low <= min(perc.flagged_low, jrs.flagged_low)
         assert perc.spec - 0.05 <= cascade.spec <= jrs.spec + 0.05
         assert "fusion" in result.format()

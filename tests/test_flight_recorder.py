@@ -5,8 +5,7 @@ worker capture/replay handoff, the Chrome-trace timeline export), the
 opt-in profiling attribution (per-span CPU/alloc, cProfile hotspot
 accumulator and its worker merge), histogram quantiles and the new
 Markdown percentile columns, the persisted telemetry history in the
-result store (including the v1 -> v2 additive migration), the telemetry
-diff and its CLI, and the bench gate's regression attribution.
+result store, and the telemetry diff and its CLI.
 """
 
 import json
@@ -16,8 +15,7 @@ import pytest
 
 from repro import telemetry
 from repro.engine import Engine, EstimatorSpec, SimJob
-from repro.results import ResultStore, check_regression
-from repro.results.store import STORE_SCHEMA
+from repro.results import ResultStore
 from repro.telemetry import spans as spans_mod
 from repro.telemetry.diff import diff_runs, load_run_document
 from repro.telemetry.profile import (
@@ -562,14 +560,6 @@ class TestStoreTelemetry:
             assert store.telemetry_runs(name="other") == []
             assert store.summary()["telemetry"] == 2
 
-    def test_latest_telemetry_with_before(self):
-        with ResultStore(":memory:") as store:
-            r1 = store.put_telemetry("b", "fp", _metrics_with_spans([]))
-            r2 = store.put_telemetry("b", "fp", _metrics_with_spans([]))
-            assert store.latest_telemetry("b").run_id == r2
-            assert store.latest_telemetry("b", before=r2).run_id == r1
-            assert store.latest_telemetry("b", before=r1) is None
-
     def test_corrupt_run_is_rejected(self):
         with ResultStore(":memory:") as store:
             run_id = store.put_telemetry(
@@ -581,89 +571,6 @@ class TestStoreTelemetry:
             )
             store._db.commit()
             assert store.get_telemetry(run_id) is None
-            assert store.latest_telemetry("b") is None
-
-    def test_v1_store_migrates_in_place(self, tmp_path):
-        path = str(tmp_path / "r.sqlite")
-        with ResultStore(path) as store:
-            store.put_bench("quick", 1.0)
-            # Regress the store to the v1 layout: no telemetry table,
-            # old version stamp.
-            store._db.executescript("DROP TABLE telemetry;")
-            store._db.execute(
-                "UPDATE meta SET value = '1' WHERE key = 'store_schema'"
-            )
-            store._db.commit()
-        with ResultStore(path) as store:  # reopen: additive migration
-            stamped = store._db.execute(
-                "SELECT value FROM meta WHERE key = 'store_schema'"
-            ).fetchone()[0]
-            assert stamped == str(STORE_SCHEMA)
-            # Old rows intact, new table usable.
-            assert [s.seconds for s in store.bench_history("quick")] == [1.0]
-            run_id = store.put_telemetry("b", "fp", _metrics_with_spans([]))
-            assert store.get_telemetry(run_id) is not None
-
-
-class TestGateAttribution:
-    def test_regression_names_the_slow_span(self):
-        base = _metrics_with_spans([("engine.run", 1.0)])
-        slow = _metrics_with_spans(
-            [("engine.run", 1.1), ("bench.injected_slowdown", 5.0)]
-        )
-        with ResultStore(":memory:") as store:
-            first = check_regression(store, "q", 1.0, metrics_doc=base)
-            assert first.passed and first.telemetry_run is not None
-            # The baseline sample links its telemetry run.
-            meta = store.bench_history("q")[0].meta
-            assert meta["telemetry_run"] == first.telemetry_run
-            verdict = check_regression(store, "q", 6.0, metrics_doc=slow)
-        assert not verdict.passed
-        assert verdict.suspects[0][:2] == ("span", "bench.injected_slowdown")
-        assert verdict.suspects[0][2] == pytest.approx(5.0)
-        assert "bench.injected_slowdown" in verdict.format()
-
-    def test_regression_event_carries_suspects(self, tmp_path):
-        trace = tmp_path / "t.jsonl"
-        telemetry.enable()
-        telemetry.set_trace_path(str(trace))
-        with ResultStore(":memory:") as store:
-            check_regression(
-                store, "q", 1.0,
-                metrics_doc=_metrics_with_spans([("replay", 1.0)]),
-            )
-            check_regression(
-                store, "q", 9.0,
-                metrics_doc=_metrics_with_spans([("replay", 8.0)]),
-            )
-        telemetry.close_trace()
-        events = _trace_lines(str(trace))
-        fired = [e for e in events if e.get("name") == "bench_gate_regression"]
-        assert fired
-        suspects = fired[0]["fields"]["suspects"]
-        assert suspects[0]["kind"] == "span"
-        assert suspects[0]["name"] == "replay"
-
-    def test_no_telemetry_means_no_suspects(self):
-        with ResultStore(":memory:") as store:
-            check_regression(store, "q", 1.0)
-            verdict = check_regression(store, "q", 9.0)
-        assert not verdict.passed
-        assert verdict.suspects == ()
-        assert verdict.telemetry_run is None
-
-    def test_fallback_baseline_when_best_sample_unlinked(self):
-        with ResultStore(":memory:") as store:
-            # History exists but predates telemetry linking.
-            check_regression(store, "q", 1.0)
-            store.put_telemetry(
-                "q", "bench:q", _metrics_with_spans([("replay", 1.0)])
-            )
-            verdict = check_regression(
-                store, "q", 9.0,
-                metrics_doc=_metrics_with_spans([("replay", 8.0)]),
-            )
-        assert verdict.suspects and verdict.suspects[0][1] == "replay"
 
 
 class TestCrossProcessTrace:

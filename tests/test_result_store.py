@@ -1,25 +1,18 @@
-"""Unit tests for the sqlite result store and the regression gate.
+"""Unit tests for the sqlite result store.
 
-Covers the store contract (schema-versioned open, digest-validated
-reads, fingerprint-keyed resume queries) and the gate semantics
-(compare against best history, record after comparing, deterministic
-``BENCH_*.json`` trajectories).
+Covers the store contract: schema-versioned open with in-place
+migration of older layouts, digest-validated reads, and
+fingerprint-keyed resume queries.
 """
 
 import json
+import sqlite3
 
 import pytest
 
 from repro import telemetry
 from repro.engine import EstimatorSpec, SimJob
-from repro.results import (
-    ResultStore,
-    StoreSchemaError,
-    append_trajectory,
-    check_regression,
-    load_trajectory,
-)
-from repro.results.gate import TRAJECTORY_SCHEMA
+from repro.results import STORE_SCHEMA, ResultStore, StoreSchemaError
 
 
 @pytest.fixture(autouse=True)
@@ -147,83 +140,69 @@ class TestStoreExperiments:
         with ResultStore(":memory:") as store:
             store.put_job(_job(), METRICS)
             store.put_experiment("k", "table2", {}, None, "x")
-            store.put_bench("quick", 1.5)
             assert store.summary() == {
-                "jobs": 1, "experiments": 1, "bench": 1, "telemetry": 0,
+                "jobs": 1, "experiments": 1, "telemetry": 0,
             }
 
 
-class TestGate:
-    def test_first_sample_becomes_baseline(self):
-        with ResultStore(":memory:") as store:
-            verdict = check_regression(store, "quick", 2.0)
-            assert verdict.passed and verdict.best is None
-            assert [s.seconds for s in store.bench_history("quick")] == [2.0]
-
-    def test_compares_against_best_history(self):
-        with ResultStore(":memory:") as store:
-            check_regression(store, "quick", 2.0)
-            check_regression(store, "quick", 3.0)  # slower but within 1.5x
-            verdict = check_regression(store, "quick", 2.9)
-            # Best is still 2.0: a slow outlier cannot loosen the gate.
-            assert verdict.best == 2.0
-            assert verdict.passed
-
-    def test_regression_fires_and_logs(self, tmp_path):
-        trace = tmp_path / "trace.jsonl"
-        telemetry.enable()
-        telemetry.set_trace_path(str(trace))
-        with ResultStore(":memory:") as store:
-            check_regression(store, "quick", 1.0)
-            verdict = check_regression(store, "quick", 2.0)
-        telemetry.close_trace()
-        assert not verdict.passed
-        assert verdict.ratio == 2.0
-        events = [json.loads(line) for line in trace.read_text().splitlines()]
-        fired = [e for e in events if e.get("name") == "bench_gate_regression"]
-        assert fired and fired[0]["fields"]["bench"] == "quick"
-        snap = telemetry.get_registry().snapshot()
-        assert snap.counter(
-            "bench_gate_checks_total", bench="quick", verdict="fail"
-        ) == 1
-
-    def test_validation(self):
-        with ResultStore(":memory:") as store:
-            with pytest.raises(ValueError):
-                check_regression(store, "q", 0.0)
-            with pytest.raises(ValueError):
-                check_regression(store, "q", 1.0, max_ratio=0)
+def _legacy_store(path, stamp):
+    """A store in an old layout, built by hand: a job row, an
+    experiment record and a row in the retired ``bench`` table, plus a
+    telemetry run unless the stamp predates the telemetry table (v1).
+    Returns the job and the telemetry run id (``None`` for v1)."""
+    job = _job()
+    run_id = None
+    with ResultStore(path) as store:
+        store.put_job(job, METRICS)
+        store.put_experiment("k", "table2", {"seed": 1}, [{"a": 1}], "text")
+        if stamp == "1":
+            store._db.execute("DROP TABLE telemetry")
+        else:
+            run_id = store.put_telemetry("sweep-q", "fp", {"counters": {}})
+        store._db.executescript(
+            "CREATE TABLE bench (id INTEGER PRIMARY KEY AUTOINCREMENT,"
+            " name TEXT NOT NULL, seconds REAL NOT NULL, meta TEXT NOT NULL);"
+            "CREATE INDEX bench_name ON bench (name);"
+            "INSERT INTO bench (name, seconds, meta)"
+            " VALUES ('quick', 1.5, '{}');"
+        )
+        store._db.execute(
+            "UPDATE meta SET value = ? WHERE key = 'store_schema'", (stamp,)
+        )
+        store._db.commit()
+    return job, run_id
 
 
-class TestTrajectory:
-    def test_append_and_load_deterministic(self, tmp_path):
-        path = str(tmp_path / "BENCH_quick.json")
-        append_trajectory(path, "quick", 1.23456789, label="a")
-        append_trajectory(path, "quick", 2.0, label="b")
-        points = load_trajectory(path)
-        assert points == [
-            {"seconds": 1.234568, "label": "a"},
-            {"seconds": 2.0, "label": "b"},
-        ]
-        first = (tmp_path / "BENCH_quick.json").read_bytes()
-        # Re-building from the same inputs is byte-identical.
-        other = str(tmp_path / "BENCH_other.json")
-        append_trajectory(other, "quick", 1.23456789, label="a")
-        append_trajectory(other, "quick", 2.0, label="b")
-        assert (tmp_path / "BENCH_other.json").read_bytes() == first
+class TestMigration:
+    @pytest.mark.parametrize("stamp", ["1", "2"])
+    def test_old_store_migrates_in_place(self, tmp_path, stamp):
+        path = str(tmp_path / "r.sqlite")
+        job, run_id = _legacy_store(path, stamp)
+        with ResultStore(path) as store:
+            assert STORE_SCHEMA == 3
+            assert store._db.execute(
+                "SELECT value FROM meta WHERE key = 'store_schema'"
+            ).fetchone()[0] == "3"
+            objects = {
+                name
+                for (name,) in store._db.execute(
+                    "SELECT name FROM sqlite_master"
+                )
+            }
+            assert "bench" not in objects and "bench_name" not in objects
+            assert store.get_job(job.fingerprint).metrics == METRICS
+            assert store.get_experiment("k").formatted == "text"
+            if run_id is not None:
+                assert store.get_telemetry(run_id).metrics == {"counters": {}}
+            assert store.summary() == {
+                "jobs": 1, "experiments": 1, "telemetry": int(stamp == "2"),
+            }
 
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_trajectory(str(tmp_path / "nope.json")) == []
-
-    def test_schema_mismatch_raises(self, tmp_path):
-        path = tmp_path / "BENCH_bad.json"
-        path.write_text(json.dumps({"schema": 99, "points": []}))
-        with pytest.raises(ValueError, match="schema"):
-            load_trajectory(str(path))
-
-    def test_schema_constant_in_file(self, tmp_path):
-        path = str(tmp_path / "BENCH_q.json")
-        append_trajectory(path, "q", 1.0)
-        doc = json.loads((tmp_path / "BENCH_q.json").read_text())
-        assert doc["schema"] == TRAJECTORY_SCHEMA
-        assert doc["name"] == "q"
+    def test_unknown_schema_is_refused_untouched(self, tmp_path):
+        path = str(tmp_path / "r.sqlite")
+        _legacy_store(path, "0")
+        with pytest.raises(StoreSchemaError, match="store_schema"):
+            ResultStore(path)
+        db = sqlite3.connect(path)
+        assert db.execute("SELECT COUNT(*) FROM bench").fetchone() == (1,)
+        db.close()

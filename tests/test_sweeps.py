@@ -387,20 +387,16 @@ class TestCli:
         ]) == 0
         assert runner_md.read_bytes() == sweeps_md.read_bytes()
 
-    def test_bench_gate_fires_under_injected_slowdown(
-        self, tmp_path, fresh_engine, capsys
+    def test_read_only_commands_refuse_a_missing_store(
+        self, tmp_path, capsys
     ):
-        spec = _write_tiny_spec(tmp_path)
-        store = str(tmp_path / "r.sqlite")
-        trajectory = str(tmp_path / "BENCH_tiny.json")
-        assert sweeps_main([
-            "bench", spec, "--store", store, "--trajectory", trajectory,
-        ]) == 0
-        assert sweeps_main([
-            "bench", spec, "--store", store, "--trajectory", trajectory,
-            "--inject-slowdown", "10",
-        ]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        doc = json.loads((tmp_path / "BENCH_tiny.json").read_text())
-        assert len(doc["points"]) == 2
+        from repro.telemetry.cli import main as telemetry_main
+
+        store = str(tmp_path / "typo" / "r.sqlite")
+        for argv in (["render", "quick"], ["status"], ["query", "--runs"]):
+            assert sweeps_main(argv + ["--store", store]) == 1
+            err = capsys.readouterr().err
+            assert f"error: result store {store} is missing" in err
+        assert telemetry_main(["diff", "1", "2", "--store", store]) == 2
+        assert "is missing" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
