@@ -21,6 +21,7 @@ from repro.engine import (
     SimJob,
     get_engine,
 )
+from repro.experiments.common import simulate_events
 from repro.pipeline.config import BASELINE_40X4
 
 
@@ -91,9 +92,9 @@ def main() -> None:
         )
     )
     machine = BASELINE_40X4.with_gating(2)
-    base = engine.simulate(baseline_events, BASELINE_40X4)
-    combined = engine.simulate(combined_events, machine)
-    gating_only = engine.simulate(gating_events, machine)
+    base = simulate_events(baseline_events, BASELINE_40X4)
+    combined = simulate_events(combined_events, machine)
+    gating_only = simulate_events(gating_events, machine)
 
     print(
         f"\nreversals: {combined.reversals} "

@@ -25,6 +25,7 @@ from repro.engine import (
     SimJob,
     get_engine,
 )
+from repro.experiments.common import simulate_events
 from repro.pipeline.config import PIPELINE_PRESETS
 
 THRESHOLDS = (25, 0, -25, -50, -75)
@@ -51,13 +52,13 @@ def main() -> None:
     ]
     engine = get_engine()
     outcomes = engine.run(jobs)
-    base = engine.simulate(outcomes[0].events, config)
+    base = simulate_events(outcomes[0].events, config)
 
     rows = []
     for pl in COUNTERS:
         gated = config.with_gating(pl)
         for threshold, outcome in zip(THRESHOLDS, outcomes[1:]):
-            stats = engine.simulate(outcome.events, gated)
+            stats = simulate_events(outcome.events, gated)
             u, p = stats.cost_vs(base)
             rows.append(
                 {

@@ -100,18 +100,6 @@ class AgreementEstimator(ConfidenceEstimator):
             self.secondary.state_canonical(),
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "agreement":
-            raise ValueError(f"not an agreement checkpoint: {state[:1]!r}")
-        _, mode, primary, secondary = state
-        if mode != self.mode:
-            raise ValueError(
-                f"checkpoint mode {mode!r} != estimator mode {self.mode!r}"
-            )
-        self.primary.restore(primary)
-        self.secondary.restore(secondary)
-        self._pending = None
-
 
 class CascadeEstimator(ConfidenceEstimator):
     """Primary decides unless its output falls in a neutral band.
@@ -183,11 +171,3 @@ class CascadeEstimator(ConfidenceEstimator):
             self.primary.state_canonical(),
             self.secondary.state_canonical(),
         )
-
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "cascade":
-            raise ValueError(f"not a cascade checkpoint: {state[:1]!r}")
-        _, primary, secondary = state
-        self.primary.restore(primary)
-        self.secondary.restore(secondary)
-        self._pending = None

@@ -101,35 +101,6 @@ class FrontEndResult:
         """Mispredictions removed by reversal (negative = made worse)."""
         return self.reversals_correcting - self.reversals_breaking
 
-    def merge(self, other: "FrontEndResult") -> "FrontEndResult":
-        """Return a new result combining ``self`` then ``other``.
-
-        Every counter is an integer sum (associative and commutative);
-        the raw-output lists concatenate in operand order, so merging
-        per-segment results in segment order reproduces the monolithic
-        result exactly, including event-ordered output densities.
-        """
-        merged = FrontEndResult(
-            branches=self.branches + other.branches,
-            mispredictions=self.mispredictions + other.mispredictions,
-            final_mispredictions=(
-                self.final_mispredictions + other.final_mispredictions
-            ),
-            reversals=self.reversals + other.reversals,
-            reversals_correcting=(
-                self.reversals_correcting + other.reversals_correcting
-            ),
-            reversals_breaking=(
-                self.reversals_breaking + other.reversals_breaking
-            ),
-            metrics=self.metrics.merge(other.metrics),
-        )
-        merged.outputs_correct = self.outputs_correct + other.outputs_correct
-        merged.outputs_mispredicted = (
-            self.outputs_mispredicted + other.outputs_mispredicted
-        )
-        return merged
-
 
 def aggregate_event(
     res: FrontEndResult, event: FrontEndEvent, collect_outputs: bool = False
@@ -137,9 +108,8 @@ def aggregate_event(
     """Fold one event into a result.
 
     A pure function of ``(event, collect_outputs)``: it reads no
-    front-end state, which is what lets segmented replay defer
-    aggregation to merge time (segments cache raw events; any warmup or
-    output-collection setting can be applied when folding).
+    front-end state, so the reference replay and the reference front
+    end fold events identically.
     """
     res.branches += 1
     if not event.predictor_correct:
@@ -230,9 +200,9 @@ class FrontEnd:
         """Replay a record stream, aggregating metrics.
 
         Accepts any iterable of records -- a materialized
-        :class:`~repro.trace.record.Trace`, one segment of one, or a
-        lazy generator stream -- and holds no per-record state beyond
-        the accumulators, so memory stays bounded by the source.
+        :class:`~repro.trace.record.Trace` or a lazy generator stream
+        -- and holds no per-record state beyond the accumulators, so
+        memory stays bounded by the source.
 
         Args:
             records: Input branch records, in program order.

@@ -131,13 +131,7 @@ class ConfidenceMatrix:
 
 
 class MetricsCollector:
-    """Streams per-branch events into overall and per-pc matrices.
-
-    Collectors are associative, mergeable accumulators: recording a
-    branch stream segment by segment and merging the per-segment
-    collectors yields exactly the collector of the monolithic stream
-    (every field is a sum of per-branch contributions).
-    """
+    """Streams per-branch events into overall and per-pc matrices."""
 
     def __init__(self, track_per_pc: bool = False):
         self.overall = ConfidenceMatrix()
@@ -157,34 +151,6 @@ class MetricsCollector:
     def per_pc(self) -> dict:
         """Per-static-branch matrices (empty unless tracking enabled)."""
         return dict(self._per_pc) if self._per_pc else {}
-
-    def merge(self, other: "MetricsCollector") -> "MetricsCollector":
-        """Return a new collector summing ``self`` and ``other``.
-
-        Associative and commutative (matrix cells are plain integer
-        sums).  Per-pc tracking is enabled on the result when either
-        operand tracks it.
-        """
-        merged = MetricsCollector(
-            track_per_pc=self._per_pc is not None or other._per_pc is not None
-        )
-        merged.overall = self.overall.merge(other.overall)
-        if merged._per_pc is not None:
-            for source in (self._per_pc, other._per_pc):
-                if not source:
-                    continue
-                for pc, matrix in source.items():
-                    existing = merged._per_pc.get(pc)
-                    if existing is None:
-                        merged._per_pc[pc] = ConfidenceMatrix(
-                            matrix.low_mispredicted,
-                            matrix.low_correct,
-                            matrix.high_mispredicted,
-                            matrix.high_correct,
-                        )
-                    else:
-                        merged._per_pc[pc] = existing.merge(matrix)
-        return merged
 
     def reset(self) -> None:
         """Clear all recorded data."""

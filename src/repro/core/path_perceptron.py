@@ -154,30 +154,3 @@ class PathPerceptronConfidenceEstimator(ConfidenceEstimator):
             self._history.bits,
             tuple(self._path),
         )
-
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "path_perceptron":
-            raise ValueError(
-                f"not a path perceptron checkpoint: {state[:1]!r}"
-            )
-        _, rows, bias, history_bits, path = state
-        weights = np.asarray([list(row) for row in rows], dtype=np.int32)
-        if weights.shape != self._weights.shape:
-            raise ValueError(
-                f"checkpoint geometry {weights.shape} != "
-                f"{self._weights.shape}"
-            )
-        bias_arr = np.asarray(list(bias), dtype=np.int32)
-        if bias_arr.shape != self._bias.shape:
-            raise ValueError(
-                f"checkpoint bias geometry {bias_arr.shape} != "
-                f"{self._bias.shape}"
-            )
-        for arr in (weights, bias_arr):
-            if arr.size and (arr.min() < self._w_min or arr.max() > self._w_max):
-                raise ValueError("checkpoint weights exceed the bit width")
-        self._weights[:] = weights
-        self._bias[:] = bias_arr
-        self._history.set_bits(int(history_bits))
-        self._path.clear()
-        self._path.extend(path)

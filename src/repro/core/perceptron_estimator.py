@@ -198,19 +198,6 @@ class PerceptronConfidenceEstimator(ConfidenceEstimator):
             self._history.bits,
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "perceptron_estimator":
-            raise ValueError(
-                f"not a perceptron estimator checkpoint: {state[:1]!r}"
-            )
-        _, mode, rows, history_bits = state
-        if mode != self.mode:
-            raise ValueError(
-                f"checkpoint mode {mode!r} != estimator mode {self.mode!r}"
-            )
-        self._array.load_state_dict({"weights": [list(row) for row in rows]})
-        self._history.set_bits(int(history_bits))
-
     def config_label(self) -> str:
         """Table 6 style configuration label, e.g. ``P128W8H32``."""
         return f"P{self.entries}W{self.weight_bits}H{self.history_length}"

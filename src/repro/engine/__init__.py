@@ -8,7 +8,7 @@ pickles) and executes the remainder serially or across a process pool.
 See ``docs/engine.md`` for the full design.
 """
 
-from repro.engine.cache import CacheStats, ReplayCache, SegmentCache, TraceCache
+from repro.engine.cache import CacheStats, ReplayCache, TraceCache
 from repro.engine.canonical import METRICS_SCHEMA, canonical_metrics, metrics_digest
 from repro.engine.engine import (
     Engine,
@@ -25,11 +25,6 @@ from repro.engine.executor import (
     resolve_executor,
 )
 from repro.engine.job import ReplayOutcome, SimJob
-from repro.engine.replay import (
-    ReplayCheckpoint,
-    replay_segmented,
-    segment_fingerprint,
-)
 from repro.engine.specs import (
     ALWAYS_HIGH,
     BASELINE_PREDICTOR,
@@ -60,9 +55,7 @@ __all__ = [
     "PolicySpec",
     "PredictorSpec",
     "ReplayCache",
-    "ReplayCheckpoint",
     "ReplayOutcome",
-    "SegmentCache",
     "SimJob",
     "Spec",
     "SpecError",
@@ -73,7 +66,5 @@ __all__ = [
     "execute_job",
     "get_engine",
     "metrics_digest",
-    "replay_segmented",
     "resolve_executor",
-    "segment_fingerprint",
 ]

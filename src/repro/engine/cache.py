@@ -1,22 +1,17 @@
-"""Keyed replay, segment and trace caches with hit/miss accounting.
+"""Keyed replay and trace caches with hit/miss accounting.
 
-Three caches back the engine:
+Two caches back the engine:
 
 - :class:`ReplayCache` -- job fingerprint -> :class:`ReplayOutcome`.
-- :class:`SegmentCache` -- segment fingerprint -> (events, checkpoint)
-  for the segment chain (see :mod:`repro.engine.replay`): one entry per
-  replayed trace segment, so re-running a job after a suffix-only
-  change replays only the dirty segments.
 - :class:`TraceCache` -- (name, n_branches, seed) -> generated trace,
   LRU-evicted against a total-branches budget.
 
-The first two are kinds of one tiered cache.  Its memory tier is
+:class:`ReplayCache` is one kind of a tiered cache.  Its memory tier is
 LRU-evicted against an *event budget* (event lists dominate memory at
 ~300 bytes/event).  Its optional disk tier pickles each entry under
-``<dir>/<aa>/<fingerprint>.pkl`` (replays) or
-``<dir>/segments/<aa>/<fingerprint>.pkl`` (segments) -- the two-level
-fan-out keeps directories small -- so entries survive across processes
-and runs.  An unreadable disk entry is dropped, counted and recomputed.
+``<dir>/<aa>/<fingerprint>.pkl`` -- the two-level fan-out keeps
+directories small -- so entries survive across processes and runs.  An
+unreadable disk entry is dropped, counted and recomputed.
 
 All expose monotonic counters; :class:`CacheStats` snapshots support
 deltas over any stretch of work (``Engine.stats.since``).
@@ -35,7 +30,7 @@ from typing import Optional, Tuple
 from repro import telemetry
 from repro.engine.job import ReplayOutcome
 
-__all__ = ["CacheStats", "ReplayCache", "SegmentCache", "TraceCache"]
+__all__ = ["CacheStats", "ReplayCache", "TraceCache"]
 
 logger = logging.getLogger(__name__)
 
@@ -265,24 +260,6 @@ class ReplayCache(_TieredCache):
         self.store(fingerprint, (outcome.events, outcome.result))
 
 
-class SegmentCache(_TieredCache):
-    """Segment fingerprint -> ``(events, checkpoint)``.
-
-    The value is one replayed segment: its *complete* event list (no
-    warm-up applied -- aggregation happens at merge time) and the
-    :class:`~repro.engine.replay.ReplayCheckpoint` at the segment's
-    end, which chains into the next segment's fingerprint.  The disk
-    tier lives under ``<dir>/segments/`` so it can share a cache
-    directory with :class:`ReplayCache` without key collisions.
-    """
-
-    kind = "segment"
-    subdir = "segments"
-
-    def put(self, fingerprint: str, events, checkpoint) -> None:
-        self.store(fingerprint, (events, checkpoint))
-
-
 class TraceCache:
     """(name, n_branches, seed) -> trace, LRU by total branches.
 
@@ -301,11 +278,11 @@ class TraceCache:
 
     @staticmethod
     def _open_segmented(token: str, n_branches: int):
-        from repro.trace.segments import SegmentedTrace
+        from repro.trace.segments import SegmentedTrace, parse_job_token
 
-        _, digest, path = token.split(":", 2)
+        digest, path = parse_job_token(token)
         trace = SegmentedTrace(path)
-        if digest and not trace.content_digest.startswith(digest):
+        if not trace.content_digest.startswith(digest):
             raise ValueError(
                 f"{path}: recorded trace content does not match the job's "
                 f"token (expected digest {digest}..., found "

@@ -17,7 +17,6 @@ once from the CLI (``--jobs``, ``--cache-dir``) via
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro import telemetry
@@ -26,12 +25,11 @@ from repro.engine.cache import (
     DEFAULT_TRACE_BUDGET,
     CacheStats,
     ReplayCache,
-    SegmentCache,
     TraceCache,
 )
 from repro.engine.executor import EXECUTOR_NAMES, Executor, resolve_executor
 from repro.engine.job import ReplayOutcome, SimJob
-from repro.engine.replay import Replayer, _count_replay, _replay_trace
+from repro.engine.replay import _replay_trace
 
 __all__ = [
     "Engine",
@@ -101,13 +99,11 @@ class EngineStats:
         traces: CacheStats,
         executed: int = 0,
         parallel_executed: int = 0,
-        segments: Optional[CacheStats] = None,
     ):
         self.replay = replay
         self.traces = traces
         self.executed = executed
         self.parallel_executed = parallel_executed
-        self.segments = segments if segments is not None else CacheStats()
 
     def snapshot(self) -> "EngineStats":
         return EngineStats(
@@ -115,7 +111,6 @@ class EngineStats:
             self.traces.snapshot(),
             self.executed,
             self.parallel_executed,
-            self.segments.snapshot(),
         )
 
     def since(self, other: "EngineStats") -> "EngineStats":
@@ -124,7 +119,6 @@ class EngineStats:
             self.traces.since(other.traces),
             self.executed - other.executed,
             self.parallel_executed - other.parallel_executed,
-            self.segments.since(other.segments),
         )
 
 
@@ -163,7 +157,6 @@ class Engine:
         #: dropping results.
         self.result_sink = None
         self._replays = ReplayCache(event_budget, disk_dir=cache_dir)
-        self._segments = SegmentCache(event_budget, disk_dir=cache_dir)
         self._traces = TraceCache(trace_budget)
         self._executed = 0
         self._parallel_executed = 0
@@ -177,13 +170,11 @@ class Engine:
             self._traces.stats,
             self._executed,
             self._parallel_executed,
-            self._segments.stats,
         )
 
     def clear_cache(self) -> None:
-        """Drop all in-memory cached replays, segments and traces."""
+        """Drop all in-memory cached replays and traces."""
         self._replays.clear()
-        self._segments.clear()
         self._traces.clear()
 
     def trace(self, name: str, n_branches: int, seed: int):
@@ -197,14 +188,12 @@ class Engine:
         return self.run([job])[0]
 
     def execute(self, job: SimJob) -> ReplayOutcome:
-        """Replay ``job`` against this engine's trace and segment caches.
+        """Replay ``job`` against this engine's trace cache.
 
         The replay cache is not consulted: :meth:`run` looks jobs up
         before they reach an executor and stores what comes back.
         """
-        return _replay_trace(
-            job, self.trace(*job.trace_key), segments=self._segments
-        )
+        return _replay_trace(job, self.trace(*job.trace_key))
 
     def run(self, jobs: Sequence[SimJob]) -> List[ReplayOutcome]:
         """Execute a batch of jobs; outcomes align with ``jobs`` order.
@@ -266,59 +255,6 @@ class Engine:
         if self.result_sink is not None:
             self.result_sink(job, outcome)
 
-    def stream(self, job: SimJob, segment_size: Optional[int] = None):
-        """Replay ``job`` with bounded memory; aggregates, keeps no events.
-
-        Pulls records lazily from the benchmark generator one segment
-        at a time and steps one :class:`~repro.engine.replay.Replayer`
-        over each, merging the step results and dropping the events,
-        so peak memory is one segment regardless of
-        ``job.n_branches`` -- the trace is never materialized and the
-        trace cache is bypassed.  The returned
-        :class:`~repro.core.frontend.FrontEndResult` is bit-identical
-        to ``self.replay(job).result`` (generator prefixes are
-        length-stable, and replay order is unchanged), and the replay
-        counts under the backend that produced it.
-
-        ``segment_size`` (at least 1) overrides the pull granularity
-        (``None``: ``job.segment_size`` or 8192); it only bounds memory,
-        never changes the result.
-        """
-        from itertools import islice
-
-        from repro.core.frontend import FrontEndResult
-        from repro.trace.benchmarks import benchmark_record_stream
-        from repro.trace.segments import iter_record_segments
-
-        if segment_size is None:
-            segment_size = job.segment_size or 8192
-        started = time.monotonic()
-        tel = telemetry.get_registry()
-        with telemetry.trace_span(
-            "engine.stream", job=job.benchmark, segment_size=segment_size
-        ):
-            records = islice(
-                benchmark_record_stream(job.benchmark, job.seed),
-                job.n_branches,
-            )
-            replayer = Replayer(job)
-            result = FrontEndResult()
-            for segment in iter_record_segments(records, segment_size):
-                warmup = max(0, job.warmup - replayer.position)
-                _, part = replayer.step(segment, warmup)
-                result = result.merge(part)
-                if tel.enabled:
-                    tel.counter("engine_stream_segments_total").inc()
-        _count_replay(replayer.backend, started)
-        return result
-
-    @staticmethod
-    def simulate(events, config):
-        """Run the pipeline timing model over a prepared event stream."""
-        from repro.pipeline.simulator import PipelineSimulator
-
-        return PipelineSimulator(config).simulate(iter(events))
-
 
 #: The process-wide default engine (lazily created).
 _default_engine: Optional[Engine] = None
@@ -364,10 +300,8 @@ def configure_engine(
         engine.max_workers = max_workers
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir
-        engine._segments.disk_dir = cache_dir
     if event_budget is not None:
         engine._replays._lru.budget = event_budget
-        engine._segments._lru.budget = event_budget
     if executor is not None:
         engine.executor = executor
     return engine

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.engine.specs import (
     ALWAYS_HIGH,
@@ -62,10 +62,6 @@ class SimJob:
             (the density-figure inputs).
         backend: Execution backend, ``"reference"`` (default) or
             ``"fast"`` (vectorized replay via :mod:`repro.fastpath`).
-        segment_size: When set, replay the trace in checkpointed
-            segments of this many branches through the segment-chain
-            cache (see :mod:`repro.engine.replay`).  ``None``
-            (default) replays the whole trace in one pass.
     """
 
     benchmark: str
@@ -77,17 +73,18 @@ class SimJob:
     policy: PolicySpec = NO_POLICY
     collect_outputs: bool = False
     backend: str = "reference"
-    segment_size: Optional[int] = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.segment_size is not None and self.segment_size < 1:
-            raise ValueError(
-                f"segment_size must be None or >= 1, got {self.segment_size}"
-            )
+        if self.benchmark.startswith("segtrace:"):
+            # Checked here, not when the trace is opened: the replay
+            # cache is looked up first, and a hit never opens it.
+            from repro.trace.segments import parse_job_token
+
+            parse_job_token(self.benchmark)
         if self.n_branches <= 0:
             raise ValueError(f"n_branches must be positive, got {self.n_branches}")
         if not 0 <= self.warmup < self.n_branches:
@@ -113,11 +110,6 @@ class SimJob:
         Two jobs share a fingerprint iff they describe bit-identical
         replays.  ``repr`` round-trips ints and floats exactly, so the
         encoding is unambiguous; the schema version salts the digest.
-
-        ``segment_size`` is deliberately *excluded*: segmentation is an
-        execution knob, proven outcome-invariant by the segmented
-        verify layer, so segmented and monolithic replays of the same
-        job share one cache identity.
         """
         canonical = (
             "simjob",

@@ -37,6 +37,7 @@ from repro.engine import (
 )
 from repro.engine.specs import BASELINE_PREDICTOR, NO_POLICY
 from repro.pipeline.config import PipelineConfig
+from repro.pipeline.simulator import PipelineSimulator
 from repro.pipeline.stats import SimStats
 from repro.trace.benchmarks import BENCHMARK_NAMES
 from repro.trace.record import Trace
@@ -168,7 +169,7 @@ def replay_benchmark(
 
 def simulate_events(events, config: PipelineConfig) -> SimStats:
     """Run the pipeline model over a prepared event stream."""
-    return get_engine().simulate(events, config)
+    return PipelineSimulator(config).simulate(iter(events))
 
 
 def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float:

@@ -78,14 +78,13 @@ def unsupported_reason(job) -> "str | None":
 def replay(job, trace):
     """Fast replay of ``job`` over the whole of ``trace``; ``(events, result)``.
 
-    The fresh whole-trace case of
-    :func:`repro.fastpath.driver.replay_segment`, under the job's
-    warm-up.  Raises :class:`FastPathUnavailable` without numpy and
+    :func:`repro.fastpath.driver.replay_trace` under the job's warm-up.
+    Raises :class:`FastPathUnavailable` without numpy and
     :class:`FastPathUnsupported` for configurations outside the proven
     support matrix.
     """
     require()
-    from repro.fastpath.driver import replay_segment
+    from repro.fastpath.driver import replay_trace
 
-    events, result, _ = replay_segment(job, trace, warmup=job.warmup)
+    events, result, _, _ = replay_trace(job, trace, warmup=job.warmup)
     return events, result

@@ -26,20 +26,11 @@ MAX_SUPPORTED_PC = 1 << 40
 
 
 class ColumnarTrace:
-    """One trace lowered into column arrays plus per-length history.
+    """One trace lowered into column arrays plus per-length history."""
 
-    ``init_history`` (prior outcomes, bit 0 most recent) and
-    ``init_path`` (prior branch addresses, most recent last) seed the
-    derived history words and path context for *segment* views, so a
-    mid-trace segment lowers exactly as it would inside a whole-trace
-    pass.  The defaults describe a start-of-trace view.
-    """
-
-    def __init__(self, trace, init_history: int = 0, init_path=()):
+    def __init__(self, trace):
         n = len(trace)
         self.n = n
-        self.init_history = int(init_history)
-        self.init_path = tuple(int(pc) for pc in init_path)
         self.takens = np.fromiter(
             (record.taken for record in trace), dtype=np.uint8, count=n
         )
@@ -63,27 +54,24 @@ class ColumnarTrace:
         """Per-branch pre-branch history words, cached per length."""
         cached = self._history.get(length)
         if cached is None:
-            cached = history_bits(self.takens, length, init=self.init_history)
+            cached = history_bits(self.takens, length)
             self._history[length] = cached
         return cached
 
     def final_history(self, length: int) -> int:
         """GHR bits after the whole trace has been replayed."""
-        return final_history_bits(self.takens, length, init=self.init_history)
+        return final_history_bits(self.takens, length)
 
     def path_before(self, length: int) -> np.ndarray:
         """Per-branch padded path context for sliding-window matrices.
 
-        Returns the concatenation of a ``length``-slot pre-trace window
-        (zero-filled beyond ``init_path``) and all but the last pc, so
+        Returns ``length`` zero slots (the empty pre-trace path)
+        followed by all but the last pc, so
         ``sliding_window_view(..., length)`` row ``i`` holds the
         ``length`` addresses retired before branch ``i`` in
         chronological order.
         """
-        prior = self.init_path[-length:]
         window = np.zeros(length, dtype=np.uint64)
-        if prior:
-            window[length - len(prior):] = np.asarray(prior, dtype=np.uint64)
         body = (self.pcs[:-1] if self.n else self.pcs).astype(np.uint64)
         return np.concatenate([window, body])
 

@@ -1,13 +1,11 @@
-"""Chunked trace-replay driver for the fast backend.
+"""Whole-trace replay driver for the fast backend.
 
-Decomposes one replay step of a ``SimJob`` (a whole trace, or one
-segment of it resumed from a checkpoint) into three passes instead of
-the reference's per-branch protocol loop:
+Decomposes the replay of a ``SimJob`` over its whole trace into three
+passes instead of the reference's per-branch protocol loop:
 
-1. **Predictor pass** -- depends only on the trace, so a fresh
-   whole-trace step caches it per ``(trace, predictor canonical)`` and
-   shares it across every estimator/policy/threshold sweep over the
-   same trace.
+1. **Predictor pass** -- depends only on the trace, so it is cached per
+   ``(trace, predictor canonical)`` and shared across every
+   estimator/policy/threshold sweep over the same trace.
 2. **Estimator pass** -- consumes the prediction/correctness streams
    (estimators train on the *raw* predictor outcome, never on the
    policy's final prediction, so the pass is policy-independent).
@@ -38,7 +36,7 @@ from repro.telemetry import COUNT_BUCKETS, get_registry
 __all__ = [
     "supports_job",
     "unsupported_reason",
-    "replay_segment",
+    "replay_trace",
 ]
 
 
@@ -116,8 +114,7 @@ def _supports_predictor(spec) -> bool:
         ):
             return False
         # Collision bumping can push the longest table past max_history;
-        # the realised geometry must fit both the history kernels and
-        # the segment-resume checkpoint window (64 bits each).
+        # the realised geometry must fit the 64-bit history kernels.
         from repro.predictors.tage import geometric_history_lengths
 
         lengths = geometric_history_lengths(
@@ -402,44 +399,24 @@ def _materialize_events(col, ppass, signals, decisions, warmup):
     return events
 
 
-def replay_segment(job, segment, state=None, warmup=0):
-    """Fast replay of one step of ``job``'s trace from an incoming state.
+def replay_trace(job, trace, warmup=0):
+    """Fast replay of ``job`` over the whole of ``trace``.
 
-    ``state`` is the incoming ``(predictor_state, estimator_state,
-    history_bits, path)``: the component canonical tuples and the
-    trailing outcome/address windows
-    (:data:`~repro.engine.replay.CHECKPOINT_WINDOW` wide), or ``None``
-    for a fresh start.  Returns ``(events, result, state)``: the events
-    after the first ``warmup`` branches, their
-    :class:`~repro.core.frontend.FrontEndResult`, and the outgoing
-    state in the same layout.
-
-    A fresh start over a trace object takes the whole-trace caches: the
-    columnar view from :func:`get_columnar` and the per-trace
-    predictor pass.  Streamed segments are lists, which cannot key
-    those weak caches, and a resumed step's derived columns depend on
-    its incoming context, so both lower per call.
-
-    An incoming state is *trusted for shape, not for truth*:
-    checkpoints are read back from the on-disk segment cache, so a
-    *malformed* state (truncated tuple, wrong types) is rejected
-    cheaply as :class:`~repro.fastpath.FastPathUnsupported` rather than
-    crashing deep inside a kernel, and callers keep their ordinary
-    fast-to-reference fallback path.
+    Returns ``(events, result, predictor_state, estimator_state)``: the
+    events after the first ``warmup`` branches, their
+    :class:`~repro.core.frontend.FrontEndResult`, and the components'
+    final ``state_canonical()`` tuples, which the fastpath verify layer
+    compares with the reference front end's.  The columnar view
+    (:func:`get_columnar`) and the predictor pass are cached per trace
+    object.  A trace the columnar lowering rejects (e.g. pcs outside
+    the supported range) raises
+    :class:`~repro.fastpath.FastPathUnsupported`, so the caller reruns
+    it on the reference loop.
     """
-    from repro.engine.replay import CHECKPOINT_WINDOW
     from repro.fastpath import FastPathUnsupported
 
-    fresh = state is None
-    predictor_state, estimator_state, history_bits, path = (
-        (None, None, 0, ()) if fresh else state
-    )
-    cached = fresh and not isinstance(segment, list)
     try:
-        if cached:
-            col = get_columnar(segment)
-        else:
-            col = ColumnarTrace(segment, init_history=history_bits, init_path=path)
+        col = get_columnar(trace)
     except (TypeError, ValueError) as exc:
         raise FastPathUnsupported(str(exc)) from None
     tel = get_registry()
@@ -447,29 +424,10 @@ def replay_segment(job, segment, state=None, warmup=0):
         tel.histogram(
             "fastpath_batch_branches", buckets=COUNT_BUCKETS
         ).observe(col.n)
-    try:
-        if cached:
-            ppass = _predictor_pass(job, segment, col)
-        else:
-            ppass = run_predictor(job.predictor, col, predictor_state)
-        epass = run_estimator(
-            job.estimator, col, ppass.pred, ppass.correct, estimator_state
-        )
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
-        if fresh:
-            raise
-        raise FastPathUnsupported(
-            f"malformed init state: {type(exc).__name__}: {exc}"
-        ) from None
+    ppass = _predictor_pass(job, trace, col)
+    epass = run_estimator(job.estimator, col, ppass.pred, ppass.correct)
     decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
     signals = _signals(epass)
     result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup)
     events = _materialize_events(col, ppass, signals, decisions, warmup)
-    out_path = tuple(path) + tuple(col.pc_list[-CHECKPOINT_WINDOW:])
-    out_state = (
-        ppass.state,
-        epass.state,
-        col.final_history(CHECKPOINT_WINDOW),
-        out_path[-CHECKPOINT_WINDOW:],
-    )
-    return events, result, out_state
+    return events, result, ppass.state, epass.state

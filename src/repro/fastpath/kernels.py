@@ -61,43 +61,32 @@ _U64 = np.uint64
 # -------------------------------------------------------------------------
 
 
-def history_bits(takens: np.ndarray, length: int, init: int = 0) -> np.ndarray:
+def history_bits(takens: np.ndarray, length: int) -> np.ndarray:
     """Per-branch global-history word *before* each branch resolves.
 
     Element ``i`` equals the reference
     :class:`~repro.common.history.GlobalHistoryRegister` ``bits`` value
     (bit 0 = most recent outcome) as seen by branch ``i`` after pushing
-    outcomes ``0..i-1``, masked to ``length`` bits.  ``init`` seeds the
-    register with the outcomes preceding ``takens`` (bit 0 most
-    recent), so a segment replay sees the same history words a
-    whole-trace replay would.
+    outcomes ``0..i-1`` into an empty register, masked to ``length``
+    bits.
     """
     if length <= 0 or length > 64:
         raise ValueError(f"history length must be in [1, 64], got {length}")
     takens = np.asarray(takens)
-    # Pre-trace window in chronological order: slot length-1 holds the
-    # most recent prior outcome (init bit 0).
-    init = int(init)
-    window = np.fromiter(
-        ((init >> shift) & 1 for shift in range(length - 1, -1, -1)),
-        dtype=_U64,
-        count=length,
+    padded = np.concatenate(
+        [np.zeros(length, dtype=_U64), takens[:-1].astype(_U64)]
     )
-    padded = np.concatenate([window, takens[:-1].astype(_U64)])
     windows = sliding_window_view(padded, length)
     powers = (_U64(1) << np.arange(length, dtype=_U64))[::-1]
     return (windows * powers).sum(axis=1, dtype=_U64)
 
 
-def final_history_bits(takens: np.ndarray, length: int, init: int = 0) -> int:
-    """History word after the *last* branch resolved (GHR end state).
-
-    ``init`` seeds the register exactly as in :func:`history_bits`.
-    """
+def final_history_bits(takens: np.ndarray, length: int) -> int:
+    """History word after the *last* branch resolved (GHR end state)."""
     if length <= 0 or length > 64:
         raise ValueError(f"history length must be in [1, 64], got {length}")
     mask = (1 << length) - 1
-    bits = int(init) & mask
+    bits = 0
     tail = np.asarray(takens)[-length:]
     for t in tail:
         bits = ((bits << 1) | int(t)) & mask
@@ -282,50 +271,12 @@ def swar_supported(history_length: int, weight_bits: int) -> bool:
     return history_length * ((1 << weight_bits) - 1) < (1 << 16)
 
 
-def _swar_seed(
-    n_rows: int,
-    history_length: int,
-    offset: int,
-    init_weights,
-    init_history: int,
-):
-    """Initial SWAR pass state, optionally seeded from a checkpoint.
-
-    Returns ``(packed, sums, bias, bound, dot_mask, delta_mask)``.
-    ``init_weights`` is a reference-layout weight matrix (column 0 =
-    bias) or ``None`` for zero weights; ``init_history`` holds the
-    outcomes preceding the pass (bit 0 most recent), from which the
-    running dot/delta masks are reconstructed so branch 0 of a segment
-    sees exactly the history a whole-trace pass would have built up.
-    """
-    h = history_length
-    if init_weights is None:
-        row0 = int.from_bytes(offset.to_bytes(2, "little") * h, "little")
-        packed = [row0] * n_rows
-        sums = [0] * n_rows
-        bias = [0] * n_rows
-        bound = [0] * n_rows
-    else:
-        weights = np.asarray(init_weights, dtype=np.int64)
-        packed = []
-        sums = []
-        bias = []
-        bound = []
-        for r in range(n_rows):
-            hist = weights[r, 1:]
-            packed.append(
-                int.from_bytes((hist + offset).astype("<u2").tobytes(), "little")
-            )
-            sums.append(int(hist.sum()))
-            bias.append(int(weights[r, 0]))
-            bound.append(int(np.abs(hist).max()) if h else 0)
-    dot_mask = 0
-    delta_mask = 0
-    for j in range(h):
-        if (int(init_history) >> j) & 1:
-            dot_mask |= 1 << (16 * (h - 1 - j))
-            delta_mask |= 1 << (16 * j)
-    return packed, sums, bias, bound, dot_mask, delta_mask
+def _swar_seed(n_rows: int, history_length: int, offset: int):
+    """Initial SWAR pass state: ``(packed, sums, bias, bound)`` for
+    all-zero weights (each lane holds the offset-biased zero)."""
+    lanes = offset.to_bytes(2, "little") * history_length
+    row0 = int.from_bytes(lanes, "little")
+    return [row0] * n_rows, [0] * n_rows, [0] * n_rows, [0] * n_rows
 
 
 def _swar_decode_weights(
@@ -380,8 +331,6 @@ def swar_cic_pass(
     training_threshold: int,
     w_min: int,
     w_max: int,
-    init_weights=None,
-    init_history: int = 0,
 ) -> Tuple[List[int], np.ndarray]:
     """Whole-trace replay of the cic-trained perceptron estimator.
 
@@ -391,9 +340,7 @@ def swar_cic_pass(
     ``|y| <= training_threshold`` -- exactly the reference
     :meth:`~repro.core.perceptron_estimator.PerceptronConfidenceEstimator.train`
     rule.  Returns the per-branch outputs and the final weight matrix
-    in the reference layout (bias in column 0).  ``init_weights`` /
-    ``init_history`` resume the pass from a checkpoint (segment
-    replay); the defaults replay from scratch.
+    in the reference layout (bias in column 0).
     """
     h = history_length
     shift_top = 16 * (h - 1)
@@ -404,9 +351,8 @@ def swar_cic_pass(
     # packed: lane-encoded history weights; sums: sum of each row's
     # history weights; bound: upper bound on max |history weight|;
     # dot_mask lane h-1-j / delta_mask lane j hold history bit j.
-    packed, sums, bias, bound, dot_mask, delta_mask = _swar_seed(
-        n_rows, h, offset, init_weights, init_history
-    )
+    packed, sums, bias, bound = _swar_seed(n_rows, h, offset)
+    dot_mask = delta_mask = 0
     n = len(rows)
     ys = [0] * n
     off2 = offset * 2
@@ -471,8 +417,6 @@ def swar_direction_pass(
     theta: float,
     w_min: int,
     w_max: int,
-    init_weights=None,
-    init_history: int = 0,
 ) -> Tuple[List[int], np.ndarray]:
     """Whole-trace replay of a direction-trained (Jimenez-Lin) perceptron.
 
@@ -480,9 +424,7 @@ def swar_direction_pass(
     sign disagreed with it or ``|y| <= theta``.  This is both the
     perceptron *predictor* component of the gshare-perceptron hybrid
     and the tnt-mode confidence estimator (whose effective training
-    direction is always the resolved outcome).  ``init_weights`` /
-    ``init_history`` resume from a checkpoint as in
-    :func:`swar_cic_pass`.
+    direction is always the resolved outcome).
     """
     h = history_length
     shift_top = 16 * (h - 1)
@@ -490,9 +432,8 @@ def swar_direction_pass(
     mask_all = (1 << (16 * h)) - 1
     ones = int.from_bytes(b"\x01\x00" * h, "little")
     offset = -w_min
-    packed, sums, bias, bound, dot_mask, delta_mask = _swar_seed(
-        n_rows, h, offset, init_weights, init_history
-    )
+    packed, sums, bias, bound = _swar_seed(n_rows, h, offset)
+    dot_mask = delta_mask = 0
     n = len(rows)
     ys = [0] * n
     off2 = offset * 2

@@ -12,8 +12,8 @@ produces them:
 - :class:`~repro.pipeline.simulator.PipelineSimulator` -- a
   branch-granularity cycle model with explicit wrong-path fetch
   accounting, pipeline gating stalls and reversal recovery;
-- :mod:`~repro.pipeline.runner` -- convenience drivers that replay one
-  trace under baseline and policy machines and report U and P.
+- :meth:`~repro.pipeline.stats.SimStats.cost_vs` -- U and P of a run
+  against its ungated baseline run.
 
 See DESIGN.md substitution note 2 for the relationship to the authors'
 cycle-accurate IA32 simulator.
@@ -28,7 +28,6 @@ from repro.pipeline.config import (
     PipelineConfig,
 )
 from repro.pipeline.energy import EnergyModel, EnergyReport
-from repro.pipeline.runner import GatingRun, compare_policies, run_machine
 from repro.pipeline.smt import SmtSimulator, SmtStats
 from repro.pipeline.simulator import PipelineSimulator
 from repro.pipeline.stats import SimStats
@@ -44,9 +43,6 @@ __all__ = [
     "SimStats",
     "EnergyModel",
     "EnergyReport",
-    "GatingRun",
     "SmtSimulator",
     "SmtStats",
-    "run_machine",
-    "compare_policies",
 ]

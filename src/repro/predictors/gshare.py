@@ -121,20 +121,6 @@ class GSharePredictor(BranchPredictor):
             self._history.bits,
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "gshare":
-            raise ValueError(f"not a gshare checkpoint: {state[:1]!r}")
-        _, history_length, table, history_bits = state
-        if history_length != self._history_length:
-            raise ValueError(
-                f"checkpoint history_length {history_length} != "
-                f"{self._history_length}"
-            )
-        self._table.load_state_dict({"table": list(table)})
-        # A shared register is re-set by the owning hybrid with the same
-        # value (history bits are global), so this is idempotent.
-        self._history.set_bits(int(history_bits))
-
     def state_dict(self) -> dict:
         """Serialisable table + history state."""
         return {

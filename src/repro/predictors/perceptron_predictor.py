@@ -107,15 +107,6 @@ class PerceptronPredictor(BranchPredictor):
             self._history.bits,
         )
 
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "perceptron_predictor":
-            raise ValueError(
-                f"not a perceptron predictor checkpoint: {state[:1]!r}"
-            )
-        _, rows, history_bits = state
-        self._array.load_state_dict({"weights": [list(row) for row in rows]})
-        self._history.set_bits(int(history_bits))
-
     def state_dict(self) -> dict:
         """Serialisable weight + history state."""
         return {

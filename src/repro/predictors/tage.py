@@ -299,30 +299,3 @@ class TagePredictor(BranchPredictor):
             self._history.bits,
             self._retired,
         )
-
-    def restore(self, state: tuple) -> None:
-        if not state or state[0] != "tage":
-            raise ValueError(f"not a tage checkpoint: {state[:1]!r}")
-        _, lengths, base, tables, history_bits, retired = state
-        if tuple(lengths) != self._lengths:
-            raise ValueError(
-                f"checkpoint history lengths {tuple(lengths)} != "
-                f"{self._lengths}"
-            )
-        if len(base) != self._base.entries:
-            raise ValueError(
-                f"checkpoint base table holds {len(base)} entries, "
-                f"predictor has {self._base.entries}"
-            )
-        self._base.load_state_dict({"table": list(base)})
-        for table, (ctr, tags, useful) in enumerate(tables):
-            if len(tags) != len(self._tags[table]):
-                raise ValueError(
-                    f"checkpoint table {table} holds {len(tags)} entries, "
-                    f"predictor has {len(self._tags[table])}"
-                )
-            self._ctr[table].load_state_dict({"table": list(ctr)})
-            self._tags[table] = [int(t) for t in tags]
-            self._useful[table].load_state_dict({"table": list(useful)})
-        self._history.set_bits(int(history_bits))
-        self._retired = int(retired)

@@ -32,6 +32,7 @@ import sys
 from typing import List, Optional
 
 from repro import telemetry
+from repro.common.cli import positive_int
 from repro.engine import configure_engine
 from repro.results import ResultStore
 
@@ -63,13 +64,6 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _positive_int(text: str) -> int:
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
-
-
 def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--quick",
@@ -78,7 +72,7 @@ def _add_sizing_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--branches",
-        type=_positive_int,
+        type=positive_int,
         default=None,
         help="override trace length (warm-up scales to one third)",
     )
@@ -101,7 +95,7 @@ def add_run_args(
     """
     _add_sizing_args(parser)
     parser.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N",
+        "--jobs", type=positive_int, default=1, metavar="N",
         help=(
             "fan replay execution out over N worker processes "
             "(default 1: run in this process)"

@@ -26,7 +26,7 @@ Public surface:
 - :mod:`repro.trace.ingest` -- external (ChampSim/CBP-style) branch
   trace ingestion into the segmented on-disk format.
 - :mod:`repro.trace.segments` -- lazy segment iteration and the indexed
-  on-disk segment format used by segmented streaming execution.
+  on-disk segment format that recorded traces are stored in.
 """
 
 from repro.trace.behaviors import (
@@ -71,7 +71,6 @@ from repro.trace.segments import (
     SegmentedTrace,
     iter_record_segments,
     save_segmented,
-    segment_bounds,
 )
 
 __all__ = [
@@ -110,5 +109,4 @@ __all__ = [
     "SegmentedTrace",
     "iter_record_segments",
     "save_segmented",
-    "segment_bounds",
 ]

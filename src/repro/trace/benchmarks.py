@@ -41,7 +41,6 @@ __all__ = [
     "BENCHMARK_NAMES",
     "TABLE2_MISPREDICTS_PER_KUOP",
     "benchmark_profile",
-    "benchmark_record_stream",
     "build_workload",
     "generate_benchmark_trace",
 ]
@@ -432,26 +431,6 @@ def build_workload(profile: BenchmarkProfile, seed: int = 0) -> WorkloadSpec:
                 )
             )
     return spec
-
-
-def benchmark_record_stream(name: str, seed: int = 0):
-    """Unbounded lazy record stream for one Table 2 benchmark.
-
-    Uses the same workload and seed derivation as
-    :func:`generate_benchmark_trace`, so the first ``n`` records of this
-    stream are exactly ``generate_benchmark_trace(name, n, seed)`` --
-    the generator's prefixes are length-stable.  Streaming consumers
-    (``Engine.stream``, segment writers) replay arbitrarily long traces
-    without ever materializing one.
-    """
-    if name.startswith("h2p."):
-        from repro.trace.h2p import h2p_record_stream
-
-        return h2p_record_stream(name, seed=seed)
-    profile = benchmark_profile(name)
-    spec = build_workload(profile, seed=seed)
-    generator = TraceGenerator(spec, seed=derive_seed(seed, "trace", name))
-    return generator.iter_records()
 
 
 def generate_benchmark_trace(

@@ -22,6 +22,7 @@ import argparse
 from collections import Counter
 from typing import Optional, Sequence
 
+from repro.common.cli import positive_int
 from repro.trace.benchmarks import (
     BENCHMARK_NAMES,
     TABLE2_MISPREDICTS_PER_KUOP,
@@ -125,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     gen = sub.add_parser("generate", help="synthesise a benchmark trace")
     gen.add_argument("benchmark", choices=BENCHMARK_NAMES + H2P_PROFILE_NAMES)
     gen.add_argument("output", help="output path (.btrace or .npz)")
-    gen.add_argument("--branches", type=int, default=100_000)
+    gen.add_argument("--branches", type=positive_int, default=100_000)
     gen.add_argument("--seed", type=int, default=1)
     gen.set_defaults(func=_cmd_generate)
 
@@ -142,7 +143,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ing = sub.add_parser("ingest", help="ingest an external branch trace")
     ing.add_argument("input", help="external trace file (CBPBT01 format)")
     ing.add_argument("directory", help="output segment directory")
-    ing.add_argument("--segment-size", type=int, default=4096)
+    ing.add_argument("--segment-size", type=positive_int, default=4096)
     ing.add_argument("--name", default=None, help="trace name (default: stem)")
     ing.set_defaults(func=_cmd_ingest)
 

@@ -256,8 +256,8 @@ class TraceGenerator:
         draws happen per emitted record or per block pick, never as a
         function of a target length; the generator pauses mid-block
         after each yield.)  Consumers that keep only a bounded window
-        of records -- segment iteration, streaming replay -- therefore
-        never materialize more than that window.
+        of records -- e.g. :func:`~repro.trace.segments.save_segmented`
+        -- therefore never materialize more than that window.
         """
         from repro.trace.behaviors import LoopBehavior
 

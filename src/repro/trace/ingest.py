@@ -5,9 +5,8 @@ ones.  This module defines a minimal external interchange format in the
 family of the ChampSim / CBP contest traces -- a flat stream of
 ``(pc, taken)`` records -- and an ingestion path that lands such files
 into the repo's indexed :class:`~repro.trace.segments.SegmentedTrace`
-on-disk format, after which *every* downstream layer (segmented
-streaming and replay, sweeps, the verify stack) replays them exactly
-like a generated trace.
+on-disk format, after which *every* downstream layer (replay, sweeps,
+the verify stack) replays them exactly like a generated trace.
 
 Wire format, little-endian throughout::
 

@@ -1,18 +1,20 @@
-"""Segment iteration and the indexed on-disk segment format.
+"""The indexed on-disk segment format for recorded traces.
 
-Segmented streaming execution (see ``docs/architecture.md``) cuts a
-trace into fixed-size contiguous segments and replays them one at a
-time, so no layer ever has to materialize more than one segment.  This
-module provides the two trace-side halves of that architecture:
+A recorded trace (see "Recorded traces" in ``docs/workloads.md``) is
+stored as fixed-size contiguous segments, so neither writing nor
+reading it ever materializes more than one segment:
 
-- :func:`segment_bounds` / :func:`iter_record_segments` -- pure
-  segment arithmetic and lazy segmentation of any record stream
-  (a materialized :class:`~repro.trace.record.Trace`, or the unbounded
-  :meth:`~repro.trace.generator.TraceGenerator.iter_records` stream);
+- :func:`iter_record_segments` -- lazy segmentation of any record
+  stream (a materialized :class:`~repro.trace.record.Trace`, or the
+  unbounded :meth:`~repro.trace.generator.TraceGenerator.iter_records`
+  stream);
 - :func:`save_segmented` / :class:`SegmentedTrace` -- an indexed
   on-disk layout (one ``.npz`` per segment plus a JSON index) whose
   writer consumes a stream one segment at a time and whose reader loads
-  any segment in O(segment size), never the whole trace.
+  any segment in O(segment size), never the whole trace;
+- :meth:`SegmentedTrace.job_token` / :func:`parse_job_token` -- the
+  ``segtrace:`` benchmark name that makes a recorded directory an
+  engine job source, pinned to its content digest.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Tuple
 
@@ -29,8 +32,8 @@ from repro.trace.io import load_trace, save_trace
 from repro.trace.record import BranchRecord, Trace
 
 __all__ = [
-    "segment_bounds",
     "iter_record_segments",
+    "parse_job_token",
     "save_segmented",
     "sweep_orphan_segments",
     "SegmentedTrace",
@@ -43,29 +46,14 @@ INDEX_NAME = "index.json"
 #: On-disk layout version; bumped on incompatible index changes.
 SEGMENT_SCHEMA = 1
 
+#: The digest field of a job token: the first 16 hex characters of the
+#: trace's ``content_digest`` (see :meth:`SegmentedTrace.job_token`).
+_TOKEN_DIGEST = re.compile(r"[0-9a-f]{16}")
+
 
 def _check_segment_size(segment_size: int) -> None:
     if segment_size < 1:
         raise ValueError(f"segment_size must be >= 1, got {segment_size}")
-
-
-def segment_bounds(
-    n_branches: int, segment_size: int
-) -> List[Tuple[int, int]]:
-    """``[start, stop)`` bounds cutting ``n_branches`` into segments.
-
-    Every segment except possibly the last has exactly ``segment_size``
-    branches; a zero-length trace has no segments.  Bounds depend only
-    on ``(n_branches, segment_size)``, so two runs over the same trace
-    always agree on where the cuts fall.
-    """
-    if n_branches < 0:
-        raise ValueError(f"n_branches must be >= 0, got {n_branches}")
-    _check_segment_size(segment_size)
-    return [
-        (start, min(start + segment_size, n_branches))
-        for start in range(0, n_branches, segment_size)
-    ]
 
 
 def iter_record_segments(
@@ -84,6 +72,24 @@ def iter_record_segments(
         if not segment:
             return
         yield segment
+
+
+def parse_job_token(token: str) -> Tuple[str, str]:
+    """``(digest, path)`` of a ``segtrace:`` job token.
+
+    Raises ``ValueError`` unless the token has the shape
+    :meth:`SegmentedTrace.job_token` writes: a digest field of 16
+    lowercase hex characters pins the recorded content, so an empty or
+    shortened digest cannot match a directory whose content changed.
+    """
+    kind, _, rest = token.partition(":")
+    digest, sep, path = rest.partition(":")
+    if kind != "segtrace" or not sep or not _TOKEN_DIGEST.fullmatch(digest):
+        raise ValueError(
+            "segtrace token must be 'segtrace:<16 lowercase hex digest "
+            f"chars>:<path>', as job_token() writes, got {token!r}"
+        )
+    return digest, path
 
 
 def _segment_file(index: int) -> str:
@@ -337,26 +343,6 @@ class SegmentedTrace:
             f"{os.path.abspath(self.directory)}"
         )
 
-    def slice(self, start: int, stop: Optional[int] = None) -> Trace:
-        """Materialize ``records[start:stop]``, loading only the
-        segments that overlap the window -- the engine chain's segment
-        pulls stay O(segment size) however long the trace is."""
-        stop = self.n_branches if stop is None else min(stop, self.n_branches)
-        start = max(0, start)
-        records: List[BranchRecord] = []
-        for i, entry in enumerate(self._segments):
-            if entry["stop"] <= start:
-                continue
-            if entry["start"] >= stop:
-                break
-            segment = self.segment(i)
-            lo = max(0, start - entry["start"])
-            hi = min(len(segment), stop - entry["start"])
-            records.extend(segment.records[lo:hi])
-        return Trace(
-            records, name=f"{self.name}[{start}:{stop}]", seed=self.seed
-        )
-
     def prefix(self, n_branches: int) -> "SegmentedTraceView":
         """A lazy length-``n_branches`` view (no records loaded)."""
         return SegmentedTraceView(self, n_branches)
@@ -378,12 +364,11 @@ class SegmentedTrace:
 class SegmentedTraceView:
     """A length-limited lazy view over a :class:`SegmentedTrace`.
 
-    Presents the trace interface the engine and the segment chain
-    consume (``len``, iteration, ``slice``, name/seed metadata) for the
-    first ``n_branches`` records, loading only the segments each access
-    touches -- so a ``SimJob`` shorter than the recorded trace flows
-    through segmented replay without the whole trace ever being
-    materialized.
+    Presents the trace interface the engine consumes (``len``,
+    iteration, name/seed metadata) for the first ``n_branches``
+    records, loading segments one at a time as iteration reaches them
+    -- so a ``SimJob`` shorter than the recorded trace replays without
+    the whole trace ever being materialized.
     """
 
     def __init__(self, trace: SegmentedTrace, n_branches: int):
@@ -401,10 +386,6 @@ class SegmentedTraceView:
     @property
     def seed(self) -> Optional[int]:
         return self._trace.seed
-
-    def slice(self, start: int, stop: Optional[int] = None) -> Trace:
-        stop = self._n if stop is None else min(stop, self._n)
-        return self._trace.slice(start, stop)
 
     def __iter__(self) -> Iterator[BranchRecord]:
         return islice(self._trace.iter_records(), self._n)

@@ -14,6 +14,7 @@ import time
 from typing import List, Optional
 
 from repro import telemetry
+from repro.common.cli import positive_int
 from repro.engine.engine import Engine
 from repro.verify.differential import run_differential
 from repro.verify.golden import (
@@ -103,33 +104,6 @@ def _run_fastpath_layer(engine, profile, stream) -> List[str]:
     return failures
 
 
-def _run_segmented_layer(engine, profile, stream) -> List[str]:
-    from repro import fastpath
-    from repro.verify.segmented import run_segmented_equivalence
-
-    failures = []
-    print(
-        f"== segmented: {len(CASES)} cases x "
-        f"{profile.differential_branches} branches ==",
-        file=stream,
-    )
-    backends = ("reference", "fast") if fastpath.available() else ("reference",)
-    if len(backends) == 1:
-        print(
-            "note segmented: fast backend skipped (numpy not installed)",
-            file=stream,
-        )
-    trace = engine.trace(
-        profile.benchmarks[0], profile.differential_branches, seed=1
-    )
-    for case in CASES:
-        for report in run_segmented_equivalence(trace, case, backends=backends):
-            print(report.format(), file=stream)
-            if not report.ok:
-                failures.append(f"segmented: {report.format()}")
-    return failures
-
-
 def _run_store_layer(engine, profile, stream) -> List[str]:
     """Round-trip the result store on one real replay.
 
@@ -212,7 +186,6 @@ def run_verification(
     markdown: Optional[str] = None,
     stream=None,
     fastpath: bool = True,
-    segmented: bool = True,
     store: bool = True,
     backend: str = "reference",
     telemetry_path: Optional[str] = None,
@@ -262,10 +235,6 @@ def run_verification(
             )
         if fastpath:
             yield "fastpath", lambda: _run_fastpath_layer(
-                engine, profile, stream
-            )
-        if segmented:
-            yield "segmented", lambda: _run_segmented_layer(
                 engine, profile, stream
             )
         if store:
@@ -379,11 +348,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the fast-vs-reference backend cross-check layer",
     )
     parser.add_argument(
-        "--skip-segmented",
-        action="store_true",
-        help="skip the segmented-vs-monolithic equivalence layer",
-    )
-    parser.add_argument(
         "--skip-store",
         action="store_true",
         help="skip the result-store round-trip/corruption layer",
@@ -400,7 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="engine worker processes"
+        "--jobs", type=positive_int, default=1, help="engine worker processes"
     )
     parser.add_argument(
         "--markdown", default=None, help="also write a markdown report here"
@@ -437,7 +401,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         jobs=args.jobs,
         markdown=args.markdown,
         fastpath=not args.skip_fastpath,
-        segmented=not args.skip_segmented,
         store=not args.skip_store,
         backend=args.backend,
         telemetry_path=args.telemetry,

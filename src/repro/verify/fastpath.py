@@ -64,11 +64,9 @@ def run_fastpath_differential(
                 "every verify-matrix case must have a fast pass",
             ),
         )
-    from repro.fastpath.driver import replay_segment
+    from repro.fastpath.driver import replay_trace
 
-    events, result, (predictor_state, estimator_state, _, _) = replay_segment(
-        job, trace
-    )
+    events, result, predictor_state, estimator_state = replay_trace(job, trace)
 
     reference = FrontEnd(
         predictor_spec.build(), estimator_spec.build(), policy_spec.build()

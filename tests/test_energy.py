@@ -69,29 +69,25 @@ class TestEnergyReport:
 class TestEndToEnd:
     def test_gating_saves_energy(self, gzip_trace):
         from repro.core.estimator import AlwaysHighEstimator
+        from repro.core.frontend import FrontEnd
         from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
-        from repro.core.reversal import GatingOnlyPolicy, NoSpeculationControl
+        from repro.core.reversal import GatingOnlyPolicy
         from repro.pipeline.config import BASELINE_40X4
-        from repro.pipeline.runner import run_machine
+        from repro.pipeline.simulator import PipelineSimulator
         from repro.predictors.hybrid import make_baseline_hybrid
 
-        base = run_machine(
-            gzip_trace,
-            make_baseline_hybrid(),
-            AlwaysHighEstimator(),
-            NoSpeculationControl(),
-            BASELINE_40X4,
-            warmup=4000,
-        )
-        gated = run_machine(
-            gzip_trace,
-            make_baseline_hybrid(),
+        def run(estimator, policy, config):
+            frontend = FrontEnd(make_baseline_hybrid(), estimator, policy)
+            events = [frontend.process(r) for r in gzip_trace][4000:]
+            return PipelineSimulator(config).simulate(iter(events))
+
+        base = run(AlwaysHighEstimator(), None, BASELINE_40X4)
+        gated = run(
             PerceptronConfidenceEstimator(threshold=-25),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1),
-            warmup=4000,
         )
         model = EnergyModel()
-        base_e = model.evaluate(base.stats, estimator_active=False)
-        gated_e = model.evaluate(gated.stats, estimator_active=True)
+        base_e = model.evaluate(base, estimator_active=False)
+        gated_e = model.evaluate(gated, estimator_active=True)
         assert gated_e.savings_vs(base_e) > 0

@@ -23,8 +23,15 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro import fastpath
-from repro.engine import Engine, EstimatorSpec, PredictorSpec, SimJob
+from repro import fastpath, telemetry
+from repro.engine import (
+    GATING_POLICY,
+    Engine,
+    EstimatorSpec,
+    PredictorSpec,
+    SimJob,
+    canonical_metrics,
+)
 from repro.engine.replay import _replay_trace
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.record import BranchRecord, Trace
@@ -104,6 +111,7 @@ def _job(case, backend="reference"):
         predictor=case.predictor,
         estimator=case.estimator,
         policy=case.policy,
+        collect_outputs=True,
         backend=backend,
     )
 
@@ -118,6 +126,12 @@ def test_engine_outcomes_identical(engine, case):
     assert fast.canonical_metrics() == reference.canonical_metrics()
     assert fast.metrics_digest() == reference.metrics_digest()
     assert fast.events == reference.events
+    # The density-figure inputs, which canonical metrics leave out.
+    assert fast.result.outputs_correct == reference.result.outputs_correct
+    assert (
+        fast.result.outputs_mispredicted
+        == reference.result.outputs_mispredicted
+    )
 
 
 def test_every_matrix_job_is_supported():
@@ -253,3 +267,86 @@ def test_oversized_pcs_fall_back_at_runtime():
     reference = _replay_trace(job.with_(backend="reference"), trace)
     assert outcome.canonical_metrics() == reference.canonical_metrics()
     assert outcome.events == reference.events
+
+
+def test_runtime_fallback_is_bit_identical(monkeypatch):
+    """A runtime rejection reruns the whole trace on the reference loop.
+
+    The injection rejects the replay's only fast pass; the engine must
+    count one runtime fallback and still produce the reference outcome,
+    events included.
+    """
+    from repro.fastpath import driver as fast_driver
+
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        raise fastpath.FastPathUnsupported("injected at runtime")
+
+    def replay(backend):
+        job = SimJob(
+            benchmark="gzip",
+            n_branches=2_000,
+            warmup=0,
+            seed=11,
+            predictor=CASES[0].predictor,
+            estimator=CASES[0].estimator,
+            policy=CASES[0].policy,
+            collect_outputs=True,
+            backend=backend,
+        )
+        return Engine(max_workers=1).replay(job)
+
+    monkeypatch.setattr(fast_driver, "replay_trace", flaky)
+    tel = telemetry.enable()
+    tel.reset()
+    try:
+        fast = replay("fast")
+        fallbacks = tel.counter(
+            "fastpath_fallbacks_total", reason="runtime"
+        ).value
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    ref = replay("reference")
+    assert canonical_metrics(fast.result) == canonical_metrics(ref.result)
+    assert calls["n"] == 1
+    assert fallbacks == 1
+    assert fast.events == ref.events
+    assert fast.backend == "reference"
+
+
+def test_fast_replay_counts_under_fast_backend():
+    """A whole-trace fast replay counts once under ``backend=fast``.
+
+    With telemetry on, the fast path also reports its own work: one
+    kernel batch per replay, and a predictor pass that a second
+    estimator over the same trace reuses.
+    """
+    job = SimJob(
+        benchmark="gzip",
+        n_branches=4_000,
+        warmup=1_000,
+        seed=11,
+        estimator=EstimatorSpec.of("perceptron", threshold=0),
+        policy=GATING_POLICY,
+        backend="fast",
+    )
+    tel = telemetry.enable()
+    tel.reset()
+    try:
+        Engine(max_workers=1).run(
+            [job, job.with_(estimator=EstimatorSpec.of("jrs", threshold=7))]
+        )
+        snap = tel.snapshot()
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    assert snap.counter_series("engine_replays_total") == {
+        "engine_replays_total{backend=fast}": 2
+    }
+    assert snap.counter_series("fastpath_fallbacks_total") == {}
+    assert snap.counter("fastpath_predictor_pass_total", result="miss") == 1
+    assert snap.counter("fastpath_predictor_pass_total", result="hit") == 1
+    assert snap.histograms["fastpath_batch_branches"]["count"] == 2

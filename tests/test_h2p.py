@@ -14,7 +14,7 @@ from repro.analysis.branches import (
     profile_events,
     profile_records,
 )
-from repro.trace.benchmarks import benchmark_record_stream, generate_benchmark_trace
+from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.h2p import (
     H2P_PROFILE_NAMES,
     H2PBranch,
@@ -77,16 +77,6 @@ class TestFamilyShape:
             assert [(r.pc, r.taken) for r in stream] == [
                 (r.pc, r.taken) for r in trace.records
             ]
-
-    def test_dispatch_through_benchmark_layer(self):
-        name = H2P_PROFILE_NAMES[0]
-        via_benchmark = list(
-            itertools.islice(benchmark_record_stream(name, seed=4), 300)
-        )
-        direct = list(itertools.islice(h2p_record_stream(name, seed=4), 300))
-        assert [(r.pc, r.taken) for r in via_benchmark] == [
-            (r.pc, r.taken) for r in direct
-        ]
 
     def test_h2p_pcs_disjoint_from_spec_benchmarks(self):
         h2p_pcs = set()

@@ -11,13 +11,30 @@ from repro.core.estimator import AlwaysHighEstimator
 from repro.core.frontend import FrontEnd
 from repro.core.jrs import JRSEstimator
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
-from repro.core.reversal import GatingOnlyPolicy, ThreeRegionPolicy
+from repro.core.reversal import (
+    GatingOnlyPolicy,
+    NoSpeculationControl,
+    ThreeRegionPolicy,
+)
 from repro.pipeline.config import BASELINE_40X4, STANDARD_20X4, WIDE_20X8
-from repro.pipeline.runner import compare_policies, run_machine
+from repro.pipeline.simulator import PipelineSimulator
 from repro.predictors.hybrid import make_baseline_hybrid
 
 
 WARM = 5_000
+
+
+def _stats(trace, estimator, policy, config):
+    """Timing of ``trace`` after the warm-up on one machine."""
+    frontend = FrontEnd(make_baseline_hybrid(), estimator, policy)
+    events = [frontend.process(record) for record in trace][WARM:]
+    return PipelineSimulator(config).simulate(iter(events))
+
+
+def _cost(trace, estimator, policy, config):
+    """``(U, P)`` of ``policy`` against the ungated run on ``config``."""
+    base = _stats(trace, AlwaysHighEstimator(), NoSpeculationControl(), config)
+    return _stats(trace, estimator, policy, config).cost_vs(base)
 
 
 class TestPaperClaimShapes:
@@ -58,86 +75,70 @@ class TestPaperClaimShapes:
         predictor = make_baseline_hybrid()
         frontend = FrontEnd(predictor, AlwaysHighEstimator())
         events = [frontend.process(r) for r in gzip_trace]
-        from repro.pipeline.simulator import PipelineSimulator
-
         deep = PipelineSimulator(BASELINE_40X4).simulate(iter(events))
         shallow = PipelineSimulator(STANDARD_20X4).simulate(iter(events))
         assert deep.wrong_path_increase > 1.4 * shallow.wrong_path_increase
 
     def test_gating_reduces_total_execution(self, gzip_trace):
         """Table 4: perceptron gating cuts uops executed."""
-        run = compare_policies(
+        u, _ = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
+            PerceptronConfidenceEstimator(threshold=0),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1),
-            warmup=WARM,
         )
-        assert run.uop_reduction_pct > 2.0
+        assert u > 2.0
 
     def test_perceptron_gating_dominates_jrs_frontier(self, gzip_trace):
         """Table 4: at comparable U, the perceptron loses far less
         performance than JRS at PL1."""
-        perc = compare_policies(
+        _, perc_p = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
+            PerceptronConfidenceEstimator(threshold=0),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1),
-            warmup=WARM,
         )
-        jrs = compare_policies(
+        _, jrs_p = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
+            JRSEstimator(threshold=7),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1),
-            warmup=WARM,
         )
-        assert jrs.performance_loss_pct > 2 * perc.performance_loss_pct
+        assert jrs_p > 2 * perc_p
 
     def test_higher_pl_softens_jrs(self, gzip_trace):
         """Table 4: raising the branch-counter threshold reduces both
         JRS's uop savings and its performance loss."""
-        pl1 = compare_policies(
+        pl1_u, pl1_p = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
+            JRSEstimator(threshold=7),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1),
-            warmup=WARM,
         )
-        pl3 = compare_policies(
+        pl3_u, pl3_p = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: JRSEstimator(threshold=7),
+            JRSEstimator(threshold=7),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(3),
-            warmup=WARM,
         )
-        assert pl3.uop_reduction_pct < pl1.uop_reduction_pct
-        assert pl3.performance_loss_pct < pl1.performance_loss_pct
+        assert pl3_u < pl1_u
+        assert pl3_p < pl1_p
 
     def test_estimator_latency_minor(self, gzip_trace):
         """Section 5.4.2: 9-cycle estimator latency costs little U."""
-        fast = compare_policies(
+        fast_u, _ = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
+            PerceptronConfidenceEstimator(threshold=0),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1, estimator_latency=1),
-            warmup=WARM,
         )
-        slow = compare_policies(
+        slow_u, _ = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=0),
+            PerceptronConfidenceEstimator(threshold=0),
             GatingOnlyPolicy(),
             BASELINE_40X4.with_gating(1, estimator_latency=9),
-            warmup=WARM,
         )
-        assert slow.uop_reduction_pct > 0.5 * fast.uop_reduction_pct
+        assert slow_u > 0.5 * fast_u
 
     def test_tnt_training_is_worse(self, gcc_trace):
         """Section 5.3: at matched coverage, cic accuracy beats tnt."""
@@ -162,27 +163,23 @@ class TestPaperClaimShapes:
 
     def test_three_region_policy_executes_all_actions(self, gzip_trace):
         """Section 5.5 machinery: reversal and gating both engage."""
-        run = run_machine(
+        stats = _stats(
             gzip_trace,
-            make_baseline_hybrid(),
             PerceptronConfidenceEstimator(threshold=-90, strong_threshold=40),
             ThreeRegionPolicy(),
             BASELINE_40X4.with_gating(2),
-            warmup=WARM,
         )
-        assert run.stats.reversals > 0
-        assert run.stats.gated_branches > 0
+        assert stats.reversals > 0
+        assert stats.gated_branches > 0
 
     def test_wide_machine_also_benefits(self, gzip_trace):
         """Figure 9 premise: gating cuts execution on the 20c/8w machine
         too (reversal needs longer traces to train, so the short-trace
         check uses gating alone)."""
-        run = compare_policies(
+        u, _ = _cost(
             gzip_trace,
-            make_baseline_hybrid,
-            lambda: PerceptronConfidenceEstimator(threshold=-25),
+            PerceptronConfidenceEstimator(threshold=-25),
             GatingOnlyPolicy(),
             WIDE_20X8.with_gating(1),
-            warmup=WARM,
         )
-        assert run.uop_reduction_pct > 0
+        assert u > 0

@@ -205,6 +205,29 @@ class TestGating:
         stats = PipelineSimulator(cfg).simulate(iter(events))
         assert stats.gated_cycles > 0
 
+    def test_gating_leaves_correct_path_uops_unchanged(self, gzip_trace):
+        """Gating delays fetch; it never adds or drops correct-path work."""
+        from repro.core.estimator import AlwaysHighEstimator
+        from repro.core.frontend import FrontEnd
+        from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
+        from repro.core.reversal import GatingOnlyPolicy
+        from repro.pipeline.config import BASELINE_40X4
+        from repro.predictors.hybrid import make_baseline_hybrid
+
+        machine = BASELINE_40X4.with_gating(1)
+
+        def run(estimator, policy=None):
+            frontend = FrontEnd(make_baseline_hybrid(), estimator, policy)
+            events = [frontend.process(r) for r in gzip_trace][4000:]
+            return PipelineSimulator(machine).simulate(iter(events))
+
+        base = run(AlwaysHighEstimator())
+        gated = run(
+            PerceptronConfidenceEstimator(threshold=-25), GatingOnlyPolicy()
+        )
+        assert gated.gated_cycles > 0
+        assert gated.correct_path_uops == base.correct_path_uops
+
     def test_gated_branch_counter(self):
         events = [correct_event(action=BranchAction.GATE, low=True)
                   for _ in range(5)]

@@ -1,6 +1,5 @@
 """TAGE-class baseline predictor: unit, property and backend tests."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,50 +74,7 @@ class TestPredictContract:
             p.update(pc, taken, p.predict(pc))
 
 
-class TestCheckpointRestore:
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.integers(min_value=1, max_value=400),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_mid_trace_checkpoint_equals_uninterrupted(self, seed, cut):
-        trace = generate_benchmark_trace("mcf", n_branches=500, seed=seed % 7)
-        cut = cut % len(trace)
-
-        uninterrupted = small_tage()
-        for r in trace:
-            uninterrupted.update(r.pc, r.taken, uninterrupted.predict(r.pc))
-
-        first = small_tage()
-        for r in trace[:cut]:
-            first.update(r.pc, r.taken, first.predict(r.pc))
-        resumed = small_tage()
-        resumed.restore(first.checkpoint())
-        assert resumed.state_digest() == first.state_digest()
-        for r in trace[cut:]:
-            resumed.update(r.pc, r.taken, resumed.predict(r.pc))
-
-        assert resumed.state_digest() == uninterrupted.state_digest()
-        assert resumed.state_canonical() == uninterrupted.state_canonical()
-
-    def test_restore_rejects_wrong_tag(self):
-        p = small_tage()
-        with pytest.raises(ValueError):
-            p.restore(("gshare", (1, 2, 3)))
-
-    def test_restore_rejects_wrong_geometry(self):
-        a = small_tage()
-        b = TagePredictor(
-            base_entries=64,
-            tagged_entries=32,
-            n_tables=4,
-            tag_bits=7,
-            min_history=4,
-            max_history=20,
-        )
-        with pytest.raises(ValueError):
-            a.restore(b.checkpoint())
-
+class TestCanonicalState:
     def test_state_canonical_is_nested_ints(self):
         p = small_tage()
         trace = generate_benchmark_trace("gzip", n_branches=200, seed=3)
@@ -154,7 +110,7 @@ class TestVerificationCoverage:
             return unsupported_reason(job)
 
         assert reason(PredictorSpec.of("tage")) is None
-        # Histories past the 64-bit checkpoint window must fall back.
+        # Histories past the 64-bit history kernels must fall back.
         assert (
             reason(PredictorSpec.of("tage", max_history=80))
             == "predictor:tage"

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.trace.cli import main
+from repro.trace.ingest import write_external_trace
 from repro.trace.io import load_trace
+from repro.trace.record import BranchRecord
 
 
 class TestGenerate:
@@ -51,3 +53,32 @@ class TestList:
         text = capsys.readouterr().out
         for name in ("gzip", "mcf", "vortex", "twolf"):
             assert name in text
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("generate", "--branches", "-5"),
+            ("generate", "--branches", "0"),
+            ("ingest", "--segment-size", "0"),
+        ],
+        ids=["branches-negative", "branches-zero", "segment-size-zero"],
+    )
+    def test_count_below_one_is_usage_error(
+        self, tmp_path, capsys, command, flag, value
+    ):
+        output = tmp_path / "out"
+        if command == "generate":
+            argv = ["generate", "gzip", f"{output}.npz"]
+        else:
+            source = str(tmp_path / "in.btr")
+            write_external_trace(
+                [BranchRecord(pc=0x400000, taken=True)] * 8, source
+            )
+            argv = ["ingest", source, str(output)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.glob("out*"))  # nothing written

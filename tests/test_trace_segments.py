@@ -1,40 +1,58 @@
-"""Segment iteration, the on-disk segment format, and record streams."""
+"""Segment iteration, the on-disk segment format, and recorded traces
+as engine job sources (orphan sweeps, ``segtrace:`` tokens)."""
+
+import os
 
 import pytest
 
-from repro.trace.benchmarks import benchmark_record_stream, generate_benchmark_trace
+from repro import telemetry
+from repro.engine import Engine, SimJob, canonical_metrics
+from repro.engine.cache import TraceCache
+from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.generator import TraceGenerator
-from repro.trace.record import BranchRecord, Trace
+from repro.trace.record import BranchRecord
 from repro.trace.segments import (
     SegmentedTrace,
     iter_record_segments,
     save_segmented,
-    segment_bounds,
+    sweep_orphan_segments,
 )
+from repro.verify.matrix import CASES
 from tests.conftest import make_simple_workload
 
+N_BRANCHES = 2_000
+SEGMENT_SIZE = 500  # 4 segments over the 2k-branch trace
 
-class TestSegmentBounds:
-    def test_exact_division(self):
-        assert segment_bounds(10, 5) == [(0, 5), (5, 10)]
 
-    def test_short_final_segment(self):
-        assert segment_bounds(10, 4) == [(0, 4), (4, 8), (8, 10)]
+@pytest.fixture(autouse=True)
+def _clean_telemetry():
+    telemetry.disable()
+    telemetry.reset()
+    yield
+    telemetry.disable()
+    telemetry.reset()
 
-    def test_single_oversized_segment(self):
-        assert segment_bounds(3, 100) == [(0, 3)]
 
-    def test_size_one(self):
-        assert segment_bounds(3, 1) == [(0, 1), (1, 2), (2, 3)]
+@pytest.fixture(scope="module")
+def trace():
+    return generate_benchmark_trace("gzip", n_branches=N_BRANCHES, seed=11)
 
-    def test_zero_branches(self):
-        assert segment_bounds(0, 8) == []
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            segment_bounds(10, 0)
-        with pytest.raises(ValueError):
-            segment_bounds(-1, 5)
+def _trace_job(**overrides):
+    """A job over the ``trace`` fixture's benchmark, length and seed."""
+    case = CASES[0]
+    base = dict(
+        benchmark="gzip",
+        n_branches=N_BRANCHES,
+        warmup=0,
+        seed=11,
+        predictor=case.predictor,
+        estimator=case.estimator,
+        policy=case.policy,
+        collect_outputs=True,
+    )
+    base.update(overrides)
+    return SimJob(**base)
 
 
 class TestIterRecordSegments:
@@ -95,20 +113,89 @@ class TestSegmentedTraceFormat:
             SegmentedTrace(str(tmp_path))
 
 
-class TestBenchmarkRecordStream:
-    def test_prefix_matches_materialized_trace(self):
-        from itertools import islice
+class TestOrphanSweep:
+    def test_sweep_removes_unindexed_payloads(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        stray = os.path.join(directory, "segment-9999.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"orphan")
 
-        trace = generate_benchmark_trace("gzip", n_branches=500, seed=11)
-        stream = list(islice(benchmark_record_stream("gzip", seed=11), 500))
-        assert stream == list(trace)
+        tel = telemetry.enable()
+        tel.reset()
+        removed = sweep_orphan_segments(directory)
+        assert removed == 1
+        assert not os.path.exists(stray)
+        assert tel.counter("trace_segment_orphans_removed_total").value == 1
+        # Indexed payloads are untouched and the trace still reads.
+        assert len(SegmentedTrace(directory)) == N_BRANCHES
 
-    def test_distinct_seeds_diverge(self):
-        from itertools import islice
+    def test_save_sweeps_crashed_writer_leftovers(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        directory = str(tmp_path / "seg")
+        os.makedirs(directory)
+        stray = os.path.join(directory, "segment-0042.npz")
+        with open(stray, "wb") as handle:
+            handle.write(b"crashed writer leftovers")
+        save_segmented(trace, directory, segment_size=SEGMENT_SIZE)
+        assert not os.path.exists(stray)
 
-        a = list(islice(benchmark_record_stream("gzip", seed=1), 300))
-        b = list(islice(benchmark_record_stream("gzip", seed=2), 300))
-        assert a != b
+
+class TestSegtraceJobSource:
+    @pytest.fixture()
+    def recorded(self, trace, tmp_path):
+        pytest.importorskip("numpy")
+        return save_segmented(
+            trace, str(tmp_path / "seg"), segment_size=SEGMENT_SIZE
+        )
+
+    def test_job_token_pins_content(self, recorded):
+        token = recorded.job_token()
+        assert token.startswith("segtrace:")
+        assert recorded.content_digest[:16] in token
+
+    def test_engine_replays_from_token(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        from_token = engine.replay(_trace_job(benchmark=token))
+        generated = engine.replay(_trace_job())
+        assert from_token.events == generated.events
+        assert canonical_metrics(from_token.result) == canonical_metrics(
+            generated.result
+        )
+
+    def test_prefix_view_bounds_job_window(self, recorded):
+        token = recorded.job_token()
+        engine = Engine(max_workers=1)
+        short = engine.replay(_trace_job(benchmark=token, n_branches=700))
+        full = engine.replay(_trace_job())
+        assert short.events == full.events[:700]
+
+    def test_digest_mismatch_rejected(self, recorded):
+        bad = "segtrace:" + "0" * 16 + ":" + recorded.directory
+        with pytest.raises(ValueError, match="digest"):
+            Engine(max_workers=1).replay(_trace_job(benchmark=bad))
+
+    @pytest.mark.parametrize("digest", ["", "a"], ids=["empty", "one-char"])
+    def test_unpinned_token_rejected(self, recorded, digest):
+        """A token must pin the content: the replay cache is looked up
+        before the trace is opened, so a job on an unpinned token would
+        be served the outcome of whatever the directory held before."""
+        token = f"segtrace:{digest}:{recorded.directory}"
+        with pytest.raises(ValueError, match="segtrace"):
+            _trace_job(benchmark=token)
+        with pytest.raises(ValueError, match="digest"):
+            TraceCache().get(token, N_BRANCHES, 0)
+
+    def test_oversized_window_rejected(self, recorded):
+        with pytest.raises(ValueError):
+            Engine(max_workers=1).replay(
+                _trace_job(
+                    benchmark=recorded.job_token(),
+                    n_branches=N_BRANCHES + 1,
+                )
+            )
 
 
 class TestIngestedEdgeCases:

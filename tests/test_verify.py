@@ -280,6 +280,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--quick", "--refresh"])
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, capsys, jobs):
+        from repro.verify.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--quick", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_run_verification_reports_failures(self, tmp_path, capsys):
         from repro.verify.cli import run_verification
 
