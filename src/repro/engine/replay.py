@@ -2,7 +2,7 @@
 
 Replaying a branch trace through predictor, confidence estimator and
 policy has a reference and a fast implementation.
-:func:`_replay_trace_impl` is the only code that picks between them: it
+:func:`_replay_trace` is the only code that picks between them: it
 checks :func:`repro.fastpath.supports` and counts the fallback
 ``reason`` when the fast path declines, and when the fast path raises
 :class:`~repro.fastpath.FastPathUnsupported` at runtime (e.g. oversized
@@ -36,17 +36,6 @@ def _count_replay(backend: str, started: float) -> None:
 
 
 def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
-    """Replay a prepared trace (optionally under the cProfile hotspot
-    accumulator -- ``--profile`` wraps every executed job here)."""
-    from repro.telemetry import profile
-
-    if profile.profiling_enabled():
-        with profile.profile_block():
-            return _replay_trace_impl(job, trace)
-    return _replay_trace_impl(job, trace)
-
-
-def _replay_trace_impl(job: SimJob, trace) -> ReplayOutcome:
     """Replay a prepared trace through fresh spec-built components.
 
     Pure in the job description: no shared mutable state is read, which

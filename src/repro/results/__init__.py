@@ -2,9 +2,8 @@
 
 :class:`~repro.results.store.ResultStore` persists every executed
 :class:`~repro.engine.job.SimJob` outcome keyed by fingerprint into a
-sqlite database, alongside rendered experiment records and the
-telemetry runs of ``sweeps run --telemetry/--trace-out/--profile``.
-See ``docs/sweeps.md``.
+sqlite database, alongside rendered experiment records.  See
+``docs/sweeps.md``.
 """
 
 from repro.results.store import (
@@ -13,7 +12,6 @@ from repro.results.store import (
     JobRecord,
     ResultStore,
     StoreSchemaError,
-    TelemetryRun,
 )
 
 __all__ = [
@@ -22,5 +20,4 @@ __all__ = [
     "JobRecord",
     "ResultStore",
     "StoreSchemaError",
-    "TelemetryRun",
 ]

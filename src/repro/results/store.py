@@ -1,10 +1,9 @@
-"""Schema-versioned sqlite store for job outcomes and telemetry runs.
+"""Schema-versioned sqlite store for job outcomes and experiment records.
 
 The store is the durable half of the sweep layer: every executed
 :class:`~repro.engine.job.SimJob` lands here keyed by its fingerprint,
-every rendered experiment record lands here keyed by its settings hash,
-and every telemetry-collecting ``sweeps run`` appends its metrics
-document.  Re-running a sweep consults the store first, so only missing
+and every rendered experiment record lands here keyed by its settings
+hash.  Re-running a sweep consults the store first, so only missing
 work executes, and paper tables re-render from stored rows without
 touching the engine.
 
@@ -29,7 +28,6 @@ caches keep the bulky artifacts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import sqlite3
@@ -48,7 +46,6 @@ __all__ = [
     "JobRecord",
     "ResultStore",
     "StoreSchemaError",
-    "TelemetryRun",
 ]
 
 logger = logging.getLogger(__name__)
@@ -56,7 +53,7 @@ logger = logging.getLogger(__name__)
 #: Version of the sqlite layout.  Bump on any table/column change so a
 #: store written by an older layout fails loudly on open -- unless an
 #: in-place migration is registered in ``_MIGRATIONS`` below.
-STORE_SCHEMA = 3
+STORE_SCHEMA = 4
 
 _TABLES = """
 CREATE TABLE IF NOT EXISTS meta (
@@ -83,36 +80,22 @@ CREATE TABLE IF NOT EXISTS experiments (
     rows TEXT,
     formatted TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS telemetry (
-    run_id INTEGER PRIMARY KEY AUTOINCREMENT,
-    name TEXT NOT NULL,
-    fingerprint TEXT NOT NULL,
-    metrics TEXT NOT NULL,
-    profile TEXT,
-    meta TEXT NOT NULL,
-    digest TEXT NOT NULL
-);
 CREATE INDEX IF NOT EXISTS jobs_benchmark ON jobs (benchmark);
-CREATE INDEX IF NOT EXISTS telemetry_name ON telemetry (name);
 """
 
-#: In-place upgrades: ``old store_schema -> description``.  v2 added
-#: the ``telemetry`` table (created by the ``CREATE TABLE IF NOT
-#: EXISTS`` script on open) and v3 dropped the retired ``bench`` table,
-#: so both upgrades run :data:`_DROP_BENCH` and re-stamp; job,
-#: experiment and telemetry rows are untouched.
+#: In-place upgrades: ``old store_schema -> description``.  v3 dropped
+#: the retired ``bench`` table and v4 the retired ``telemetry`` table,
+#: so every upgrade runs :data:`_DROP_RETIRED` and re-stamps; job and
+#: experiment rows are untouched.
 _MIGRATIONS = {
-    "1": "add telemetry table, drop bench table",
-    "2": "drop bench table",
+    "1": "drop bench table",
+    "2": "drop bench and telemetry tables",
+    "3": "drop telemetry table",
 }
-_DROP_BENCH = "DROP INDEX IF EXISTS bench_name; DROP TABLE IF EXISTS bench;"
-
-
-def _telemetry_digest(metrics: Dict, profile: Optional[Dict]) -> str:
-    canonical = json.dumps(
-        {"metrics": metrics, "profile": profile}, sort_keys=True
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+_DROP_RETIRED = (
+    "DROP INDEX IF EXISTS bench_name; DROP TABLE IF EXISTS bench;"
+    "DROP INDEX IF EXISTS telemetry_name; DROP TABLE IF EXISTS telemetry;"
+)
 
 
 class StoreSchemaError(RuntimeError):
@@ -147,26 +130,8 @@ class ExperimentRecord:
     formatted: str
 
 
-@dataclass(frozen=True)
-class TelemetryRun:
-    """One persisted telemetry snapshot (+ optional profile digest).
-
-    ``fingerprint`` keys the run to what produced it -- a sweep's
-    job-set fingerprint -- while ``run_id`` orders repeated runs of the
-    same thing over time.
-    """
-
-    run_id: int
-    name: str
-    fingerprint: str
-    metrics: Dict
-    profile: Optional[Dict]
-    meta: Dict
-    digest: str
-
-
 class ResultStore:
-    """Sqlite-backed store for jobs, experiment records and telemetry runs.
+    """Sqlite-backed store for job outcomes and experiment records.
 
     Args:
         path: Database file (parent directories are created), or
@@ -207,10 +172,8 @@ class ResultStore:
         if set(drifted) == {"store_schema"}:
             old = drifted["store_schema"][0]
             if old in _MIGRATIONS:
-                # The new tables were already created by the CREATE ...
-                # IF NOT EXISTS script above; drop the retired one, then
-                # re-stamp.
-                self._db.executescript(_DROP_BENCH)
+                # Drop the retired tables, then re-stamp.
+                self._db.executescript(_DROP_RETIRED)
                 self._db.execute(
                     "UPDATE meta SET value = ? WHERE key = 'store_schema'",
                     (str(STORE_SCHEMA),),
@@ -446,99 +409,6 @@ class ResultStore:
             )
         )
 
-    # -- telemetry runs ---------------------------------------------------
-
-    def put_telemetry(
-        self,
-        name: str,
-        fingerprint: str,
-        metrics: Dict,
-        profile: Optional[Dict] = None,
-        meta: Optional[Dict] = None,
-    ) -> int:
-        """Persist one run's telemetry snapshot; returns its run id.
-
-        ``metrics`` is a metrics document (:func:`repro.telemetry
-        .metrics_doc`), ``profile`` an optional profile document.  The
-        stored digest covers both, and reads re-validate it -- same
-        corrupt-row contract as job rows.
-        """
-        digest = _telemetry_digest(metrics, profile)
-        cursor = self._db.execute(
-            "INSERT INTO telemetry (name, fingerprint, metrics, profile,"
-            " meta, digest) VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                name,
-                fingerprint,
-                json.dumps(metrics, sort_keys=True),
-                None if profile is None else json.dumps(profile, sort_keys=True),
-                json.dumps(meta or {}, sort_keys=True),
-                digest,
-            ),
-        )
-        self._db.commit()
-        tel = telemetry.get_registry()
-        if tel.enabled:
-            tel.counter("result_store_puts_total", kind="telemetry").inc()
-        return int(cursor.lastrowid)
-
-    def get_telemetry(self, run_id: int) -> Optional[TelemetryRun]:
-        """Fetch one telemetry run, re-validating its digest."""
-        row = self._db.execute(
-            "SELECT run_id, name, fingerprint, metrics, profile, meta,"
-            " digest FROM telemetry WHERE run_id = ?",
-            (run_id,),
-        ).fetchone()
-        if row is None:
-            return None
-        try:
-            metrics = json.loads(row[3])
-            profile = None if row[4] is None else json.loads(row[4])
-            meta = json.loads(row[5])
-            ok = _telemetry_digest(metrics, profile) == row[6]
-        except (ValueError, TypeError):
-            metrics = profile = meta = None
-            ok = False
-        if not ok:
-            log_event(
-                "result_store_corrupt_row",
-                message="stored telemetry fails digest validation",
-                logger=logger,
-                path=self.path,
-                run_id=run_id,
-            )
-            tel = telemetry.get_registry()
-            if tel.enabled:
-                tel.counter("result_store_corrupt_rows_total").inc()
-            return None
-        return TelemetryRun(
-            run_id=row[0],
-            name=row[1],
-            fingerprint=row[2],
-            metrics=metrics,
-            profile=profile,
-            meta=meta,
-            digest=row[6],
-        )
-
-    def telemetry_runs(
-        self, name: Optional[str] = None
-    ) -> List[Tuple[int, str, str, bool]]:
-        """``(run_id, name, fingerprint, has_profile)`` rows, oldest
-        first, optionally filtered by name."""
-        where, params = ("", ())
-        if name is not None:
-            where, params = (" WHERE name = ?", (name,))
-        return [
-            (row[0], row[1], row[2], row[3] is not None)
-            for row in self._db.execute(
-                "SELECT run_id, name, fingerprint, profile FROM telemetry"
-                + where
-                + " ORDER BY run_id",
-                params,
-            )
-        ]
-
     # -- maintenance ------------------------------------------------------
 
     def corrupt_job(self, fingerprint: str) -> None:
@@ -555,8 +425,5 @@ class ResultStore:
             "jobs": self.job_count(),
             "experiments": self._db.execute(
                 "SELECT COUNT(*) FROM experiments"
-            ).fetchone()[0],
-            "telemetry": self._db.execute(
-                "SELECT COUNT(*) FROM telemetry"
             ).fetchone()[0],
         }

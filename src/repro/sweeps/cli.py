@@ -25,7 +25,6 @@ instance overrides in the spec apply on top.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -124,13 +123,6 @@ def add_run_args(
         "--trace-out", default=None, metavar="PATH",
         help="write the span/log event stream as JSON lines to PATH",
     )
-    parser.add_argument(
-        "--profile", nargs="?", const="", default=None, metavar="PATH",
-        help=(
-            "profile each replay (cProfile + per-span CPU/alloc); "
-            "with PATH, also write the profile document there"
-        ),
-    )
 
 
 def _specs(names: List[str]):
@@ -145,18 +137,6 @@ def _settings(args):
     )
 
 
-def _jobs_fingerprint(specs, base) -> str:
-    """Content address of the combined job set a run covers."""
-    from repro.sweeps.dag import SweepDag
-
-    fingerprints = sorted(
-        job.fingerprint
-        for spec in specs
-        for job in SweepDag.from_spec(spec, base).job_list()
-    )
-    return hashlib.sha256("\n".join(fingerprints).encode("utf-8")).hexdigest()
-
-
 def _write_markdown(path: str, markdown: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(markdown)
@@ -167,8 +147,7 @@ def _write_markdown(path: str, markdown: str) -> None:
 def _store_line(path: str, summary: dict) -> str:
     return (
         f"store {path}: {summary['jobs']} job(s), "
-        f"{summary['experiments']} experiment record(s), "
-        f"{summary['telemetry']} telemetry run(s)"
+        f"{summary['experiments']} experiment record(s)"
     )
 
 
@@ -185,16 +164,10 @@ def run_specs(args, specs, store_path: str) -> int:
     configure_engine(
         max_workers=args.jobs, cache_dir=args.cache_dir, executor="auto"
     )
-    collecting = bool(
-        args.telemetry or args.trace_out or args.profile is not None
-    )
-    if collecting:
+    if args.telemetry or args.trace_out:
         telemetry.enable()
         if args.trace_out:
             telemetry.set_trace_path(args.trace_out)
-    if args.profile is not None:
-        telemetry.enable_profiling()
-        telemetry.reset_profile()
     with ResultStore(store_path) as store:
         for spec in specs:
             print(run_sweep(spec, store, base, stream=sys.stdout).format())
@@ -205,35 +178,11 @@ def run_specs(args, specs, store_path: str) -> int:
                     render_from_store(spec, store, base) for spec in specs
                 ),
             )
-        if collecting:
-            # Persist this run's telemetry (and profile digest) so the
-            # history is queryable and diffable later.
-            profile_doc = (
-                telemetry.profile_document()
-                if args.profile is not None
-                else None
-            )
-            run_id = store.put_telemetry(
-                name="sweep-" + "+".join(spec.name for spec in specs),
-                fingerprint=_jobs_fingerprint(specs, base),
-                metrics=telemetry.metrics_doc(),
-                profile=profile_doc,
-                meta={"specs": [spec.name for spec in specs],
-                      "workers": args.jobs},
-            )
-            print(f"stored telemetry run {run_id} in {store_path}")
         summary = store.summary()
     print(_store_line(store_path, summary))
     if args.telemetry:
         print("wrote telemetry metrics to "
               + telemetry.write_metrics(args.telemetry))
-    if args.profile:
-        from repro.telemetry.profile import write_profile
-
-        write_profile(args.profile)
-        print(f"wrote profile document to {args.profile}")
-    if args.profile is not None:
-        telemetry.disable_profiling()
     if args.trace_out:
         telemetry.close_trace()
         print(f"wrote telemetry trace to {args.trace_out}")
@@ -271,39 +220,6 @@ def _cmd_status(args) -> int:
 
 def _cmd_query(args) -> int:
     with ResultStore(args.store) as store:
-        if args.run is not None:
-            run = store.get_telemetry(args.run)
-            if run is None:
-                print(
-                    f"error: no telemetry run {args.run} in {args.store}",
-                    file=sys.stderr,
-                )
-                return 1
-            from repro.telemetry.diff import RUN_KIND
-
-            print(
-                json.dumps(
-                    {
-                        "kind": RUN_KIND,
-                        "run_id": run.run_id,
-                        "name": run.name,
-                        "fingerprint": run.fingerprint,
-                        "metrics": run.metrics,
-                        "profile": run.profile,
-                        "meta": run.meta,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return 0
-        if args.runs:
-            runs = store.telemetry_runs(name=args.benchmark)
-            for run_id, name, fingerprint, has_profile in runs:
-                profiled = " +profile" if has_profile else ""
-                print(f"{run_id:>6}  {name:<24} {fingerprint[:12]}{profiled}")
-            print(f"{len(runs)} telemetry run(s)")
-            return 0
         records = store.query_jobs(
             benchmark=args.benchmark, backend=args.query_backend
         )
@@ -386,14 +302,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_query.add_argument(
         "--json", action="store_true", help="emit JSON instead of a table"
-    )
-    p_query.add_argument(
-        "--runs", action="store_true",
-        help="list stored telemetry runs (--benchmark filters by name)",
-    )
-    p_query.add_argument(
-        "--run", type=int, default=None, metavar="ID",
-        help="dump one telemetry run as a JSON document (diffable)",
     )
     p_query.set_defaults(func=_cmd_query)
 

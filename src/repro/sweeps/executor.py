@@ -111,53 +111,45 @@ def run_sweep(
     start = time.monotonic()
     dag = SweepDag.from_spec(spec, base)
     engine = get_engine()
-    tel = telemetry.get_registry()
-    was_enabled = tel.enabled
-    tel.enabled = True
     executed_before = engine.stats.executed
     experiments_run = 0
-    try:
-        with telemetry.trace_span("sweep", spec=spec.name):
-            # Jobs without a valid stored outcome; each leaves the map
-            # the moment the store holds it.
-            todo = {
-                job.fingerprint: job for job in store.missing(dag.job_list())
-            }
-            log_event(
-                "sweep_plan",
-                level=logging.INFO,
-                message="sweep expanded",
-                spec=spec.name,
-                unique_jobs=len(dag.jobs),
-                submitted_jobs=dag.submitted_jobs,
-                missing_jobs=len(todo),
-                experiments=len(dag.experiments),
-            )
+    with telemetry.trace_span("sweep", spec=spec.name):
+        # Jobs without a valid stored outcome; each leaves the map the
+        # moment the store holds it.
+        todo = {job.fingerprint: job for job in store.missing(dag.job_list())}
+        log_event(
+            "sweep_plan",
+            level=logging.INFO,
+            message="sweep expanded",
+            spec=spec.name,
+            unique_jobs=len(dag.jobs),
+            submitted_jobs=dag.submitted_jobs,
+            missing_jobs=len(todo),
+            experiments=len(dag.experiments),
+        )
 
-            def persist(job, outcome) -> None:
-                if job.fingerprint in todo:
-                    store.put_job(job, outcome.canonical_metrics())
-                    del todo[job.fingerprint]
+        def persist(job, outcome) -> None:
+            if job.fingerprint in todo:
+                store.put_job(job, outcome.canonical_metrics())
+                del todo[job.fingerprint]
 
-            engine.result_sink = persist
-            try:
-                for node in dag.experiments:
-                    if store.get_experiment(node.key) is None:
-                        _render(node, store, stream)
-                        experiments_run += 1
-                    # Outcomes served from the engine's caches never
-                    # reach the sink; persist them so the store heals.
-                    pending = [
-                        todo[fp] for fp in node.job_fingerprints if fp in todo
-                    ]
-                    if pending:
-                        outcomes = engine.run(pending)
-                        for job, outcome in zip(pending, outcomes):
-                            persist(job, outcome)
-            finally:
-                engine.result_sink = None
-    finally:
-        tel.enabled = was_enabled
+        engine.result_sink = persist
+        try:
+            for node in dag.experiments:
+                if store.get_experiment(node.key) is None:
+                    _render(node, store, stream)
+                    experiments_run += 1
+                # Outcomes served from the engine's caches never reach
+                # the sink; persist them so the store heals.
+                pending = [
+                    todo[fp] for fp in node.job_fingerprints if fp in todo
+                ]
+                if pending:
+                    outcomes = engine.run(pending)
+                    for job, outcome in zip(pending, outcomes):
+                        persist(job, outcome)
+        finally:
+            engine.result_sink = None
     return SweepOutcome(
         spec=spec.name,
         planned_jobs=len(dag.jobs),

@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, span tracing and exporters.
+"""Unified telemetry: metrics registry, span tracing and a report.
 
 Zero-dependency observability for the whole stack -- engine, caches,
 fast path, pipeline simulator, verification and trace generation all
@@ -42,25 +42,9 @@ from __future__ import annotations
 
 from repro.telemetry.export import (
     metrics_doc,
-    render_json,
     render_markdown,
-    render_prometheus,
     snapshot_from_doc,
     write_metrics,
-)
-from repro.telemetry.diff import RUN_KIND, TelemetryDiff, diff_runs
-from repro.telemetry.profile import (
-    PROFILE_SCHEMA,
-    disable_profiling,
-    drain_profile,
-    enable_profiling,
-    merge_profile,
-    profile_block,
-    profile_document,
-    profiling_enabled,
-    reset_profile,
-    validate_profile_doc,
-    write_profile,
 )
 from repro.telemetry.registry import (
     COUNT_BUCKETS,
@@ -130,28 +114,12 @@ __all__ = [
     "worker_begin",
     "worker_collect",
     "absorb_shipment",
-    "PROFILE_SCHEMA",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-    "profile_block",
-    "profile_document",
-    "drain_profile",
-    "merge_profile",
-    "reset_profile",
-    "validate_profile_doc",
-    "write_profile",
-    "RUN_KIND",
-    "TelemetryDiff",
-    "diff_runs",
     "chrome_trace",
     "write_chrome_trace",
     "metrics_doc",
     "snapshot_from_doc",
     "write_metrics",
-    "render_json",
     "render_markdown",
-    "render_prometheus",
     "validate_event",
     "validate_metrics_doc",
     "validate_trace_file",

@@ -1,9 +1,10 @@
-"""Exporters for collected telemetry: JSON, Prometheus text, Markdown.
+"""The metrics document and its Markdown report.
 
-All three render the same :class:`~repro.telemetry.registry.MetricsSnapshot`
-(or a saved metrics document, which is the JSON form of one), so a
-metrics file written by ``--telemetry`` can be re-rendered later with
-``python -m repro.telemetry report``.
+:func:`metrics_doc` is the schema-versioned JSON form of a
+:class:`~repro.telemetry.registry.MetricsSnapshot`; ``--telemetry``
+writes it through :func:`write_metrics`, and
+``python -m repro.telemetry report`` renders a saved one with
+:func:`render_markdown`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ __all__ = [
     "metrics_doc",
     "snapshot_from_doc",
     "write_metrics",
-    "render_json",
-    "render_prometheus",
     "render_markdown",
 ]
 
@@ -60,65 +59,6 @@ def write_metrics(path: str, snapshot: Optional[MetricsSnapshot] = None) -> str:
         json.dump(metrics_doc(snapshot), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def _prom_key(key: str) -> str:
-    """``name{a=b}`` -> ``name{a="b"}`` (Prometheus label quoting)."""
-    name, labels = parse_key(key)
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in sorted(labels.items()))
-    return f"{name}{{{inner}}}"
-
-
-def _prom_labels_with(key: str, extra_key: str, extra_value: str) -> str:
-    name, labels = parse_key(key)
-    pairs = sorted(labels.items()) + [(extra_key, extra_value)]
-    inner = ",".join(f'{k}="{v}"' for k, v in pairs)
-    return f"{name}{{{inner}}}"
-
-
-def render_prometheus(doc: dict) -> str:
-    """Prometheus text exposition of a metrics document."""
-    lines: List[str] = []
-    typed = set()
-
-    def _type_line(key: str, kind: str):
-        name, _ = parse_key(key)
-        if name not in typed:
-            typed.add(name)
-            lines.append(f"# TYPE {name} {kind}")
-
-    for key, value in sorted(doc.get("counters", {}).items()):
-        _type_line(key, "counter")
-        lines.append(f"{_prom_key(key)} {value}")
-    for key, value in sorted(doc.get("gauges", {}).items()):
-        _type_line(key, "gauge")
-        lines.append(f"{_prom_key(key)} {value}")
-    for key, hist in sorted(doc.get("histograms", {}).items()):
-        _type_line(key, "histogram")
-        name, _ = parse_key(key)
-        cumulative = 0
-        for bound, count in zip(hist["buckets"], hist["counts"]):
-            cumulative += count
-            lines.append(
-                f"{_prom_labels_with(key, 'le', repr(float(bound)))} {cumulative}"
-            )
-        cumulative += hist["counts"][-1]
-        lines.append(f"{_prom_labels_with(key, 'le', '+Inf')} {cumulative}")
-        base, labels = parse_key(key)
-        suffix = (
-            "{" + ",".join(f'{k}="{v}"' for k, v in sorted(labels.items())) + "}"
-            if labels
-            else ""
-        )
-        lines.append(f"{base}_sum{suffix} {hist['sum']}")
-        lines.append(f"{base}_count{suffix} {hist['count']}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _grouped(entries: Dict[str, object]) -> Dict[str, Dict[str, object]]:

@@ -1,6 +1,6 @@
 """The stable telemetry schemas plus zero-dependency validators.
 
-Three documents leave the telemetry layer:
+Two documents leave the telemetry layer:
 
 **Metrics document** (``--telemetry[=PATH]``, JSON)::
 
@@ -22,24 +22,19 @@ Three documents leave the telemetry layer:
     {"event": "meta", "schema": 2, "pid": int}
     {"event": "span", "name": str, "span_id": int,
      "parent_id": int|null, "pid": int, "ts": number,
-     "duration_s": number, "ok": bool,
-     "cpu_ns": int?, "alloc_bytes": int?, "fields": {...}?}
+     "duration_s": number, "ok": bool, "fields": {...}?}
     {"event": "log", "name": str, "level": str, "message": str,
      "parent_id": int|null, "pid": int, "ts": number, "fields": {...}}
 
 Schema 2 made traces cross-process mergeable: every event carries the
 emitting ``pid``, spans carry a shared-monotonic start ``ts``, span ids
-are pid-namespaced (collision-free across workers), histograms track a
-running ``max``, and profiling may attach ``cpu_ns``/``alloc_bytes``
-to spans.
+are pid-namespaced (collision-free across workers), and histograms
+track a running ``max``.
 
-**Profile document** (``--profile[=PATH]``, JSON) — see
-:mod:`repro.telemetry.profile` for its schema and validator.
-
-All schemas are versioned; bump the constants when a field changes
-meaning so saved runs from different versions are never silently
-diffed against each other.  Validation is hand-rolled (no jsonschema
-dependency) and returns human-readable error strings.
+Both schemas are versioned; bump the constants when a field changes
+meaning so files from different versions are never silently read as
+one another.  Validation is hand-rolled (no jsonschema dependency) and
+returns human-readable error strings.
 """
 
 from __future__ import annotations
@@ -168,10 +163,6 @@ def validate_event(obj) -> List[str]:
             errors.append("span event: duration_s must be a number")
         if not isinstance(obj.get("ok"), bool):
             errors.append("span event: ok must be a boolean")
-        if "cpu_ns" in obj and not _is_int(obj["cpu_ns"]):
-            errors.append("span event: cpu_ns must be an integer")
-        if "alloc_bytes" in obj and not _is_int(obj["alloc_bytes"]):
-            errors.append("span event: alloc_bytes must be an integer")
         if "fields" in obj and not isinstance(obj["fields"], dict):
             errors.append("span event: fields must be an object")
     else:  # log

@@ -20,11 +20,6 @@ home with the metrics snapshot; the parent re-emits them with
 :func:`replay_captured`, re-parenting worker root spans under its own
 open span.
 
-When profiling is enabled (:mod:`repro.telemetry.profile`), each span
-additionally records its CPU time (``cpu_ns``, from
-``time.process_time_ns``) and allocation delta (``alloc_bytes``, from
-``tracemalloc``) and feeds a ``span_cpu_seconds`` histogram.
-
 :func:`log_event` emits point-in-time structured events into the same
 stream (and mirrors them to stdlib ``logging``), which is how ad-hoc
 warnings like cache corruption become countable, diffable records.
@@ -221,16 +216,7 @@ _NOOP_SPAN = _NoopSpan()
 
 
 class _Span:
-    __slots__ = (
-        "name",
-        "fields",
-        "span_id",
-        "parent_id",
-        "_start",
-        "_wall",
-        "_cpu",
-        "_alloc",
-    )
+    __slots__ = ("name", "fields", "span_id", "parent_id", "_start")
 
     def __init__(self, name: str, fields: dict):
         self.name = name
@@ -239,9 +225,6 @@ class _Span:
         stack = _span_stack()
         self.parent_id = stack[-1] if stack else None
         self._start = 0.0
-        self._wall = 0.0
-        self._cpu = None
-        self._alloc = None
 
     def note(self, **fields) -> None:
         """Attach fields discovered mid-span (e.g. the cache tier hit)."""
@@ -249,13 +232,7 @@ class _Span:
 
     def __enter__(self):
         _span_stack().append(self.span_id)
-        from repro.telemetry import profile
-
-        if profile.profiling_enabled():
-            self._cpu = time.process_time_ns()
-            self._alloc = profile.traced_alloc_bytes()
-        self._wall = time.monotonic()
-        self._start = self._wall
+        self._start = time.monotonic()
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -278,18 +255,6 @@ class _Span:
             "duration_s": duration,
             "ok": exc_type is None,
         }
-        if self._cpu is not None:
-            from repro.telemetry import profile
-
-            cpu_ns = time.process_time_ns() - self._cpu
-            event["cpu_ns"] = cpu_ns
-            alloc = profile.traced_alloc_bytes()
-            if alloc is not None and self._alloc is not None:
-                event["alloc_bytes"] = alloc - self._alloc
-            if registry.enabled:
-                registry.histogram(
-                    "span_cpu_seconds", buckets=SECONDS_BUCKETS, span=self.name
-                ).observe(cpu_ns / 1e9)
         if self.fields:
             event["fields"] = self.fields
         _emit(event)

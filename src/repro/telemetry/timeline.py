@@ -79,10 +79,6 @@ def chrome_trace(events: List[dict], meta_pid: Optional[int] = None) -> dict:
             args["span_id"] = event["span_id"]
             args["parent_id"] = event["parent_id"]
             args["ok"] = event["ok"]
-            if "cpu_ns" in event:
-                args["cpu_ns"] = event["cpu_ns"]
-            if "alloc_bytes" in event:
-                args["alloc_bytes"] = event["alloc_bytes"]
             trace_events.append(
                 {
                     "name": event["name"],

@@ -13,7 +13,7 @@ this three-step protocol:
 2. :func:`worker_collect` -- drain everything collected since
    :func:`worker_begin` into a picklable :class:`WorkerShipment`;
 3. :func:`absorb_shipment` -- parent side: fold a shipment into the
-   local registry/trace/profile state.
+   local registry and trace state.
 
 The *capture* decision (should span events be buffered for the parent
 to re-emit?) is sticky per worker process: a forked worker decides from
@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.telemetry import profile as _profile
 from repro.telemetry.registry import (
     MetricsSnapshot,
     disable,
@@ -66,22 +65,13 @@ _worker_capture: Optional[bool] = None
 class WorkerShipment:
     """Everything one unit of worker-side work sends home (picklable).
 
-    ``metrics`` and ``profile`` are ``None`` when the worker ran in the
-    parent-counts regime (``count=False``); ``events`` is empty when
-    span capture was not armed.
+    ``metrics`` is ``None`` when the worker ran in the parent-counts
+    regime (``count=False``); ``events`` is empty when span capture was
+    not armed.
     """
 
     metrics: Optional[MetricsSnapshot] = None
     events: List[dict] = field(default_factory=list)
-    profile: Optional[dict] = None
-
-    @property
-    def empty(self) -> bool:
-        return (
-            (self.metrics is None or self.metrics.empty)
-            and not self.events
-            and not self.profile
-        )
 
 
 def worker_begin(count: bool) -> None:
@@ -100,7 +90,6 @@ def worker_begin(count: bool) -> None:
     if count:
         registry = enable()
         registry.reset()
-        _profile.reset_profile()
     else:
         disable()
     if _worker_capture:
@@ -116,8 +105,7 @@ def worker_collect(count: bool) -> WorkerShipment:
     """
     events = drain_span_capture() if _worker_capture else []
     metrics = get_registry().drain() if count else None
-    prof = _profile.drain_profile() if count else None
-    return WorkerShipment(metrics=metrics, events=events, profile=prof)
+    return WorkerShipment(metrics=metrics, events=events)
 
 
 def absorb_shipment(shipment: Optional[WorkerShipment]) -> None:
@@ -125,9 +113,9 @@ def absorb_shipment(shipment: Optional[WorkerShipment]) -> None:
 
     ``None`` (work that ran in-process and shipped nothing) is a no-op.
     Captured span events are re-emitted under the currently open span
-    (see :func:`~repro.telemetry.spans.replay_captured`); metric and
-    profile merges are plain additions, so parent totals are
-    independent of how work was scheduled across workers.
+    (see :func:`~repro.telemetry.spans.replay_captured`); the metric
+    merge is a plain addition, so parent totals are independent of how
+    work was scheduled across workers.
     """
     if shipment is None:
         return
@@ -135,5 +123,3 @@ def absorb_shipment(shipment: Optional[WorkerShipment]) -> None:
         get_registry().merge(shipment.metrics)
     if shipment.events:
         replay_captured(shipment.events)
-    if shipment.profile:
-        _profile.merge_profile(shipment.profile)

@@ -1,11 +1,9 @@
 """Tests for the flight-recorder layer added on top of telemetry.
 
 Covers the cross-process span contract (pid-namespaced span ids, the
-worker capture/replay handoff, the Chrome-trace timeline export), the
-opt-in profiling attribution (per-span CPU/alloc, cProfile hotspot
-accumulator and its worker merge), histogram quantiles and the new
-Markdown percentile columns, the persisted telemetry history in the
-result store, and the telemetry diff and its CLI.
+worker capture/replay handoff, the Chrome-trace timeline export),
+histogram quantiles and the Markdown percentile columns, and the
+event-schema error paths.
 """
 
 import json
@@ -15,15 +13,7 @@ import pytest
 
 from repro import telemetry
 from repro.engine import Engine, EstimatorSpec, SimJob
-from repro.results import ResultStore
 from repro.telemetry import spans as spans_mod
-from repro.telemetry.diff import diff_runs, load_run_document
-from repro.telemetry.profile import (
-    PROFILE_KIND,
-    PROFILE_SCHEMA,
-    profile_block,
-    validate_profile_doc,
-)
 from repro.telemetry.registry import (
     SECONDS_BUCKETS,
     MetricsRegistry,
@@ -46,15 +36,11 @@ def _clean_telemetry():
     telemetry.close_trace()
     telemetry.disable()
     telemetry.reset()
-    telemetry.disable_profiling()
-    telemetry.reset_profile()
     telemetry.drain_span_capture()
     yield
     telemetry.close_trace()
     telemetry.disable()
     telemetry.reset()
-    telemetry.disable_profiling()
-    telemetry.reset_profile()
     telemetry.drain_span_capture()
 
 
@@ -224,8 +210,6 @@ class TestSchemaErrorPaths:
             ("ts", "now", "ts"),
             ("duration_s", None, "duration_s"),
             ("ok", 1, "ok"),
-            ("cpu_ns", 1.5, "cpu_ns"),
-            ("alloc_bytes", "x", "alloc_bytes"),
             ("fields", [1], "fields"),
         ]:
             problems = validate_event({**base, field: bad})
@@ -353,226 +337,6 @@ class TestTimelineExport:
         assert main(["timeline", str(tmp_path / "nope.jsonl"), "-o", out]) == 2
 
 
-class TestProfiling:
-    def test_profile_block_accumulates_hotspots(self):
-        telemetry.enable_profiling()
-
-        def busy():
-            return sum(i * i for i in range(20_000))
-
-        with profile_block():
-            busy()
-        doc = telemetry.profile_document()
-        assert validate_profile_doc(doc) == []
-        assert doc["schema"] == PROFILE_SCHEMA and doc["kind"] == PROFILE_KIND
-        assert any("busy" in h["func"] for h in doc["hotspots"])
-
-    def test_profile_block_noop_when_disabled_or_nested(self):
-        with profile_block():  # profiling off: plain passthrough
-            pass
-        assert telemetry.profile_document()["hotspots"] == []
-        telemetry.enable_profiling()
-        with profile_block():
-            with profile_block():  # nested: inner must not re-enter cProfile
-                sum(range(1000))
-        assert telemetry.profile_document()["total_functions"] > 0
-
-    def test_drain_and_merge_roundtrip(self):
-        telemetry.enable_profiling()
-        with profile_block():
-            sorted(range(1000), reverse=True)
-        drained = telemetry.drain_profile()
-        assert drained and telemetry.profile_document()["hotspots"] == []
-        telemetry.merge_profile(drained)
-        telemetry.merge_profile(drained)  # additive
-        doc = telemetry.profile_document()
-        key = next(iter(drained))
-        merged = next(h for h in doc["hotspots"] if h["func"] == key)
-        assert merged["calls"] == 2 * drained[key][0]
-
-    def test_spans_record_cpu_and_alloc_when_profiling(self, tmp_path):
-        telemetry.enable_profiling()
-        path = str(tmp_path / "t.jsonl")
-        telemetry.set_trace_path(path)
-        telemetry.enable()
-        with telemetry.trace_span("work"):
-            blob = list(range(50_000))
-            del blob
-        telemetry.close_trace()
-        span = _trace_lines(path)[1]
-        assert isinstance(span["cpu_ns"], int)
-        assert isinstance(span["alloc_bytes"], int)
-        snap = telemetry.get_registry().snapshot()
-        assert snap.histograms["span_cpu_seconds{span=work}"]["count"] == 1
-
-    def test_spans_skip_profiling_fields_when_off(self, tmp_path):
-        path = str(tmp_path / "t.jsonl")
-        telemetry.set_trace_path(path)
-        with telemetry.trace_span("work"):
-            pass
-        telemetry.close_trace()
-        span = _trace_lines(path)[1]
-        assert "cpu_ns" not in span and "alloc_bytes" not in span
-
-    def test_validate_profile_doc_errors(self):
-        assert validate_profile_doc([]) != []
-        assert any(
-            "schema" in p
-            for p in validate_profile_doc(
-                {"schema": 99, "kind": PROFILE_KIND,
-                 "total_functions": 0, "hotspots": []}
-            )
-        )
-        bad_spot = {
-            "schema": PROFILE_SCHEMA, "kind": PROFILE_KIND,
-            "total_functions": 1,
-            "hotspots": [{"func": 3, "calls": "x", "prim_calls": 1,
-                          "self_s": "y", "cum_s": 0.1}],
-        }
-        problems = validate_profile_doc(bad_spot)
-        assert any("func" in p for p in problems)
-        assert any("calls" in p for p in problems)
-        assert any("self_s" in p for p in problems)
-
-
-def _metrics_with_spans(spans):
-    """A metrics document with one span_seconds series per (name, secs)."""
-    reg = MetricsRegistry(enabled=True)
-    for name, seconds in spans:
-        reg.histogram(
-            "span_seconds", buckets=SECONDS_BUCKETS, span=name
-        ).observe(seconds)
-    return telemetry.metrics_doc(reg.snapshot())
-
-
-def _profile_doc(hotspots):
-    return {
-        "schema": PROFILE_SCHEMA,
-        "kind": PROFILE_KIND,
-        "total_functions": len(hotspots),
-        "hotspots": [
-            {"func": func, "calls": 1, "prim_calls": 1,
-             "self_s": cum, "cum_s": cum}
-            for func, cum in hotspots
-        ],
-    }
-
-
-class TestDiff:
-    def test_rank_orders_by_added_seconds(self):
-        a = _metrics_with_spans([("replay", 1.0), ("tracegen", 0.5)])
-        b = _metrics_with_spans([("replay", 4.0), ("tracegen", 0.4)])
-        diff = diff_runs(a, b)
-        suspects = diff.rank()
-        assert suspects[0] == {
-            "kind": "span", "name": "replay", "delta_s": pytest.approx(3.0),
-        }
-        # Spans that got *faster* are never suspects.
-        assert all(s["name"] != "tracegen" for s in suspects)
-
-    def test_hotspots_merge_into_suspects(self):
-        a = _metrics_with_spans([("replay", 1.0)])
-        b = _metrics_with_spans([("replay", 1.2)])
-        diff = diff_runs(
-            a, b,
-            _profile_doc([("mod.py:1:slow", 0.1)]),
-            _profile_doc([("mod.py:1:slow", 2.5)]),
-        )
-        top = diff.rank()[0]
-        assert top["kind"] == "hotspot" and top["name"] == "mod.py:1:slow"
-
-    def test_counter_deltas_and_markdown(self):
-        a = _metrics_with_spans([("replay", 1.0)])
-        b = _metrics_with_spans([("replay", 2.0)])
-        a["counters"] = {"engine_replays_total": 3}
-        b["counters"] = {"engine_replays_total": 9}
-        diff = diff_runs(a, b, labels=("base", "new"))
-        assert diff.counters[0]["delta"] == 6
-        text = diff.render_markdown()
-        assert "# Telemetry diff: base -> new" in text
-        assert "## Spans (by added seconds)" in text
-        assert "## Counters (by |Δ|)" in text
-        assert "## Top suspects" in text
-        payload = diff.as_dict()
-        assert payload["suspects"][0]["name"] == "replay"
-
-    def test_load_run_document_kinds(self, tmp_path):
-        metrics = _metrics_with_spans([("x", 1.0)])
-        profile = _profile_doc([("f.py:1:f", 1.0)])
-        run = tmp_path / "run.json"
-        run.write_text(json.dumps(
-            {"kind": "repro-telemetry-run", "metrics": metrics,
-             "profile": profile, "meta": {}}
-        ))
-        m, p = load_run_document(str(run))
-        assert m == metrics and p == profile
-        bare = tmp_path / "m.json"
-        bare.write_text(json.dumps(metrics))
-        assert load_run_document(str(bare)) == (metrics, None)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"kind": "nope"}))
-        with pytest.raises(ValueError, match="kind"):
-            load_run_document(str(bad))
-
-    def test_diff_cli_on_files_and_store(self, tmp_path, capsys):
-        from repro.telemetry.cli import main
-
-        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        with open(a, "w") as fh:
-            json.dump(_metrics_with_spans([("replay", 1.0)]), fh)
-        with open(b, "w") as fh:
-            json.dump(_metrics_with_spans([("replay", 3.0)]), fh)
-        assert main(["diff", a, b, "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["suspects"][0]["name"] == "replay"
-
-        store_path = str(tmp_path / "s.sqlite")
-        with ResultStore(store_path) as store:
-            ra = store.put_telemetry(
-                "bench", "fp", _metrics_with_spans([("replay", 1.0)])
-            )
-            rb = store.put_telemetry(
-                "bench", "fp", _metrics_with_spans([("replay", 3.0)])
-            )
-        assert main(
-            ["diff", str(ra), str(rb), "--store", store_path]
-        ) == 0
-        assert "replay" in capsys.readouterr().out
-        assert main(["diff", "98", "99", "--store", store_path]) == 2
-
-
-class TestStoreTelemetry:
-    def test_round_trip_and_listing(self):
-        metrics = _metrics_with_spans([("x", 1.0)])
-        profile = _profile_doc([("f.py:1:f", 1.0)])
-        with ResultStore(":memory:") as store:
-            r1 = store.put_telemetry("sweep-q", "fp1", metrics)
-            r2 = store.put_telemetry(
-                "sweep-q", "fp1", metrics, profile=profile, meta={"w": 2}
-            )
-            run = store.get_telemetry(r2)
-            assert run.metrics == metrics and run.profile == profile
-            assert run.meta == {"w": 2}
-            assert store.get_telemetry(r1).profile is None
-            assert store.telemetry_runs() == [
-                (r1, "sweep-q", "fp1", False), (r2, "sweep-q", "fp1", True),
-            ]
-            assert store.telemetry_runs(name="other") == []
-            assert store.summary()["telemetry"] == 2
-
-    def test_corrupt_run_is_rejected(self):
-        with ResultStore(":memory:") as store:
-            run_id = store.put_telemetry(
-                "b", "fp", _metrics_with_spans([("x", 1.0)])
-            )
-            store._db.execute(
-                "UPDATE telemetry SET metrics = '{}' WHERE run_id = ?",
-                (run_id,),
-            )
-            store._db.commit()
-            assert store.get_telemetry(run_id) is None
-
-
 class TestCrossProcessTrace:
     def test_jobs_trace_merges_worker_spans(self, tmp_path):
         """The acceptance path: a --jobs 2 run yields one coherent trace
@@ -601,12 +365,3 @@ class TestCrossProcessTrace:
             assert span["pid"] != os.getpid()
             assert span["parent_id"] == engine_run["span_id"]
             assert span["fields"]["backend"] == "reference"
-
-    def test_jobs_profile_merges_worker_hotspots(self):
-        telemetry.enable()
-        telemetry.enable_profiling()
-        engine = Engine(max_workers=2)
-        engine.run([JOB.with_(seed=s) for s in (31, 32, 33)])
-        doc = telemetry.profile_document()
-        assert validate_profile_doc(doc) == []
-        assert any("_replay_trace_impl" in h["func"] for h in doc["hotspots"])

@@ -140,25 +140,28 @@ class TestStoreExperiments:
         with ResultStore(":memory:") as store:
             store.put_job(_job(), METRICS)
             store.put_experiment("k", "table2", {}, None, "x")
-            assert store.summary() == {
-                "jobs": 1, "experiments": 1, "telemetry": 0,
-            }
+            assert store.summary() == {"jobs": 1, "experiments": 1}
 
 
 def _legacy_store(path, stamp):
     """A store in an old layout, built by hand: a job row, an
     experiment record and a row in the retired ``bench`` table, plus a
-    telemetry run unless the stamp predates the telemetry table (v1).
-    Returns the job and the telemetry run id (``None`` for v1)."""
+    row in the retired ``telemetry`` table for the stamps that had one
+    (v2, v3).  Returns the job."""
     job = _job()
-    run_id = None
     with ResultStore(path) as store:
         store.put_job(job, METRICS)
         store.put_experiment("k", "table2", {"seed": 1}, [{"a": 1}], "text")
-        if stamp == "1":
-            store._db.execute("DROP TABLE telemetry")
-        else:
-            run_id = store.put_telemetry("sweep-q", "fp", {"counters": {}})
+        if stamp in ("2", "3"):
+            store._db.executescript(
+                "CREATE TABLE telemetry (run_id INTEGER PRIMARY KEY"
+                " AUTOINCREMENT, name TEXT NOT NULL, fingerprint TEXT NOT NULL,"
+                " metrics TEXT NOT NULL, profile TEXT, meta TEXT NOT NULL,"
+                " digest TEXT NOT NULL);"
+                "CREATE INDEX telemetry_name ON telemetry (name);"
+                "INSERT INTO telemetry (name, fingerprint, metrics, meta, digest)"
+                " VALUES ('sweep-q', 'fp', '{}', '{}', 'd');"
+            )
         store._db.executescript(
             "CREATE TABLE bench (id INTEGER PRIMARY KEY AUTOINCREMENT,"
             " name TEXT NOT NULL, seconds REAL NOT NULL, meta TEXT NOT NULL);"
@@ -170,33 +173,30 @@ def _legacy_store(path, stamp):
             "UPDATE meta SET value = ? WHERE key = 'store_schema'", (stamp,)
         )
         store._db.commit()
-    return job, run_id
+    return job
 
 
 class TestMigration:
-    @pytest.mark.parametrize("stamp", ["1", "2"])
+    @pytest.mark.parametrize("stamp", ["1", "2", "3"])
     def test_old_store_migrates_in_place(self, tmp_path, stamp):
         path = str(tmp_path / "r.sqlite")
-        job, run_id = _legacy_store(path, stamp)
+        job = _legacy_store(path, stamp)
         with ResultStore(path) as store:
-            assert STORE_SCHEMA == 3
+            assert STORE_SCHEMA == 4
             assert store._db.execute(
                 "SELECT value FROM meta WHERE key = 'store_schema'"
-            ).fetchone()[0] == "3"
+            ).fetchone()[0] == "4"
             objects = {
                 name
                 for (name,) in store._db.execute(
                     "SELECT name FROM sqlite_master"
                 )
             }
-            assert "bench" not in objects and "bench_name" not in objects
+            retired = {"bench", "bench_name", "telemetry", "telemetry_name"}
+            assert not objects & retired
             assert store.get_job(job.fingerprint).metrics == METRICS
             assert store.get_experiment("k").formatted == "text"
-            if run_id is not None:
-                assert store.get_telemetry(run_id).metrics == {"counters": {}}
-            assert store.summary() == {
-                "jobs": 1, "experiments": 1, "telemetry": int(stamp == "2"),
-            }
+            assert store.summary() == {"jobs": 1, "experiments": 1}
 
     def test_unknown_schema_is_refused_untouched(self, tmp_path):
         path = str(tmp_path / "r.sqlite")

@@ -265,6 +265,15 @@ class TestRunSweep:
         assert outcome.executed_jobs == outcome.planned_jobs == 2
         assert replays == 2
 
+    def test_leaves_disabled_telemetry_uncounted(self, fresh_engine):
+        # Telemetry is off unless the caller turns it on: a sweep must
+        # not count into a registry that nothing writes out.
+        with ResultStore(":memory:") as store:
+            run_sweep(SPEC, store, BASE)
+        registry = telemetry.get_registry()
+        assert not registry.enabled
+        assert registry.snapshot().empty
+
 
 def _write_tiny_spec(tmp_path) -> str:
     path = tmp_path / "tiny.json"
@@ -333,32 +342,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "--executor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--fleet-queue", "--profile"])
     def test_sweeps_run_rejects_fleet_queue_flag(
-        self, tmp_path, fresh_engine, capsys
+        self, tmp_path, fresh_engine, capsys, flag
     ):
         with pytest.raises(SystemExit) as exc:
             sweeps_main([
-                "run", "quick", "--fleet-queue", str(tmp_path / "q.sqlite"),
+                "run", "quick", flag, str(tmp_path / "q.sqlite"),
                 "--branches", "2000", "--store", str(tmp_path / "r.sqlite"),
                 "--cache-dir", str(tmp_path / "cli-cache"),
             ])
         assert exc.value.code == 2
-        assert "--fleet-queue" in capsys.readouterr().err
-
-    def test_bare_profile_stores_a_profiled_telemetry_run(
-        self, tmp_path, fresh_engine, capsys
-    ):
-        spec = _write_tiny_spec(tmp_path)
-        store = str(tmp_path / "r.sqlite")
-        assert sweeps_main([
-            "run", spec, "--store", store,
-            "--cache-dir", str(tmp_path / "cli-cache"), "--profile",
-        ]) == 0
-        assert "1 telemetry run(s)" in capsys.readouterr().out
-        with ResultStore(store) as results:
-            runs = results.telemetry_runs()
-            assert [has_profile for _, _, _, has_profile in runs] == [True]
-            assert results.get_telemetry(runs[0][0]).profile
+        assert flag in capsys.readouterr().err
 
     def test_runner_report_matches_sweeps_run_of_its_spec(
         self, tmp_path, fresh_engine
@@ -390,13 +385,9 @@ class TestCli:
     def test_read_only_commands_refuse_a_missing_store(
         self, tmp_path, capsys
     ):
-        from repro.telemetry.cli import main as telemetry_main
-
         store = str(tmp_path / "typo" / "r.sqlite")
-        for argv in (["render", "quick"], ["status"], ["query", "--runs"]):
+        for argv in (["render", "quick"], ["status"], ["query"]):
             assert sweeps_main(argv + ["--store", store]) == 1
             err = capsys.readouterr().err
             assert f"error: result store {store} is missing" in err
-        assert telemetry_main(["diff", "1", "2", "--store", store]) == 2
-        assert "is missing" in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []

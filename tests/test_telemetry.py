@@ -2,8 +2,8 @@
 
 Covers the metrics registry (instruments, labels, snapshots, worker
 merge), span tracing (nesting, the JSONL event stream, schema
-validation), exporters (JSON / Prometheus / Markdown), the report CLI,
-and the two contracts the package advertises:
+validation), the metrics document and its Markdown report, the report
+CLI, and the two contracts the package advertises:
 
 - cost: disabled telemetry hands back shared no-op instruments;
 - determinism: replay outcomes are bit-identical with telemetry on or
@@ -238,20 +238,6 @@ class TestExporters:
         assert validate_metrics_doc(doc) == []
         assert doc["counters"] == {"n": 1}
 
-    def test_prometheus_rendering(self):
-        text = telemetry.render_prometheus(
-            telemetry.metrics_doc(self._snapshot())
-        )
-        assert "# TYPE cache_replay_hits_total counter" in text
-        assert 'cache_replay_hits_total{tier="memory"} 4' in text
-        assert "# TYPE workers gauge" in text
-        assert "# TYPE latency histogram" in text
-        # le buckets are cumulative; +Inf equals _count.
-        assert 'latency{le="0.1"} 1' in text
-        assert 'latency{le="1.0"} 2' in text
-        assert 'latency{le="+Inf"} 2' in text
-        assert "latency_count 2" in text
-
     def test_markdown_rendering_has_fallback_section(self):
         text = telemetry.render_markdown(
             telemetry.metrics_doc(self._snapshot())
@@ -314,8 +300,35 @@ class TestCli:
         assert main(["report", path]) == 0
         assert "# Telemetry report" in capsys.readouterr().out
         out = str(tmp_path / "report.md")
-        assert main(["report", path, "--format", "prometheus", "--out", out]) == 0
-        assert "# TYPE n counter" in open(out, encoding="utf-8").read()
+        assert main(["report", path, "--out", out]) == 0
+        assert "# Telemetry report" in open(out, encoding="utf-8").read()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {
+                "schema": 2,
+                "kind": "repro-telemetry-metrics",
+                "counters": {},
+                "gauges": {},
+                "histograms": {
+                    "h": {"buckets": [1.0], "counts": [1, 0], "count": 1,
+                          "max": 0.5},
+                },
+            },
+        ],
+        ids=["json-list", "histogram-without-sum"],
+    )
+    def test_report_refuses_an_invalid_document(self, tmp_path, capsys, doc):
+        from repro.telemetry.cli import main
+
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "INVALID" in out
+        assert "# Telemetry report" not in out
 
     def test_validate_rejects_and_missing_file(self, tmp_path, capsys):
         from repro.telemetry.cli import main
