@@ -28,6 +28,7 @@ from repro.verify.matrix import (
     PROFILES,
     VerifyError,
     assert_full_coverage,
+    timing_jobs_for_profile,
 )
 from repro.verify.metamorphic import run_invariants
 from repro.verify.mutation import MUTATIONS, apply_mutation
@@ -158,7 +159,8 @@ def _run_golden_layer(engine, profile, refresh, reason, stream, backend) -> List
     print(
         f"== golden gate [{profile.name}, backend={backend}]: "
         f"{len(CASES)} cases x "
-        f"{len(profile.benchmarks)} benchmarks ==",
+        f"{len(profile.benchmarks)} benchmarks, plus "
+        f"{len(timing_jobs_for_profile(profile))} timing entries ==",
         file=stream,
     )
     entries = compute_entries(profile, engine, backend=backend)

@@ -2,8 +2,12 @@
 
 For every job in the verification matrix we check in a baseline record:
 the job's content-address (fingerprint), the canonical integer metrics,
-and their sha256 digest.  ``python -m repro.verify`` re-runs the matrix
-and diffs.  Three distinct failure modes are distinguished:
+and their sha256 digest.  Timing entries (``timing/...``) do the same
+for the pipeline model: the fingerprint covers the timed job and the
+machine, and the metrics are every :class:`SimStats` field, ints as
+ints and floats as ``float.hex()`` so they compare exactly.
+``python -m repro.verify`` re-runs the matrix and diffs.  Three
+distinct failure modes are distinguished:
 
 - **fingerprint mismatch** -- the *job itself* changed (spec params,
   trace sizing, fingerprint schema).  The baseline no longer describes
@@ -21,14 +25,21 @@ git history.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.engine.canonical import METRICS_SCHEMA, metrics_digest
 from repro.engine.job import FINGERPRINT_SCHEMA
-from repro.verify.matrix import VerifyError, VerifyProfile, jobs_for_profile
+from repro.pipeline.simulator import PipelineSimulator
+from repro.verify.matrix import (
+    VerifyError,
+    VerifyProfile,
+    jobs_for_profile,
+    timing_jobs_for_profile,
+)
 
 __all__ = [
     "GOLDEN_SCHEMA",
@@ -36,6 +47,8 @@ __all__ = [
     "GateReport",
     "golden_path",
     "compute_entries",
+    "timing_fingerprint",
+    "timing_metrics",
     "load_baseline",
     "write_baseline",
     "compare",
@@ -45,6 +58,9 @@ GOLDEN_SCHEMA = 1
 
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
+#: A recorded metric: an int, or a float as its ``float.hex()`` string.
+Metric = Union[int, str]
+
 
 @dataclass(frozen=True)
 class GoldenEntry:
@@ -53,7 +69,20 @@ class GoldenEntry:
     label: str
     fingerprint: str
     digest: str
-    metrics: Dict[str, int]
+    metrics: Dict[str, Metric]
+
+
+def _number(value):
+    """A recorded metric as a number (hex strings back to floats)."""
+    return float.fromhex(value) if isinstance(value, str) else value
+
+
+def _drift_delta(expected, actual) -> str:
+    if isinstance(expected, int) and isinstance(actual, int):
+        return f"{actual - expected:+d}"
+    if expected is None or actual is None:
+        return "n/a"
+    return f"{_number(actual) - _number(expected):+g}"
 
 
 @dataclass
@@ -92,7 +121,7 @@ class GateReport:
             lines.append(
                 f"  {label}: metric {metric!r} drifted: "
                 f"expected {expected}, got {actual} "
-                f"(delta {actual - expected:+d})"
+                f"(delta {_drift_delta(expected, actual)})"
             )
         for label in self.missing:
             lines.append(f"  {label}: in baseline but not in the matrix")
@@ -106,6 +135,24 @@ def golden_path(profile_name: str) -> str:
     return os.path.join(_GOLDEN_DIR, f"{profile_name}.json")
 
 
+def timing_metrics(stats) -> Dict[str, Metric]:
+    """Every :class:`SimStats` field, exactly: floats as ``float.hex()``.
+
+    The hex form keeps the type as well as the value, so an int ``0``
+    and a float ``0.0`` are different records.
+    """
+    return {
+        name: value.hex() if isinstance(value, float) else value
+        for name, value in asdict(stats).items()
+    }
+
+
+def timing_fingerprint(job_fingerprint: str, machine) -> str:
+    """Content address of one timing entry: the timed job plus the machine."""
+    canonical = ("timing", job_fingerprint, repr(machine))
+    return hashlib.sha256(repr(canonical).encode("utf-8")).hexdigest()
+
+
 def compute_entries(
     profile: VerifyProfile, engine, backend: str = "reference"
 ) -> List[GoldenEntry]:
@@ -115,7 +162,8 @@ def compute_entries(
     *identity* stays pinned to the reference job's fingerprint: both
     backends are checked against the same baseline, so a
     ``--backend fast`` pass proves the fast kernels reproduce the
-    golden metrics byte for byte.
+    golden metrics byte for byte.  The timing entries follow the
+    front-end ones and time the event streams those runs produced.
     """
     labelled = jobs_for_profile(profile)
     executed = [
@@ -131,6 +179,23 @@ def compute_entries(
                 fingerprint=job.fingerprint,
                 digest=outcome.metrics_digest(),
                 metrics=dict(outcome.canonical_metrics()),
+            )
+        )
+    streams = {
+        label: (job, outcome)
+        for (label, job), outcome in zip(labelled, outcomes)
+    }
+    for label, stream, machine in timing_jobs_for_profile(profile):
+        job, outcome = streams[stream]
+        metrics = timing_metrics(
+            PipelineSimulator(machine).simulate(outcome.events)
+        )
+        entries.append(
+            GoldenEntry(
+                label=label,
+                fingerprint=timing_fingerprint(job.fingerprint, machine),
+                digest=metrics_digest(metrics),
+                metrics=metrics,
             )
         )
     return entries

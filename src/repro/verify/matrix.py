@@ -11,11 +11,15 @@ verification layers consume this matrix:
   if a registered kind is not covered, so adding a new predictor or
   estimator kind without verification coverage is a test failure, not a
   silent gap.
+
+The golden gate also pins the pipeline timing model: each
+:class:`TimingCase` times one case's event stream on each paper machine
+(:data:`TIMING_MACHINES`) and records every :class:`SimStats` field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.engine.job import SimJob
@@ -30,6 +34,12 @@ from repro.engine.specs import (
     Spec,
 )
 from repro.experiments.common import ExperimentSettings, job_for
+from repro.pipeline.config import (
+    BASELINE_40X4,
+    STANDARD_20X4,
+    WIDE_20X8,
+    PipelineConfig,
+)
 
 __all__ = [
     "VerifyError",
@@ -37,7 +47,11 @@ __all__ = [
     "VerifyCase",
     "CASES",
     "PROFILES",
+    "TimingCase",
+    "TIMING_CASES",
+    "TIMING_MACHINES",
     "jobs_for_profile",
+    "timing_jobs_for_profile",
     "specs_for_estimator_kind",
     "specs_for_predictor_kind",
     "missing_estimator_kinds",
@@ -168,6 +182,72 @@ def jobs_for_profile(profile: VerifyProfile) -> List[Tuple[str, SimJob]]:
                 predictor=case.predictor,
             )
             out.append((f"{case.label}/{benchmark}", job))
+    return out
+
+
+@dataclass(frozen=True)
+class TimingCase:
+    """One timed configuration: a matrix case's events on a machine variant.
+
+    Attributes:
+        label: Case name in the golden label
+            ``timing/<machine>/<label>/<benchmark>``.
+        stream: Label of the :class:`VerifyCase` whose events are timed.
+        gating_threshold: Branch-counter threshold (PLn).
+        gating_mode: ``"stall"`` or ``"throttle"``.
+        throttle_factor: Fetch share kept while throttled.
+    """
+
+    label: str
+    stream: str
+    gating_threshold: int = 1
+    gating_mode: str = "stall"
+    throttle_factor: float = 0.5
+
+    def machine(self, base: PipelineConfig) -> PipelineConfig:
+        return replace(
+            base.with_gating(self.gating_threshold),
+            gating_mode=self.gating_mode,
+            throttle_factor=self.throttle_factor,
+        )
+
+
+#: The three machines of the paper's Table 2.
+TIMING_MACHINES: Tuple[PipelineConfig, ...] = (
+    STANDARD_20X4,
+    WIDE_20X8,
+    BASELINE_40X4,
+)
+
+#: Ungated, gated at PL1-3 (Table 4's JRS lambda=7 row), gating plus
+#: reversal (Figures 8/9) and throttled fetch (the throttle study).
+TIMING_CASES: Tuple[TimingCase, ...] = (
+    TimingCase("ungated", "ungated-baseline"),
+    TimingCase("PL1", "enhanced-jrs-l7", gating_threshold=1),
+    TimingCase("PL2", "enhanced-jrs-l7", gating_threshold=2),
+    TimingCase("PL3", "enhanced-jrs-l7", gating_threshold=3),
+    TimingCase("reversal", "perceptron-cic-3region"),
+    TimingCase("throttle", "perceptron-cic-l0", gating_mode="throttle"),
+)
+
+
+def timing_jobs_for_profile(
+    profile: VerifyProfile,
+) -> List[Tuple[str, str, PipelineConfig]]:
+    """Timing entries as ``(label, stream job label, machine)`` triples.
+
+    The stream job label names the :func:`jobs_for_profile` entry whose
+    event stream the machine times.
+    """
+    out: List[Tuple[str, str, PipelineConfig]] = []
+    for base in TIMING_MACHINES:
+        for case in TIMING_CASES:
+            for benchmark in profile.benchmarks:
+                out.append((
+                    f"timing/{base.label()}/{case.label}/{benchmark}",
+                    f"{case.stream}/{benchmark}",
+                    case.machine(base),
+                ))
     return out
 
 

@@ -13,18 +13,30 @@ Each reference mirrors the production component's protocol
 ``shift_history`` for estimators) and exposes the same
 ``state_canonical()`` tuple so whole-table state can be compared by
 digest at checkpoints, not just per-branch outputs.
+
+:class:`RefPipelineSimulator` is the pipeline timing model written
+helper by helper, with a linear scan of the in-flight branches for
+every question; the production simulator must return the same
+:class:`~repro.pipeline.stats.SimStats`, field for field.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
+
+# The output record only; the timing logic below shares no code with
+# repro.pipeline.simulator.
+from repro.pipeline.stats import SimStats
 
 __all__ = [
     "RefSignal",
     "RefDecision",
     "RefFrontEnd",
+    "RefPipelineSimulator",
     "reference_predictor",
     "reference_estimator",
     "reference_policy",
@@ -954,3 +966,258 @@ class RefFrontEnd:
             signal=signal,
             action=decision.action,
         )
+
+
+# ---------------------------------------------------------------------------
+# Pipeline timing model
+# ---------------------------------------------------------------------------
+
+_INFINITY = float("inf")
+
+
+@dataclass
+class _RefInFlight:
+    """One unresolved branch inside the machine."""
+
+    resolve_time: float
+    activation_time: float  # when the LC estimate can gate fetch
+    counts_gating: bool
+
+    def __lt__(self, other: "_RefInFlight") -> bool:
+        return self.resolve_time < other.resolve_time
+
+
+class RefPipelineSimulator:
+    """The two-clock timing model, one helper per question.
+
+    Takes the production :class:`~repro.pipeline.config.PipelineConfig`
+    and :class:`~repro.core.frontend.FrontEndEvent` stream and returns a
+    :class:`SimStats`.  Every in-flight query scans the whole in-flight
+    list, and every fetch span is split at every branch resolution and
+    low-confidence activation.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self._reset()
+
+    def _reset(self) -> None:
+        self._fetch_time = 0.0
+        self._retire_time = 0.0
+        self._inflight = []  # heap of _RefInFlight by resolve_time
+        self._seq = 0
+        # Window occupancy: (retire_time, uops) per retired group, plus
+        # the running totals needed for ROB back-pressure.
+        self._retire_queue = deque()
+        self._fetched_uops = 0.0
+        self._retired_uops = 0.0
+
+    # -- in-flight branch bookkeeping ---------------------------------------
+
+    def _resolve_until(self, t: float) -> None:
+        """Drop every branch whose resolution time has passed."""
+        heap = self._inflight
+        while heap and heap[0].resolve_time <= t:
+            heapq.heappop(heap)
+
+    def _active_lc_count(self, t: float) -> int:
+        """Unresolved gating-counted branches with live estimates at ``t``."""
+        return sum(
+            1
+            for b in self._inflight
+            if b.counts_gating and b.activation_time <= t
+        )
+
+    def _earliest_lc_resolve(self, t: float) -> float:
+        """Next resolution among active gating-counted branches."""
+        times = [
+            b.resolve_time
+            for b in self._inflight
+            if b.counts_gating and b.activation_time <= t
+        ]
+        return min(times) if times else _INFINITY
+
+    def _next_event_after(self, t: float) -> float:
+        """Next resolution or LC activation strictly after ``t``."""
+        next_time = _INFINITY
+        for b in self._inflight:
+            if b.resolve_time > t:
+                next_time = min(next_time, b.resolve_time)
+            if b.counts_gating and b.activation_time > t:
+                next_time = min(next_time, b.activation_time)
+        return next_time
+
+    # -- window (ROB) occupancy ---------------------------------------------
+
+    def _drain_retired(self, t: float) -> None:
+        """Account groups that have retired by time ``t``."""
+        queue = self._retire_queue
+        while queue and queue[0][0] <= t:
+            _, uops = queue.popleft()
+            self._retired_uops += uops
+
+    def _window_free(self, t: float) -> float:
+        """Free window slots at time ``t``."""
+        self._drain_retired(t)
+        return self.config.rob_size - (self._fetched_uops - self._retired_uops)
+
+    def _wait_for_window(self, t: float, uops: float) -> float:
+        """Earliest time >= ``t`` at which ``uops`` slots are free."""
+        while self._window_free(t) < uops and self._retire_queue:
+            t = max(t, self._retire_queue[0][0])
+        return t
+
+    # -- fetch engine -------------------------------------------------------
+
+    def _fetch_span(self, start, uop_budget, deadline, stats, wrong_path):
+        """Advance fetch from ``start`` until the budget or deadline runs out.
+
+        Returns ``(end_time, uops_fetched)``.  Fetch stalls while the
+        low-confidence counter is at or above the gating threshold and
+        while the instruction window is full.  Gating stall time is
+        charged to ``stats.gated_cycles`` only on the correct path.
+        """
+        cfg = self.config
+        per_uop = 1.0 / cfg.fetch_width
+        throttling = cfg.gating_mode == "throttle" and cfg.throttle_factor > 0
+        throttled_per_uop = (
+            per_uop / cfg.throttle_factor if throttling else float("inf")
+        )
+        threshold = cfg.gating_threshold
+        t = start
+        fetched = 0.0
+        stalled = False
+        while uop_budget > 1e-9 and t < deadline - 1e-9:
+            self._resolve_until(t)
+            gated = self._active_lc_count(t) >= threshold
+            if gated and not throttling:
+                resume = min(self._earliest_lc_resolve(t), deadline)
+                if not stalled:
+                    stats.gating_stalls += 1
+                    stalled = True
+                if not wrong_path:
+                    stats.gated_cycles += resume - t
+                t = resume
+                continue
+            step_per_uop = throttled_per_uop if gated else per_uop
+            stalled = False
+            if not wrong_path:
+                # Window back-pressure applies to correct-path fetch:
+                # wait for one fetch group of room.
+                group = min(uop_budget, float(cfg.fetch_width))
+                t_ready = self._wait_for_window(t, group)
+                if t_ready > t:
+                    t = min(t_ready, deadline)
+                    continue
+            horizon = t + uop_budget * step_per_uop
+            step_end = min(horizon, deadline, self._next_event_after(t))
+            if step_end <= t:
+                break
+            span_uops = min((step_end - t) / step_per_uop, uop_budget)
+            if not wrong_path:
+                free = self._window_free(t)
+                if span_uops > free:
+                    span_uops = free
+                    step_end = t + span_uops * step_per_uop
+                if span_uops <= 1e-9:
+                    # Window full, nothing retiring before the deadline.
+                    if not self._retire_queue:
+                        break
+                    t = min(max(t, self._retire_queue[0][0]), deadline)
+                    continue
+                self._fetched_uops += span_uops
+                if gated:
+                    stats.throttled_cycles += step_end - t
+            fetched += span_uops
+            uop_budget -= span_uops
+            t = step_end
+        return t, fetched
+
+    def _wrong_path_episode(self, t_fetch, t_resolve, stats) -> None:
+        """Account one misprediction's wrong-path fetch window."""
+        cfg = self.config
+        cap = float(cfg.wrong_path_cap)
+        _, fetched = self._fetch_span(
+            t_fetch, cap, t_resolve, stats, wrong_path=True
+        )
+        potential = min(cap, (t_resolve - t_fetch) * cfg.fetch_width)
+        stats.wrong_path_uops += fetched
+        stats.wrong_path_uops_saved += max(0.0, potential - fetched)
+
+    # -- per-branch processing ----------------------------------------------
+
+    def _resolve_latency(self, pc: int) -> float:
+        """Depth plus deterministic per-instance jitter."""
+        cfg = self.config
+        if cfg.resolve_jitter == 0:
+            return float(cfg.depth)
+        jitter = _mix((pc << 17) ^ self._seq) % (cfg.resolve_jitter + 1)
+        return float(cfg.depth + jitter)
+
+    def _retire_group(self, uops: int, fetch_done: float, floor: float) -> None:
+        """Advance the retire clock over one correct-path uop group."""
+        cfg = self.config
+        backend = max(
+            self._retire_time + uops * cfg.base_uop_cycles,
+            fetch_done + cfg.depth,
+        )
+        self._retire_time = max(backend, floor)
+        self._retire_queue.append((self._retire_time, float(uops)))
+
+    def _process(self, event, stats: SimStats) -> None:
+        cfg = self.config
+        uops = event.uops_before + 1
+        end, _ = self._fetch_span(
+            self._fetch_time, float(uops), _INFINITY, stats, wrong_path=False
+        )
+        self._fetch_time = end
+        stats.correct_path_uops += uops
+
+        t_fetch = self._fetch_time
+        t_resolve = t_fetch + self._resolve_latency(event.pc)
+        self._seq += 1
+
+        action = event.decision.action.value
+        predictor_correct = event.prediction == event.taken
+        final_correct = event.final_prediction == event.taken
+        counts_gating = action == "gate"
+        heapq.heappush(
+            self._inflight,
+            _RefInFlight(
+                resolve_time=t_resolve,
+                activation_time=t_fetch + cfg.estimator_latency,
+                counts_gating=counts_gating,
+            ),
+        )
+
+        stats.branches += 1
+        if counts_gating:
+            stats.gated_branches += 1
+        if not predictor_correct:
+            stats.raw_mispredictions += 1
+        if action == "reverse":
+            stats.reversals += 1
+            if not predictor_correct and final_correct:
+                stats.reversals_correcting += 1
+            elif predictor_correct and not final_correct:
+                stats.reversals_breaking += 1
+
+        if not final_correct:
+            stats.mispredictions += 1
+            self._wrong_path_episode(t_fetch, t_resolve, stats)
+            # Recovery: fetch restarts at resolution; the branch group
+            # cannot retire before it resolved.
+            stats.squash_cycles += t_resolve - self._fetch_time
+            self._fetch_time = t_resolve
+            self._retire_group(uops, t_fetch, floor=t_resolve)
+        else:
+            self._retire_group(uops, t_fetch, floor=0.0)
+
+    def simulate(self, events) -> SimStats:
+        """Replay a front-end event stream from a reset machine."""
+        self._reset()
+        result = SimStats()
+        for event in events:
+            self._process(event, result)
+        result.total_cycles = self._retire_time
+        return result

@@ -23,6 +23,7 @@ from repro.verify.golden import (
     compare,
     compute_entries,
     load_baseline,
+    timing_fingerprint,
     write_baseline,
 )
 from repro.verify.matrix import (
@@ -33,6 +34,7 @@ from repro.verify.matrix import (
     jobs_for_profile,
     specs_for_estimator_kind,
     specs_for_predictor_kind,
+    timing_jobs_for_profile,
 )
 from repro.verify.metamorphic import run_invariants
 from repro.verify.mutation import MUTATIONS, apply_mutation
@@ -149,7 +151,9 @@ class TestGoldenGate:
         baseline = load_baseline("tiny", path=path)
         report = compare(baseline, compute_entries(TINY, engine), "tiny")
         assert report.ok, report.format()
-        assert report.checked == len(CASES) * len(TINY.benchmarks)
+        assert report.checked == len(CASES) * len(TINY.benchmarks) + len(
+            timing_jobs_for_profile(TINY)
+        )
 
     def test_drift_names_case_and_metric(self, engine, tmp_path):
         entries = compute_entries(TINY, engine)
@@ -217,12 +221,16 @@ class TestGoldenGate:
         """The repo's golden files cover exactly the current matrix."""
         for name in PROFILES:
             baseline = load_baseline(name)
-            expected = {label for label, _ in jobs_for_profile(PROFILES[name])}
-            assert set(baseline["entries"]) == expected
-            fingerprints = {
-                label: job.fingerprint
-                for label, job in jobs_for_profile(PROFILES[name])
-            }
+            labelled = jobs_for_profile(PROFILES[name])
+            fingerprints = {label: job.fingerprint for label, job in labelled}
+            streams = dict(labelled)
+            for label, stream, machine in timing_jobs_for_profile(
+                PROFILES[name]
+            ):
+                fingerprints[label] = timing_fingerprint(
+                    streams[stream].fingerprint, machine
+                )
+            assert set(baseline["entries"]) == set(fingerprints)
             for label, entry in baseline["entries"].items():
                 assert entry["fingerprint"] == fingerprints[label], (
                     f"{name}:{label} baseline fingerprint is stale -- "
