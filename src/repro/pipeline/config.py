@@ -41,9 +41,12 @@ class PipelineConfig:
             per cycle when not starved; fetch runs at ``fetch_width``,
             so the front end normally builds up the window backlog
             that hides gating stalls.
-        resolve_jitter: Half-width (cycles) of the deterministic
-            per-branch jitter added to the resolution latency, standing
-            in for scheduler and memory variability.
+        resolve_jitter: Largest extra resolution latency in cycles: a
+            deterministic per-branch jitter in ``[0, resolve_jitter]``
+            (a hash of pc and sequence number, modulo
+            ``resolve_jitter + 1``) is added to ``depth``, standing in
+            for scheduler and memory variability.  It is one-sided, so
+            the mean latency is about ``depth + resolve_jitter / 2``.
         estimator_latency: Cycles from fetching a branch to its
             confidence estimate being usable by the gating logic
             (Section 5.4.2: 9-cycle pipelined perceptron vs ideal 1).

@@ -39,6 +39,19 @@ Mechanisms modelled explicitly:
   retire stream pays the refill (``depth``) on the next correct-path
   uops -- the squashed window cannot hide it.
 
+Implementation: :meth:`PipelineSimulator.simulate` is one loop over
+local variables.  Fetch proceeds in spans that end at every branch
+resolution and every low-confidence (LC) activation, because those are
+the instants the LC counter can change.  The in-flight state is a heap
+of resolve times, a deque of ``(activation, resolve)`` pairs of LC
+branches whose estimate is not yet live (in fetch order, so activation
+order), and a heap of the resolve times of live LC branches.  This is
+exact because the fetch clock never moves backwards: an LC branch that
+resolves before its estimate arrives can be dropped for good, and the
+counter is the size of the live heap.
+:class:`repro.verify.oracles.RefPipelineSimulator` keeps the same model
+written one helper per question, and must agree field for field.
+
 Determinism: resolution jitter is a hash of (pc, sequence number), and
 every :meth:`PipelineSimulator.simulate` call starts from a reset
 machine, so a given (trace, config, policy) triple always produces
@@ -47,11 +60,11 @@ identical statistics.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable
 
+from repro import telemetry
 from repro.common.bits import mix_hash
 from repro.core.frontend import FrontEndEvent
 from repro.core.reversal import BranchAction
@@ -61,18 +74,8 @@ from repro.pipeline.stats import SimStats
 __all__ = ["PipelineSimulator"]
 
 _INFINITY = float("inf")
-
-
-@dataclass
-class _InFlight:
-    """One unresolved branch inside the machine."""
-
-    resolve_time: float
-    activation_time: float  # when the LC estimate can gate fetch
-    counts_gating: bool
-
-    def __lt__(self, other: "_InFlight") -> bool:
-        return self.resolve_time < other.resolve_time
+_GATE = BranchAction.GATE
+_REVERSE = BranchAction.REVERSE
 
 
 class PipelineSimulator:
@@ -80,257 +83,262 @@ class PipelineSimulator:
 
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self._reset()
-
-    def _reset(self) -> None:
-        self._fetch_time = 0.0
-        self._retire_time = 0.0
-        self._inflight = []  # heap of _InFlight by resolve_time
-        self._seq = 0
-        # Window occupancy: (retire_time, uops) per retired group, plus
-        # the running totals needed for ROB back-pressure.
-        self._retire_queue = deque()
-        self._fetched_uops = 0.0
-        self._retired_uops = 0.0
-
-    # ------------------------------------------------------------------
-    # In-flight branch bookkeeping
-    # ------------------------------------------------------------------
-
-    def _resolve_until(self, t: float) -> None:
-        """Drop every branch whose resolution time has passed."""
-        heap = self._inflight
-        while heap and heap[0].resolve_time <= t:
-            heapq.heappop(heap)
-
-    def _active_lc_count(self, t: float) -> int:
-        """Unresolved gating-counted branches with live estimates at ``t``."""
-        return sum(
-            1
-            for b in self._inflight
-            if b.counts_gating and b.activation_time <= t
-        )
-
-    def _earliest_lc_resolve(self, t: float) -> float:
-        """Next resolution among active gating-counted branches."""
-        times = [
-            b.resolve_time
-            for b in self._inflight
-            if b.counts_gating and b.activation_time <= t
-        ]
-        return min(times) if times else _INFINITY
-
-    def _next_event_after(self, t: float) -> float:
-        """Next resolution or LC activation strictly after ``t``."""
-        next_time = _INFINITY
-        for b in self._inflight:
-            if b.resolve_time > t:
-                next_time = min(next_time, b.resolve_time)
-            if b.counts_gating and b.activation_time > t:
-                next_time = min(next_time, b.activation_time)
-        return next_time
-
-    # ------------------------------------------------------------------
-    # Window (ROB) occupancy
-    # ------------------------------------------------------------------
-
-    def _drain_retired(self, t: float) -> None:
-        """Account groups that have retired by time ``t``."""
-        queue = self._retire_queue
-        while queue and queue[0][0] <= t:
-            _, uops = queue.popleft()
-            self._retired_uops += uops
-
-    def _window_free(self, t: float) -> float:
-        """Free window slots at time ``t``."""
-        self._drain_retired(t)
-        return self.config.rob_size - (self._fetched_uops - self._retired_uops)
-
-    def _wait_for_window(self, t: float, uops: float) -> float:
-        """Earliest time >= ``t`` at which ``uops`` slots are free."""
-        while self._window_free(t) < uops and self._retire_queue:
-            t = max(t, self._retire_queue[0][0])
-        return t
-
-    # ------------------------------------------------------------------
-    # Fetch engine
-    # ------------------------------------------------------------------
-
-    def _fetch_span(
-        self,
-        start: float,
-        uop_budget: float,
-        deadline: float,
-        stats: SimStats,
-        wrong_path: bool,
-    ):
-        """Advance fetch from ``start`` until the budget or deadline runs out.
-
-        Returns ``(end_time, uops_fetched)``.  Fetch stalls while the
-        low-confidence counter is at or above the gating threshold and
-        while the instruction window is full.  Gating stall time is
-        charged to ``stats.gated_cycles`` only on the correct path
-        (wrong-path cycles were doomed regardless).
-        """
-        cfg = self.config
-        per_uop = 1.0 / cfg.fetch_width
-        throttling = cfg.gating_mode == "throttle" and cfg.throttle_factor > 0
-        throttled_per_uop = (
-            per_uop / cfg.throttle_factor if throttling else float("inf")
-        )
-        threshold = cfg.gating_threshold
-        t = start
-        fetched = 0.0
-        stalled = False
-        while uop_budget > 1e-9 and t < deadline - 1e-9:
-            self._resolve_until(t)
-            gated = self._active_lc_count(t) >= threshold
-            if gated and not throttling:
-                resume = min(self._earliest_lc_resolve(t), deadline)
-                if not stalled:
-                    stats.gating_stalls += 1
-                    stalled = True
-                if not wrong_path:
-                    stats.gated_cycles += resume - t
-                t = resume
-                continue
-            step_per_uop = throttled_per_uop if gated else per_uop
-            stalled = False
-            if not wrong_path:
-                # Window back-pressure applies to correct-path fetch:
-                # wait for one fetch group of room.
-                group = min(uop_budget, float(cfg.fetch_width))
-                t_ready = self._wait_for_window(t, group)
-                if t_ready > t:
-                    t = min(t_ready, deadline)
-                    continue
-            horizon = t + uop_budget * step_per_uop
-            step_end = min(horizon, deadline, self._next_event_after(t))
-            if step_end <= t:
-                break
-            span_uops = min((step_end - t) / step_per_uop, uop_budget)
-            if not wrong_path:
-                free = self._window_free(t)
-                if span_uops > free:
-                    span_uops = free
-                    step_end = t + span_uops * step_per_uop
-                if span_uops <= 1e-9:
-                    # Window full, nothing retiring before the deadline.
-                    if not self._retire_queue:
-                        break
-                    t = min(max(t, self._retire_queue[0][0]), deadline)
-                    continue
-                self._fetched_uops += span_uops
-                if gated:
-                    stats.throttled_cycles += step_end - t
-            fetched += span_uops
-            uop_budget -= span_uops
-            t = step_end
-        return t, fetched
-
-    def _wrong_path_episode(
-        self, t_fetch: float, t_resolve: float, stats: SimStats
-    ) -> None:
-        """Account one misprediction's wrong-path fetch window.
-
-        Wrong-path uops enter from the branch's fetch until resolution
-        at full fetch bandwidth, bounded by the instruction window size
-        and cut short by gating.  They are squashed at recovery and
-        never appear in the retire stream; window slots recycle fast
-        enough during the multi-tens-of-cycles window that live
-        occupancy is not the binding constraint (DESIGN.md note 2).
-        """
-        cfg = self.config
-        cap = float(cfg.wrong_path_cap)
-        _, fetched = self._fetch_span(
-            t_fetch, cap, t_resolve, stats, wrong_path=True
-        )
-        potential = min(cap, (t_resolve - t_fetch) * cfg.fetch_width)
-        stats.wrong_path_uops += fetched
-        stats.wrong_path_uops_saved += max(0.0, potential - fetched)
-
-    # ------------------------------------------------------------------
-    # Per-branch processing
-    # ------------------------------------------------------------------
-
-    def _resolve_latency(self, pc: int) -> float:
-        """Depth plus deterministic per-instance jitter."""
-        cfg = self.config
-        if cfg.resolve_jitter == 0:
-            return float(cfg.depth)
-        jitter = mix_hash((pc << 17) ^ self._seq) % (cfg.resolve_jitter + 1)
-        return float(cfg.depth + jitter)
-
-    def _retire_group(self, uops: int, fetch_done: float, floor: float) -> None:
-        """Advance the retire clock over one correct-path uop group."""
-        cfg = self.config
-        backend = max(
-            self._retire_time + uops * cfg.base_uop_cycles,
-            fetch_done + cfg.depth,
-        )
-        self._retire_time = max(backend, floor)
-        self._retire_queue.append((self._retire_time, float(uops)))
-
-    def _process(self, event: FrontEndEvent, stats: SimStats) -> None:
-        cfg = self.config
-        uops = event.uops_before + 1
-        end, _ = self._fetch_span(
-            self._fetch_time, float(uops), _INFINITY, stats, wrong_path=False
-        )
-        self._fetch_time = end
-        stats.correct_path_uops += uops
-
-        t_fetch = self._fetch_time
-        t_resolve = t_fetch + self._resolve_latency(event.pc)
-        self._seq += 1
-
-        counts_gating = event.decision.counts_toward_gating
-        heapq.heappush(
-            self._inflight,
-            _InFlight(
-                resolve_time=t_resolve,
-                activation_time=t_fetch + cfg.estimator_latency,
-                counts_gating=counts_gating,
-            ),
-        )
-
-        stats.branches += 1
-        if counts_gating:
-            stats.gated_branches += 1
-        if not event.predictor_correct:
-            stats.raw_mispredictions += 1
-        if event.decision.action is BranchAction.REVERSE:
-            stats.reversals += 1
-            if not event.predictor_correct and event.final_correct:
-                stats.reversals_correcting += 1
-            elif event.predictor_correct and not event.final_correct:
-                stats.reversals_breaking += 1
-
-        if not event.final_correct:
-            stats.mispredictions += 1
-            self._wrong_path_episode(t_fetch, t_resolve, stats)
-            # Recovery: fetch restarts at resolution; the branch group
-            # cannot retire before it resolved, which makes the refill
-            # visible in the retire stream.
-            stats.squash_cycles += t_resolve - self._fetch_time
-            self._fetch_time = t_resolve
-            self._retire_group(uops, t_fetch, floor=t_resolve)
-        else:
-            self._retire_group(uops, t_fetch, floor=0.0)
-
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
 
     def simulate(self, events: Iterable[FrontEndEvent]) -> SimStats:
-        """Replay a front-end event stream from a reset machine."""
-        self._reset()
-        result = SimStats()
-        for event in events:
-            self._process(event, result)
-        result.total_cycles = self._retire_time
-        from repro import telemetry
+        """Replay a front-end event stream from a reset machine.
 
+        Fetch stalls while the LC counter is at or above the gating
+        threshold (or runs at ``throttle_factor`` of full width in
+        throttle mode) and, on the correct path, while the window has
+        no room for one fetch group.  Gating stall and throttled cycles
+        are charged only on the correct path.  Every float is computed
+        with the same operands in the same order as the reference
+        model, so the statistics match it bit for bit.
+        """
+        cfg = self.config
+        fetch_width = cfg.fetch_width
+        width = float(fetch_width)
+        depth = cfg.depth
+        rob = cfg.rob_size
+        cap = float(cfg.wrong_path_cap)
+        uop_cycles = cfg.base_uop_cycles
+        jitter = cfg.resolve_jitter + 1 if cfg.resolve_jitter else 0
+        latency = cfg.estimator_latency
+        threshold = cfg.gating_threshold
+        per_uop = 1.0 / fetch_width
+        throttling = cfg.gating_mode == "throttle" and cfg.throttle_factor > 0
+        throttled_per_uop = (
+            per_uop / cfg.throttle_factor if throttling else _INFINITY
+        )
+
+        # In-flight branches.  Both heaps keep an infinite sentinel, so
+        # ``[0]`` is always readable and ``len(live) - 1`` is the LC
+        # counter.
+        resolves = [_INFINITY]  # resolve times of every in-flight branch
+        pending = deque()  # (activation, resolve) of LC branches, not yet live
+        live = [_INFINITY]  # resolve times of LC branches with live estimates
+        # Window: (retire time, uops) per correct-path group, oldest first.
+        retiring = deque()
+        fetched_uops = 0.0
+        retired_uops = 0.0
+
+        fetch = 0.0
+        retire = 0.0
+        seq = 0
+        correct_path_uops = 0
+        # Stays int 0 until a misprediction adds a float: SimStats
+        # digests hash JSON, where 0 and 0.0 differ.
+        wrong_path_uops = 0
+        mispredictions = 0
+        raw_mispredictions = 0
+        reversals = 0
+        reversals_correcting = 0
+        reversals_breaking = 0
+        gated_branches = 0
+        gated_cycles = 0.0
+        throttled_cycles = 0.0
+        squash_cycles = 0.0
+        gating_stalls = 0
+        wrong_path_uops_saved = 0.0
+
+        with telemetry.trace_span("pipeline.simulate", machine=cfg.label()):
+            for event in events:
+                uops = event.uops_before + 1
+                group_uops = float(uops)
+
+                # Correct-path fetch of the branch's group.
+                t = fetch
+                budget = group_uops
+                stalled = False
+                while budget > 1e-9:
+                    while resolves[0] <= t:
+                        heappop(resolves)
+                    while pending:
+                        activation, resolve = pending[0]
+                        if resolve <= t:
+                            pending.popleft()
+                        elif activation <= t:
+                            pending.popleft()
+                            heappush(live, resolve)
+                        else:
+                            break
+                    while live[0] <= t:
+                        heappop(live)
+                    gated = len(live) > threshold
+                    if gated:
+                        if not throttling:
+                            resume = live[0]
+                            if not stalled:
+                                gating_stalls += 1
+                                stalled = True
+                            gated_cycles += resume - t
+                            t = resume
+                            continue
+                        step = throttled_per_uop
+                    else:
+                        step = per_uop
+                    stalled = False
+                    # Window back-pressure: wait for one fetch group of room.
+                    need = width if width < budget else budget
+                    while retiring and retiring[0][0] <= t:
+                        retired_uops += retiring.popleft()[1]
+                    free = rob - (fetched_uops - retired_uops)
+                    if free < need and retiring:
+                        # Step through retirements until the group fits,
+                        # then look at the LC counter again.
+                        while free < need and retiring:
+                            t = retiring[0][0]
+                            while retiring and retiring[0][0] <= t:
+                                retired_uops += retiring.popleft()[1]
+                            free = rob - (fetched_uops - retired_uops)
+                        continue
+                    step_end = t + budget * step
+                    next_event = resolves[0]
+                    if pending and pending[0][0] < next_event:
+                        next_event = pending[0][0]
+                    if next_event < step_end:
+                        step_end = next_event
+                    if step_end <= t:
+                        break
+                    span = (step_end - t) / step
+                    if budget < span:
+                        span = budget
+                    if span > free:
+                        span = free
+                        step_end = t + span * step
+                    if span <= 1e-9:
+                        # Window full of this group alone: the rest of
+                        # it never fits.
+                        if not retiring:
+                            break
+                        t = retiring[0][0]
+                        continue
+                    fetched_uops += span
+                    if gated:
+                        throttled_cycles += step_end - t
+                    budget -= span
+                    t = step_end
+                correct_path_uops += uops
+
+                t_fetch = t
+                if jitter:
+                    t_resolve = t_fetch + float(
+                        depth + mix_hash((event.pc << 17) ^ seq) % jitter
+                    )
+                else:
+                    t_resolve = t_fetch + float(depth)
+                seq += 1
+                heappush(resolves, t_resolve)
+                action = event.decision.action
+                if action is _GATE:
+                    gated_branches += 1
+                    pending.append((t_fetch + latency, t_resolve))
+                taken = event.taken
+                predictor_correct = event.prediction == taken
+                final_correct = event.final_prediction == taken
+                if not predictor_correct:
+                    raw_mispredictions += 1
+                if action is _REVERSE:
+                    reversals += 1
+                    if not predictor_correct and final_correct:
+                        reversals_correcting += 1
+                    elif predictor_correct and not final_correct:
+                        reversals_breaking += 1
+
+                backend = retire + uops * uop_cycles
+                floor = t_fetch + depth
+                if floor > backend:
+                    backend = floor
+                if final_correct:
+                    fetch = t_fetch
+                    retire = backend
+                    retiring.append((retire, group_uops))
+                    continue
+
+                # Wrong-path fetch from the branch until it resolves:
+                # full width, at most ``cap`` uops.  No window check:
+                # over the tens of cycles to resolution, slots recycle
+                # fast enough that live occupancy does not bind
+                # (DESIGN.md substitution note 2).
+                mispredictions += 1
+                budget = cap
+                fetched = 0.0
+                stalled = False
+                while budget > 1e-9 and t < t_resolve - 1e-9:
+                    while resolves[0] <= t:
+                        heappop(resolves)
+                    while pending:
+                        activation, resolve = pending[0]
+                        if resolve <= t:
+                            pending.popleft()
+                        elif activation <= t:
+                            pending.popleft()
+                            heappush(live, resolve)
+                        else:
+                            break
+                    while live[0] <= t:
+                        heappop(live)
+                    if len(live) > threshold:
+                        if not throttling:
+                            resume = live[0]
+                            if t_resolve < resume:
+                                resume = t_resolve
+                            if not stalled:
+                                gating_stalls += 1
+                                stalled = True
+                            t = resume
+                            continue
+                        step = throttled_per_uop
+                    else:
+                        step = per_uop
+                    stalled = False
+                    step_end = t + budget * step
+                    if t_resolve < step_end:
+                        step_end = t_resolve
+                    if resolves[0] < step_end:
+                        step_end = resolves[0]
+                    if pending and pending[0][0] < step_end:
+                        step_end = pending[0][0]
+                    if step_end <= t:
+                        break
+                    span = (step_end - t) / step
+                    if budget < span:
+                        span = budget
+                    fetched += span
+                    budget -= span
+                    t = step_end
+                potential = (t_resolve - t_fetch) * fetch_width
+                if cap < potential:
+                    potential = cap
+                wrong_path_uops += fetched
+                if potential - fetched > 0.0:
+                    wrong_path_uops_saved += potential - fetched
+
+                # Recovery: fetch restarts at resolution; the branch
+                # group cannot retire before it resolved, which makes
+                # the refill visible in the retire stream.
+                squash_cycles += t_resolve - t_fetch
+                fetch = t_resolve
+                retire = t_resolve if t_resolve > backend else backend
+                retiring.append((retire, group_uops))
+
+        result = SimStats(
+            correct_path_uops=correct_path_uops,
+            wrong_path_uops=wrong_path_uops,
+            branches=seq,
+            mispredictions=mispredictions,
+            raw_mispredictions=raw_mispredictions,
+            reversals=reversals,
+            reversals_correcting=reversals_correcting,
+            reversals_breaking=reversals_breaking,
+            gated_branches=gated_branches,
+            total_cycles=retire,
+            gated_cycles=gated_cycles,
+            throttled_cycles=throttled_cycles,
+            squash_cycles=squash_cycles,
+            gating_stalls=gating_stalls,
+            wrong_path_uops_saved=wrong_path_uops_saved,
+        )
         tel = telemetry.get_registry()
         if tel.enabled:
             buckets = telemetry.COUNT_BUCKETS

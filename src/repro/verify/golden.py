@@ -72,17 +72,17 @@ class GoldenEntry:
     metrics: Dict[str, Metric]
 
 
-def _number(value):
-    """A recorded metric as a number (hex strings back to floats)."""
-    return float.fromhex(value) if isinstance(value, str) else value
-
-
 def _drift_delta(expected, actual) -> str:
     if isinstance(expected, int) and isinstance(actual, int):
         return f"{actual - expected:+d}"
     if expected is None or actual is None:
         return "n/a"
-    return f"{_number(actual) - _number(expected):+g}"
+    # Timing floats are recorded as float.hex() strings.
+    if isinstance(expected, str):
+        expected = float.fromhex(expected)
+    if isinstance(actual, str):
+        actual = float.fromhex(actual)
+    return f"{actual - expected:+g}"
 
 
 @dataclass
@@ -108,7 +108,7 @@ class GateReport:
     def format(self) -> str:
         if self.ok:
             return (
-                f"ok   golden[{self.profile}]: {self.checked} jobs match "
+                f"ok   golden[{self.profile}]: {self.checked} entries match "
                 f"the baseline"
             )
         lines = [f"FAIL golden[{self.profile}]:"]
@@ -172,6 +172,7 @@ def compute_entries(
     ]
     outcomes = engine.run(executed)
     entries = []
+    streams = {}
     for (label, job), outcome in zip(labelled, outcomes):
         entries.append(
             GoldenEntry(
@@ -181,10 +182,7 @@ def compute_entries(
                 metrics=dict(outcome.canonical_metrics()),
             )
         )
-    streams = {
-        label: (job, outcome)
-        for (label, job), outcome in zip(labelled, outcomes)
-    }
+        streams[label] = (job, outcome)
     for label, stream, machine in timing_jobs_for_profile(profile):
         job, outcome = streams[stream]
         metrics = timing_metrics(

@@ -194,21 +194,20 @@ class TimingCase:
             ``timing/<machine>/<label>/<benchmark>``.
         stream: Label of the :class:`VerifyCase` whose events are timed.
         gating_threshold: Branch-counter threshold (PLn).
-        gating_mode: ``"stall"`` or ``"throttle"``.
-        throttle_factor: Fetch share kept while throttled.
+        gating_mode: ``"stall"`` or ``"throttle"`` (at the machine's
+            ``throttle_factor``).
     """
 
     label: str
     stream: str
     gating_threshold: int = 1
     gating_mode: str = "stall"
-    throttle_factor: float = 0.5
 
     def machine(self, base: PipelineConfig) -> PipelineConfig:
+        """This case's variant of the paper machine ``base``."""
         return replace(
             base.with_gating(self.gating_threshold),
             gating_mode=self.gating_mode,
-            throttle_factor=self.throttle_factor,
         )
 
 

@@ -4,7 +4,8 @@ A regression gate that never fires is indistinguishable from one that
 works.  Each named mutation perturbs one algorithmic constant in the
 production code (in process, reversibly) so the verification layers can
 be run against a deliberately-wrong build; CI asserts the golden gate
-reports a drift naming the affected configuration.
+reports a drift naming the affected configuration (a front-end case,
+or a ``timing/`` entry for ``sim-window``).
 
 Mutations monkey-patch live objects, so the mutated run must execute
 in-process (``--jobs 1``): worker processes re-import the pristine
@@ -94,10 +95,37 @@ def _mutate_tage_useful() -> Iterator[None]:
         TagePredictor.train = original
 
 
+@contextlib.contextmanager
+def _mutate_sim_window() -> Iterator[None]:
+    """Make the pipeline's instruction window one entry smaller.
+
+    An off-by-one in the ROB capacity: window back-pressure and the
+    wrong-path cap both bind one uop early, so every ``timing/`` entry
+    whose machine fills the window must drift while the front-end
+    entries stay put.  The timing loop keeps its state in locals, so
+    the mutation patches the constructor, where the machine is taken.
+    """
+    from dataclasses import replace
+
+    from repro.pipeline.simulator import PipelineSimulator
+
+    original = PipelineSimulator.__init__
+
+    def smaller_window(self, config):
+        original(self, replace(config, rob_size=config.rob_size - 1))
+
+    PipelineSimulator.__init__ = smaller_window
+    try:
+        yield
+    finally:
+        PipelineSimulator.__init__ = original
+
+
 MUTATIONS: Dict[str, contextlib.AbstractContextManager] = {
     "perceptron-update": _mutate_perceptron_update,
     "jrs-reset": _mutate_jrs_reset,
     "tage-useful": _mutate_tage_useful,
+    "sim-window": _mutate_sim_window,
 }
 
 

@@ -1,6 +1,10 @@
 """Unit tests for the pipeline timing model."""
 
+from dataclasses import asdict, replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.frontend import FrontEndEvent
 from repro.core.reversal import BranchAction, PolicyDecision
@@ -8,6 +12,7 @@ from repro.core.types import ConfidenceSignal
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.simulator import PipelineSimulator
 from repro.pipeline.stats import SimStats
+from repro.verify.oracles import RefPipelineSimulator
 
 
 def event(pc=0x40, taken=True, prediction=True, action=BranchAction.NORMAL,
@@ -322,3 +327,193 @@ class TestThrottleMode:
         stall = run("stall")
         throttle = run("throttle")
         assert throttle.total_cycles <= stall.total_cycles
+
+
+# ---------------------------------------------------------------------------
+# Property tests: random event streams under random valid machines
+# ---------------------------------------------------------------------------
+
+_ALL_ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
+_UNGATED_ACTIONS = (BranchAction.NORMAL, BranchAction.REVERSE)
+
+
+def _streams(actions, max_size=120):
+    """Event streams: (pc, taken, prediction, action, uops_before) rows.
+
+    ``prediction != taken`` is a raw misprediction; a ``REVERSE`` row
+    follows the other direction, so it corrects or breaks one.
+    """
+    row = st.tuples(
+        st.integers(0, 63),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from(actions),
+        st.integers(0, 30),
+    )
+    return st.lists(row, max_size=max_size).map(
+        lambda rows: [
+            event(
+                pc=0x400 + 4 * pc,
+                taken=taken,
+                prediction=prediction,
+                action=action,
+                uops_before=uops_before,
+                low=action is not BranchAction.NORMAL,
+            )
+            for pc, taken, prediction, action, uops_before in rows
+        ]
+    )
+
+
+@st.composite
+def _machines(draw):
+    fetch_width = draw(st.sampled_from([1, 2, 4, 8]))
+    depth = draw(st.integers(2, 40))
+    return PipelineConfig(
+        fetch_width=fetch_width,
+        depth=depth,
+        rob_size=draw(
+            st.one_of(st.just(fetch_width), st.integers(fetch_width, 160))
+        ),
+        base_uop_cycles=draw(st.sampled_from([0, 0.0, 0.5, 0.8, 1.0, 1.6, 2.5])),
+        resolve_jitter=draw(st.integers(0, 8)),
+        estimator_latency=draw(
+            st.one_of(st.integers(0, 9), st.integers(depth + 1, depth + 60))
+        ),
+        gating_threshold=draw(st.integers(1, 3)),
+        gating_mode=draw(st.sampled_from(PipelineConfig.GATING_MODES)),
+        throttle_factor=draw(st.sampled_from([0.0, 0.25, 0.5, 0.75])),
+    )
+
+
+def _exact(stats):
+    """Every field with its type, floats bit for bit."""
+    return {
+        name: (type(value), value.hex() if isinstance(value, float) else value)
+        for name, value in asdict(stats).items()
+    }
+
+
+def _flagged_stream():
+    """Mispredicts, gates and reversals, dense enough to fill the window."""
+    events = []
+    for i in range(90):
+        action = (BranchAction.NORMAL, BranchAction.GATE,
+                  BranchAction.REVERSE)[i % 3 if i % 7 else 1]
+        events.append(
+            event(
+                pc=0x400 + 4 * (i % 11),
+                taken=i % 5 != 0,
+                prediction=True,
+                action=action,
+                uops_before=(i * 7) % 31,
+                low=action is not BranchAction.NORMAL,
+            )
+        )
+    return events
+
+
+#: Edge machines the random draw might miss: every one is an example.
+_EDGE_MACHINES = (
+    config(gating_mode="stall", gating_threshold=2),
+    config(gating_mode="throttle", throttle_factor=0.5),
+    config(gating_mode="throttle", throttle_factor=0.0),
+    config(depth=6, estimator_latency=9),
+    config(resolve_jitter=0),
+    config(fetch_width=4, rob_size=4),
+    config(fetch_width=8, rob_size=8, resolve_jitter=3),
+    config(base_uop_cycles=0.0),
+    config(base_uop_cycles=0),
+)
+
+
+def _with_edge_examples(test):
+    for machine in _EDGE_MACHINES:
+        test = example(events=_flagged_stream(), machine=machine)(test)
+    return test
+
+
+class TestReferenceModel:
+    """The loop matches the one-helper-per-question reference exactly."""
+
+    @_with_edge_examples
+    @settings(max_examples=300, deadline=None)
+    @given(events=_streams(_ALL_ACTIONS), machine=_machines())
+    def test_matches_reference_bit_for_bit(self, events, machine):
+        fast = PipelineSimulator(machine).simulate(events)
+        ref = RefPipelineSimulator(machine).simulate(events)
+        assert asdict(fast) == asdict(ref)
+        assert _exact(fast) == _exact(ref)
+
+    def test_no_misprediction_keeps_int_zero(self):
+        stats = PipelineSimulator(config()).simulate(
+            [correct_event() for _ in range(20)]
+        )
+        assert stats.wrong_path_uops == 0
+        assert type(stats.wrong_path_uops) is int
+
+    def test_late_estimate_never_gates(self):
+        # The branch resolves (depth 6) before its estimate arrives
+        # (latency 9), so the LC counter never sees it.
+        cfg = config(depth=6, estimator_latency=9)
+        events = [mispredicted_event(action=BranchAction.GATE, low=True)]
+        events += [correct_event() for _ in range(20)]
+        stats = PipelineSimulator(cfg).simulate(events)
+        assert stats.gated_branches == 1
+        assert stats.gating_stalls == 0
+        assert stats.gated_cycles == 0.0
+
+
+def _tolerance(stats):
+    """Rounding slack on ``wrong_path_uops``: 1e-9 uops per misprediction.
+
+    Each episode's wrong-path uops are summed over spans that end at
+    every resolution and LC activation, so two runs that split an
+    episode at different instants differ in the last bits: the 40c/4w
+    machine made 8 wide gives 106240.0 -> 106239.99999999999 on the
+    ungated quick-profile mcf stream.  The fetch loop stops 1e-9 cycles
+    short of a deadline, so the slack is of that order, not larger.
+    """
+    return 1e-9 * stats.mispredictions
+
+
+class TestTimingInvariants:
+    """Relations between runs that hold up to rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=_streams(_ALL_ACTIONS), machine=_machines())
+    def test_gating_never_adds_wrong_path_uops(self, events, machine):
+        ungated_events = [
+            replace(e, decision=PolicyDecision(
+                BranchAction.NORMAL, e.decision.final_prediction
+            ))
+            if e.decision.action is BranchAction.GATE else e
+            for e in events
+        ]
+        gated = PipelineSimulator(machine).simulate(events)
+        ungated = PipelineSimulator(machine).simulate(ungated_events)
+        assert gated.mispredictions == ungated.mispredictions
+        assert (
+            gated.wrong_path_uops
+            <= ungated.wrong_path_uops + _tolerance(ungated)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        events=_streams(_UNGATED_ACTIONS),
+        machine=_machines(),
+        knob=st.sampled_from(["fetch_width", "depth", "rob_size"]),
+        grow=st.integers(1, 64),
+    )
+    def test_wrong_path_uops_monotone_in_machine_size(
+        self, events, machine, knob, grow
+    ):
+        changes = {knob: getattr(machine, knob) + grow}
+        if knob == "fetch_width":
+            # The window must hold a fetch group; growing it too keeps
+            # every knob non-decreasing.
+            changes["rob_size"] = max(machine.rob_size, changes[knob])
+        bigger = replace(machine, **changes)
+        small = PipelineSimulator(machine).simulate(events)
+        large = PipelineSimulator(bigger).simulate(events)
+        assert large.wrong_path_uops >= small.wrong_path_uops - _tolerance(small)

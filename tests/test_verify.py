@@ -262,6 +262,21 @@ class TestMutationHarness:
         drifted_labels = {label for label, _, _, _ in report.drifts}
         assert any("perceptron" in label for label in drifted_labels)
 
+    def test_sim_window_drifts_only_timing_entries(self, engine, tmp_path):
+        path = str(tmp_path / "tiny.json")
+        write_baseline(TINY, compute_entries(TINY, engine), "clean", path=path)
+        baseline = load_baseline("tiny", path=path)
+        with apply_mutation("sim-window"):
+            mutated = compute_entries(TINY, Engine(max_workers=1))
+        report = compare(baseline, mutated, "tiny")
+        drifted = {label for label, _, _, _ in report.drifts}
+        assert drifted
+        assert all(label.startswith("timing/") for label in drifted)
+        assert "timing/40c/4w/ungated/gzip" in drifted
+        assert "timing/40c/4w/ungated/gzip: metric 'wrong_path_uops'" in (
+            report.format()
+        )
+
     def test_every_registered_mutation_is_caught(self, engine, tmp_path):
         path = str(tmp_path / "tiny.json")
         write_baseline(TINY, compute_entries(TINY, engine), "clean", path=path)
