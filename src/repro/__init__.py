@@ -41,6 +41,7 @@ from repro.core import (
     ConfidenceSignal,
     FrontEnd,
     FrontEndEvent,
+    FrontEndEvents,
     FrontEndResult,
     GatingConfig,
     GatingOnlyPolicy,
@@ -102,6 +103,7 @@ __all__ = [
     "ConfidenceSignal",
     "FrontEnd",
     "FrontEndEvent",
+    "FrontEndEvents",
     "FrontEndResult",
     "GatingConfig",
     "GatingOnlyPolicy",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.core.frontend import FrontEndEvents
 from repro.trace.record import BranchRecord
 
 __all__ = [
@@ -216,20 +217,22 @@ def profile_records(records: Iterable[BranchRecord]) -> TraceBranchSummary:
 
 
 def profile_events(events: Iterable) -> TraceBranchSummary:
-    """Profile a replay event stream (FrontEndEvent-shaped objects).
+    """Profile a replay event stream (FrontEndEvents or FrontEndEvent list).
 
-    Uses ``pc``, ``taken`` and ``predictor_correct`` -- the per-branch
-    accuracy column that turns the entropy proxy into the measured H2P
-    taxonomy.
+    Uses ``pc``, ``taken`` and whether the prediction was correct -- the
+    per-branch accuracy column that turns the entropy proxy into the
+    measured H2P taxonomy.  Reads the ``pc``, ``taken`` and
+    ``prediction`` columns, so it builds no event object.
     """
+    columns = FrontEndEvents.of(events)
     counts: Dict[int, List[int]] = {}
-    for event in events:
-        stats = counts.get(event.pc)
+    for pc, taken, prediction in zip(columns.pc, columns.taken, columns.prediction):
+        stats = counts.get(pc)
         if stats is None:
-            stats = counts[event.pc] = [0, 0, 0]
+            stats = counts[pc] = [0, 0, 0]
         stats[0] += 1
-        if event.taken:
+        if taken:
             stats[1] += 1
-        if not event.predictor_correct:
+        if prediction != taken:
             stats[2] += 1
     return _summarise(counts, with_mispredicts=True)

@@ -24,7 +24,12 @@ paper plus the machinery that consumes their output:
 from repro.core.agreement import ComponentAgreementEstimator
 from repro.core.combined_estimator import AgreementEstimator, CascadeEstimator
 from repro.core.estimator import AlwaysHighEstimator, ConfidenceEstimator
-from repro.core.frontend import FrontEnd, FrontEndEvent, FrontEndResult
+from repro.core.frontend import (
+    FrontEnd,
+    FrontEndEvent,
+    FrontEndEvents,
+    FrontEndResult,
+)
 from repro.core.gating import GatingConfig, LowConfidenceCounter
 from repro.core.jrs import JRSEstimator
 from repro.core.metrics import ConfidenceMatrix, MetricsCollector
@@ -52,6 +57,7 @@ __all__ = [
     "oracle_events",
     "FrontEnd",
     "FrontEndEvent",
+    "FrontEndEvents",
     "FrontEndResult",
     "GatingConfig",
     "LowConfidenceCounter",

@@ -7,12 +7,16 @@ then train everything non-speculatively at retirement.  It produces the
 confusion-matrix metrics of Section 2.2 and, optionally, the raw
 per-branch events and perceptron outputs that feed the Figure 4-7
 density analysis and the pipeline simulator.
+
+A replay keeps its post-warm-up events as :class:`FrontEndEvents`: eight
+columns that build :class:`FrontEndEvent` objects only when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import MetricsCollector
@@ -22,12 +26,13 @@ from repro.core.reversal import (
     PolicyDecision,
     SpeculationPolicy,
 )
-from repro.core.types import ConfidenceSignal
+from repro.core.types import ConfidenceLevel, ConfidenceSignal
 from repro.predictors.base import BranchPredictor
 from repro.trace.record import BranchRecord, Trace
 
 __all__ = [
     "FrontEndEvent",
+    "FrontEndEvents",
     "FrontEndResult",
     "FrontEnd",
     "aggregate_event",
@@ -68,6 +73,162 @@ class FrontEndEvent:
     def final_correct(self) -> bool:
         """Did the followed direction match the outcome?"""
         return self.final_prediction == self.taken
+
+
+#: Column names of :class:`FrontEndEvents`, in constructor order.
+_COLUMNS = (
+    "pc",
+    "taken",
+    "prediction",
+    "final_prediction",
+    "action",
+    "level",
+    "raw",
+    "uops_before",
+)
+
+_new = object.__new__
+_HIGH = ConfidenceLevel.HIGH
+
+
+def _event(pc, taken, prediction, final, action, level, raw, uops) -> FrontEndEvent:
+    """One event from its column values.
+
+    The three frozen dataclasses are filled through their ``__dict__``,
+    in field order, which is what their ``__init__`` does minus one
+    ``object.__setattr__`` call per field (about 3x cheaper).  Nothing
+    is shared between events, so an ``int`` and a ``float`` ``raw`` of
+    equal value keep their own types.
+    """
+    signal = _new(ConfidenceSignal)
+    d = signal.__dict__
+    d["low_confidence"] = level is not _HIGH
+    d["raw"] = raw
+    d["level"] = level
+    decision = _new(PolicyDecision)
+    d = decision.__dict__
+    d["action"] = action
+    d["final_prediction"] = final
+    event = _new(FrontEndEvent)
+    d = event.__dict__
+    d["pc"] = pc
+    d["taken"] = taken
+    d["prediction"] = prediction
+    d["final_prediction"] = final
+    d["signal"] = signal
+    d["decision"] = decision
+    d["uops_before"] = uops
+    return event
+
+
+class FrontEndEvents(Sequence):
+    """A read-only sequence of :class:`FrontEndEvent`, held as columns.
+
+    A replay's post-warm-up events as eight equal-length lists: ``pc``,
+    ``taken``, ``prediction``, ``final_prediction``, ``action``
+    (:class:`~repro.core.reversal.BranchAction`), ``level``
+    (:class:`~repro.core.types.ConfidenceLevel`), ``raw`` (the
+    estimator's raw output, ``int`` or ``float``) and ``uops_before``.
+    An event's ``signal.low_confidence`` follows from its level and its
+    ``decision.final_prediction`` is its ``final_prediction``, so the
+    columns hold all of it.
+
+    Most readers want a few columns, not events: the pipeline timing
+    model reads six of them, and the Table 3 metrics none.  Event
+    objects are built only when the sequence is iterated or indexed,
+    afresh on every read.  Slicing gives another column sequence.  Two
+    sequences compare equal when their columns do, which is when their
+    events do.  Pickling stores the columns.
+
+    The columns are not copied, and nothing may change them after
+    construction: several sequences may share one list.
+    """
+
+    __slots__ = _COLUMNS
+
+    def __init__(
+        self,
+        pc: List[int],
+        taken: List[bool],
+        prediction: List[bool],
+        final_prediction: List[bool],
+        action: List[BranchAction],
+        level: List[ConfidenceLevel],
+        raw: List[float],
+        uops_before: List[int],
+    ):
+        columns = (
+            pc, taken, prediction, final_prediction, action, level, raw, uops_before,
+        )
+        n = len(pc)
+        if any(len(column) != n for column in columns):
+            lengths = {name: len(c) for name, c in zip(_COLUMNS, columns)}
+            raise ValueError(f"event columns differ in length: {lengths}")
+        self.pc = pc
+        self.taken = taken
+        self.prediction = prediction
+        self.final_prediction = final_prediction
+        self.action = action
+        self.level = level
+        self.raw = raw
+        self.uops_before = uops_before
+
+    @classmethod
+    def of(cls, events: Iterable[FrontEndEvent]) -> "FrontEndEvents":
+        """``events`` as columns: a column sequence as is, else one pass.
+
+        Raises :class:`ValueError` for an event whose
+        ``decision.final_prediction`` differs from its
+        ``final_prediction``: the columns keep only one of them.
+        """
+        if isinstance(events, FrontEndEvents):
+            return events
+        if not isinstance(events, list):
+            events = list(events)
+        final = [e.final_prediction for e in events]
+        decided = [e.decision.final_prediction for e in events]
+        if final != decided:
+            i = next(i for i, (a, b) in enumerate(zip(final, decided)) if a != b)
+            raise ValueError(
+                f"event {i}: final_prediction={final[i]!r} but its "
+                f"decision.final_prediction={decided[i]!r}"
+            )
+        signals = [e.signal for e in events]
+        return cls(
+            pc=[e.pc for e in events],
+            taken=[e.taken for e in events],
+            prediction=[e.prediction for e in events],
+            final_prediction=final,
+            action=[e.decision.action for e in events],
+            level=[s.level for s in signals],
+            raw=[s.raw for s in signals],
+            uops_before=[e.uops_before for e in events],
+        )
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    def __len__(self) -> int:
+        return len(self.pc)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FrontEndEvents(*(column[index] for column in self._columns()))
+        return _event(*(column[index] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[FrontEndEvent]:
+        return map(_event, *self._columns())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FrontEndEvents):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __reduce__(self):
+        return FrontEndEvents, self._columns()
+
+    def __repr__(self) -> str:
+        return f"FrontEndEvents(<{len(self)} events>)"
 
 
 @dataclass

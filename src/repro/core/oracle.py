@@ -15,11 +15,11 @@ estimator has), mirroring :func:`repro.core.frontend.apply_policy`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.frontend import FrontEndEvent
+from repro.core.frontend import FrontEndEvent, FrontEndEvents
 from repro.core.reversal import SpeculationPolicy
 from repro.core.types import ConfidenceSignal
 
@@ -32,7 +32,7 @@ def oracle_events(
     coverage: float = 1.0,
     accuracy: float = 1.0,
     seed: int = 0,
-) -> List[FrontEndEvent]:
+) -> FrontEndEvents:
     """Re-derive signals and decisions with oracle confidence.
 
     Args:
@@ -45,18 +45,23 @@ def oracle_events(
             right with roughly this probability (1.0 = no false flags).
         seed: Seed for the degradation draws.
 
-    Returns a new event list; the originals are untouched.
+    Returns a new event sequence; the originals are untouched.  It
+    reads and shares the input's ``pc``, ``taken``, ``prediction`` and
+    ``uops_before`` columns, so no event object is built.
     """
     if not 0.0 <= coverage <= 1.0:
         raise ValueError(f"coverage must be in [0, 1], got {coverage}")
     if not 0.0 < accuracy <= 1.0:
         raise ValueError(f"accuracy must be in (0, 1], got {accuracy}")
     rng = np.random.default_rng(seed)
+    columns = FrontEndEvents.of(events)
+    predictions = columns.prediction
+    takens = columns.taken
 
     # False-flag probability on correct branches solving for the target
     # PVN given the stream's misprediction rate and coverage.
-    total = len(events)
-    mispredicted = sum(1 for e in events if not e.predictor_correct)
+    total = len(columns)
+    mispredicted = sum(1 for p, t in zip(predictions, takens) if p != t)
     correct = total - mispredicted
     false_flag_p = 0.0
     if accuracy < 1.0 and correct > 0:
@@ -64,30 +69,36 @@ def oracle_events(
         want_false = true_flags * (1.0 - accuracy) / accuracy
         false_flag_p = min(1.0, want_false / correct)
 
-    out: List[FrontEndEvent] = []
-    for event in events:
-        if not event.predictor_correct:
+    # Mispredicted flags are "strong" (the oracle is sure), giving
+    # reversal policies their upper bound too.
+    strong = ConfidenceSignal.strong_low(float("inf"))
+    weak = ConfidenceSignal.weak_low(1.0)
+    high = ConfidenceSignal.high(-float("inf"))
+    final, action, level, raw = [], [], [], []
+    for prediction, taken in zip(predictions, takens):
+        wrong = prediction != taken
+        if wrong:
             low = coverage >= 1.0 or rng.random() < coverage
         else:
             low = false_flag_p > 0.0 and rng.random() < false_flag_p
-        # Mispredicted flags are "strong" (the oracle is sure), giving
-        # reversal policies their upper bound too.
-        if low and not event.predictor_correct:
-            signal = ConfidenceSignal.strong_low(float("inf"))
+        if low and wrong:
+            signal = strong
         elif low:
-            signal = ConfidenceSignal.weak_low(1.0)
+            signal = weak
         else:
-            signal = ConfidenceSignal.high(-float("inf"))
-        decision = policy.decide(signal, event.prediction)
-        out.append(
-            FrontEndEvent(
-                pc=event.pc,
-                taken=event.taken,
-                prediction=event.prediction,
-                final_prediction=decision.final_prediction,
-                signal=signal,
-                decision=decision,
-                uops_before=event.uops_before,
-            )
-        )
-    return out
+            signal = high
+        decision = policy.decide(signal, prediction)
+        final.append(decision.final_prediction)
+        action.append(decision.action)
+        level.append(signal.level)
+        raw.append(signal.raw)
+    return FrontEndEvents(
+        pc=columns.pc,
+        taken=takens,
+        prediction=predictions,
+        final_prediction=final,
+        action=action,
+        level=level,
+        raw=raw,
+        uops_before=columns.uops_before,
+    )

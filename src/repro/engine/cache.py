@@ -7,11 +7,13 @@ Two caches back the engine:
   LRU-evicted against a total-branches budget.
 
 :class:`ReplayCache` is one kind of a tiered cache.  Its memory tier is
-LRU-evicted against an *event budget* (event lists dominate memory at
-~300 bytes/event).  Its optional disk tier pickles each entry under
-``<dir>/<aa>/<fingerprint>.pkl`` -- the two-level fan-out keeps
-directories small -- so entries survive across processes and runs.  An
-unreadable disk entry is dropped, counted and recomputed.
+LRU-evicted against an *event budget*: post-warm-up events dominate
+memory, at ~105 bytes/event in their column form
+(:class:`~repro.core.frontend.FrontEndEvents`).  Its optional disk
+tier pickles each entry under ``<dir>/<aa>/<fingerprint>.pkl`` (~20
+bytes/event) -- the two-level fan-out keeps directories small -- so
+entries survive across processes and runs.  An unreadable disk entry
+is dropped, counted and recomputed.
 
 All expose monotonic counters; :class:`CacheStats` snapshots support
 deltas over any stretch of work (``Engine.stats.since``).
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import telemetry
+from repro.core.frontend import FrontEndEvents
 from repro.engine.job import ReplayOutcome
 
 __all__ = ["CacheStats", "ReplayCache", "TraceCache"]
@@ -35,9 +38,15 @@ __all__ = ["CacheStats", "ReplayCache", "TraceCache"]
 logger = logging.getLogger(__name__)
 
 #: Default in-memory replay budget: total cached post-warm-up events.
-#: ~650 MB worst case at ~300 B/event; at --quick sizing it holds a few
-#: hundred outcomes, at full sizing a few dozen -- enough for the
-#: cross-experiment baseline/ladder sharing the suite relies on.
+#: ~215 MB worst case at 101-108 B/event: every object an outcome's
+#: events keep alive, counted once with ``sys.getsizeof`` (bools, enum
+#: members and small ints are shared by the whole interpreter and not
+#: counted), over Table 3/4 and Figure 8 jobs on gzip, mcf and vortex
+#: at 5000 branches on both backends.  The event objects that held
+#: them before cost 368-377 B/event by the same count.  At --quick
+#: sizing the budget holds a few hundred outcomes, at full sizing a few
+#: dozen -- enough for the cross-experiment baseline/ladder sharing the
+#: suite relies on.
 DEFAULT_EVENT_BUDGET = 2_000_000
 
 #: Default trace budget in dynamic branches (~25 full-size traces).
@@ -170,7 +179,7 @@ class _TieredCache:
             return None  # no entry on disk: an ordinary miss
         try:
             with fh:
-                events, value = pickle.load(fh)
+                events, value = self._decoded(pickle.load(fh))
         except Exception as exc:
             # Truncated/garbled/wrong-shape pickle: the entry is
             # unusable.  Drop it (so store() can rewrite a good one),
@@ -195,6 +204,11 @@ class _TieredCache:
                 pass
             return None
         return events, value
+
+    def _decoded(self, entry):
+        """The in-memory form of an entry read from disk; subclasses
+        convert the shapes earlier versions wrote."""
+        return entry
 
     def store(self, key: str, entry) -> None:
         """Cache ``entry`` in memory and, if not already there, on disk."""
@@ -242,12 +256,20 @@ class _TieredCache:
 class ReplayCache(_TieredCache):
     """Job fingerprint -> :class:`ReplayOutcome`.
 
-    Entries are ``(events, result)``; the disk tier keeps them at the
-    top of the cache directory.
+    Entries are ``(events, result)`` with ``events`` a
+    :class:`~repro.core.frontend.FrontEndEvents`; the disk tier keeps
+    them at the top of the cache directory.  Entries written before
+    events were columnar hold a plain event list, which is converted on
+    load: fingerprints did not change, so old cache directories still
+    hit.
     """
 
     kind = "replay"
     subdir = ""
+
+    def _decoded(self, entry):
+        events, result = entry
+        return FrontEndEvents.of(events), result
 
     def get(self, fingerprint: str) -> Optional[ReplayOutcome]:
         entry, _ = self.lookup(fingerprint)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.engine.specs import (
     ALWAYS_HIGH,
@@ -141,7 +141,7 @@ class ReplayOutcome:
     familiar ``events, res = engine.replay(job)`` unpacking.
     """
 
-    events: List  # List[FrontEndEvent]
+    events: object  # FrontEndEvents: post-warm-up columns, events on read
     result: object  # FrontEndResult
     from_cache: bool = False
     backend: str = "reference"  # backend that actually executed

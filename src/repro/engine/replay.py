@@ -58,7 +58,12 @@ def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
                 # reference rerun below is exact.
                 _count_fallback("runtime")
     if backend == "reference":
-        from repro.core.frontend import FrontEnd, FrontEndResult, aggregate_event
+        from repro.core.frontend import (
+            FrontEnd,
+            FrontEndEvents,
+            FrontEndResult,
+            aggregate_event,
+        )
 
         process = FrontEnd(
             job.predictor.build(), job.estimator.build(), job.policy.build()
@@ -72,5 +77,6 @@ def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
             if i >= warmup:
                 aggregate_event(result, event, collect)
                 events.append(event)
+        events = FrontEndEvents.of(events)
     _count_replay(backend, started)
     return ReplayOutcome(events=events, result=result, backend=backend)

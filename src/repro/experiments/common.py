@@ -151,7 +151,7 @@ def replay_benchmark(
     """One cached front-end replay of a benchmark.
 
     Returns a :class:`ReplayOutcome`, unpackable as ``events, result``:
-    the post-warm-up event list (reusable across policies via
+    the post-warm-up events (reusable across policies via
     :func:`repro.core.frontend.apply_policy` and across pipeline
     configurations) plus the aggregated front-end result.
     """
@@ -169,7 +169,7 @@ def replay_benchmark(
 
 def simulate_events(events, config: PipelineConfig) -> SimStats:
     """Run the pipeline model over a prepared event stream."""
-    return PipelineSimulator(config).simulate(iter(events))
+    return PipelineSimulator(config).simulate(events)
 
 
 def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float:

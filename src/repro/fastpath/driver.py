@@ -9,10 +9,13 @@ passes instead of the reference's per-branch protocol loop:
 2. **Estimator pass** -- consumes the prediction/correctness streams
    (estimators train on the *raw* predictor outcome, never on the
    policy's final prediction, so the pass is policy-independent).
-3. **Policy + materialization pass** -- vectorized policy application
-   and aggregation, then one scalar loop that materializes the
-   post-warmup :class:`~repro.core.frontend.FrontEndEvent` stream with
-   interned signal/decision objects.
+3. **Policy + columns pass** -- vectorized policy application and
+   aggregation, then the post-warm-up
+   :class:`~repro.core.frontend.FrontEndEvents` columns: slices of the
+   lists the first two passes and the columnar trace already hold, plus
+   the policy's action column.  No per-branch object is built; readers
+   that want :class:`~repro.core.frontend.FrontEndEvent` objects build
+   them on iteration.
 
 Every pass is bit-identical to the reference front end;
 ``supports_job`` whitelists exactly the (kind, params) space for which
@@ -23,12 +26,19 @@ reference backend.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.frontend import FrontEndEvents, FrontEndResult
+from repro.core.reversal import BranchAction
+from repro.core.types import ConfidenceLevel
 from repro.fastpath.columnar import ColumnarTrace, get_columnar
-from repro.fastpath.estimators import ESTIMATOR_DEFAULTS, run_estimator
+from repro.fastpath.estimators import (
+    ESTIMATOR_DEFAULTS,
+    LEVEL_STRONG_LOW,
+    run_estimator,
+)
 from repro.fastpath.kernels import swar_supported
 from repro.fastpath.predictors import PREDICTOR_DEFAULTS, run_predictor
 from repro.telemetry import COUNT_BUCKETS, get_registry
@@ -265,84 +275,17 @@ def _predictor_pass(job, trace, col: ColumnarTrace):
     return ppass
 
 
-def _decide(job, col, ppass, epass):
-    """Apply the policy: per-branch decisions plus aggregate arrays."""
-    from repro.core.reversal import BranchAction, PolicyDecision
-
-    n = col.n
+def _policy(job, ppass, epass):
+    """The policy's final direction and reversal flag per branch (arrays)."""
     pred_arr = ppass.pred_arr
-    level_arr = np.asarray(epass.level, dtype=np.int8)
-    kind = job.policy.kind
-    if kind == "three_region":
-        reverse_arr = level_arr == 2
-        final_arr = np.where(reverse_arr, ~pred_arr, pred_arr)
-    else:
-        reverse_arr = np.zeros(n, dtype=bool)
-        final_arr = pred_arr
-
-    normal = {
-        True: PolicyDecision(BranchAction.NORMAL, True),
-        False: PolicyDecision(BranchAction.NORMAL, False),
-    }
-    gate = {
-        True: PolicyDecision(BranchAction.GATE, True),
-        False: PolicyDecision(BranchAction.GATE, False),
-    }
-    reverse = {
-        True: PolicyDecision(BranchAction.REVERSE, True),
-        False: PolicyDecision(BranchAction.REVERSE, False),
-    }
-    pred = ppass.pred
-    decisions: List[PolicyDecision] = [None] * n
-    if kind == "none":
-        for i in range(n):
-            decisions[i] = normal[pred[i]]
-    elif kind == "gating":
-        low = epass.low
-        for i in range(n):
-            decisions[i] = gate[pred[i]] if low[i] else normal[pred[i]]
-    else:  # three_region
-        level = epass.level
-        for i in range(n):
-            lv = level[i]
-            p = pred[i]
-            if lv == 2:
-                decisions[i] = reverse[not p]
-            elif lv == 1:
-                decisions[i] = gate[p]
-            else:
-                decisions[i] = normal[p]
-    return decisions, final_arr, reverse_arr
-
-
-def _signals(epass):
-    """Interned ConfidenceSignal per branch."""
-    from repro.core.types import ConfidenceSignal
-
-    ctors = {
-        0: ConfidenceSignal.high,
-        1: ConfidenceSignal.weak_low,
-        2: ConfidenceSignal.strong_low,
-    }
-    cache = {}
-    level = epass.level
-    raw = epass.raw
-    n = len(level)
-    signals = [None] * n
-    for i in range(n):
-        key = (level[i], raw[i])
-        sig = cache.get(key)
-        if sig is None:
-            sig = ctors[level[i]](raw[i])
-            cache[key] = sig
-        signals[i] = sig
-    return signals
+    if job.policy.kind == "three_region":
+        reverse_arr = np.asarray(epass.level, dtype=np.int8) == LEVEL_STRONG_LOW
+        return np.where(reverse_arr, ~pred_arr, pred_arr), reverse_arr
+    return pred_arr, np.zeros(pred_arr.shape[0], dtype=bool)
 
 
 def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
     """Vectorized equivalent of FrontEnd._aggregate after ``warmup``."""
-    from repro.core.frontend import FrontEndResult
-
     w = warmup
     taken_tail = col.takens.astype(bool)[w:]
     pred_correct = ppass.correct_arr[w:]
@@ -372,38 +315,46 @@ def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
     return result
 
 
-def _materialize_events(col, ppass, signals, decisions, warmup):
-    from repro.core.frontend import FrontEndEvent
+#: Column values of the estimator pass's ``LEVEL_*`` codes.
+_LEVELS = (ConfidenceLevel.HIGH, ConfidenceLevel.WEAK_LOW, ConfidenceLevel.STRONG_LOW)
+#: Three-region actions by level code: reverse strong, gate weak.
+_REGION_ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
 
-    n = col.n
-    pcs = col.pc_list
-    takens = col.taken_list
-    preds = ppass.pred
-    uops = col.uops_list
-    events = []
-    append = events.append
-    new = object.__new__
-    cls = FrontEndEvent
-    for i in range(warmup, n):
-        o = new(cls)
-        d = o.__dict__
-        d["pc"] = pcs[i]
-        d["taken"] = takens[i]
-        d["prediction"] = preds[i]
-        decision = decisions[i]
-        d["final_prediction"] = decision.final_prediction
-        d["signal"] = signals[i]
-        d["decision"] = decision
-        d["uops_before"] = uops[i]
-        append(o)
-    return events
+
+def _events(job, col, ppass, epass, final_arr, warmup):
+    """Post-warm-up event columns: slices of the lists the passes hold."""
+    w = warmup
+    prediction = ppass.pred[w:]
+    codes = epass.level[w:]
+    kind = job.policy.kind
+    if kind == "three_region":
+        final = final_arr[w:].tolist()
+        action = [_REGION_ACTIONS[code] for code in codes]
+    else:
+        final = prediction
+        if kind == "gating":
+            gate, normal = BranchAction.GATE, BranchAction.NORMAL
+            action = [gate if low else normal for low in epass.low[w:]]
+        else:
+            action = [BranchAction.NORMAL] * len(prediction)
+    return FrontEndEvents(
+        pc=col.pc_list[w:],
+        taken=col.taken_list[w:],
+        prediction=prediction,
+        final_prediction=final,
+        action=action,
+        level=[_LEVELS[code] for code in codes],
+        raw=epass.raw[w:],
+        uops_before=col.uops_list[w:],
+    )
 
 
 def replay_trace(job, trace, warmup=0):
     """Fast replay of ``job`` over the whole of ``trace``.
 
     Returns ``(events, result, predictor_state, estimator_state)``: the
-    events after the first ``warmup`` branches, their
+    :class:`~repro.core.frontend.FrontEndEvents` after the first
+    ``warmup`` branches, their
     :class:`~repro.core.frontend.FrontEndResult`, and the components'
     final ``state_canonical()`` tuples, which the fastpath verify layer
     compares with the reference front end's.  The columnar view
@@ -426,8 +377,7 @@ def replay_trace(job, trace, warmup=0):
         ).observe(col.n)
     ppass = _predictor_pass(job, trace, col)
     epass = run_estimator(job.estimator, col, ppass.pred, ppass.correct)
-    decisions, final_arr, reverse_arr = _decide(job, col, ppass, epass)
-    signals = _signals(epass)
+    final_arr, reverse_arr = _policy(job, ppass, epass)
     result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup)
-    events = _materialize_events(col, ppass, signals, decisions, warmup)
+    events = _events(job, col, ppass, epass, final_arr, warmup)
     return events, result, ppass.state, epass.state

@@ -1,10 +1,10 @@
 """Branch-granularity pipeline timing model.
 
-The simulator replays :class:`repro.core.frontend.FrontEndEvent`
-streams through a parametric out-of-order machine and accounts the two
-quantities every experiment in the paper reports: **uops executed**
-(correct-path plus wrong-path) and **cycles** (the retire-stream
-completion time).
+The simulator replays front-end event streams
+(:class:`repro.core.frontend.FrontEndEvents`) through a parametric
+out-of-order machine and accounts the two quantities every experiment
+in the paper reports: **uops executed** (correct-path plus wrong-path)
+and **cycles** (the retire-stream completion time).
 
 Two clocks drive the model:
 
@@ -40,7 +40,10 @@ Mechanisms modelled explicitly:
   uops -- the squashed window cannot hide it.
 
 Implementation: :meth:`PipelineSimulator.simulate` is one loop over
-local variables.  Fetch proceeds in spans that end at every branch
+local variables.  It reads six columns of a
+:class:`repro.core.frontend.FrontEndEvents` (``pc``, ``taken``,
+``prediction``, ``final_prediction``, ``action``, ``uops_before``), so
+it builds no event object.  Fetch proceeds in spans that end at every branch
 resolution and every low-confidence (LC) activation, because those are
 the instants the LC counter can change.  The in-flight state is a heap
 of resolve times, a deque of ``(activation, resolve)`` pairs of LC
@@ -66,7 +69,7 @@ from typing import Iterable
 
 from repro import telemetry
 from repro.common.bits import mix_hash
-from repro.core.frontend import FrontEndEvent
+from repro.core.frontend import FrontEndEvent, FrontEndEvents
 from repro.core.reversal import BranchAction
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.stats import SimStats
@@ -87,7 +90,9 @@ class PipelineSimulator:
     def simulate(self, events: Iterable[FrontEndEvent]) -> SimStats:
         """Replay a front-end event stream from a reset machine.
 
-        Fetch stalls while the LC counter is at or above the gating
+        ``events`` is a :class:`~repro.core.frontend.FrontEndEvents`,
+        whose columns are read as they are, or any iterable of events,
+        converted to columns first.  Fetch stalls while the LC counter is at or above the gating
         threshold (or runs at ``throttle_factor`` of full width in
         throttle mode) and, on the correct path, while the window has
         no room for one fetch group.  Gating stall and throttled cycles
@@ -95,6 +100,7 @@ class PipelineSimulator:
         with the same operands in the same order as the reference
         model, so the statistics match it bit for bit.
         """
+        events = FrontEndEvents.of(events)
         cfg = self.config
         fetch_width = cfg.fetch_width
         width = float(fetch_width)
@@ -142,8 +148,15 @@ class PipelineSimulator:
         wrong_path_uops_saved = 0.0
 
         with telemetry.trace_span("pipeline.simulate", machine=cfg.label()):
-            for event in events:
-                uops = event.uops_before + 1
+            for pc, taken, prediction, final_prediction, action, uops_before in zip(
+                events.pc,
+                events.taken,
+                events.prediction,
+                events.final_prediction,
+                events.action,
+                events.uops_before,
+            ):
+                uops = uops_before + 1
                 group_uops = float(uops)
 
                 # Correct-path fetch of the branch's group.
@@ -223,19 +236,17 @@ class PipelineSimulator:
                 t_fetch = t
                 if jitter:
                     t_resolve = t_fetch + float(
-                        depth + mix_hash((event.pc << 17) ^ seq) % jitter
+                        depth + mix_hash((pc << 17) ^ seq) % jitter
                     )
                 else:
                     t_resolve = t_fetch + float(depth)
                 seq += 1
                 heappush(resolves, t_resolve)
-                action = event.decision.action
                 if action is _GATE:
                     gated_branches += 1
                     pending.append((t_fetch + latency, t_resolve))
-                taken = event.taken
-                predictor_correct = event.prediction == taken
-                final_correct = event.final_prediction == taken
+                predictor_correct = prediction == taken
+                final_correct = final_prediction == taken
                 if not predictor_correct:
                     raw_mispredictions += 1
                 if action is _REVERSE:

@@ -12,7 +12,7 @@ machine.
 The model is a small cycle-driven loop (unlike the branch-granularity
 single-thread simulator): per cycle it picks the fetch thread by an
 ICOUNT-like heuristic restricted to non-gated, non-recovering threads,
-streams uops from that thread's event list, and tracks per-thread
+streams uops from that thread's event stream, and tracks per-thread
 wrong-path episodes.  Throughput is combined correct-path uops per
 cycle, so converting one thread's wrong-path slots into the other
 thread's right-path slots shows up directly.
@@ -24,10 +24,13 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from repro.common.bits import mix_hash
-from repro.core.frontend import FrontEndEvent
+from repro.core.frontend import FrontEndEvent, FrontEndEvents
+from repro.core.reversal import BranchAction
 from repro.pipeline.config import PipelineConfig
 
 __all__ = ["SmtThreadStats", "SmtStats", "SmtSimulator"]
+
+_GATE = BranchAction.GATE
 
 
 @dataclass
@@ -74,12 +77,24 @@ class SmtStats:
 
 
 class _Thread:
-    """Mutable per-thread simulation state."""
+    """Mutable per-thread simulation state.
+
+    The events are read as columns, once: the fetch loop indexes them
+    per branch, and indexing a :class:`FrontEndEvents` builds an event.
+    """
 
     def __init__(self, events: Sequence[FrontEndEvent], seq_salt: int):
-        self.events = events
+        events = FrontEndEvents.of(events)
+        self.pcs = events.pc
+        self.uops_before = events.uops_before
+        self.gates = [action is _GATE for action in events.action]
+        self.final_correct = [
+            final == taken
+            for final, taken in zip(events.final_prediction, events.taken)
+        ]
+        self.n_events = len(events)
         self.cursor = 0  # next event index
-        self.uops_left = events[0].uops_before + 1 if events else 0
+        self.uops_left = self.uops_before[0] + 1 if self.n_events else 0
         self.inflight: List[tuple] = []  # (resolve_cycle, counts_gating)
         self.lc_count = 0
         self.recovering_until = -1
@@ -90,7 +105,7 @@ class _Thread:
 
     @property
     def done(self) -> bool:
-        return self.cursor >= len(self.events)
+        return self.cursor >= self.n_events
 
 
 class SmtSimulator:
@@ -162,18 +177,17 @@ class SmtSimulator:
             if thread.uops_left > 0:
                 return
             # The branch at the end of the group is fetched.
-            event = thread.events[thread.cursor]
+            i = thread.cursor
             thread.cursor += 1
             thread.stats.branches += 1
-            resolve_cycle = cycle + self._latency(thread, event.pc)
-            counts = event.decision.counts_toward_gating
+            resolve_cycle = cycle + self._latency(thread, thread.pcs[i])
+            counts = thread.gates[i]
             thread.inflight.append((resolve_cycle, counts))
             if counts:
                 thread.lc_count += 1
             if not thread.done:
-                nxt = thread.events[thread.cursor]
-                thread.uops_left = nxt.uops_before + 1
-            if not event.final_correct:
+                thread.uops_left = thread.uops_before[i + 1] + 1
+            if not thread.final_correct[i]:
                 thread.stats.mispredictions += 1
                 thread.wrong_path_until = resolve_cycle
                 thread.recovering_until = resolve_cycle

@@ -12,6 +12,7 @@ import pickle
 
 import pytest
 
+from repro.core.frontend import FrontEndEvents
 from repro.engine import (
     ALWAYS_HIGH,
     BASELINE_PREDICTOR,
@@ -177,6 +178,50 @@ class TestReplayCacheDisk:
         assert (tmp_path / fp[:2] / f"{fp}.pkl").read_bytes() == pickle.dumps(
             (outcome.events, outcome.result), protocol=pickle.HIGHEST_PROTOCOL
         )
+
+    @pytest.mark.parametrize("backend", ["reference", "fast"])
+    def test_entry_loads_back_as_columns(self, tmp_path, backend):
+        outcome = Engine().replay(JOB.with_(backend=backend))
+        assert isinstance(outcome.events, FrontEndEvents)
+        cache = ReplayCache(disk_dir=str(tmp_path))
+        cache.put(JOB.fingerprint, outcome)
+        cache.clear()
+
+        restored = cache.get(JOB.fingerprint)
+        assert cache.stats.disk_hits == 1
+        assert isinstance(restored.events, FrontEndEvents)
+        assert restored.events == outcome.events
+        assert list(restored.events) == list(outcome.events)
+
+    def test_list_entry_of_earlier_versions_is_converted(self, tmp_path):
+        """Fingerprints did not change when events became columns, so a
+        cache directory may hold ``(event list, result)`` entries."""
+        outcome = Engine().replay(JOB)
+        cache = ReplayCache(disk_dir=str(tmp_path))
+        path = cache._disk_path(JOB.fingerprint)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            pickle.dump(
+                (list(outcome.events), outcome.result),
+                fh,
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+
+        restored = cache.get(JOB.fingerprint)
+        assert cache.stats.disk_hits == 1
+        assert isinstance(restored.events, FrontEndEvents)
+        assert restored.events == outcome.events
+        assert restored.result.metrics.overall == outcome.result.metrics.overall
+        # The memory tier keeps the converted form.
+        again = cache.get(JOB.fingerprint)
+        assert cache.stats.disk_hits == 1
+        assert again.events is restored.events
+        # So does an engine reading the directory.
+        engine = Engine(cache_dir=str(tmp_path))
+        served = engine.replay(JOB)
+        assert served.from_cache
+        assert isinstance(served.events, FrontEndEvents)
+        assert served.events == outcome.events
 
     def test_miss_on_empty_dir(self, tmp_path):
         cache = ReplayCache(disk_dir=str(tmp_path))

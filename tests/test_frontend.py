@@ -1,17 +1,30 @@
 """Unit tests for the front-end coupling (repro.core.frontend)."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimator import AlwaysHighEstimator
-from repro.core.frontend import FrontEnd, FrontEndResult, apply_policy
+from repro.core.frontend import (
+    FrontEnd,
+    FrontEndEvent,
+    FrontEndEvents,
+    FrontEndResult,
+    apply_policy,
+)
 from repro.core.jrs import JRSEstimator
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
 from repro.core.reversal import (
     BranchAction,
     GatingOnlyPolicy,
     NoSpeculationControl,
+    PolicyDecision,
     ThreeRegionPolicy,
 )
+from repro.core.types import ConfidenceLevel, ConfidenceSignal
 from repro.predictors.hybrid import make_baseline_hybrid
 from repro.predictors.static import AlwaysTakenPredictor
 from repro.trace.record import BranchRecord, Trace
@@ -132,3 +145,126 @@ class TestApplyPolicy:
         for orig, new in zip(events, stripped):
             assert orig.prediction == new.prediction
             assert orig.signal is new.signal
+
+
+# ---------------------------------------------------------------------------
+# FrontEndEvents: the column form of an event stream
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _event(draw):
+    """Any event a policy can produce: three actions, three levels,
+    ``int`` or ``float`` raw outputs, reversals follow the other way."""
+    level = draw(st.sampled_from(list(ConfidenceLevel)))
+    action = draw(st.sampled_from(list(BranchAction)))
+    prediction = draw(st.booleans())
+    final = (not prediction) if action is BranchAction.REVERSE else prediction
+    raw = draw(
+        st.one_of(st.integers(-300, 300), st.floats(allow_nan=False))
+    )
+    return FrontEndEvent(
+        pc=draw(st.integers(0, 2**40)),
+        taken=draw(st.booleans()),
+        prediction=prediction,
+        final_prediction=final,
+        signal=ConfidenceSignal(level.is_low, raw, level),
+        decision=PolicyDecision(action, final),
+        uops_before=draw(st.integers(0, 40)),
+    )
+
+
+def _typed(event):
+    """Every nested field with its type; floats by their bits."""
+
+    def exact(value):
+        return (type(value), value.hex() if isinstance(value, float) else value)
+
+    signal, decision = event.signal, event.decision
+    return tuple(
+        exact(value)
+        for value in (
+            event.pc,
+            event.taken,
+            event.prediction,
+            event.final_prediction,
+            signal.low_confidence,
+            signal.raw,
+            signal.level,
+            decision.action,
+            decision.final_prediction,
+            event.uops_before,
+        )
+    )
+
+
+class TestFrontEndEvents:
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(_event(), max_size=60))
+    def test_round_trip_keeps_every_field_and_type(self, events):
+        columns = FrontEndEvents.of(events)
+        rebuilt = list(columns)
+        assert rebuilt == events
+        assert [_typed(e) for e in rebuilt] == [_typed(e) for e in events]
+        assert FrontEndEvents.of(iter(events)) == columns
+        assert FrontEndEvents.of(columns) is columns
+
+    @settings(max_examples=200, deadline=None)
+    @given(events=st.lists(_event(), max_size=40), data=st.data())
+    def test_len_indexing_and_slicing_agree_with_the_list(self, events, data):
+        columns = FrontEndEvents.of(events)
+        n = len(events)
+        assert len(columns) == n
+        for i in range(-n, n):
+            assert _typed(columns[i]) == _typed(events[i])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                columns[i]
+        part = data.draw(st.slices(n))
+        sliced = columns[part]
+        assert isinstance(sliced, FrontEndEvents)
+        assert sliced == FrontEndEvents.of(events[part])
+        assert [_typed(e) for e in sliced] == [_typed(e) for e in events[part]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(_event(), max_size=40))
+    def test_pickle_round_trip(self, events):
+        columns = FrontEndEvents.of(events)
+        restored = pickle.loads(
+            pickle.dumps(columns, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert isinstance(restored, FrontEndEvents)
+        assert restored == columns
+        assert [_typed(e) for e in restored] == [_typed(e) for e in events]
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(_event(), min_size=1, max_size=20), data=st.data())
+    def test_unequal_columns_compare_unequal(self, events, data):
+        i = data.draw(st.integers(0, len(events) - 1))
+        changed = list(events)
+        changed[i] = replace(events[i], uops_before=events[i].uops_before + 1)
+        assert FrontEndEvents.of(changed) != FrontEndEvents.of(events)
+        assert FrontEndEvents.of(events[:-1]) != FrontEndEvents.of(events)
+
+    @settings(max_examples=100, deadline=None)
+    @given(events=st.lists(_event(), max_size=20), data=st.data())
+    def test_of_rejects_a_decision_that_disagrees(self, events, data):
+        good = data.draw(_event())
+        bad = FrontEndEvent(
+            pc=good.pc,
+            taken=good.taken,
+            prediction=good.prediction,
+            final_prediction=good.final_prediction,
+            signal=good.signal,
+            decision=PolicyDecision(
+                good.decision.action, not good.final_prediction
+            ),
+            uops_before=good.uops_before,
+        )
+        at = data.draw(st.integers(0, len(events)))
+        with pytest.raises(ValueError, match=f"event {at}:"):
+            FrontEndEvents.of(events[:at] + [bad] + events[at:])
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            FrontEndEvents([1], [True], [True], [True], [], [], [], [])

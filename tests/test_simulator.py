@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.frontend import FrontEndEvent
+from repro.core.frontend import FrontEndEvent, FrontEndEvents
 from repro.core.reversal import BranchAction, PolicyDecision
 from repro.core.types import ConfidenceSignal
 from repro.pipeline.config import PipelineConfig
@@ -440,10 +440,12 @@ class TestReferenceModel:
     @settings(max_examples=300, deadline=None)
     @given(events=_streams(_ALL_ACTIONS), machine=_machines())
     def test_matches_reference_bit_for_bit(self, events, machine):
-        fast = PipelineSimulator(machine).simulate(events)
         ref = RefPipelineSimulator(machine).simulate(events)
-        assert asdict(fast) == asdict(ref)
-        assert _exact(fast) == _exact(ref)
+        # A list, the column form replays keep, and a one-shot iterator.
+        for stream in (events, FrontEndEvents.of(events), iter(events)):
+            fast = PipelineSimulator(machine).simulate(stream)
+            assert asdict(fast) == asdict(ref)
+            assert _exact(fast) == _exact(ref)
 
     def test_no_misprediction_keeps_int_zero(self):
         stats = PipelineSimulator(config()).simulate(
