@@ -1,9 +1,12 @@
 """Unit tests for repro.trace.generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.trace.behaviors import BiasedBehavior, CorrelatedBehavior, LoopBehavior
+from repro.trace.benchmarks import BENCHMARK_NAMES, generate_benchmark_trace
 from repro.trace.generator import (
     StaticBranch,
     TraceGenerator,
@@ -174,3 +177,67 @@ class TestMakeUniformWorkload:
         spec = make_uniform_workload("u", [BiasedBehavior(0.5)] * 4)
         assert spec.static_count == 4
         assert (spec.normalized_weights() == 0.25).all()
+
+
+def _trace_digest(records) -> str:
+    """SHA-256 over each record's ``(pc, taken, uops_before)``."""
+    h = hashlib.sha256()
+    for r in records:
+        h.update(b"%d,%d,%d;" % (r.pc, r.taken, r.uops_before))
+    return h.hexdigest()
+
+
+#: ``(benchmark, seed) -> digest`` of 5000-branch traces, recorded
+#: before the generator's uop-gap and loop-dispatch fast paths; any
+#: change to generation order or values moves a digest.
+PINNED_TRACES = {
+    ("gzip", 1): "a05624af6029f5a6ef4a8a6b015922adc468011a24da81bb30903774fb7432f2",
+    ("vpr", 1): "cd3b5c8faa0fd5347e5b773519271465ebe294f688fbdf4a107888982f52d902",
+    ("gcc", 1): "8482d927f4b953ec07b6935345c415a9de17861d5a64e53df24ed9ebcac26644",
+    ("mcf", 1): "6ce5bad01118652d475d0f295c2dcb9eb2ff44efce89e284b7fa03bb45171d16",
+    ("crafty", 1): "ccd84710c3cf5bd68e652dd4d90f120aaffb043e876636ef415e1d0ea4494f9b",
+    ("link", 1): "c2a50085eac9eb2b8fd57305d04933f1dda37388bd8e7d6b0ff0a951c4f87557",
+    ("eon", 1): "4524398199fc620ccfbeebee3ef84fbc0af6fbd454d1a71a72600f7c74e6bcc3",
+    ("perlbmk", 1): "f3ad271a91df4bebea14830e21f9623b615e67f9310f16d6467888b17b053adc",
+    ("gap", 1): "424d69180cb3cb0a8ce1d3365688800964c3501d2368b4192d3b06b2e2756826",
+    ("vortex", 1): "8bcc1e92ca5f15439f25e2dbea452a9576e64ba8441f7fc2225aae5a3a1a33f8",
+    ("bzip", 1): "343b617b61463bd9e4c3bbd1fd012eb53360e6522e82c497b3f647756d7bb1c3",
+    ("twolf", 1): "417c114a89595215ddac29589bf0b887533b517c87d3a65d385bb2771db02211",
+    ("gzip", 2): "b0e3b1939ea7b21f5c98c0558397f4ddeb3e5592f367347cd4058676f9e44b70",
+    ("vpr", 2): "bb504d45d6cfd7cd16343e87fa2c48e2894bc1649d5134506092060cd8086617",
+    ("gcc", 2): "4e118a43ad8f331be1076a57c2d3d5e010824a96a0d0ec67f3a54ad81dd74dd5",
+    ("mcf", 2): "f1ebfff662b7baa3097454ba7ccdea1adc92ff95b9f931e4338ab5da00da1826",
+    ("crafty", 2): "e76807991cea06cac2f588966ca97f726ed043ca370f13eaa1131e0b7a471123",
+    ("link", 2): "ed8caa5811ea33600a0fd6d4bb16c2c3eb74fc5b75b4508d2b233cc029d45fb5",
+    ("eon", 2): "8f3b97fed0eb5d6744257b75aadba81517d0421c0eee8dfb69359e061dfb9a07",
+    ("perlbmk", 2): "59c67946e000f4481b23e93e3a31463c79e3a224c4c611215c214905a36e145b",
+    ("gap", 2): "1f231051c3cdaded5b92539d6038393f1fc35445a78c6fa9c1232aacb56c8ad2",
+    ("vortex", 2): "9ce37ead27657b82f2c1a0a0444c3260f0e4642b393b6af2b18436a30e57503d",
+    ("bzip", 2): "161ece2eb318fd352a37950fe62bce5cfc3d17af04d58234570fbfed85a42538",
+    ("twolf", 2): "5e4dccda291e4e9eff02e142735ed9a55b6e93e4887dbb69aecf5e185f6f5fc6",
+    ("h2p.mix", 1): "069fb97c3d5cf9a6e2360182213f1fb6839508b6b8240fc44d41f58b280dccb6",
+}
+
+
+class TestPinnedTraces:
+    """Generation is bit-stable: every Table 2 benchmark, two seeds."""
+
+    def test_covers_every_table2_benchmark(self):
+        assert {name for name, seed in PINNED_TRACES if seed == 1} >= set(
+            BENCHMARK_NAMES
+        )
+
+    @pytest.mark.parametrize(
+        "name, seed", sorted(PINNED_TRACES), ids=lambda v: str(v)
+    )
+    def test_digest(self, name, seed):
+        trace = generate_benchmark_trace(name, n_branches=5000, seed=seed)
+        assert len(trace) == 5000
+        assert _trace_digest(trace) == PINNED_TRACES[(name, seed)]
+
+    @pytest.mark.parametrize("n", [1, 4095, 4097])
+    def test_prefix_is_length_stable(self, n):
+        # Crosses the 4096-draw batches of block picks and uop gaps.
+        full = generate_benchmark_trace("mcf", n_branches=5000, seed=1)
+        short = generate_benchmark_trace("mcf", n_branches=n, seed=1)
+        assert list(short) == list(full)[:n]
