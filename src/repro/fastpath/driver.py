@@ -8,7 +8,12 @@ passes instead of the reference's per-branch protocol loop:
    estimator/policy/threshold sweep over the same trace.
 2. **Estimator pass** -- consumes the prediction/correctness streams
    (estimators train on the *raw* predictor outcome, never on the
-   policy's final prediction, so the pass is policy-independent).
+   policy's final prediction, so the pass is policy-independent).  Its
+   threshold-free part, the raw output stream and final state, is
+   cached per ``(trace, predictor canonical, trajectory key)``, so a
+   threshold ladder over one trace trains once per key; each job's
+   threshold only reclassifies it
+   (:func:`~repro.fastpath.estimators.classify`).
 3. **Policy + columns pass** -- vectorized policy application and
    aggregation, then the post-warm-up
    :class:`~repro.core.frontend.FrontEndEvents` columns: slices of the
@@ -33,11 +38,13 @@ import numpy as np
 from repro.core.frontend import FrontEndEvents, FrontEndResult
 from repro.core.reversal import BranchAction
 from repro.core.types import ConfidenceLevel
-from repro.fastpath.columnar import ColumnarTrace, get_columnar
+from repro.fastpath.columnar import get_columnar
 from repro.fastpath.estimators import (
     ESTIMATOR_DEFAULTS,
     LEVEL_STRONG_LOW,
+    classify,
     run_estimator,
+    trajectory_key,
 )
 from repro.fastpath.kernels import swar_supported
 from repro.fastpath.predictors import PREDICTOR_DEFAULTS, run_predictor
@@ -252,46 +259,45 @@ def unsupported_reason(job) -> Optional[str]:
 # Replay
 # -------------------------------------------------------------------------
 
-#: Predictor passes cached per trace object: the pass depends only on
-#: (trace, predictor canonical), so estimator/policy sweeps reuse it.
-_PREDICTOR_PASS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+#: Whole-trace passes cached per trace object.  Predictor passes are
+#: keyed by the predictor canonical (a triple), estimator trajectories
+#: by the pair ``(predictor canonical, trajectory key)``.  Neither
+#: depends on the policy or the threshold, so sweeps over one trace
+#: reuse them.
+_PASS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _predictor_pass(job, trace, col: ColumnarTrace):
-    tel = get_registry()
-    per_trace = _PREDICTOR_PASS_CACHE.get(trace)
+def _cached_pass(trace, key, counter: str, run):
+    """``run()`` once per ``(trace, key)``; counts ``counter{result}``."""
+    per_trace = _PASS_CACHE.get(trace)
     if per_trace is None:
-        per_trace = {}
-        _PREDICTOR_PASS_CACHE[trace] = per_trace
-    key = job.predictor.canonical()
-    ppass = per_trace.get(key)
-    if ppass is None:
-        if tel.enabled:
-            tel.counter("fastpath_predictor_pass_total", result="miss").inc()
-        ppass = run_predictor(job.predictor, col)
-        per_trace[key] = ppass
-    elif tel.enabled:
-        tel.counter("fastpath_predictor_pass_total", result="hit").inc()
-    return ppass
+        per_trace = _PASS_CACHE[trace] = {}
+    value = per_trace.get(key)
+    tel = get_registry()
+    if tel.enabled:
+        tel.counter(counter, result="miss" if value is None else "hit").inc()
+    if value is None:
+        value = per_trace[key] = run()
+    return value
 
 
-def _policy(job, ppass, epass):
+def _policy(job, ppass, level):
     """The policy's final direction and reversal flag per branch (arrays)."""
     pred_arr = ppass.pred_arr
     if job.policy.kind == "three_region":
-        reverse_arr = np.asarray(epass.level, dtype=np.int8) == LEVEL_STRONG_LOW
+        reverse_arr = level == LEVEL_STRONG_LOW
         return np.where(reverse_arr, ~pred_arr, pred_arr), reverse_arr
     return pred_arr, np.zeros(pred_arr.shape[0], dtype=bool)
 
 
-def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
+def _aggregate(job, col, ppass, raw, low, final_arr, reverse_arr, warmup):
     """Vectorized equivalent of FrontEnd._aggregate after ``warmup``."""
     w = warmup
     taken_tail = col.takens.astype(bool)[w:]
     pred_correct = ppass.correct_arr[w:]
     final_correct = final_arr[w:] == taken_tail
     rev = reverse_arr[w:]
-    low = np.asarray(epass.low, dtype=bool)[w:]
+    low = low[w:]
     mis = ~pred_correct
 
     result = FrontEndResult()
@@ -307,7 +313,6 @@ def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
     overall.high_mispredicted = int(np.count_nonzero(~low & mis))
     overall.high_correct = int(np.count_nonzero(~low & ~mis))
     if job.collect_outputs:
-        raw = epass.raw
         correct = ppass.correct
         n = col.n
         result.outputs_correct = [raw[i] for i in range(w, n) if correct[i]]
@@ -315,26 +320,32 @@ def _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup):
     return result
 
 
-#: Column values of the estimator pass's ``LEVEL_*`` codes.
-_LEVELS = (ConfidenceLevel.HIGH, ConfidenceLevel.WEAK_LOW, ConfidenceLevel.STRONG_LOW)
+#: Column values by ``LEVEL_*`` code.
+_LEVELS = np.array(
+    (ConfidenceLevel.HIGH, ConfidenceLevel.WEAK_LOW, ConfidenceLevel.STRONG_LOW),
+    dtype=object,
+)
 #: Three-region actions by level code: reverse strong, gate weak.
-_REGION_ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
+_REGION_ACTIONS = np.array(
+    (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE), dtype=object
+)
+#: Gating actions by low flag.
+_GATE_ACTIONS = np.array((BranchAction.NORMAL, BranchAction.GATE), dtype=object)
 
 
-def _events(job, col, ppass, epass, final_arr, warmup):
+def _events(job, col, ppass, raw, low, level, final_arr, warmup):
     """Post-warm-up event columns: slices of the lists the passes hold."""
     w = warmup
     prediction = ppass.pred[w:]
-    codes = epass.level[w:]
+    codes = level[w:]
     kind = job.policy.kind
     if kind == "three_region":
         final = final_arr[w:].tolist()
-        action = [_REGION_ACTIONS[code] for code in codes]
+        action = _REGION_ACTIONS[codes].tolist()
     else:
         final = prediction
         if kind == "gating":
-            gate, normal = BranchAction.GATE, BranchAction.NORMAL
-            action = [gate if low else normal for low in epass.low[w:]]
+            action = _GATE_ACTIONS[low[w:].view(np.int8)].tolist()
         else:
             action = [BranchAction.NORMAL] * len(prediction)
     return FrontEndEvents(
@@ -343,8 +354,8 @@ def _events(job, col, ppass, epass, final_arr, warmup):
         prediction=prediction,
         final_prediction=final,
         action=action,
-        level=[_LEVELS[code] for code in codes],
-        raw=epass.raw[w:],
+        level=_LEVELS[codes].tolist(),
+        raw=raw[w:],
         uops_before=col.uops_list[w:],
     )
 
@@ -358,9 +369,9 @@ def replay_trace(job, trace, warmup=0):
     :class:`~repro.core.frontend.FrontEndResult`, and the components'
     final ``state_canonical()`` tuples, which the fastpath verify layer
     compares with the reference front end's.  The columnar view
-    (:func:`get_columnar`) and the predictor pass are cached per trace
-    object.  A trace the columnar lowering rejects (e.g. pcs outside
-    the supported range) raises
+    (:func:`get_columnar`), the predictor pass and the estimator
+    trajectory are cached per trace object.  A trace the columnar
+    lowering rejects (e.g. pcs outside the supported range) raises
     :class:`~repro.fastpath.FastPathUnsupported`, so the caller reruns
     it on the reference loop.
     """
@@ -375,9 +386,22 @@ def replay_trace(job, trace, warmup=0):
         tel.histogram(
             "fastpath_batch_branches", buckets=COUNT_BUCKETS
         ).observe(col.n)
-    ppass = _predictor_pass(job, trace, col)
-    epass = run_estimator(job.estimator, col, ppass.pred, ppass.correct)
-    final_arr, reverse_arr = _policy(job, ppass, epass)
-    result = _aggregate(job, col, ppass, epass, final_arr, reverse_arr, warmup)
-    events = _events(job, col, ppass, epass, final_arr, warmup)
-    return events, result, ppass.state, epass.state
+    predictor_key = job.predictor.canonical()
+    ppass = _cached_pass(
+        trace,
+        predictor_key,
+        "fastpath_predictor_pass_total",
+        lambda: run_predictor(job.predictor, col),
+    )
+    trajectory = _cached_pass(
+        trace,
+        (predictor_key, trajectory_key(job.estimator)),
+        "fastpath_estimator_pass_total",
+        lambda: run_estimator(job.estimator, col, ppass.pred, ppass.correct),
+    )
+    low, level = classify(job.estimator, trajectory)
+    raw = trajectory.raw
+    final_arr, reverse_arr = _policy(job, ppass, level)
+    result = _aggregate(job, col, ppass, raw, low, final_arr, reverse_arr, warmup)
+    events = _events(job, col, ppass, raw, low, level, final_arr, warmup)
+    return events, result, ppass.state, trajectory.state

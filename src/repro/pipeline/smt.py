@@ -20,6 +20,7 @@ thread's right-path slots shows up directly.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -95,7 +96,8 @@ class _Thread:
         self.n_events = len(events)
         self.cursor = 0  # next event index
         self.uops_left = self.uops_before[0] + 1 if self.n_events else 0
-        self.inflight: List[tuple] = []  # (resolve_cycle, counts_gating)
+        # Heap of (resolve_cycle, counts_gating), one per unresolved branch.
+        self.inflight: List[tuple] = []
         self.lc_count = 0
         self.recovering_until = -1
         self.wrong_path_until = -1
@@ -126,16 +128,6 @@ class SmtSimulator:
 
     # -- per-thread helpers -------------------------------------------------
 
-    def _resolve(self, thread: _Thread, cycle: int) -> None:
-        remaining = []
-        for resolve_cycle, counts in thread.inflight:
-            if resolve_cycle <= cycle:
-                if counts:
-                    thread.lc_count -= 1
-            else:
-                remaining.append((resolve_cycle, counts))
-        thread.inflight = remaining
-
     def _latency(self, thread: _Thread, pc: int) -> int:
         cfg = self.config
         if cfg.resolve_jitter == 0:
@@ -144,23 +136,6 @@ class SmtSimulator:
         return cfg.depth + mix_hash((pc << 17) ^ thread.seq) % (
             cfg.resolve_jitter + 1
         )
-
-    def _fetchable(self, thread: _Thread, cycle: int) -> bool:
-        """Whether a thread may receive fetch slots this cycle.
-
-        Crucially, a thread on the wrong path *is* fetchable -- the
-        machine does not know the branch was mispredicted.  Only the
-        confidence signal (when speculation control is on) can divert
-        its slots to the sibling.
-        """
-        if thread.done:
-            return False
-        if (
-            self.gate_yields
-            and thread.lc_count >= self.config.gating_threshold
-        ):
-            return False
-        return True
 
     def _fetch_cycle(self, thread: _Thread, cycle: int, budget: int) -> None:
         """Consume up to ``budget`` fetch slots for one thread."""
@@ -182,7 +157,7 @@ class SmtSimulator:
             thread.stats.branches += 1
             resolve_cycle = cycle + self._latency(thread, thread.pcs[i])
             counts = thread.gates[i]
-            thread.inflight.append((resolve_cycle, counts))
+            heapq.heappush(thread.inflight, (resolve_cycle, counts))
             if counts:
                 thread.lc_count += 1
             if not thread.done:
@@ -211,6 +186,8 @@ class SmtSimulator:
         model when there is no sibling to arbitrate against.
         """
         cfg = self.config
+        gate_yields = self.gate_yields
+        threshold = cfg.gating_threshold
         threads = [_Thread(events_a, 0x55AA)]
         if events_b is not None:
             threads.append(_Thread(events_b, 0x1234))
@@ -220,28 +197,33 @@ class SmtSimulator:
         # Measure only the window where BOTH threads are live: running to
         # joint completion would let the shorter stream's tail skew the
         # combined-throughput comparison (the standard SMT methodology).
-        while cycle < limit and not any(t.done for t in threads):
+        # Only the thread that fetched in a cycle can finish in it.
+        live = not any(t.done for t in threads)
+        while live and cycle < limit:
+            fetch = None
             for thread in threads:
-                self._resolve(thread, cycle)
+                inflight = thread.inflight
+                while inflight and inflight[0][0] <= cycle:
+                    if heapq.heappop(inflight)[1]:
+                        thread.lc_count -= 1
                 if cycle < thread.recovering_until:
                     thread.stats.recovery_cycles += 1
-                if (
-                    self.gate_yields
-                    and thread.lc_count >= cfg.gating_threshold
-                    and not thread.done
-                ):
+                # A thread on the wrong path *is* fetchable -- the machine
+                # does not know the branch was mispredicted.  Only the
+                # confidence signal (when speculation control is on) can
+                # divert its slots to the sibling.
+                if gate_yields and thread.lc_count >= threshold:
                     thread.stats.gated_cycles += 1
-            # ICOUNT-like choice among fetchable threads: fewest
-            # unresolved branches first.  Deliberately *no* wrong-path
-            # knowledge here -- only the confidence signal (gate_yields)
-            # may divert slots, which is the experiment's point.
-            candidates = [t for t in threads if self._fetchable(t, cycle)]
-            if not candidates:
+                elif fetch is None or len(inflight) < len(fetch.inflight):
+                    # ICOUNT-like choice: fewest unresolved branches, the
+                    # first of equals.  Deliberately *no* wrong-path
+                    # knowledge here, which is the experiment's point.
+                    fetch = thread
+            if fetch is None:
                 stats.idle_fetch_cycles += 1
-                cycle += 1
-                continue
-            candidates.sort(key=lambda t: len(t.inflight))
-            self._fetch_cycle(candidates[0], cycle, cfg.fetch_width)
+            else:
+                self._fetch_cycle(fetch, cycle, cfg.fetch_width)
+                live = not fetch.done
             cycle += 1
         for thread in threads:
             thread.stats.finished_at = cycle

@@ -142,6 +142,8 @@ class TraceGenerator:
     # Safety cap on block repeats; geometric tails beyond this add
     # nothing but pathological run lengths.
     _MAX_REPEATS = 12
+    # Draws per batch from the block-selection and uop streams.
+    _BATCH = 4096
 
     def __init__(self, spec: WorkloadSpec, seed: int = 0):
         if not spec.branches:
@@ -151,6 +153,8 @@ class TraceGenerator:
         self._select_rng = np.random.default_rng(derive_seed(seed, "select"))
         self._outcome_rng = np.random.default_rng(derive_seed(seed, "outcome"))
         self._uop_rng = np.random.default_rng(derive_seed(seed, "uops"))
+        self._uop_gaps: List[int] = []
+        self._uop_pos = 0
         self._history = 0
         self._history_mask = mask(_GENERATOR_HISTORY_BITS)
         self._blocks = self._build_blocks(spec)
@@ -205,39 +209,28 @@ class TraceGenerator:
         return self._blocks
 
     def _draw_uop_gap(self) -> int:
+        if self._uop_pos == len(self._uop_gaps):
+            self._uop_gaps = self._draw_uop_gaps(self._BATCH)
+            self._uop_pos = 0
+        gap = self._uop_gaps[self._uop_pos]
+        self._uop_pos += 1
+        return gap
+
+    def _draw_uop_gaps(self, count: int) -> List[int]:
+        """The next ``count`` inter-branch uop gaps, in stream order.
+
+        One batched ``uniform`` draw consumes the uop stream exactly as
+        ``count`` scalar draws do, and ``rint`` rounds half to even as
+        ``round`` does, so a gap does not depend on how many of its
+        neighbours were drawn with it.
+        """
         base = self.spec.uops_per_branch - 1.0  # exclude the branch uop
         jitter = self.spec.uop_jitter
         if jitter:
-            gap = base + self._uop_rng.uniform(-jitter, jitter)
+            gaps = base + self._uop_rng.uniform(-jitter, jitter, size=count)
         else:
-            gap = base
-        return max(0, int(round(gap)))
-
-    def _make_record(self, static: StaticBranch) -> BranchRecord:
-        """Emit one dynamic branch and shift the generator history."""
-        outcome = static.behavior.next_outcome(self._history, self._outcome_rng)
-        record = BranchRecord(
-            pc=static.pc,
-            taken=outcome,
-            uops_before=self._draw_uop_gap(),
-        )
-        self._history = (
-            (self._history << 1) | (1 if outcome else 0)
-        ) & self._history_mask
-        return record
-
-    def _iter_loop_instance(self, static: StaticBranch):
-        """Yield back-edge executions until the loop exits (or the cap)."""
-        from repro.trace.behaviors import LoopBehavior
-
-        behavior = static.behavior
-        assert isinstance(behavior, LoopBehavior)
-        cap = behavior.max_trips + 1
-        for _ in range(cap):
-            record = self._make_record(static)
-            yield record
-            if not record.taken:  # the exit was emitted
-                return
+            gaps = np.full(count, base)
+        return np.maximum(np.rint(gaps), 0.0).astype(np.int64).tolist()
 
     def _draw_repeats(self) -> int:
         mean = self.spec.block_repeat_mean
@@ -252,33 +245,59 @@ class TraceGenerator:
         This is the canonical emission order: :meth:`generate` is
         exactly "collect the first ``n`` records of this stream", so
         prefixes are *length-stable* -- the first ``n`` records are
-        identical whatever longer length is eventually drawn.  (All RNG
-        draws happen per emitted record or per block pick, never as a
+        identical whatever longer length is eventually drawn.  (Every
+        RNG draw happens per emitted record, per block pick, or in
+        fixed-size batches from a stream of its own, never as a
         function of a target length; the generator pauses mid-block
         after each yield.)  Consumers that keep only a bounded window
         of records -- e.g. :func:`~repro.trace.segments.save_segmented`
         -- therefore never materialize more than that window.
+
+        Each visit to a static emits one dynamic branch, except that a
+        :class:`~repro.trace.behaviors.LoopBehavior` emits back-edge
+        executions until the loop exits (or its trip cap).
         """
         from repro.trace.behaviors import LoopBehavior
 
-        n_blocks = len(self._blocks)
-        batch = 4096
+        # Each block's members as (pc, behaviour, emissions cap per
+        # visit), decided once per static.
+        blocks = [
+            [
+                (
+                    static.pc,
+                    static.behavior,
+                    static.behavior.max_trips + 1
+                    if isinstance(static.behavior, LoopBehavior)
+                    else 1,
+                )
+                for static in block.members
+            ]
+            for block in self._blocks
+        ]
+        outcome_rng = self._outcome_rng
+        history_mask = self._history_mask
+        draw_gap = self._draw_uop_gap
+        n_blocks = len(blocks)
         picks = []
         pick_pos = 0
         while True:
             if pick_pos >= len(picks):
                 picks = self._select_rng.choice(
-                    n_blocks, size=batch, p=self._block_weights
-                )
+                    n_blocks, size=self._BATCH, p=self._block_weights
+                ).tolist()
                 pick_pos = 0
-            block = self._blocks[int(picks[pick_pos])]
+            members = blocks[picks[pick_pos]]
             pick_pos += 1
             for _ in range(self._draw_repeats()):
-                for static in block.members:
-                    if isinstance(static.behavior, LoopBehavior):
-                        yield from self._iter_loop_instance(static)
-                    else:
-                        yield self._make_record(static)
+                for pc, behavior, cap in members:
+                    for _ in range(cap):
+                        taken = behavior.next_outcome(self._history, outcome_rng)
+                        self._history = (
+                            (self._history << 1) | (1 if taken else 0)
+                        ) & history_mask
+                        yield BranchRecord(pc, taken, draw_gap())
+                        if not taken:  # a loop's exit ends its instance
+                            break
 
     def generate(self, n_branches: int) -> Trace:
         """Generate a trace of ``n_branches`` dynamic branches.

@@ -24,15 +24,26 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro import fastpath, telemetry
+from repro.core.frontend import (
+    FrontEnd,
+    FrontEndEvents,
+    FrontEndResult,
+    aggregate_event,
+)
 from repro.engine import (
     GATING_POLICY,
+    NO_POLICY,
+    THREE_REGION_POLICY,
     Engine,
     EstimatorSpec,
     PredictorSpec,
+    ReplayOutcome,
     SimJob,
     canonical_metrics,
 )
 from repro.engine.replay import _replay_trace
+from repro.fastpath import driver as fast_driver
+from repro.fastpath.estimators import trajectory_key
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.record import BranchRecord, Trace
 from repro.verify.fastpath import run_fastpath_differential
@@ -276,8 +287,6 @@ def test_runtime_fallback_is_bit_identical(monkeypatch):
     count one runtime fallback and still produce the reference outcome,
     events included.
     """
-    from repro.fastpath import driver as fast_driver
-
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -337,16 +346,162 @@ def test_fast_replay_counts_under_fast_backend():
     tel.reset()
     try:
         Engine(max_workers=1).run(
-            [job, job.with_(estimator=EstimatorSpec.of("jrs", threshold=7))]
+            [
+                job,
+                job.with_(estimator=EstimatorSpec.of("jrs", threshold=7)),
+                job.with_(estimator=EstimatorSpec.of("jrs", threshold=3)),
+            ]
         )
         snap = tel.snapshot()
     finally:
         telemetry.disable()
         telemetry.reset()
     assert snap.counter_series("engine_replays_total") == {
-        "engine_replays_total{backend=fast}": 2
+        "engine_replays_total{backend=fast}": 3
     }
     assert snap.counter_series("fastpath_fallbacks_total") == {}
     assert snap.counter("fastpath_predictor_pass_total", result="miss") == 1
-    assert snap.counter("fastpath_predictor_pass_total", result="hit") == 1
-    assert snap.histograms["fastpath_batch_branches"]["count"] == 2
+    assert snap.counter("fastpath_predictor_pass_total", result="hit") == 2
+    # The JRS λ=3 job reclassifies the λ=7 job's trajectory.
+    assert snap.counter("fastpath_estimator_pass_total", result="miss") == 2
+    assert snap.counter("fastpath_estimator_pass_total", result="hit") == 1
+    assert snap.histograms["fastpath_batch_branches"]["count"] == 3
+
+
+# -------------------------------------------------------------------------
+# Threshold ladders: one estimator pass per trajectory key
+# -------------------------------------------------------------------------
+
+#: A cic perceptron with a strong threshold, as in the verify matrix.
+_CIC_THREE_REGION = EstimatorSpec.of(
+    "perceptron", threshold=-75, strong_threshold=0
+)
+#: cic thresholds outside ``[-T, T]`` (T = 96) train differently.
+_OUT_OF_BAND = (-97, 97, 120)
+
+#: (estimator, policy) of Tables 3 and 4's ladders and their edges.
+LADDER = (
+    [(EstimatorSpec.of("jrs", threshold=t), GATING_POLICY) for t in (1, 3, 7, 11, 15)]
+    + [
+        (EstimatorSpec.of("perceptron", threshold=t), GATING_POLICY)
+        for t in (-96, -50, -25, 0, 25, 96) + _OUT_OF_BAND
+    ]
+    + [(_CIC_THREE_REGION, THREE_REGION_POLICY)]
+    + [
+        (EstimatorSpec.of("perceptron", mode="tnt", threshold=t), NO_POLICY)
+        for t in (0, 10, 30)
+    ]
+)
+
+
+def _ladder_job(estimator, policy):
+    return SimJob(
+        benchmark="mcf",
+        n_branches=3_000,
+        warmup=500,
+        seed=7,
+        estimator=estimator,
+        policy=policy,
+        collect_outputs=True,
+        backend="fast",
+    )
+
+
+def _reference_replay(job, trace):
+    """The reference loop's outcome and final estimator state."""
+    estimator = job.estimator.build()
+    process = FrontEnd(job.predictor.build(), estimator, job.policy.build()).process
+    result = FrontEndResult()
+    events = []
+    for i, record in enumerate(trace):
+        event = process(record)
+        if i >= job.warmup:
+            aggregate_event(result, event, job.collect_outputs)
+            events.append(event)
+    outcome = ReplayOutcome(events=FrontEndEvents.of(events), result=result)
+    return outcome, estimator.state_canonical()
+
+
+@pytest.fixture
+def counted_estimator_passes(monkeypatch):
+    """Specs of every ``run_estimator`` call the driver makes."""
+    calls = []
+    real = fast_driver.run_estimator
+
+    def counting(spec, *args):
+        calls.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(fast_driver, "run_estimator", counting)
+    return calls
+
+
+def test_threshold_ladder_matches_reference(counted_estimator_passes):
+    """Every rung of a ladder over one trace equals its reference replay,
+    and each trajectory key costs exactly one estimator pass."""
+    trace = generate_benchmark_trace("mcf", n_branches=3_000, seed=7)
+    for estimator, policy in LADDER:
+        job = _ladder_job(estimator, policy)
+        events, result, _, state = fast_driver.replay_trace(
+            job, trace, warmup=job.warmup
+        )
+        fast = ReplayOutcome(events=events, result=result, backend="fast")
+        reference, reference_state = _reference_replay(job, trace)
+        label = repr(estimator)
+        assert fast.events == reference.events, label
+        assert fast.metrics_digest() == reference.metrics_digest(), label
+        assert result.outputs_correct == reference.result.outputs_correct, label
+        assert (
+            result.outputs_mispredicted == reference.result.outputs_mispredicted
+        ), label
+        assert repr(state) == repr(reference_state), label
+    keys = [trajectory_key(estimator) for estimator, _ in LADDER]
+    assert len(counted_estimator_passes) == len(set(keys)) == 6
+    assert sorted(map(trajectory_key, counted_estimator_passes)) == sorted(set(keys))
+    for threshold in _OUT_OF_BAND:
+        assert EstimatorSpec.of("perceptron", threshold=threshold) in (
+            counted_estimator_passes
+        )
+
+
+def test_trajectory_cache_is_per_trace_object(counted_estimator_passes):
+    """An equal trace in another object misses: the cache is by identity."""
+    job = _ladder_job(EstimatorSpec.of("jrs", threshold=7), GATING_POLICY)
+    first = generate_benchmark_trace("mcf", n_branches=1_000, seed=7)
+    second = generate_benchmark_trace("mcf", n_branches=1_000, seed=7)
+    outcomes = [
+        fast_driver.replay_trace(job, trace, warmup=100)
+        for trace in (first, first, second)
+    ]
+    assert len(counted_estimator_passes) == 2
+    assert outcomes[0][0] == outcomes[1][0] == outcomes[2][0]
+
+
+@pytest.mark.parametrize("mode", ["union", "intersection"])
+def test_fusion_reclassifies_from_component_trajectories(
+    counted_estimator_passes, mode
+):
+    """A fusion spec replayed under a second policy hits the cache and
+    rebuilds its flags from its components' trajectories."""
+    trace = generate_benchmark_trace("gcc", n_branches=2_000, seed=4)
+    primary = EstimatorSpec.of("perceptron", threshold=-25, strong_threshold=10)
+    secondary = EstimatorSpec.of("jrs", threshold=11)
+    fusions = [
+        EstimatorSpec.of(
+            "agreement", primary=primary, secondary=secondary, mode=mode
+        ),
+        EstimatorSpec.of(
+            "cascade", primary=primary, secondary=secondary, neutral_band=40
+        ),
+    ]
+    for estimator in fusions:
+        for policy in (GATING_POLICY, THREE_REGION_POLICY):
+            job = _ladder_job(estimator, policy)
+            events, result, _, state = fast_driver.replay_trace(
+                job, trace, warmup=job.warmup
+            )
+            reference, reference_state = _reference_replay(job, trace)
+            assert events == reference.events
+            assert canonical_metrics(result) == reference.canonical_metrics()
+            assert repr(state) == repr(reference_state)
+    assert counted_estimator_passes == fusions
