@@ -3,8 +3,8 @@
 Two caches back the engine:
 
 - :class:`ReplayCache` -- job fingerprint -> :class:`ReplayOutcome`.
-- :class:`TraceCache` -- (name, n_branches, seed) -> generated trace,
-  LRU-evicted against a total-branches budget.
+- :class:`TraceCache` -- (name, n_branches, seed) -> generated or
+  recorded trace, LRU-evicted against a total-branches budget.
 
 :class:`ReplayCache` is one kind of a tiered cache.  Its memory tier is
 LRU-evicted against an *event budget*: post-warm-up events dominate
@@ -285,13 +285,12 @@ class ReplayCache(_TieredCache):
 class TraceCache:
     """(name, n_branches, seed) -> trace, LRU by total branches.
 
-    Besides generator benchmark names, the cache resolves ``segtrace:``
-    tokens (``segtrace:<digest16>:<path>``, from
-    :meth:`~repro.trace.segments.SegmentedTrace.job_token`): the
-    directory is opened lazily, its content digest checked against the
-    token, and a length-limited view returned -- recorded on-disk
-    traces flow through the engine without materializing any records
-    up front, so they cost the LRU almost nothing.
+    Besides generator benchmark names, the cache resolves ``recorded:``
+    tokens (``recorded:<digest16>:<path>``, from
+    :func:`~repro.trace.io.job_token`): it loads the file once, checks
+    the token's digest and the job's length against the records, and
+    caches the trace like a generated one -- sliced to the job's length
+    when the job is shorter than the recording.
     """
 
     def __init__(self, branch_budget: int = DEFAULT_TRACE_BUDGET):
@@ -299,16 +298,17 @@ class TraceCache:
         self.stats = CacheStats()
 
     @staticmethod
-    def _open_segmented(token: str, n_branches: int):
-        from repro.trace.segments import SegmentedTrace, parse_job_token
+    def _open_recorded(token: str, n_branches: int):
+        from repro.trace.io import load_trace, parse_job_token
 
         digest, path = parse_job_token(token)
-        trace = SegmentedTrace(path)
-        if not trace.content_digest.startswith(digest):
+        trace = load_trace(path)
+        found = trace.content_digest()
+        if not found.startswith(digest):
             raise ValueError(
                 f"{path}: recorded trace content does not match the job's "
                 f"token (expected digest {digest}..., found "
-                f"{trace.content_digest[:len(digest)]}...)"
+                f"{found[:len(digest)]}...)"
             )
         if n_branches > len(trace):
             raise ValueError(
@@ -317,7 +317,7 @@ class TraceCache:
             )
         if n_branches == len(trace):
             return trace
-        return trace.prefix(n_branches)
+        return trace.slice(0, n_branches)
 
     def get(self, name: str, n_branches: int, seed: int):
         tel = telemetry.get_registry()
@@ -332,18 +332,15 @@ class TraceCache:
         self.stats.misses += 1
         if tel.enabled:
             tel.counter("cache_trace_misses_total").inc()
-        if name.startswith("segtrace:"):
-            # Lazy reader: holds index metadata only, records load per
-            # access, so it costs the branch budget next to nothing.
-            trace = self._open_segmented(name, n_branches)
-            self._lru.put(key, trace, cost=1)
+        if name.startswith("recorded:"):
+            trace = self._open_recorded(name, n_branches)
         else:
             from repro.trace.benchmarks import generate_benchmark_trace
 
             trace = generate_benchmark_trace(
                 name, n_branches=n_branches, seed=seed
             )
-            self._lru.put(key, trace, cost=max(1, n_branches))
+        self._lru.put(key, trace, cost=max(1, n_branches))
         self.stats.evictions = self._lru.evictions
         return trace
 

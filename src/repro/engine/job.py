@@ -50,7 +50,9 @@ class SimJob:
 
     Attributes:
         benchmark: Benchmark trace name (see
-            :data:`repro.trace.benchmarks.BENCHMARK_NAMES`).
+            :data:`repro.trace.benchmarks.BENCHMARK_NAMES`), or the
+            ``recorded:`` token of a saved trace
+            (:func:`repro.trace.io.job_token`).
         n_branches: Dynamic branches in the trace.
         warmup: Leading branches that train structures but are excluded
             from events and metrics.
@@ -79,10 +81,10 @@ class SimJob:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {self.backend!r}"
             )
-        if self.benchmark.startswith("segtrace:"):
+        if self.benchmark.startswith("recorded:"):
             # Checked here, not when the trace is opened: the replay
             # cache is looked up first, and a hit never opens it.
-            from repro.trace.segments import parse_job_token
+            from repro.trace.io import parse_job_token
 
             parse_job_token(self.benchmark)
         if self.n_branches <= 0:

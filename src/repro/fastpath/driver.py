@@ -30,6 +30,7 @@ reference backend.
 
 from __future__ import annotations
 
+import functools
 import weakref
 from typing import Optional, Tuple
 
@@ -281,6 +282,19 @@ def _cached_pass(trace, key, counter: str, run):
     return value
 
 
+def _trajectory(trace, col, ppass, predictor_key, spec):
+    """``spec``'s estimator trajectory over ``trace``, computed at most
+    once per trace.  A fusion's components come through here too, so a
+    fusion reuses the trajectories its trace already holds."""
+    component = functools.partial(_trajectory, trace, col, ppass, predictor_key)
+    return _cached_pass(
+        trace,
+        (predictor_key, trajectory_key(spec)),
+        "fastpath_estimator_pass_total",
+        lambda: run_estimator(spec, col, ppass.pred, ppass.correct, component),
+    )
+
+
 def _policy(job, ppass, level):
     """The policy's final direction and reversal flag per branch (arrays)."""
     pred_arr = ppass.pred_arr
@@ -393,12 +407,7 @@ def replay_trace(job, trace, warmup=0):
         "fastpath_predictor_pass_total",
         lambda: run_predictor(job.predictor, col),
     )
-    trajectory = _cached_pass(
-        trace,
-        (predictor_key, trajectory_key(job.estimator)),
-        "fastpath_estimator_pass_total",
-        lambda: run_estimator(job.estimator, col, ppass.pred, ppass.correct),
-    )
+    trajectory = _trajectory(trace, col, ppass, predictor_key, job.estimator)
     low, level = classify(job.estimator, trajectory)
     raw = trajectory.raw
     final_arr, reverse_arr = _policy(job, ppass, level)

@@ -16,7 +16,9 @@ The fusion estimators (agreement, cascade) compose recursively: each
 component trains on its *own* classification stream (exactly as the
 reference does), so a component trajectory is independent of how its
 signals are fused downstream, and the fusion is a classification rule
-over the component trajectories.
+over the component trajectories.  That is also why a fusion pass takes
+its components from the caller, which serves the ones it already
+holds.
 """
 
 from __future__ import annotations
@@ -306,16 +308,16 @@ def _run_path_perceptron(col: ColumnarTrace, params, pred, correct) -> Trajector
     return Trajectory(raw=raw, state=state)
 
 
-def _run_agreement(col: ColumnarTrace, params, pred, correct) -> Trajectory:
-    first = run_estimator(params["primary"], col, pred, correct)
-    second = run_estimator(params["secondary"], col, pred, correct)
+def _run_agreement(params, component) -> Trajectory:
+    first = component(params["primary"])
+    second = component(params["secondary"])
     state = ("agreement", params["mode"], first.state, second.state)
     return Trajectory(raw=first.raw, state=state, parts=(first, second))
 
 
-def _run_cascade(col: ColumnarTrace, params, pred, correct) -> Trajectory:
-    first = run_estimator(params["primary"], col, pred, correct)
-    second = run_estimator(params["secondary"], col, pred, correct)
+def _run_cascade(params, component) -> Trajectory:
+    first = component(params["primary"])
+    second = component(params["secondary"])
     state = ("cascade", first.state, second.state)
     return Trajectory(raw=first.raw, state=state, parts=(first, second))
 
@@ -325,23 +327,30 @@ _RUNNERS = {
     "jrs": _run_jrs,
     "perceptron": _run_perceptron,
     "path_perceptron": _run_path_perceptron,
-    "agreement": _run_agreement,
-    "cascade": _run_cascade,
 }
 
+_FUSIONS = {"agreement": _run_agreement, "cascade": _run_cascade}
 
-def run_estimator(spec, col: ColumnarTrace, pred, correct) -> Trajectory:
+
+def run_estimator(spec, col: ColumnarTrace, pred, correct, component) -> Trajectory:
     """Replay ``spec`` (an EstimatorSpec) over the whole trace.
 
     ``pred``/``correct`` are the predictor pass's per-branch prediction
     and correctness lists (the streams the front end feeds the
-    estimator's ``estimate``/``train`` protocol).  Every spec with the
-    same :func:`trajectory_key` returns an equal :class:`Trajectory`;
-    :func:`classify` gives each one's flags.
+    estimator's ``estimate``/``train`` protocol).  A fusion pass trains
+    nothing itself: ``component(spec)`` returns each component's
+    trajectory over the same streams, which lets the caller serve one
+    it already holds.  Every spec with the same :func:`trajectory_key`
+    returns an equal :class:`Trajectory`; :func:`classify` gives each
+    one's flags.
     """
+    params = _params(spec)
+    fusion = _FUSIONS.get(spec.kind)
+    if fusion is not None:
+        return fusion(params, component)
     runner = _RUNNERS.get(spec.kind)
     if runner is None:
         from repro.fastpath import FastPathUnsupported
 
         raise FastPathUnsupported(f"no fast estimator pass for kind {spec.kind!r}")
-    return runner(col, _params(spec), pred, correct)
+    return runner(col, params, pred, correct)

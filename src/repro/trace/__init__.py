@@ -22,11 +22,11 @@ Public surface:
   of Table 2 and :func:`generate_benchmark_trace`.
 - :mod:`repro.trace.h2p` -- the hard-to-predict (``h2p.*``) workload
   family: few statics, high dynamic counts, tunable predictability.
-- :mod:`repro.trace.io` -- text and binary trace serialisation.
+- :mod:`repro.trace.io` -- text and binary trace serialisation, and
+  the ``recorded:`` job tokens that make a saved trace an engine job
+  source.
 - :mod:`repro.trace.ingest` -- external (ChampSim/CBP-style) branch
-  trace ingestion into the segmented on-disk format.
-- :mod:`repro.trace.segments` -- lazy segment iteration and the indexed
-  on-disk segment format that recorded traces are stored in.
+  trace ingestion into one trace file.
 """
 
 from repro.trace.behaviors import (
@@ -67,11 +67,6 @@ from repro.trace.ingest import (
 )
 from repro.trace.io import load_trace, save_trace
 from repro.trace.record import BranchRecord, Trace, TraceStats
-from repro.trace.segments import (
-    SegmentedTrace,
-    iter_record_segments,
-    save_segmented,
-)
 
 __all__ = [
     "BranchBehavior",
@@ -106,7 +101,4 @@ __all__ = [
     "BranchRecord",
     "Trace",
     "TraceStats",
-    "SegmentedTrace",
-    "iter_record_segments",
-    "save_segmented",
 ]

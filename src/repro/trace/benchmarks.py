@@ -408,9 +408,7 @@ _CLASS_PC_BASE = {
 
 def build_workload(profile: BenchmarkProfile, seed: int = 0) -> WorkloadSpec:
     """Materialise a profile into a concrete static branch population."""
-    spec = WorkloadSpec(
-        name=profile.name, uops_per_branch=profile.uops_per_branch
-    )
+    branches = []
     rng = np.random.default_rng(derive_seed(seed, "workload", profile.name))
     for cls, class_weight in profile.class_weights.items():
         if class_weight <= 0:
@@ -423,14 +421,18 @@ def build_workload(profile: BenchmarkProfile, seed: int = 0) -> WorkloadSpec:
         weights = class_weight * weights / weights.sum()
         base = _CLASS_PC_BASE[cls]
         for i, (behavior, weight) in enumerate(zip(behaviors, weights)):
-            spec.add(
+            branches.append(
                 StaticBranch(
                     pc=base + _CLASS_PC_STRIDE * i,
                     behavior=behavior,
                     weight=float(weight),
                 )
             )
-    return spec
+    return WorkloadSpec(
+        name=profile.name,
+        branches=branches,
+        uops_per_branch=profile.uops_per_branch,
+    )
 
 
 def generate_benchmark_trace(

@@ -8,8 +8,9 @@ Usage (``python -m repro.trace <command> ...``):
   branches of a saved trace;
 - ``convert <in> <out>`` re-serialise between the text and binary
   formats;
-- ``ingest <in> <segment-dir>`` land an external (ChampSim/CBP-style)
-  branch trace into the indexed segment directory format;
+- ``ingest <in> <out.{npz,btrace}>`` save an external
+  (ChampSim/CBP-style) branch trace as one trace file and print the
+  ``recorded:`` job token that names it;
 - ``export <in> <out.btr>`` write a saved trace in the external format
   (fixture generation, interchange with other simulators);
 - ``list`` show the available benchmark profiles and their calibration
@@ -31,7 +32,7 @@ from repro.trace.benchmarks import (
 )
 from repro.trace.h2p import H2P_PROFILE_NAMES
 from repro.trace.ingest import ingest_external_trace, write_external_trace
-from repro.trace.io import load_trace, save_trace
+from repro.trace.io import job_token, load_trace, save_trace
 from repro.trace.record import Trace
 
 __all__ = ["main"]
@@ -80,15 +81,10 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    segmented = ingest_external_trace(
-        args.input,
-        args.directory,
-        segment_size=args.segment_size,
-        name=args.name,
-    )
+    trace = ingest_external_trace(args.input, args.output, name=args.name)
     print(
-        f"ingested {args.input} -> {args.directory}: "
-        f"{len(segmented)} records, token {segmented.job_token()}"
+        f"ingested {args.input} -> {args.output}: "
+        f"{len(trace)} records, token {job_token(trace, args.output)}"
     )
     return 0
 
@@ -142,8 +138,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     ing = sub.add_parser("ingest", help="ingest an external branch trace")
     ing.add_argument("input", help="external trace file (CBPBT01 format)")
-    ing.add_argument("directory", help="output segment directory")
-    ing.add_argument("--segment-size", type=positive_int, default=4096)
+    ing.add_argument("output", help="output trace file (.npz or .btrace)")
     ing.add_argument("--name", default=None, help="trace name (default: stem)")
     ing.set_defaults(func=_cmd_ingest)
 

@@ -94,13 +94,6 @@ class WorkloadSpec:
         if len(pcs) != len(set(pcs)):
             raise ValueError("static branch addresses must be unique")
 
-    def add(self, branch: StaticBranch) -> "WorkloadSpec":
-        """Append a static branch (fluent helper for profile builders)."""
-        if any(b.pc == branch.pc for b in self.branches):
-            raise ValueError(f"duplicate static branch pc {branch.pc:#x}")
-        self.branches.append(branch)
-        return self
-
     @property
     def static_count(self) -> int:
         """Number of static branches in the population."""
@@ -249,9 +242,10 @@ class TraceGenerator:
         RNG draw happens per emitted record, per block pick, or in
         fixed-size batches from a stream of its own, never as a
         function of a target length; the generator pauses mid-block
-        after each yield.)  Consumers that keep only a bounded window
-        of records -- e.g. :func:`~repro.trace.segments.save_segmented`
-        -- therefore never materialize more than that window.
+        after each yield.)  A consumer that takes records one at a time
+        -- e.g. ``itertools.islice`` over
+        :func:`~repro.trace.h2p.h2p_record_stream` -- therefore holds
+        only what it keeps.
 
         Each visit to a static emits one dynamic branch, except that a
         :class:`~repro.trace.behaviors.LoopBehavior` emits back-edge
@@ -330,7 +324,10 @@ def make_uniform_workload(
     base_pc: int = 0x401000,
 ) -> WorkloadSpec:
     """Convenience builder: one equally-weighted branch per behaviour."""
-    spec = WorkloadSpec(name=name, uops_per_branch=uops_per_branch)
-    for i, behavior in enumerate(behaviors):
-        spec.add(StaticBranch(pc=_next_pc(base_pc, i), behavior=behavior))
-    return spec
+    branches = [
+        StaticBranch(pc=_next_pc(base_pc, i), behavior=behavior)
+        for i, behavior in enumerate(behaviors)
+    ]
+    return WorkloadSpec(
+        name=name, branches=branches, uops_per_branch=uops_per_branch
+    )

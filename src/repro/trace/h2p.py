@@ -265,23 +265,24 @@ def build_h2p_workload(profile: H2PProfile, seed: int = 0) -> WorkloadSpec:
     Deterministic in (profile, seed); per-class ordinals keep hidden
     taps and loop phases distinct between same-class statics.
     """
-    spec = WorkloadSpec(
-        name=profile.name,
-        uops_per_branch=profile.uops_per_branch,
-        block_size=profile.block_size,
-    )
+    branches = []
     ordinals = {cls: 0 for cls in _CLASSES}
     for branch in profile.branches:
         ordinal = ordinals[branch.cls]
         ordinals[branch.cls] = ordinal + 1
-        spec.add(
+        branches.append(
             StaticBranch(
                 pc=_H2P_PC_BASE[branch.cls] + _H2P_PC_STRIDE * ordinal,
                 behavior=_behavior(branch, ordinal),
                 weight=branch.weight,
             )
         )
-    return spec
+    return WorkloadSpec(
+        name=profile.name,
+        branches=branches,
+        uops_per_branch=profile.uops_per_branch,
+        block_size=profile.block_size,
+    )
 
 
 def h2p_record_stream(name: str, seed: int = 0) -> Iterator[BranchRecord]:

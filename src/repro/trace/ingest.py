@@ -3,10 +3,11 @@
 Real predictor research runs on captured branch traces, not synthetic
 ones.  This module defines a minimal external interchange format in the
 family of the ChampSim / CBP contest traces -- a flat stream of
-``(pc, taken)`` records -- and an ingestion path that lands such files
-into the repo's indexed :class:`~repro.trace.segments.SegmentedTrace`
-on-disk format, after which *every* downstream layer (replay, sweeps,
-the verify stack) replays them exactly like a generated trace.
+``(pc, taken)`` records -- and an ingestion path that saves such a file
+as one trace file (:func:`repro.trace.io.save_trace`), after which
+*every* downstream layer (replay, sweeps, the verify stack) replays it
+exactly like a generated trace, named by its
+:func:`~repro.trace.io.job_token`.
 
 Wire format, little-endian throughout::
 
@@ -33,8 +34,8 @@ import struct
 from typing import Iterable, Iterator, Optional
 
 from repro import telemetry
+from repro.trace.io import save_trace
 from repro.trace.record import BranchRecord, Trace
-from repro.trace.segments import SegmentedTrace, save_segmented
 
 __all__ = [
     "EXTERNAL_MAGIC",
@@ -87,7 +88,7 @@ def write_external_trace(records: Iterable[BranchRecord], path: str) -> int:
     The inverse of :func:`iter_external_records` (up to the
     ``uops_before`` field, which the external format does not carry).
     Records with a pc wider than 64 bits cannot be represented and
-    raise :class:`TraceFormatError` -- the segmented format's hex
+    raise :class:`TraceFormatError` -- the ``.npz`` format's hex
     fallback has no equivalent here.
     """
     count = 0
@@ -163,45 +164,27 @@ def iter_external_records(path: str) -> Iterator[BranchRecord]:
 
 def ingest_external_trace(
     src: str,
-    directory: str,
-    segment_size: int = 4096,
+    path: str,
     name: Optional[str] = None,
     seed: int = 0,
-) -> SegmentedTrace:
-    """Ingest an external trace file into a segment directory.
+) -> Trace:
+    """Ingest an external trace file into one trace file at ``path``.
 
-    Streams ``src`` through :func:`iter_external_records` into
-    :func:`repro.trace.segments.save_segmented` (peak memory one
-    segment) and returns the resulting :class:`SegmentedTrace`, whose
-    ``job_token()`` pins the ingested content for engine jobs.  ``name``
+    Reads ``src`` through :func:`iter_external_records` and writes the
+    records with :func:`repro.trace.io.save_trace` (``.npz`` or
+    ``.btrace`` by ``path``'s extension), so nothing lands at ``path``
+    unless the whole source was read.  Returns the ingested trace;
+    ``job_token(trace, path)`` names it for engine jobs.  ``name``
     defaults to the source file's stem; ``seed`` is metadata only (the
     records are externally produced, not generated).
     """
     if name is None:
         name = os.path.splitext(os.path.basename(src))[0]
     with telemetry.trace_span("trace_ingest", src=src, trace_name=name):
-        count = 0
-
-        def counted() -> Iterator[BranchRecord]:
-            nonlocal count
-            for record in iter_external_records(src):
-                count += 1
-                yield record
-
-        segmented = save_segmented(
-            counted(),
-            directory,
-            segment_size=segment_size,
-            name=name,
-            seed=seed,
-        )
+        trace = Trace(list(iter_external_records(src)), name=name, seed=seed)
+        save_trace(trace, path)
     tel = telemetry.get_registry()
     if tel.enabled:
-        tel.counter("trace_ingest_records_total").inc(count)
+        tel.counter("trace_ingest_records_total").inc(len(trace))
         tel.counter("trace_ingest_files_total").inc()
-    return segmented
-
-
-def externalize_trace(trace: Trace, path: str) -> int:
-    """Write a :class:`Trace` out in the external format (fixture helper)."""
-    return write_external_trace(trace.records, path)
+    return trace

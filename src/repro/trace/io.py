@@ -1,28 +1,39 @@
-"""Trace serialisation.
+"""Trace serialisation and recorded-trace job tokens.
 
 Two formats are supported:
 
 - **binary** (``.npz``): compact numpy container, the default for the
-  benchmark harness's cached traces;
+  benchmark harness's cached traces and for ingested recordings;
 - **text** (``.btrace``): one branch per line (``pc taken uops_before``),
   greppable and diff-friendly, with ``#`` metadata headers.
 
-Both round-trip exactly; format is chosen by file extension.
+Both round-trip exactly; format is chosen by file extension, and
+:func:`save_trace` publishes a file only once it is complete.
+
+A saved trace becomes an engine job source through its job token,
+``recorded:<digest16>:<absolute path>`` (:func:`job_token`,
+:func:`parse_job_token`): the digest pins the records, so a job names
+exactly the content it was fingerprinted with.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+import re
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.trace.record import BranchRecord, Trace
 
-__all__ = ["save_trace", "load_trace"]
+__all__ = ["job_token", "load_trace", "parse_job_token", "save_trace"]
 
 _TEXT_EXTENSIONS = (".btrace", ".txt")
 _BINARY_EXTENSIONS = (".npz",)
+
+#: The digest field of a job token: the first 16 hex characters of the
+#: trace's :meth:`~repro.trace.record.Trace.content_digest`.
+_TOKEN_DIGEST = re.compile(r"[0-9a-f]{16}")
 
 
 def _is_text_path(path: str) -> bool:
@@ -38,11 +49,25 @@ def _is_text_path(path: str) -> bool:
 
 
 def save_trace(trace: Trace, path: str) -> None:
-    """Write a trace to ``path`` (format chosen by extension)."""
-    if _is_text_path(path):
-        _save_text(trace, path)
-    else:
-        _save_binary(trace, path)
+    """Write a trace to ``path`` (format chosen by extension).
+
+    The trace is written to a temporary file beside ``path`` that
+    replaces it only once complete, so a write that fails part-way
+    leaves ``path`` as it was (absent, or the previous file).
+    """
+    text = _is_text_path(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        if text:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                _save_text(trace, fh)
+        else:
+            with open(tmp, "wb") as fh:
+                _save_binary(trace, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_trace(path: str) -> Trace:
@@ -52,14 +77,44 @@ def load_trace(path: str) -> Trace:
     return _load_binary(path)
 
 
-def _save_text(trace: Trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# name: {trace.name}\n")
-        if trace.seed is not None:
-            fh.write(f"# seed: {trace.seed}\n")
-        fh.write("# columns: pc taken uops_before\n")
-        for rec in trace:
-            fh.write(f"{rec.pc:#x} {1 if rec.taken else 0} {rec.uops_before}\n")
+def job_token(trace: Trace, path: str) -> str:
+    """The benchmark name of ``trace``, saved at ``path``, for engine jobs.
+
+    ``recorded:<digest16>:<absolute path>``, usable directly as
+    ``SimJob.benchmark``.  The 16 hex characters start the trace's
+    :meth:`~repro.trace.record.Trace.content_digest`, so the records
+    alone set them.  The engine's trace cache loads the file and checks
+    the digest, so a fingerprinted job pins the recorded content, not
+    just a file name.
+    """
+    return f"recorded:{trace.content_digest()[:16]}:{os.path.abspath(path)}"
+
+
+def parse_job_token(token: str) -> Tuple[str, str]:
+    """``(digest, path)`` of a ``recorded:`` job token.
+
+    Raises ``ValueError`` unless the token has the shape
+    :func:`job_token` writes: a digest field of 16 lowercase hex
+    characters pins the recorded content, so an empty or shortened
+    digest cannot match a file whose content changed.
+    """
+    kind, _, rest = token.partition(":")
+    digest, sep, path = rest.partition(":")
+    if kind != "recorded" or not sep or not _TOKEN_DIGEST.fullmatch(digest):
+        raise ValueError(
+            "recorded token must be 'recorded:<16 lowercase hex digest "
+            f"chars>:<path>', as job_token() writes, got {token!r}"
+        )
+    return digest, path
+
+
+def _save_text(trace: Trace, fh) -> None:
+    fh.write(f"# name: {trace.name}\n")
+    if trace.seed is not None:
+        fh.write(f"# seed: {trace.seed}\n")
+    fh.write("# columns: pc taken uops_before\n")
+    for rec in trace:
+        fh.write(f"{rec.pc:#x} {1 if rec.taken else 0} {rec.uops_before}\n")
 
 
 def _load_text(path: str) -> Trace:
@@ -94,7 +149,7 @@ def _load_text(path: str) -> Trace:
 _MAX_UINT64_PC = (1 << 64) - 1
 
 
-def _save_binary(trace: Trace, path: str) -> None:
+def _save_binary(trace: Trace, fh) -> None:
     n = len(trace)
     taken = np.empty(n, dtype=np.bool_)
     uops = np.empty(n, dtype=np.uint32)
@@ -117,7 +172,7 @@ def _save_binary(trace: Trace, path: str) -> None:
         # overflow, so fall back to a hex-string column (unicode arrays
         # stay loadable with allow_pickle=False).
         payload["pcs_hex"] = np.array([format(rec.pc, "x") for rec in trace])
-    np.savez_compressed(path, **payload)
+    np.savez_compressed(fh, **payload)
 
 
 def _load_binary(path: str) -> Trace:

@@ -9,6 +9,7 @@ direction, and uop volume (for the per-1000-uop rates of Table 2).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
@@ -118,6 +119,18 @@ class Trace:
             stats.static_branches = len(pcs)
             self._stats = stats
         return self._stats
+
+    def content_digest(self) -> str:
+        """SHA-256 hex digest of the records alone.
+
+        Hashes each record's ``(pc, taken, uops_before)`` as
+        ``b"<pc>,<taken 0|1>,<uops_before>;"`` in decimal, so the name,
+        the seed, the file format and the file's path never change it.
+        """
+        digest = hashlib.sha256()
+        for rec in self._records:
+            digest.update(b"%d,%d,%d;" % (rec.pc, rec.taken, rec.uops_before))
+        return digest.hexdigest()
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
         """Return a sub-trace over ``records[start:stop]``."""

@@ -25,19 +25,18 @@ def gcc_trace():
 
 def make_simple_workload(name="simple", extra=None, uops_per_branch=8.0):
     """A deterministic-plus-random workload for predictor tests."""
-    spec = WorkloadSpec(name=name, uops_per_branch=uops_per_branch)
-    pc = 0x40_0000
-    for i in range(10):
-        behavior = BiasedBehavior(1.0 if i % 2 == 0 else 0.0)
-        spec.add(StaticBranch(pc=pc, behavior=behavior))
-        pc += 52
-    spec.add(StaticBranch(pc=pc, behavior=RandomBehavior(), weight=0.5))
-    if extra:
-        pc += 52
-        for behavior, weight in extra:
-            spec.add(StaticBranch(pc=pc, behavior=behavior, weight=weight))
-            pc += 52
-    return spec
+    behaviors = [
+        (BiasedBehavior(1.0 if i % 2 == 0 else 0.0), 1.0) for i in range(10)
+    ]
+    behaviors.append((RandomBehavior(), 0.5))
+    behaviors += extra or []
+    branches = [
+        StaticBranch(pc=0x40_0000 + 52 * i, behavior=behavior, weight=weight)
+        for i, (behavior, weight) in enumerate(behaviors)
+    ]
+    return WorkloadSpec(
+        name=name, branches=branches, uops_per_branch=uops_per_branch
+    )
 
 
 @pytest.fixture()

@@ -43,6 +43,7 @@ from repro.engine import (
 )
 from repro.engine.replay import _replay_trace
 from repro.fastpath import driver as fast_driver
+from repro.fastpath import estimators as fast_estimators
 from repro.fastpath.estimators import trajectory_key
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.record import BranchRecord, Trace
@@ -424,15 +425,17 @@ def _reference_replay(job, trace):
 
 @pytest.fixture
 def counted_estimator_passes(monkeypatch):
-    """Specs of every ``run_estimator`` call the driver makes."""
+    """Specs of every ``run_estimator`` call, a fusion's components
+    included, whichever module makes it."""
     calls = []
-    real = fast_driver.run_estimator
+    real = fast_estimators.run_estimator
 
     def counting(spec, *args):
         calls.append(spec)
         return real(spec, *args)
 
     monkeypatch.setattr(fast_driver, "run_estimator", counting)
+    monkeypatch.setattr(fast_estimators, "run_estimator", counting)
     return calls
 
 
@@ -504,4 +507,26 @@ def test_fusion_reclassifies_from_component_trajectories(
             assert events == reference.events
             assert canonical_metrics(result) == reference.canonical_metrics()
             assert repr(state) == repr(reference_state)
-    assert counted_estimator_passes == fusions
+    assert counted_estimator_passes == [fusions[0], primary, secondary, fusions[1]]
+
+
+def test_fusion_components_reuse_cached_trajectories(counted_estimator_passes):
+    """Fusions over components the trace already replayed train nothing
+    again: each trajectory is computed once per trace."""
+    trace = generate_benchmark_trace("twolf", n_branches=2_000, seed=3)
+    perceptron = EstimatorSpec.of("perceptron", threshold=0)
+    jrs = EstimatorSpec.of("jrs", threshold=7)
+    estimators = [perceptron, jrs] + [
+        EstimatorSpec.of("agreement", primary=perceptron, secondary=jrs, mode=mode)
+        for mode in ("intersection", "union")
+    ] + [EstimatorSpec.of("cascade", primary=perceptron, secondary=jrs)]
+    for estimator in estimators:
+        job = _ladder_job(estimator, GATING_POLICY)
+        events, result, _, state = fast_driver.replay_trace(
+            job, trace, warmup=job.warmup
+        )
+        reference, reference_state = _reference_replay(job, trace)
+        assert events == reference.events, repr(estimator)
+        assert canonical_metrics(result) == reference.canonical_metrics()
+        assert repr(state) == repr(reference_state)
+    assert counted_estimator_passes == estimators

@@ -1,7 +1,5 @@
 """Unit tests for repro.trace.generator."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -16,15 +14,14 @@ from repro.trace.generator import (
 
 
 def biased_spec(n=6, **spec_kwargs):
-    spec = WorkloadSpec(name="t", **spec_kwargs)
-    for i in range(n):
-        spec.add(
-            StaticBranch(
-                pc=0x400000 + 52 * i,
-                behavior=BiasedBehavior(1.0 if i % 2 == 0 else 0.0),
-            )
+    branches = [
+        StaticBranch(
+            pc=0x400000 + 52 * i,
+            behavior=BiasedBehavior(1.0 if i % 2 == 0 else 0.0),
         )
-    return spec
+        for i in range(n)
+    ]
+    return WorkloadSpec(name="t", branches=branches, **spec_kwargs)
 
 
 class TestStaticBranch:
@@ -37,9 +34,11 @@ class TestStaticBranch:
 
 class TestWorkloadSpec:
     def test_duplicate_pc_rejected(self):
-        spec = biased_spec()
-        with pytest.raises(ValueError):
-            spec.add(StaticBranch(pc=0x400000, behavior=BiasedBehavior(0.5)))
+        branches = biased_spec().branches + [
+            StaticBranch(pc=0x400000, behavior=BiasedBehavior(0.5))
+        ]
+        with pytest.raises(ValueError, match="unique"):
+            WorkloadSpec(name="t", branches=branches)
 
     def test_normalized_weights(self):
         spec = biased_spec(4)
@@ -105,9 +104,13 @@ class TestTraceGenerator:
         assert repeats / len(pcs) < 0.25
 
     def test_loop_emits_full_instances(self):
-        spec = WorkloadSpec(name="loops")
-        spec.add(StaticBranch(pc=0x100, behavior=LoopBehavior(5, 5)))
-        spec.add(StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0)))
+        spec = WorkloadSpec(
+            name="loops",
+            branches=[
+                StaticBranch(pc=0x100, behavior=LoopBehavior(5, 5)),
+                StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0)),
+            ],
+        )
         trace = TraceGenerator(spec, seed=3).generate(3000)
         # Every maximal run of the loop pc must consist of full 5-visit
         # instances: 4 takens then an exit.
@@ -131,9 +134,15 @@ class TestTraceGenerator:
 
     def test_dynamic_weight_share(self):
         # A static with 3x the weight should execute ~3x as often.
-        spec = WorkloadSpec(name="w", block_size=1, block_repeat_mean=1.0)
-        spec.add(StaticBranch(pc=0x100, behavior=BiasedBehavior(1.0), weight=3.0))
-        spec.add(StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0), weight=1.0))
+        spec = WorkloadSpec(
+            name="w",
+            branches=[
+                StaticBranch(pc=0x100, behavior=BiasedBehavior(1.0), weight=3.0),
+                StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0), weight=1.0),
+            ],
+            block_size=1,
+            block_repeat_mean=1.0,
+        )
         trace = TraceGenerator(spec, seed=1).generate(8000)
         hot = sum(1 for r in trace if r.pc == 0x100)
         assert 0.68 < hot / 8000 < 0.82
@@ -142,9 +151,15 @@ class TestTraceGenerator:
         # A loop static with weight equal to a plain static should get a
         # similar *dynamic branch* share despite emitting whole
         # instances per visit.
-        spec = WorkloadSpec(name="lw", block_size=1, block_repeat_mean=1.0)
-        spec.add(StaticBranch(pc=0x100, behavior=LoopBehavior(10, 10), weight=1.0))
-        spec.add(StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0), weight=1.0))
+        spec = WorkloadSpec(
+            name="lw",
+            branches=[
+                StaticBranch(pc=0x100, behavior=LoopBehavior(10, 10), weight=1.0),
+                StaticBranch(pc=0x200, behavior=BiasedBehavior(1.0), weight=1.0),
+            ],
+            block_size=1,
+            block_repeat_mean=1.0,
+        )
         trace = TraceGenerator(spec, seed=1).generate(12000)
         loop_share = sum(1 for r in trace if r.pc == 0x100) / 12000
         assert 0.35 < loop_share < 0.65
@@ -160,10 +175,16 @@ class TestTraceGenerator:
     def test_correlated_sees_real_history(self):
         # A branch that copies history bit 0 must equal the previous
         # branch outcome in the generated trace.
-        spec = WorkloadSpec(name="c", block_size=1, block_repeat_mean=1.0)
-        spec.add(StaticBranch(pc=0x100, behavior=BiasedBehavior(0.5)))
-        spec.add(
-            StaticBranch(pc=0x200, behavior=CorrelatedBehavior((0,), noise=0.0))
+        spec = WorkloadSpec(
+            name="c",
+            branches=[
+                StaticBranch(pc=0x100, behavior=BiasedBehavior(0.5)),
+                StaticBranch(
+                    pc=0x200, behavior=CorrelatedBehavior((0,), noise=0.0)
+                ),
+            ],
+            block_size=1,
+            block_repeat_mean=1.0,
         )
         trace = TraceGenerator(spec, seed=9).generate(3000)
         records = list(trace)
@@ -177,14 +198,6 @@ class TestMakeUniformWorkload:
         spec = make_uniform_workload("u", [BiasedBehavior(0.5)] * 4)
         assert spec.static_count == 4
         assert (spec.normalized_weights() == 0.25).all()
-
-
-def _trace_digest(records) -> str:
-    """SHA-256 over each record's ``(pc, taken, uops_before)``."""
-    h = hashlib.sha256()
-    for r in records:
-        h.update(b"%d,%d,%d;" % (r.pc, r.taken, r.uops_before))
-    return h.hexdigest()
 
 
 #: ``(benchmark, seed) -> digest`` of 5000-branch traces, recorded
@@ -233,7 +246,7 @@ class TestPinnedTraces:
     def test_digest(self, name, seed):
         trace = generate_benchmark_trace(name, n_branches=5000, seed=seed)
         assert len(trace) == 5000
-        assert _trace_digest(trace) == PINNED_TRACES[(name, seed)]
+        assert trace.content_digest() == PINNED_TRACES[(name, seed)]
 
     @pytest.mark.parametrize("n", [1, 4095, 4097])
     def test_prefix_is_length_stable(self, n):

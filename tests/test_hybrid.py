@@ -113,17 +113,19 @@ class TestPaperConfigurations:
         from repro.trace.behaviors import BiasedBehavior, CorrelatedBehavior
         from repro.trace.generator import StaticBranch, TraceGenerator, WorkloadSpec
 
-        spec = WorkloadSpec(name="far", block_size=1, block_repeat_mean=1.0)
-        pc = 0x400000
-        for i in range(6):
-            spec.add(StaticBranch(pc=pc, behavior=BiasedBehavior(0.5)))
-            pc += 52
-        spec.add(
+        branches = [
+            StaticBranch(pc=0x400000 + 52 * i, behavior=BiasedBehavior(0.5))
+            for i in range(6)
+        ]
+        branches.append(
             StaticBranch(
-                pc=pc,
+                pc=0x400000 + 52 * 6,
                 behavior=CorrelatedBehavior((15,), noise=0.0),
                 weight=3.0,
             )
+        )
+        spec = WorkloadSpec(
+            name="far", branches=branches, block_size=1, block_repeat_mean=1.0
         )
         trace = TraceGenerator(spec, seed=5).generate(20_000)
         base = make_baseline_hybrid()  # 10-bit gshare history

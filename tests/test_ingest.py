@@ -1,5 +1,6 @@
 """External branch-trace ingestion: wire format, robustness, round-trip."""
 
+import os
 import struct
 
 import pytest
@@ -17,8 +18,8 @@ from repro.trace.ingest import (
     iter_external_records,
     write_external_trace,
 )
+from repro.trace.io import job_token, load_trace
 from repro.trace.record import BranchRecord
-from repro.trace.segments import SegmentedTrace
 
 
 @pytest.fixture(autouse=True)
@@ -138,19 +139,19 @@ class TestTruncatedTail:
         assert back == pairs[:7]
 
 
-class TestIngestToSegments:
-    def test_ingest_lands_in_segmented_format(self, tmp_path):
+class TestIngestToFile:
+    def test_ingest_lands_in_one_file(self, tmp_path):
         telemetry.enable()
         pairs = [(0x600000 + 4 * (i % 9), i % 4 != 0) for i in range(1_000)]
         src = str(tmp_path / "capture.cbpbt")
+        out = str(tmp_path / "capture.npz")
         write_external_trace(_records(pairs), src)
-        trace = ingest_external_trace(src, str(tmp_path / "seg"), segment_size=256)
-        assert isinstance(trace, SegmentedTrace)
+        trace = ingest_external_trace(src, out)
         assert len(trace) == 1_000
-        assert trace.n_segments == 4
         assert trace.name == "capture"
-        assert [(r.pc, r.taken) for r in trace.iter_records()] == pairs
-        assert trace.job_token()
+        assert [(r.pc, r.taken) for r in trace] == pairs
+        assert sorted(os.listdir(tmp_path)) == ["capture.cbpbt", "capture.npz"]
+        assert job_token(trace, out).startswith("recorded:")
         snap = telemetry.get_registry().snapshot()
         assert snap.counter("trace_ingest_records_total") == 1_000
         assert snap.counter("trace_ingest_files_total") == 1
@@ -158,11 +159,19 @@ class TestIngestToSegments:
     def test_reopen_from_disk(self, tmp_path):
         pairs = [(0x700000, True)] * 10
         src = str(tmp_path / "x.cbpbt")
+        out = str(tmp_path / "x.npz")
         write_external_trace(_records(pairs), src)
-        ingest_external_trace(src, str(tmp_path / "seg"), segment_size=4)
-        reopened = SegmentedTrace(str(tmp_path / "seg"))
+        ingested = ingest_external_trace(src, out)
+        reopened = load_trace(out)
         assert len(reopened) == 10
-        assert reopened.job_token()
+        assert job_token(reopened, out) == job_token(ingested, out)
+
+    def test_malformed_source_writes_nothing(self, tmp_path):
+        src = tmp_path / "bad.cbpbt"
+        src.write_bytes(b"NOTATRC\n")
+        with pytest.raises(TraceFormatError):
+            ingest_external_trace(str(src), str(tmp_path / "bad.npz"))
+        assert os.listdir(tmp_path) == ["bad.cbpbt"]
 
     @given(pairs=PAIRS, seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -173,8 +182,9 @@ class TestIngestToSegments:
         base = tmp_path_factory.mktemp("rt")
         records = _records(pairs)
         src = str(base / "t.cbpbt")
+        out = str(base / "t.npz")
         write_external_trace(records, src)
-        ingested = ingest_external_trace(src, str(base / "seg"), segment_size=64)
+        ingest_external_trace(src, out)
 
         def replay(stream):
             frontend = FrontEnd(
@@ -189,6 +199,6 @@ class TestIngestToSegments:
             return events, frontend.predictor.state_digest()
 
         direct_events, direct_digest = replay(iter(records))
-        ingested_events, ingested_digest = replay(ingested.iter_records())
+        ingested_events, ingested_digest = replay(iter(load_trace(out)))
         assert ingested_events == direct_events
         assert ingested_digest == direct_digest

@@ -1,7 +1,11 @@
 """Unit tests for repro.trace.io."""
 
+import errno
+import os
+
 import pytest
 
+from repro.trace import io as trace_io
 from repro.trace.io import load_trace, save_trace
 from repro.trace.record import BranchRecord, Trace
 
@@ -117,6 +121,48 @@ class TestEdgeCases:
         with np.load(path, allow_pickle=False) as data:
             assert "pcs" in data.files
         assert load_trace(path)[0].pc == boundary
+
+
+class _TornTrace(Trace):
+    """A trace whose iteration fails after two records."""
+
+    def __iter__(self):
+        yield from self.records[:2]
+        raise OSError(errno.EIO, "read failed mid-trace")
+
+
+class TestAtomicWrite:
+    """A save that fails part-way leaves the target as it was."""
+
+    def _assert_untouched(self, tmp_path, path, fail):
+        with pytest.raises(OSError):
+            fail(path)
+        assert os.listdir(tmp_path) == []
+        save_trace(sample_trace(), path)
+        with pytest.raises(OSError):
+            fail(path)
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        assert_traces_equal(sample_trace(), load_trace(path))
+
+    def test_torn_text_write(self, tmp_path):
+        def fail(path):
+            save_trace(_TornTrace(sample_trace().records, name="torn"), path)
+
+        self._assert_untouched(tmp_path, str(tmp_path / "t.btrace"), fail)
+
+    def test_failed_binary_write(self, tmp_path, monkeypatch):
+        real = trace_io.np.savez_compressed
+
+        def disk_full(file, **arrays):
+            real(file, **arrays)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def fail(path):
+            with monkeypatch.context() as patch:
+                patch.setattr(trace_io.np, "savez_compressed", disk_full)
+                save_trace(sample_trace(), path)
+
+        self._assert_untouched(tmp_path, str(tmp_path / "t.npz"), fail)
 
 
 class TestFormatDetection:

@@ -158,9 +158,13 @@ class TestTraceProperties:
         from repro.trace.generator import StaticBranch, TraceGenerator, WorkloadSpec
 
         def build():
-            spec = WorkloadSpec(name="p")
-            spec.add(StaticBranch(pc=0x100, behavior=BiasedBehavior(0.9)))
-            spec.add(StaticBranch(pc=0x200, behavior=RandomBehavior()))
+            spec = WorkloadSpec(
+                name="p",
+                branches=[
+                    StaticBranch(pc=0x100, behavior=BiasedBehavior(0.9)),
+                    StaticBranch(pc=0x200, behavior=RandomBehavior()),
+                ],
+            )
             return TraceGenerator(spec, seed=seed).generate(300)
 
         a, b = build(), build()

@@ -55,30 +55,69 @@ class TestList:
             assert name in text
 
 
+class TestIngest:
+    """An ingested recording is one ordinary trace file."""
+
+    @pytest.fixture()
+    def capture(self, tmp_path):
+        source = str(tmp_path / "capture.cbpbt")
+        records = [
+            BranchRecord(pc=0x400000 + 4 * (i % 7), taken=i % 3 != 0)
+            for i in range(500)
+        ]
+        write_external_trace(records, source)
+        return source, records
+
+    def _token(self, argv, capsys):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert "500 records" in text
+        return text.split("token ")[1].strip()
+
+    def test_same_source_same_digest_anywhere(self, tmp_path, capsys, capture):
+        source, _ = capture
+        first = str(tmp_path / "ingested.npz")
+        second = str(tmp_path / "copy" / "other.npz")
+        (tmp_path / "copy").mkdir()
+        token = self._token(["ingest", source, first], capsys)
+        other = self._token(["ingest", source, second, "--name", "x"], capsys)
+        assert token.startswith("recorded:")
+        assert token.split(":")[1] == other.split(":")[1]
+        assert token.split(":", 2)[2] == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "capture.cbpbt",
+            "copy",
+            "ingested.npz",
+        ]
+
+    def test_inspect_convert_export_accept_ingested_file(
+        self, tmp_path, capsys, capture
+    ):
+        source, records = capture
+        ingested = str(tmp_path / "ingested.npz")
+        self._token(["ingest", source, ingested], capsys)
+
+        assert main(["inspect", ingested]) == 0
+        assert "dynamic branches: 500" in capsys.readouterr().out
+
+        text = str(tmp_path / "ingested.btrace")
+        assert main(["convert", ingested, text]) == 0
+        assert list(load_trace(text)) == records
+
+        exported = str(tmp_path / "round.cbpbt")
+        assert main(["export", ingested, exported]) == 0
+        with open(exported, "rb") as a, open(source, "rb") as b:
+            assert a.read() == b.read()
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
-        "command, flag, value",
-        [
-            ("generate", "--branches", "-5"),
-            ("generate", "--branches", "0"),
-            ("ingest", "--segment-size", "0"),
-        ],
-        ids=["branches-negative", "branches-zero", "segment-size-zero"],
+        "value", ["-5", "0"], ids=["branches-negative", "branches-zero"]
     )
-    def test_count_below_one_is_usage_error(
-        self, tmp_path, capsys, command, flag, value
-    ):
+    def test_count_below_one_is_usage_error(self, tmp_path, capsys, value):
         output = tmp_path / "out"
-        if command == "generate":
-            argv = ["generate", "gzip", f"{output}.npz"]
-        else:
-            source = str(tmp_path / "in.btr")
-            write_external_trace(
-                [BranchRecord(pc=0x400000, taken=True)] * 8, source
-            )
-            argv = ["ingest", source, str(output)]
         with pytest.raises(SystemExit) as exc:
-            main(argv + [flag, value])
+            main(["generate", "gzip", f"{output}.npz", "--branches", value])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert "--branches" in capsys.readouterr().err
         assert not any(tmp_path.glob("out*"))  # nothing written
