@@ -5,10 +5,13 @@ address and history bits.  These helpers provide the small vocabulary of
 operations those index functions are built from: masking to a field
 width, XOR-folding a wide value into a narrow one, and converting
 between unsigned fields and signed two's-complement values (needed for
-perceptron weights stored in fixed-width fields).
+perceptron weights stored in fixed-width fields).  :func:`mix_hash` has
+a vectorised twin, :func:`mix_hash_u64`, for whole uint64 columns.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "mask",
@@ -16,6 +19,7 @@ __all__ = [
     "popcount",
     "fold_bits",
     "mix_hash",
+    "mix_hash_u64",
     "sign",
     "to_signed",
     "to_unsigned",
@@ -79,6 +83,20 @@ def mix_hash(value: int) -> int:
     v = ((v ^ (v >> 30)) * 0xBF58476D1CE4E5B9) & _U64
     v = ((v ^ (v >> 27)) * 0x94D049BB133111EB) & _U64
     return v ^ (v >> 31)
+
+
+def mix_hash_u64(values: np.ndarray) -> np.ndarray:
+    """Vectorized :func:`mix_hash` (splitmix64 mixer).
+
+    Exact for inputs below 2**64; uint64 wraparound matches the
+    reference's explicit ``& _U64`` masking.
+    """
+    u64 = np.uint64
+    with np.errstate(over="ignore"):
+        v = np.asarray(values, dtype=u64) + u64(_GOLDEN)
+        v = (v ^ (v >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+        v = (v ^ (v >> u64(27))) * u64(0x94D049BB133111EB)
+    return v ^ (v >> u64(31))
 
 
 def sign(value: float) -> int:

@@ -29,13 +29,9 @@ from typing import List, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.common.bits import mix_hash_u64
 from repro.fastpath.columnar import ColumnarTrace
-from repro.fastpath.kernels import (
-    fold_u64,
-    mix_hash_u64,
-    swar_cic_pass,
-    swar_direction_pass,
-)
+from repro.fastpath.kernels import fold_u64, swar_cic_pass, swar_direction_pass
 
 __all__ = ["Trajectory", "classify", "run_estimator", "trajectory_key"]
 

@@ -3,10 +3,11 @@
 Three families of primitives live here:
 
 - **Precompute kernels** -- whole-trace index/feature computation:
-  per-branch global-history words (:func:`history_bits`), vectorized
-  XOR-folding (:func:`fold_u64`) and splitmix64 hashing
-  (:func:`mix_hash_u64`).  These turn the per-branch index arithmetic
-  of the reference predictors into a handful of numpy passes.
+  per-branch global-history words (:func:`history_bits`) and vectorized
+  XOR-folding (:func:`fold_u64`); splitmix64 hashing is
+  :func:`repro.common.bits.mix_hash_u64`.  These turn the per-branch
+  index arithmetic of the reference predictors into a handful of numpy
+  passes.
 - **Conflict-free chunk kernels** -- sequential-equivalent batch
   updates of shared tables: :func:`conflict_free_chunks` splits a
   branch stream into maximal chunks in which every table index appears
@@ -42,7 +43,6 @@ __all__ = [
     "history_bits",
     "final_history_bits",
     "fold_u64",
-    "mix_hash_u64",
     "prev_occurrence",
     "conflict_free_chunks",
     "counter_batch_update",
@@ -107,19 +107,6 @@ def fold_u64(values: np.ndarray, width: int) -> np.ndarray:
         folded ^= v & m
         v >>= shift
     return folded
-
-
-def mix_hash_u64(values: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`repro.common.bits.mix_hash` (splitmix64 mixer).
-
-    Exact for inputs below 2**64; uint64 wraparound matches the
-    reference's explicit ``& _U64`` masking.
-    """
-    with np.errstate(over="ignore"):
-        v = np.asarray(values, dtype=_U64) + _U64(0x9E3779B97F4A7C15)
-        v = (v ^ (v >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-        v = (v ^ (v >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return v ^ (v >> _U64(31))
 
 
 # -------------------------------------------------------------------------

@@ -11,6 +11,11 @@ DESIGN.md substitution note 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import List, Sequence
+
+import numpy as np
+
+from repro.common.bits import mix_hash_u64
 
 __all__ = [
     "PipelineConfig",
@@ -20,6 +25,10 @@ __all__ = [
     "DEEP_40X4",
     "PIPELINE_PRESETS",
 ]
+
+#: The jitter hashes ``(pc << 17) ^ seq`` modulo 2**64, so it sees only
+#: the low 47 bits of a pc.
+_PC_MASK = (1 << 47) - 1
 
 
 @dataclass(frozen=True)
@@ -44,9 +53,10 @@ class PipelineConfig:
         resolve_jitter: Largest extra resolution latency in cycles: a
             deterministic per-branch jitter in ``[0, resolve_jitter]``
             (a hash of pc and sequence number, modulo
-            ``resolve_jitter + 1``) is added to ``depth``, standing in
-            for scheduler and memory variability.  It is one-sided, so
-            the mean latency is about ``depth + resolve_jitter / 2``.
+            ``resolve_jitter + 1``; see :meth:`resolve_delays`) is
+            added to ``depth``, standing in for scheduler and memory
+            variability.  It is one-sided, so the mean latency is about
+            ``depth + resolve_jitter / 2``.
         estimator_latency: Cycles from fetching a branch to its
             confidence estimate being usable by the gating logic
             (Section 5.4.2: 9-cycle pipelined perceptron vs ideal 1).
@@ -129,6 +139,31 @@ class PipelineConfig:
         its own.
         """
         return self.rob_size
+
+    def resolve_delays(self, pcs: Sequence[int], first_seq: int = 0) -> List[int]:
+        """Resolution latency, in cycles, of each branch of a stream.
+
+        The branch at ``pcs[i]`` has sequence number ``first_seq + i``
+        and resolves ``depth + mix_hash((pc << 17) ^ seq) %
+        (resolve_jitter + 1)`` cycles after its fetch; one vectorised
+        :func:`~repro.common.bits.mix_hash_u64` pass computes the whole
+        column.  The hash input is taken modulo 2**64, so the rule sees
+        only ``pc mod 2**47``: wider pcs, which recorded traces may
+        hold, are reduced before the uint64 conversion.  Without
+        jitter every delay is ``depth`` and nothing is hashed.
+        """
+        if not self.resolve_jitter:
+            return [self.depth] * len(pcs)
+        u64 = np.uint64
+        try:
+            column = np.array(pcs, dtype=u64)
+        except OverflowError:
+            column = np.array([pc & _PC_MASK for pc in pcs], dtype=u64)
+        seqs = np.arange(first_seq, first_seq + len(column), dtype=u64)
+        jitter = mix_hash_u64((column << u64(17)) ^ seqs) % u64(
+            self.resolve_jitter + 1
+        )
+        return (jitter + u64(self.depth)).tolist()
 
     def with_gating(
         self, threshold: int, estimator_latency: int = None

@@ -40,10 +40,13 @@ Mechanisms modelled explicitly:
   uops -- the squashed window cannot hide it.
 
 Implementation: :meth:`PipelineSimulator.simulate` is one loop over
-local variables.  It reads six columns of a
-:class:`repro.core.frontend.FrontEndEvents` (``pc``, ``taken``,
-``prediction``, ``final_prediction``, ``action``, ``uops_before``), so
-it builds no event object.  Fetch proceeds in spans that end at every branch
+local variables.  It reads five columns of a
+:class:`repro.core.frontend.FrontEndEvents` (``taken``, ``prediction``,
+``final_prediction``, ``action``, ``uops_before``), so it builds no
+event object, plus a column of resolution delays that
+:meth:`PipelineConfig.resolve_delays` computes from the ``pc`` column
+in one vectorised pass before the loop: the jitter does not depend on
+the clock.  Fetch proceeds in spans that end at every branch
 resolution and every low-confidence (LC) activation, because those are
 the instants the LC counter can change.  The in-flight state is a heap
 of resolve times, a deque of ``(activation, resolve)`` pairs of LC
@@ -58,7 +61,8 @@ written one helper per question, and must agree field for field.
 Determinism: resolution jitter is a hash of (pc, sequence number), and
 every :meth:`PipelineSimulator.simulate` call starts from a reset
 machine, so a given (trace, config, policy) triple always produces
-identical statistics.
+identical statistics.  The hash sees only ``pc mod 2**47`` (see
+:meth:`PipelineConfig.resolve_delays`).
 """
 
 from __future__ import annotations
@@ -68,7 +72,6 @@ from heapq import heappop, heappush
 from typing import Iterable
 
 from repro import telemetry
-from repro.common.bits import mix_hash
 from repro.core.frontend import FrontEndEvent, FrontEndEvents
 from repro.core.reversal import BranchAction
 from repro.pipeline.config import PipelineConfig
@@ -108,7 +111,6 @@ class PipelineSimulator:
         rob = cfg.rob_size
         cap = float(cfg.wrong_path_cap)
         uop_cycles = cfg.base_uop_cycles
-        jitter = cfg.resolve_jitter + 1 if cfg.resolve_jitter else 0
         latency = cfg.estimator_latency
         threshold = cfg.gating_threshold
         per_uop = 1.0 / fetch_width
@@ -130,7 +132,6 @@ class PipelineSimulator:
 
         fetch = 0.0
         retire = 0.0
-        seq = 0
         correct_path_uops = 0
         # Stays int 0 until a misprediction adds a float: SimStats
         # digests hash JSON, where 0 and 0.0 differ.
@@ -148,8 +149,9 @@ class PipelineSimulator:
         wrong_path_uops_saved = 0.0
 
         with telemetry.trace_span("pipeline.simulate", machine=cfg.label()):
-            for pc, taken, prediction, final_prediction, action, uops_before in zip(
-                events.pc,
+            delays = cfg.resolve_delays(events.pc)
+            for delay, taken, prediction, final_prediction, action, uops_before in zip(
+                delays,
                 events.taken,
                 events.prediction,
                 events.final_prediction,
@@ -234,13 +236,8 @@ class PipelineSimulator:
                 correct_path_uops += uops
 
                 t_fetch = t
-                if jitter:
-                    t_resolve = t_fetch + float(
-                        depth + mix_hash((pc << 17) ^ seq) % jitter
-                    )
-                else:
-                    t_resolve = t_fetch + float(depth)
-                seq += 1
+                # An int delay rounds exactly as ``float(delay)`` would.
+                t_resolve = t_fetch + delay
                 heappush(resolves, t_resolve)
                 if action is _GATE:
                     gated_branches += 1
@@ -336,7 +333,7 @@ class PipelineSimulator:
         result = SimStats(
             correct_path_uops=correct_path_uops,
             wrong_path_uops=wrong_path_uops,
-            branches=seq,
+            branches=len(events),
             mispredictions=mispredictions,
             raw_mispredictions=raw_mispredictions,
             reversals=reversals,

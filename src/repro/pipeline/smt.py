@@ -16,6 +16,11 @@ streams uops from that thread's event stream, and tracks per-thread
 wrong-path episodes.  Throughput is combined correct-path uops per
 cycle, so converting one thread's wrong-path slots into the other
 thread's right-path slots shows up directly.
+
+Branch resolution uses the single-thread model's rule,
+:meth:`PipelineConfig.resolve_delays`: each thread computes its whole
+column of integer delays once, numbering its branches from its own salt
+so the two threads' jitter differs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.common.bits import mix_hash
 from repro.core.frontend import FrontEndEvent, FrontEndEvents
 from repro.core.reversal import BranchAction
 from repro.pipeline.config import PipelineConfig
@@ -82,11 +86,19 @@ class _Thread:
 
     The events are read as columns, once: the fetch loop indexes them
     per branch, and indexing a :class:`FrontEndEvents` builds an event.
+    Branch ``i`` resolves ``delays[i]`` cycles after its fetch; the
+    thread's sequence numbers start just after its ``seq_salt``, so
+    two threads on one stream draw different jitter.
     """
 
-    def __init__(self, events: Sequence[FrontEndEvent], seq_salt: int):
+    def __init__(
+        self,
+        events: Sequence[FrontEndEvent],
+        config: PipelineConfig,
+        seq_salt: int,
+    ):
         events = FrontEndEvents.of(events)
-        self.pcs = events.pc
+        self.delays = config.resolve_delays(events.pc, seq_salt + 1)
         self.uops_before = events.uops_before
         self.gates = [action is _GATE for action in events.action]
         self.final_correct = [
@@ -103,7 +115,6 @@ class _Thread:
         self.wrong_path_until = -1
         self.inflight_uops = 0
         self.stats = SmtThreadStats()
-        self.seq = seq_salt
 
     @property
     def done(self) -> bool:
@@ -128,15 +139,6 @@ class SmtSimulator:
 
     # -- per-thread helpers -------------------------------------------------
 
-    def _latency(self, thread: _Thread, pc: int) -> int:
-        cfg = self.config
-        if cfg.resolve_jitter == 0:
-            return cfg.depth
-        thread.seq += 1
-        return cfg.depth + mix_hash((pc << 17) ^ thread.seq) % (
-            cfg.resolve_jitter + 1
-        )
-
     def _fetch_cycle(self, thread: _Thread, cycle: int, budget: int) -> None:
         """Consume up to ``budget`` fetch slots for one thread."""
         while budget > 0 and not thread.done:
@@ -155,7 +157,7 @@ class SmtSimulator:
             i = thread.cursor
             thread.cursor += 1
             thread.stats.branches += 1
-            resolve_cycle = cycle + self._latency(thread, thread.pcs[i])
+            resolve_cycle = cycle + thread.delays[i]
             counts = thread.gates[i]
             heapq.heappush(thread.inflight, (resolve_cycle, counts))
             if counts:
@@ -188,9 +190,9 @@ class SmtSimulator:
         cfg = self.config
         gate_yields = self.gate_yields
         threshold = cfg.gating_threshold
-        threads = [_Thread(events_a, 0x55AA)]
+        threads = [_Thread(events_a, cfg, 0x55AA)]
         if events_b is not None:
-            threads.append(_Thread(events_b, 0x1234))
+            threads.append(_Thread(events_b, cfg, 0x1234))
         stats = SmtStats(threads=[t.stats for t in threads])
         limit = max_cycles if max_cycles is not None else 100_000_000
         cycle = 0

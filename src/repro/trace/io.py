@@ -151,43 +151,40 @@ _MAX_UINT64_PC = (1 << 64) - 1
 
 def _save_binary(trace: Trace, fh) -> None:
     n = len(trace)
-    taken = np.empty(n, dtype=np.bool_)
-    uops = np.empty(n, dtype=np.uint32)
-    for i, rec in enumerate(trace):
-        taken[i] = rec.taken
-        uops[i] = rec.uops_before
+    pcs = [rec.pc for rec in trace]
     payload = dict(
-        taken=taken,
-        uops_before=uops,
+        taken=np.fromiter((rec.taken for rec in trace), dtype=np.bool_, count=n),
+        uops_before=np.fromiter(
+            (rec.uops_before for rec in trace), dtype=np.uint32, count=n
+        ),
         name=np.array(trace.name),
         seed=np.array(-1 if trace.seed is None else trace.seed, dtype=np.int64),
     )
-    if all(rec.pc <= _MAX_UINT64_PC for rec in trace):
-        pcs = np.empty(n, dtype=np.uint64)
-        for i, rec in enumerate(trace):
-            pcs[i] = rec.pc
-        payload["pcs"] = pcs
+    if all(pc <= _MAX_UINT64_PC for pc in pcs):
+        payload["pcs"] = np.array(pcs, dtype=np.uint64)
     else:
         # Records allow arbitrarily wide addresses; a uint64 column would
         # overflow, so fall back to a hex-string column (unicode arrays
         # stay loadable with allow_pickle=False).
-        payload["pcs_hex"] = np.array([format(rec.pc, "x") for rec in trace])
+        payload["pcs_hex"] = np.array([format(pc, "x") for pc in pcs])
     np.savez_compressed(fh, **payload)
 
 
 def _load_binary(path: str) -> Trace:
+    # Whole columns convert in one ``tolist`` call each; every record
+    # still goes through ``BranchRecord``'s checks.
     with np.load(path, allow_pickle=False) as data:
         if "pcs" in data.files:
-            pcs = [int(v) for v in data["pcs"]]
+            pcs = data["pcs"].tolist()
         else:
-            pcs = [int(str(v), 16) for v in data["pcs_hex"]]
-        taken = data["taken"]
-        uops = data["uops_before"]
+            pcs = [int(v, 16) for v in data["pcs_hex"].tolist()]
+        taken = data["taken"].tolist()
+        uops = data["uops_before"].tolist()
         name = str(data["name"])
         seed_val = int(data["seed"])
     seed = None if seed_val < 0 else seed_val
     records = [
-        BranchRecord(pc=pcs[i], taken=bool(taken[i]), uops_before=int(uops[i]))
-        for i in range(len(pcs))
+        BranchRecord(pc=pc, taken=t, uops_before=u)
+        for pc, t, u in zip(pcs, taken, uops)
     ]
     return Trace(records, name=name, seed=seed)

@@ -5,7 +5,7 @@ works.  Each named mutation perturbs one algorithmic constant in the
 production code (in process, reversibly) so the verification layers can
 be run against a deliberately-wrong build; CI asserts the golden gate
 reports a drift naming the affected configuration (a front-end case,
-or a ``timing/`` entry for ``sim-window``).
+or a ``timing/`` entry for ``sim-window`` and ``sim-jitter``).
 
 Mutations monkey-patch live objects, so the mutated run must execute
 in-process (``--jobs 1``): worker processes re-import the pristine
@@ -121,11 +121,35 @@ def _mutate_sim_window() -> Iterator[None]:
         PipelineSimulator.__init__ = original
 
 
+@contextlib.contextmanager
+def _mutate_sim_jitter() -> Iterator[None]:
+    """Put the resolve-delay column one sequence number off.
+
+    Every branch gets the resolution jitter of the sequence number after
+    its own: a delay column misaligned with the stream it was computed
+    for.  Every ``timing/`` entry (all three paper machines have jitter)
+    must drift while the front-end entries stay put.
+    """
+    from repro.pipeline.config import PipelineConfig
+
+    original = PipelineConfig.resolve_delays
+
+    def shifted(self, pcs, first_seq=0):
+        return original(self, pcs, first_seq + 1)
+
+    PipelineConfig.resolve_delays = shifted
+    try:
+        yield
+    finally:
+        PipelineConfig.resolve_delays = original
+
+
 MUTATIONS: Dict[str, contextlib.AbstractContextManager] = {
     "perceptron-update": _mutate_perceptron_update,
     "jrs-reset": _mutate_jrs_reset,
     "tage-useful": _mutate_tage_useful,
     "sim-window": _mutate_sim_window,
+    "sim-jitter": _mutate_sim_jitter,
 }
 
 

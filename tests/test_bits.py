@@ -1,6 +1,9 @@
 """Unit tests for repro.common.bits."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.bits import (
     bit_at,
@@ -8,6 +11,7 @@ from repro.common.bits import (
     fold_bits,
     mask,
     mix_hash,
+    mix_hash_u64,
     pm1_to_bits,
     popcount,
     sign,
@@ -96,6 +100,12 @@ class TestMixHash:
         for v in range(50):
             h = mix_hash(v)
             assert 0 <= h < (1 << 64)
+
+    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=50))
+    def test_mix_hash_matches_scalar(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        expected = [mix_hash(v) for v in values]
+        assert mix_hash_u64(arr).tolist() == expected
 
 
 class TestSign:

@@ -16,7 +16,7 @@ np = pytest.importorskip("numpy")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import fold_bits, mix_hash
+from repro.common.bits import fold_bits
 from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
 from repro.common.perceptron import PerceptronArray
@@ -27,7 +27,6 @@ from repro.fastpath.kernels import (
     final_history_bits,
     fold_u64,
     history_bits,
-    mix_hash_u64,
     perceptron_batch_outputs,
     perceptron_batch_train,
     prev_occurrence,
@@ -61,12 +60,6 @@ class TestHashAndHistoryKernels:
         arr = np.array(values, dtype=np.uint64)
         expected = [fold_bits(v, width) for v in values]
         assert fold_u64(arr, width).tolist() == expected
-
-    @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=50))
-    def test_mix_hash_matches_scalar(self, values):
-        arr = np.array(values, dtype=np.uint64)
-        expected = [mix_hash(v) for v in values]
-        assert mix_hash_u64(arr).tolist() == expected
 
     @given(
         st.lists(st.booleans(), min_size=1, max_size=120),

@@ -1,7 +1,11 @@
 """Unit tests for repro.pipeline.config."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from repro.common.bits import mix_hash
+from repro.pipeline import config as config_module
 from repro.pipeline.config import (
     BASELINE_40X4,
     PIPELINE_PRESETS,
@@ -71,3 +75,49 @@ class TestPresets:
 
     def test_wide_machine_faster_backend(self):
         assert WIDE_20X8.retire_rate > STANDARD_20X4.retire_rate
+
+
+#: pcs around the bits the jitter sees: it hashes ``(pc << 17) ^ seq``
+#: modulo 2**64, so only ``pc mod 2**47`` matters.
+_BOUNDARY_PCS = [
+    0, (1 << 47) - 1, 1 << 47, (1 << 64) - 1, 1 << 64, (1 << 80) + 5,
+]
+
+#: First sequence numbers of the single-thread model and both SMT threads.
+_FIRST_SEQS = [0, 0x55AA + 1, 0x1234 + 1]
+
+
+class TestResolveDelays:
+    """The vectorised delay column equals the per-branch rule."""
+
+    @example(pcs=_BOUNDARY_PCS, first_seq=0x55AA + 1, jitter=8, depth=40)
+    @example(pcs=[], first_seq=0, jitter=8, depth=40)
+    @given(
+        pcs=st.lists(
+            st.one_of(
+                st.integers(0, 1 << 24),
+                st.integers(0, 1 << 72),
+                st.sampled_from(_BOUNDARY_PCS),
+            ),
+            max_size=60,
+        ),
+        first_seq=st.one_of(st.sampled_from(_FIRST_SEQS), st.integers(0, 1 << 40)),
+        jitter=st.integers(0, 16),
+        depth=st.integers(2, 60),
+    )
+    def test_matches_scalar_rule(self, pcs, first_seq, jitter, depth):
+        cfg = PipelineConfig(depth=depth, resolve_jitter=jitter)
+        delays = cfg.resolve_delays(pcs, first_seq)
+        assert delays == [
+            depth + mix_hash((pc << 17) ^ (first_seq + i)) % (jitter + 1)
+            for i, pc in enumerate(pcs)
+        ]
+        assert all(type(delay) is int for delay in delays)
+
+    def test_no_jitter_hashes_nothing(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("hashed without jitter")
+
+        monkeypatch.setattr(config_module, "mix_hash_u64", refuse)
+        cfg = PipelineConfig(depth=12, resolve_jitter=0)
+        assert cfg.resolve_delays([0x400, 1 << 70], 0x1234 + 1) == [12, 12]

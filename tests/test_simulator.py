@@ -337,6 +337,19 @@ _ALL_ACTIONS = (BranchAction.NORMAL, BranchAction.GATE, BranchAction.REVERSE)
 _UNGATED_ACTIONS = (BranchAction.NORMAL, BranchAction.REVERSE)
 
 
+#: A wide pc: bits 31-46 (the top of what the jitter hash sees) set to
+#: 0xA5A5, and bits at and above 2**64 that it must drop.
+_WIDE_PC = (3 << 64) | (0xA5A5 << 31) | 0x400
+
+#: Loop-like pcs, plus pcs at and above 2**47 and 2**64: the jitter
+#: sees only ``pc mod 2**47``, so a delay column that overflows or
+#: masks the wrong bits moves the resolve times.
+_PCS = st.one_of(
+    st.integers(0, 63).map(lambda k: 0x400 + 4 * k),
+    st.integers(1 << 47, 1 << 72),
+)
+
+
 def _streams(actions, max_size=120):
     """Event streams: (pc, taken, prediction, action, uops_before) rows.
 
@@ -344,7 +357,7 @@ def _streams(actions, max_size=120):
     follows the other direction, so it corrects or breaks one.
     """
     row = st.tuples(
-        st.integers(0, 63),
+        _PCS,
         st.booleans(),
         st.booleans(),
         st.sampled_from(actions),
@@ -353,7 +366,7 @@ def _streams(actions, max_size=120):
     return st.lists(row, max_size=max_size).map(
         lambda rows: [
             event(
-                pc=0x400 + 4 * pc,
+                pc=pc,
                 taken=taken,
                 prediction=prediction,
                 action=action,
@@ -394,7 +407,7 @@ def _exact(stats):
     }
 
 
-def _flagged_stream():
+def _flagged_stream(pc_base=0x400):
     """Mispredicts, gates and reversals, dense enough to fill the window."""
     events = []
     for i in range(90):
@@ -402,7 +415,7 @@ def _flagged_stream():
                   BranchAction.REVERSE)[i % 3 if i % 7 else 1]
         events.append(
             event(
-                pc=0x400 + 4 * (i % 11),
+                pc=pc_base + 4 * (i % 11),
                 taken=i % 5 != 0,
                 prediction=True,
                 action=action,
@@ -430,6 +443,11 @@ _EDGE_MACHINES = (
 def _with_edge_examples(test):
     for machine in _EDGE_MACHINES:
         test = example(events=_flagged_stream(), machine=machine)(test)
+    # Wide pcs under jitter: only their low 47 bits may reach the hash.
+    for pc_base in (1 << 47, _WIDE_PC):
+        test = example(
+            events=_flagged_stream(pc_base), machine=config(resolve_jitter=8)
+        )(test)
     return test
 
 

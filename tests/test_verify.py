@@ -277,6 +277,21 @@ class TestMutationHarness:
             report.format()
         )
 
+    def test_sim_jitter_drifts_every_timing_entry_only(self, engine, tmp_path):
+        path = str(tmp_path / "tiny.json")
+        write_baseline(TINY, compute_entries(TINY, engine), "clean", path=path)
+        baseline = load_baseline("tiny", path=path)
+        with apply_mutation("sim-jitter"):
+            mutated = compute_entries(TINY, Engine(max_workers=1))
+        report = compare(baseline, mutated, "tiny")
+        drifted = {label for label, _, _, _ in report.drifts}
+        # Every paper machine has jitter, so a misaligned delay column
+        # moves every timing entry and nothing else.
+        timing = {label for label in baseline["entries"] if label.startswith("timing/")}
+        assert timing
+        assert drifted == timing
+        assert "timing/40c/4w/ungated/gzip: metric 'total_cycles'" in report.format()
+
     def test_every_registered_mutation_is_caught(self, engine, tmp_path):
         path = str(tmp_path / "tiny.json")
         write_baseline(TINY, compute_entries(TINY, engine), "clean", path=path)
