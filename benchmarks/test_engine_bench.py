@@ -8,8 +8,6 @@ measured ratio.
 
 import time
 
-import pytest
-
 from repro.engine import Engine, EstimatorSpec, SimJob
 
 THRESHOLDS = (25, 0, -25, -50)
@@ -37,7 +35,6 @@ def test_fast_vs_reference_speedup():
     floor is set well below the locally measured 5-15x so scheduler
     noise on shared CI runners cannot flake it.
     """
-    pytest.importorskip("numpy")
     engine = Engine()
     engine.trace("gzip", 14_000, 1)  # pre-warm: time replays, not tracegen
     reference_jobs = _jobs()

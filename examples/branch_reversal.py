@@ -14,14 +14,12 @@ Run:  python examples/branch_reversal.py [benchmark]
 import sys
 
 from repro.analysis.density import OutputDensity
-from repro.engine import (
-    GATING_POLICY,
-    THREE_REGION_POLICY,
-    EstimatorSpec,
-    SimJob,
-    get_engine,
+from repro.engine import GATING_POLICY, THREE_REGION_POLICY, EstimatorSpec
+from repro.experiments.common import (
+    ExperimentSettings,
+    replay_benchmark,
+    run_gating,
 )
-from repro.experiments.common import simulate_events
 from repro.pipeline.config import BASELINE_40X4
 
 
@@ -40,18 +38,16 @@ def text_histogram(density, bins=24, width=50):
 
 def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "twolf"
-    n_branches, warmup = 100_000, 33_000
-    engine = get_engine()
-    base_job = SimJob(
-        benchmark=benchmark, n_branches=n_branches, warmup=warmup, seed=1
+    settings = ExperimentSettings(
+        n_branches=100_000, warmup=33_000, benchmarks=(benchmark,)
     )
 
     # Step 1: collect the output density (Figure 4/5 analysis).
-    result = engine.replay(
-        base_job.with_(
-            estimator=EstimatorSpec.of("perceptron", threshold=0),
-            collect_outputs=True,
-        )
+    result = replay_benchmark(
+        benchmark,
+        settings,
+        EstimatorSpec.of("perceptron", threshold=0),
+        collect_outputs=True,
     ).result
     density = OutputDensity.from_frontend_result(result)
     print(f"perceptron_cic output density on {benchmark!r}:")
@@ -71,30 +67,25 @@ def main() -> None:
     )
 
     # Step 3: combined policy vs gating alone, on one shared baseline.
-    baseline_events, combined_events, gating_events = (
-        o.events
-        for o in engine.run(
-            [
-                base_job,
-                base_job.with_(
-                    estimator=EstimatorSpec.of(
-                        "perceptron",
-                        threshold=gate_at,
-                        strong_threshold=float(reverse_at),
-                    ),
-                    policy=THREE_REGION_POLICY,
-                ),
-                base_job.with_(
-                    estimator=EstimatorSpec.of("perceptron", threshold=gate_at),
-                    policy=GATING_POLICY,
-                ),
-            ]
-        )
-    )
     machine = BASELINE_40X4.with_gating(2)
-    base = simulate_events(baseline_events, BASELINE_40X4)
-    combined = simulate_events(combined_events, machine)
-    gating_only = simulate_events(gating_events, machine)
+    times = run_gating(
+        settings,
+        [
+            (
+                EstimatorSpec.of(
+                    "perceptron",
+                    threshold=gate_at,
+                    strong_threshold=float(reverse_at),
+                ),
+                THREE_REGION_POLICY,
+            ),
+            (EstimatorSpec.of("perceptron", threshold=gate_at), GATING_POLICY),
+        ],
+        BASELINE_40X4,
+        [[machine], [machine]],
+    )
+    base = times.bases[0]
+    (combined,), (gating_only,) = times.stats[0]
 
     print(
         f"\nreversals: {combined.reversals} "

@@ -12,7 +12,7 @@ Run:  python examples/compare_estimators.py [benchmark]
 import sys
 
 from repro import FrontEnd, format_table, generate_benchmark_trace
-from repro.core.frontend import FrontEndResult
+from repro.core.frontend import FrontEndResult, aggregate_event
 from repro.core.jrs import JRSEstimator
 from repro.core.pattern import PatternEstimator
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
@@ -33,7 +33,7 @@ def measure(trace, warmup, estimator, substrate=None, predictor=None):
         if substrate is not None:
             substrate.update(rec.pc, rec.taken, substrate.predict(rec.pc))
         if i >= warmup:
-            frontend.aggregate(result, event)
+            aggregate_event(result, event)
     return result.metrics.overall
 
 

@@ -7,9 +7,9 @@ reporting the reduction in executed uops (U) against the performance
 loss (P) for each design point -- the exploration behind Table 4's
 "spectrum of interesting design options".
 
-Each estimator threshold is replayed exactly once through the engine;
-both PL values reuse the same cached event stream, since PL only
-affects the pipeline timing model, not the front-end replay.
+Each estimator threshold is replayed exactly once through the engine
+(``run_gating``); both PL values time the same event stream, since PL
+only affects the pipeline timing model, not the front-end replay.
 
 Run:  python examples/pipeline_gating_study.py [benchmark] [machine]
       machine in {20c4w, 20c8w, 40c4w}
@@ -18,14 +18,11 @@ Run:  python examples/pipeline_gating_study.py [benchmark] [machine]
 import sys
 
 from repro import format_table
-from repro.engine import (
-    ALWAYS_HIGH,
-    GATING_POLICY,
-    EstimatorSpec,
-    SimJob,
-    get_engine,
+from repro.experiments.common import (
+    ExperimentSettings,
+    gated_perceptrons,
+    run_gating,
 )
-from repro.experiments.common import simulate_events
 from repro.pipeline.config import PIPELINE_PRESETS
 
 THRESHOLDS = (25, 0, -25, -50, -75)
@@ -36,29 +33,22 @@ def main() -> None:
     benchmark = sys.argv[1] if len(sys.argv) > 1 else "gzip"
     machine = sys.argv[2] if len(sys.argv) > 2 else "40c4w"
     config = PIPELINE_PRESETS[machine]
-    n_branches, warmup = 60_000, 20_000
+    settings = ExperimentSettings(
+        n_branches=60_000, warmup=20_000, benchmarks=(benchmark,)
+    )
 
     print(f"workload {benchmark!r} on the {config.label()} machine")
-    base_job = SimJob(
-        benchmark=benchmark, n_branches=n_branches, warmup=warmup, seed=1,
-        estimator=ALWAYS_HIGH,
+    machines = [config.with_gating(pl) for pl in COUNTERS]
+    times = run_gating(
+        settings, gated_perceptrons(THRESHOLDS), config,
+        [machines] * len(THRESHOLDS),
     )
-    jobs = [base_job] + [
-        base_job.with_(
-            estimator=EstimatorSpec.of("perceptron", threshold=t),
-            policy=GATING_POLICY,
-        )
-        for t in THRESHOLDS
-    ]
-    engine = get_engine()
-    outcomes = engine.run(jobs)
-    base = simulate_events(outcomes[0].events, config)
+    base = times.bases[0]
 
     rows = []
-    for pl in COUNTERS:
-        gated = config.with_gating(pl)
-        for threshold, outcome in zip(THRESHOLDS, outcomes[1:]):
-            stats = simulate_events(outcome.events, gated)
+    for j, pl in enumerate(COUNTERS):
+        for i, threshold in enumerate(THRESHOLDS):
+            stats = times.stats[0][i][j]
             u, p = stats.cost_vs(base)
             rows.append(
                 {

@@ -28,7 +28,7 @@ from repro.core.reversal import (
 )
 from repro.core.types import ConfidenceLevel, ConfidenceSignal
 from repro.predictors.base import BranchPredictor
-from repro.trace.record import BranchRecord, Trace
+from repro.trace.record import BranchRecord
 
 __all__ = [
     "FrontEndEvent",
@@ -302,12 +302,10 @@ class FrontEnd:
         policy: Speculation policy; defaults to no control.
         collect_outputs: Record raw estimator outputs split by
             prediction outcome (needed by the density figures).
-        train_estimator_on_final: If True, the estimator trains on the
-            correctness of the *followed* (possibly reversed)
-            prediction rather than the raw one.  The paper trains on the
-            raw prediction outcome -- the estimator models the
-            predictor, not the policy -- so this defaults to False and
-            exists for ablation.
+
+    The estimator trains on the correctness of the raw prediction, not
+    of the followed (possibly reversed) one, as in the paper: it models
+    the predictor, not the policy.
     """
 
     def __init__(
@@ -316,13 +314,11 @@ class FrontEnd:
         estimator: ConfidenceEstimator,
         policy: Optional[SpeculationPolicy] = None,
         collect_outputs: bool = False,
-        train_estimator_on_final: bool = False,
     ):
         self.predictor = predictor
         self.estimator = estimator
         self.policy = policy if policy is not None else NoSpeculationControl()
         self.collect_outputs = collect_outputs
-        self.train_estimator_on_final = train_estimator_on_final
 
     def process(self, record: BranchRecord) -> FrontEndEvent:
         """Run one dynamic branch through the full protocol."""
@@ -331,15 +327,9 @@ class FrontEnd:
         signal = self.estimator.estimate(pc, prediction)
         decision = self.policy.decide(signal, prediction)
 
-        predictor_correct = prediction == record.taken
-        if self.train_estimator_on_final:
-            estimator_correct = decision.final_prediction == record.taken
-        else:
-            estimator_correct = predictor_correct
-
         # Retirement: train predictor and estimator, shift histories.
         self.predictor.update(pc, record.taken, prediction)
-        self.estimator.train(pc, prediction, estimator_correct, signal)
+        self.estimator.train(pc, prediction, prediction == record.taken, signal)
         self.estimator.shift_history(record.taken)
 
         return FrontEndEvent(
@@ -379,20 +369,8 @@ class FrontEnd:
             event = self.process(record)
             if i < warmup:
                 continue
-            self._aggregate(res, event)
+            aggregate_event(res, event, self.collect_outputs)
         return res
-
-    def events(self, trace: Trace) -> Iterable[FrontEndEvent]:
-        """Yield per-branch events (the pipeline simulator's input)."""
-        for record in trace:
-            yield self.process(record)
-
-    def aggregate(self, res: FrontEndResult, event: FrontEndEvent) -> None:
-        """Fold one event into a result (public for streaming drivers)."""
-        self._aggregate(res, event)
-
-    def _aggregate(self, res: FrontEndResult, event: FrontEndEvent) -> None:
-        aggregate_event(res, event, self.collect_outputs)
 
 
 def apply_policy(events, policy: SpeculationPolicy):

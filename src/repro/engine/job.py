@@ -112,14 +112,25 @@ class SimJob:
         Two jobs share a fingerprint iff they describe bit-identical
         replays.  ``repr`` round-trips ints and floats exactly, so the
         encoding is unambiguous; the schema version salts the digest.
+
+        A recorded replay reads neither the file's path nor the seed, so
+        a ``recorded:`` job hashes ``recorded:<digest16>`` in place of
+        its token and leaves the seed out: one recording has one
+        fingerprint wherever it is saved.  Generated jobs keep their
+        encoding byte for byte; recorded keys from older code hashed
+        the token's path, so they cannot collide with these.
         """
+        if self.benchmark.startswith("recorded:"):
+            from repro.trace.io import parse_job_token
+
+            digest, _ = parse_job_token(self.benchmark)
+            source = (f"recorded:{digest}", self.n_branches, self.warmup)
+        else:
+            source = (self.benchmark, self.n_branches, self.warmup, self.seed)
         canonical = (
             "simjob",
             FINGERPRINT_SCHEMA,
-            self.benchmark,
-            self.n_branches,
-            self.warmup,
-            self.seed,
+            *source,
             self.predictor.canonical(),
             self.estimator.canonical(),
             self.policy.canonical(),

@@ -15,7 +15,13 @@ veneer over :mod:`repro.engine`:
   baselines and ladders) and fans out across processes when configured
   with ``--jobs``;
 - :func:`replay_benchmark` -- single-job convenience wrapper, same
-  cache underneath.
+  cache underneath;
+- :func:`gating_jobs` / :func:`run_gating` / :func:`mean_cost` -- the
+  one procedure behind every U/P number (Tables 4-6, Figures 8-9, the
+  latency study and the gating extensions): per benchmark, replay an
+  ungated baseline and the gated variants as one engine batch, time the
+  baseline and each variant on the machine, and average ``cost_vs``
+  over benchmarks (:class:`GatingTimes`).
 
 Experiments must describe components as specs
 (:class:`repro.engine.EstimatorSpec` etc.), never as callables: specs
@@ -28,6 +34,8 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.engine import (
+    ALWAYS_HIGH,
+    GATING_POLICY,
     EstimatorSpec,
     PolicySpec,
     PredictorSpec,
@@ -49,8 +57,11 @@ __all__ = [
     "job_for",
     "run_jobs",
     "replay_benchmark",
-    "simulate_events",
-    "weighted_average",
+    "GatingTimes",
+    "gated_perceptrons",
+    "gating_jobs",
+    "run_gating",
+    "mean_cost",
 ]
 
 
@@ -167,16 +178,93 @@ def replay_benchmark(
     )
 
 
-def simulate_events(events, config: PipelineConfig) -> SimStats:
-    """Run the pipeline model over a prepared event stream."""
-    return PipelineSimulator(config).simulate(events)
+#: A gated variant: the estimator and policy of one replay.
+Variant = Tuple[EstimatorSpec, PolicySpec]
 
 
-def weighted_average(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean (the paper's per-benchmark weighted averages)."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have the same length")
-    total = sum(weights)
-    if total == 0:
-        return 0.0
-    return sum(v * w for v, w in zip(values, weights)) / total
+def gated_perceptrons(thresholds: Sequence[float]) -> List[Variant]:
+    """One perceptron estimator under pipeline gating per threshold."""
+    return [
+        (EstimatorSpec.of("perceptron", threshold=lam), GATING_POLICY)
+        for lam in thresholds
+    ]
+
+
+def gating_jobs(
+    settings: ExperimentSettings,
+    variants: Sequence[Variant],
+    predictor: Optional[PredictorSpec] = None,
+) -> List[SimJob]:
+    """Per benchmark, the ungated baseline job, then one job per variant."""
+    return [
+        job_for(settings, name, estimator, policy=policy, predictor=predictor)
+        for name in settings.benchmarks
+        for estimator, policy in ((ALWAYS_HIGH, NO_POLICY), *variants)
+    ]
+
+
+def mean_cost(
+    bases: Sequence[SimStats], stats: Sequence[SimStats]
+) -> Tuple[float, float]:
+    """Mean ``(U, P)`` of ``stats[k].cost_vs(bases[k])`` over benchmarks k."""
+    if len(bases) != len(stats):
+        raise ValueError(f"{len(bases)} baselines for {len(stats)} runs")
+    costs = [s.cost_vs(base) for base, s in zip(bases, stats)]
+    return (
+        sum(u for u, _ in costs) / len(costs),
+        sum(p for _, p in costs) / len(costs),
+    )
+
+
+@dataclass(frozen=True)
+class GatingTimes:
+    """What :func:`run_gating` timed, in benchmark order.
+
+    Attributes:
+        bases: Per benchmark, the ungated baseline on ``config``.
+        stats: Per benchmark, ``stats[k][i][j]`` is variant *i* on
+            ``machines[i][j]``.
+    """
+
+    bases: List[SimStats]
+    stats: List[List[List[SimStats]]]
+
+    def variant(self, i: int, j: int = 0) -> List[SimStats]:
+        """Variant ``i`` on machine ``j`` of its row, per benchmark."""
+        return [per_variant[i][j] for per_variant in self.stats]
+
+    def cost(self, i: int, j: int = 0) -> Tuple[float, float]:
+        """Mean ``(U, P)`` of :meth:`variant` against the baselines."""
+        return mean_cost(self.bases, self.variant(i, j))
+
+
+def run_gating(
+    settings: ExperimentSettings,
+    variants: Sequence[Variant],
+    config: PipelineConfig,
+    machines: Sequence[Sequence[PipelineConfig]],
+    predictor: Optional[PredictorSpec] = None,
+) -> GatingTimes:
+    """Replay and time an ungated baseline and gated ``variants``.
+
+    :func:`gating_jobs` runs as one engine batch.  Then, benchmark by
+    benchmark, the baseline is timed on ``config`` and variant *i* on
+    each configuration in ``machines[i]``, in that order.
+    """
+    if len(machines) != len(variants):
+        raise ValueError(
+            f"need one machine row per variant: {len(variants)} variants, "
+            f"{len(machines)} rows"
+        )
+    outcomes = iter(run_jobs(gating_jobs(settings, variants, predictor)))
+    bases, stats = [], []
+    for _ in settings.benchmarks:
+        bases.append(PipelineSimulator(config).simulate(next(outcomes).events))
+        per_variant = []
+        for row in machines:
+            events = next(outcomes).events
+            per_variant.append(
+                [PipelineSimulator(machine).simulate(events) for machine in row]
+            )
+        stats.append(per_variant)
+    return GatingTimes(bases=bases, stats=stats)

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gated_perceptrons,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 from repro.pipeline.energy import EnergyModel
@@ -73,28 +72,9 @@ class EnergyResult:
         )
 
 
-def _grid(settings: ExperimentSettings):
-    """(keys, jobs) for the (benchmark x lambda) grid, in order."""
-    batch = []
-    keys = []
-    for name in settings.benchmarks:
-        keys.append((name, None))
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        for lam in THRESHOLDS:
-            keys.append((name, lam))
-            batch.append(
-                job_for(
-                    settings, name,
-                    EstimatorSpec.of("perceptron", threshold=lam),
-                    policy=GATING_POLICY,
-                )
-            )
-    return keys, batch
-
-
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    return _grid(settings)[1]
+    return gating_jobs(settings, gated_perceptrons(THRESHOLDS))
 
 
 def run(
@@ -103,34 +83,32 @@ def run(
     model: EnergyModel = EnergyModel(),
 ) -> EnergyResult:
     """Evaluate energy/EDP savings across the threshold ladder."""
-    keys, batch = _grid(settings)
-    outcomes = dict(zip(keys, run_jobs(batch)))
-
-    gated = config.with_gating(1)
-    samples = {t: [] for t in THRESHOLDS}
-    for name in settings.benchmarks:
-        base_stats = simulate_events(outcomes[(name, None)].events, config)
-        base_energy = model.evaluate(base_stats, estimator_active=False)
-        for lam in THRESHOLDS:
-            stats = simulate_events(outcomes[(name, lam)].events, gated)
-            energy = model.evaluate(stats, estimator_active=True)
-            u, _ = stats.cost_vs(base_stats)
-            samples[lam].append(
-                (
-                    u,
-                    energy.savings_vs(base_energy),
-                    energy.edp_savings_vs(base_energy),
-                )
-            )
+    times = run_gating(
+        settings,
+        gated_perceptrons(THRESHOLDS),
+        config,
+        [[config.with_gating(1)]] * len(THRESHOLDS),
+    )
+    base_energy = [
+        model.evaluate(base, estimator_active=False) for base in times.bases
+    ]
     rows = []
-    for lam in THRESHOLDS:
-        pts = samples[lam]
+    for i, lam in enumerate(THRESHOLDS):
+        energy = [
+            model.evaluate(stats, estimator_active=True)
+            for stats in times.variant(i)
+        ]
+        pairs = list(zip(energy, base_energy))
         rows.append(
             EnergyRow(
                 threshold=lam,
-                uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-                energy_savings_pct=sum(p[1] for p in pts) / len(pts),
-                edp_savings_pct=sum(p[2] for p in pts) / len(pts),
+                uop_reduction_pct=times.cost(i)[0],
+                energy_savings_pct=(
+                    sum(e.savings_vs(b) for e, b in pairs) / len(pairs)
+                ),
+                edp_savings_pct=(
+                    sum(e.edp_savings_vs(b) for e, b in pairs) / len(pairs)
+                ),
             )
         )
     return EnergyResult(rows=rows, model=model)

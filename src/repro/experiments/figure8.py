@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, THREE_REGION_POLICY, EstimatorSpec
+from repro.engine import THREE_REGION_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -101,49 +100,51 @@ class Figure8Result:
         )
 
 
+#: The one gated variant: the three-region policy over the perceptron.
+VARIANT = (
+    EstimatorSpec.of(
+        "perceptron",
+        threshold=GATE_THRESHOLD,
+        strong_threshold=REVERSE_THRESHOLD,
+    ),
+    THREE_REGION_POLICY,
+)
+
+
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order.
 
     :mod:`figure9` shares these jobs exactly (it differs only in the
     pipeline configuration, which is post-processing).
     """
-    estimator = EstimatorSpec.of(
-        "perceptron",
-        threshold=GATE_THRESHOLD,
-        strong_threshold=REVERSE_THRESHOLD,
-    )
-    batch = []
-    for name in settings.benchmarks:
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        batch.append(
-            job_for(settings, name, estimator, policy=THREE_REGION_POLICY)
-        )
-    return batch
+    return gating_jobs(settings, [VARIANT])
 
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     config: PipelineConfig = BASELINE_40X4,
 ) -> Figure8Result:
-    """Reproduce Figure 8 (or Figure 9 when given the wide config)."""
-    outcomes = run_jobs(jobs(settings))
+    """Reproduce Figure 8 (or Figure 9 when given the wide config).
 
-    gated_config = config.with_gating(BRANCH_COUNTER)
+    The reversal counts come from the gated run's ``SimStats``, which
+    counts them over the same post-warm-up events as the front end.
+    """
+    times = run_gating(
+        settings, [VARIANT], config, [[config.with_gating(BRANCH_COUNTER)]]
+    )
     rows: List[Figure8Row] = []
-    for i, name in enumerate(settings.benchmarks):
-        base_events, _ = outcomes[2 * i]
-        events, frontend = outcomes[2 * i + 1]
-        base = simulate_events(base_events, config)
-        stats = simulate_events(events, gated_config)
+    for name, base, stats in zip(
+        settings.benchmarks, times.bases, times.variant(0)
+    ):
         u, p = stats.cost_vs(base)
         rows.append(
             Figure8Row(
                 benchmark=name,
                 speedup_pct=-p,
                 uop_reduction_pct=u,
-                reversals=frontend.reversals,
-                reversals_correcting=frontend.reversals_correcting,
-                reversals_breaking=frontend.reversals_breaking,
+                reversals=stats.reversals,
+                reversals_correcting=stats.reversals_correcting,
+                reversals_breaking=stats.reversals_breaking,
             )
         )
     return Figure8Result(rows=rows, machine_label=config.label())

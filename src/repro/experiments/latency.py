@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gated_perceptrons,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -81,12 +80,7 @@ def jobs(
     settings: ExperimentSettings = DEFAULT_SETTINGS, threshold: float = 0.0
 ) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    estimator = EstimatorSpec.of("perceptron", threshold=threshold)
-    batch = []
-    for name in settings.benchmarks:
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        batch.append(job_for(settings, name, estimator, policy=GATING_POLICY))
-    return batch
+    return gating_jobs(settings, gated_perceptrons([threshold]))
 
 
 def run(
@@ -99,24 +93,15 @@ def run(
     The front-end replay is shared across latencies: estimator latency
     is purely a timing-model parameter.
     """
-    outcomes = run_jobs(jobs(settings, threshold=threshold))
-
-    samples = {lat: [] for lat in LATENCIES}
-    for i, name in enumerate(settings.benchmarks):
-        base_events, _ = outcomes[2 * i]
-        events, _ = outcomes[2 * i + 1]
-        base = simulate_events(base_events, config)
-        for lat in LATENCIES:
-            stats = simulate_events(
-                events, config.with_gating(1, estimator_latency=lat)
-            )
-            samples[lat].append(stats.cost_vs(base))
-    rows = [
-        LatencyRow(
-            latency=lat,
-            uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-            performance_loss_pct=sum(p[1] for p in pts) / len(pts),
-        )
-        for lat, pts in ((lat, samples[lat]) for lat in LATENCIES)
-    ]
-    return LatencyResult(rows=rows)
+    times = run_gating(
+        settings,
+        gated_perceptrons([threshold]),
+        config,
+        [[config.with_gating(1, estimator_latency=lat) for lat in LATENCIES]],
+    )
+    return LatencyResult(
+        rows=[
+            LatencyRow(lat, *times.cost(0, j))
+            for j, lat in enumerate(LATENCIES)
+        ]
+    )

@@ -15,15 +15,16 @@ from typing import List, Tuple
 from repro.analysis.tables import format_table
 from repro.core.oracle import oracle_events
 from repro.core.reversal import GatingOnlyPolicy
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
+    gated_perceptrons,
+    gating_jobs,
+    mean_cost,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
+from repro.pipeline.simulator import PipelineSimulator
 
 __all__ = ["OracleRow", "OracleBoundResult", "jobs", "run"]
 
@@ -77,68 +78,56 @@ class OracleBoundResult:
 
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    perceptron = EstimatorSpec.of("perceptron", threshold=0)
-    batch = []
-    for name in settings.benchmarks:
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        batch.append(job_for(settings, name, perceptron, policy=GATING_POLICY))
-    return batch
+    return gating_jobs(settings, gated_perceptrons([0]))
 
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     config: PipelineConfig = BASELINE_40X4,
 ) -> OracleBoundResult:
-    """Measure gating U/P for oracle ladders and the real estimator."""
-    outcomes = run_jobs(jobs(settings))
+    """Measure gating U/P for oracle ladders and the real estimator.
+
+    The oracle streams are derived from each baseline's events, not
+    replayed, so this experiment times its own streams; only its jobs
+    come from :func:`~repro.experiments.common.gating_jobs`.
+    """
+    outcomes = iter(run_jobs(jobs(settings)))
 
     policy = GatingOnlyPolicy()
-    gated = config.with_gating(1)
-    samples = {}
-    perceptron_samples = []  # (u, p, spec, pvn) per benchmark
-
-    def record(label, cov, acc, u, p):
-        samples.setdefault((label, cov, acc), []).append((u, p))
-
-    for i, name in enumerate(settings.benchmarks):
-        base_events, _ = outcomes[2 * i]
-        base = simulate_events(base_events, config)
-
-        def measure(events):
-            return simulate_events(events, gated).cost_vs(base)
-
+    ungated = PipelineSimulator(config)
+    gated = PipelineSimulator(config.with_gating(1))
+    bases = []
+    oracle_stats = {point: [] for point in ORACLE_POINTS}
+    perceptron_stats, matrices = [], []
+    for _ in settings.benchmarks:
+        base_events, _ = next(outcomes)
+        bases.append(ungated.simulate(base_events))
         for cov, acc in ORACLE_POINTS:
             events = oracle_events(
                 base_events, policy, coverage=cov, accuracy=acc,
                 seed=settings.seed,
             )
-            u, p = measure(events)
-            record("oracle", cov, acc, u, p)
+            oracle_stats[(cov, acc)].append(gated.simulate(events))
+        perc_events, frontend = next(outcomes)
+        perceptron_stats.append(gated.simulate(perc_events))
+        matrices.append(frontend.metrics.overall)
 
-        perc_events, frontend = outcomes[2 * i + 1]
-        u, p = measure(perc_events)
-        matrix = frontend.metrics.overall
-        perceptron_samples.append((u, p, matrix.spec, matrix.pvn))
-
-    rows: List[OracleRow] = []
-    for (label, cov, acc), pts in samples.items():
-        rows.append(
-            OracleRow(
-                label=f"oracle {cov:.0%}/{acc:.0%}",
-                coverage=cov,
-                accuracy=acc,
-                uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-                performance_loss_pct=sum(p[1] for p in pts) / len(pts),
-            )
+    rows = [
+        OracleRow(
+            f"oracle {cov:.0%}/{acc:.0%}",
+            cov,
+            acc,
+            *mean_cost(bases, oracle_stats[(cov, acc)]),
         )
-    n = len(perceptron_samples)
+        for cov, acc in ORACLE_POINTS
+    ]
+    n = len(matrices)
     rows.append(
         OracleRow(
-            label="perceptron l=0",
-            coverage=sum(s[2] for s in perceptron_samples) / n,
-            accuracy=sum(s[3] for s in perceptron_samples) / n,
-            uop_reduction_pct=sum(s[0] for s in perceptron_samples) / n,
-            performance_loss_pct=sum(s[1] for s in perceptron_samples) / n,
+            "perceptron l=0",
+            sum(m.spec for m in matrices) / n,
+            sum(m.pvn for m in matrices) / n,
+            *mean_cost(bases, perceptron_stats),
         )
     )
     return OracleBoundResult(rows=rows)

@@ -21,9 +21,9 @@ from repro.experiments.common import (
     ExperimentSettings,
     job_for,
     run_jobs,
-    simulate_events,
 )
 from repro.pipeline.config import PIPELINE_PRESETS
+from repro.pipeline.simulator import PipelineSimulator
 from repro.trace.benchmarks import TABLE2_MISPREDICTS_PER_KUOP
 
 __all__ = ["Table2Row", "Table2Result", "jobs", "run"]
@@ -107,7 +107,7 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> Table2Result:
         increases: Dict[str, float] = {}
         mispredicts_per_kuop = 0.0
         for machine in MACHINES:
-            stats = simulate_events(events, PIPELINE_PRESETS[machine])
+            stats = PipelineSimulator(PIPELINE_PRESETS[machine]).simulate(events)
             increases[machine] = stats.wrong_path_increase
             mispredicts_per_kuop = stats.mispredicts_per_kuop
         rows.append(

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -96,44 +95,30 @@ class Table4Result:
         )
 
 
-def _average(cells_by_benchmark: List[Tuple[float, float]]) -> Tuple[float, float]:
-    n = len(cells_by_benchmark)
-    u = sum(c[0] for c in cells_by_benchmark) / n
-    p = sum(c[1] for c in cells_by_benchmark) / n
-    return u, p
+#: One replayed variant per (estimator, lambda), in job order, as
+#: (estimator, spec kind, lambda, PL values, paper U/P).  The front end
+#: does not see PL, so each variant is timed once per PL value.
+_POINTS = tuple(
+    (label, kind, lam, pls, paper)
+    for label, kind, lambdas, pls, paper in (
+        ("JRS", "jrs", JRS_THRESHOLDS, BRANCH_COUNTER_THRESHOLDS, PAPER_JRS),
+        ("perceptron", "perceptron", PERCEPTRON_THRESHOLDS, (1,),
+         PAPER_PERCEPTRON),
+    )
+    for lam in lambdas
+)
 
 
-def _grid(settings: ExperimentSettings) -> List[Tuple[str, str, float, object]]:
-    """(benchmark, estimator, lambda, job) cells in deterministic order.
-
-    Per benchmark, one baseline job plus one job per (estimator,
-    lambda) -- the front-end does not see PL.
-    """
-    grid: List[Tuple[str, str, float, object]] = []
-    for name in settings.benchmarks:
-        grid.append((name, "base", 0.0, job_for(settings, name, ALWAYS_HIGH)))
-        for lam in JRS_THRESHOLDS:
-            grid.append(
-                (name, "JRS", lam, job_for(
-                    settings, name,
-                    EstimatorSpec.of("jrs", threshold=lam),
-                    policy=GATING_POLICY,
-                ))
-            )
-        for lam in PERCEPTRON_THRESHOLDS:
-            grid.append(
-                (name, "perceptron", lam, job_for(
-                    settings, name,
-                    EstimatorSpec.of("perceptron", threshold=lam),
-                    policy=GATING_POLICY,
-                ))
-            )
-    return grid
+def _variants():
+    return [
+        (EstimatorSpec.of(kind, threshold=lam), GATING_POLICY)
+        for _, kind, lam, _, _ in _POINTS
+    ]
 
 
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    return [job for _, _, _, job in _grid(settings)]
+    return gating_jobs(settings, _variants())
 
 
 def run(
@@ -148,54 +133,25 @@ def run(
     configuration, not the front-end).  The whole (benchmark x
     estimator x lambda) grid is one engine batch.
     """
-    grid = _grid(settings)
-    outcomes = dict(
-        zip(
-            ((n, e, l) for n, e, l, _ in grid),
-            run_jobs([job for _, _, _, job in grid]),
-        )
+    times = run_gating(
+        settings,
+        _variants(),
+        config,
+        [[config.with_gating(pl) for pl in pls] for _, _, _, pls, _ in _POINTS],
     )
-
-    # (estimator, lambda, PL) -> list over benchmarks of (U, P)
-    samples: Dict[Tuple[str, float, int], List[Tuple[float, float]]] = {}
-    per_benchmark: Dict[str, List[GatingCell]] = {}
-
-    for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, "base", 0.0)].events, config)
-        bench_cells: List[GatingCell] = []
-
-        def record(estimator: str, lam: float, pl: int, stats) -> None:
-            u, p = stats.cost_vs(base)
-            samples.setdefault((estimator, lam, pl), []).append((u, p))
-            bench_cells.append(
-                GatingCell(estimator, lam, pl, u, p)
-            )
-
-        for lam in JRS_THRESHOLDS:
-            events = outcomes[(name, "JRS", lam)].events
-            for pl in BRANCH_COUNTER_THRESHOLDS:
-                stats = simulate_events(events, config.with_gating(pl))
-                record("JRS", lam, pl, stats)
-
-        for lam in PERCEPTRON_THRESHOLDS:
-            events = outcomes[(name, "perceptron", lam)].events
-            stats = simulate_events(events, config.with_gating(1))
-            record("perceptron", lam, 1, stats)
-
-        per_benchmark[name] = bench_cells
-
-    cells: List[GatingCell] = []
-    for lam in JRS_THRESHOLDS:
-        for pl in BRANCH_COUNTER_THRESHOLDS:
-            u, p = _average(samples[("JRS", lam, pl)])
-            cells.append(
-                GatingCell("JRS", lam, pl, u, p, paper=PAPER_JRS[(lam, pl)])
-            )
-    for lam in PERCEPTRON_THRESHOLDS:
-        u, p = _average(samples[("perceptron", lam, 1)])
-        cells.append(
-            GatingCell(
-                "perceptron", lam, 1, u, p, paper=PAPER_PERCEPTRON[(lam, 1)]
-            )
+    per_benchmark = {
+        name: [
+            GatingCell(label, lam, pl, *stats.cost_vs(base))
+            for (label, _, lam, pls, _), row in zip(_POINTS, per_variant)
+            for pl, stats in zip(pls, row)
+        ]
+        for name, base, per_variant in zip(
+            settings.benchmarks, times.bases, times.stats
         )
+    }
+    cells = [
+        GatingCell(label, lam, pl, *times.cost(i, j), paper=paper[(lam, pl)])
+        for i, (label, _, lam, pls, paper) in enumerate(_POINTS)
+        for j, pl in enumerate(pls)
+    ]
     return Table4Result(cells=cells, per_benchmark=per_benchmark)

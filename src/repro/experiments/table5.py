@@ -15,16 +15,16 @@ for the same performance loss the achievable uop reduction drops
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec, PredictorSpec
+from repro.engine import PredictorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gated_perceptrons,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -94,87 +94,38 @@ LADDERS = (
 )
 
 
-def _ladder_batch(
-    settings: ExperimentSettings,
-    predictor: PredictorSpec,
-    thresholds,
-):
-    """(keys, jobs) for one predictor ladder, in deterministic order."""
-    batch = []
-    keys = []  # (benchmark, lambda-or-None for the baseline)
-    for name in settings.benchmarks:
-        keys.append((name, None))
-        batch.append(job_for(settings, name, ALWAYS_HIGH, predictor=predictor))
-        for lam in thresholds:
-            keys.append((name, lam))
-            batch.append(
-                job_for(
-                    settings, name,
-                    EstimatorSpec.of("perceptron", threshold=lam),
-                    policy=GATING_POLICY,
-                    predictor=predictor,
-                )
-            )
-    return keys, batch
-
-
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    out = []
-    for _, predictor_name, thresholds in LADDERS:
-        _, batch = _ladder_batch(
-            settings, PredictorSpec.of(predictor_name), thresholds
+    return [
+        job
+        for _, predictor_name, thresholds in LADDERS
+        for job in gating_jobs(
+            settings,
+            gated_perceptrons(thresholds),
+            PredictorSpec.of(predictor_name),
         )
-        out.extend(batch)
-    return out
-
-
-def _ladder(
-    settings: ExperimentSettings,
-    config: PipelineConfig,
-    label: str,
-    predictor: PredictorSpec,
-    thresholds,
-) -> List[Table5Row]:
-    keys, batch = _ladder_batch(settings, predictor, thresholds)
-    outcomes = dict(zip(keys, run_jobs(batch)))
-
-    samples: Dict[float, List[Tuple[float, float]]] = {t: [] for t in thresholds}
-    kuops: List[float] = []
-    for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
-        kuops.append(base.mispredicts_per_kuop)
-        for lam in thresholds:
-            stats = simulate_events(
-                outcomes[(name, lam)].events, config.with_gating(1)
-            )
-            samples[lam].append(stats.cost_vs(base))
-    avg_kuop = sum(kuops) / len(kuops)
-    rows = []
-    for lam in thresholds:
-        pts = samples[lam]
-        rows.append(
-            Table5Row(
-                predictor=label,
-                threshold=lam,
-                uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-                performance_loss_pct=sum(p[1] for p in pts) / len(pts),
-                mispredicts_per_kuop=avg_kuop,
-                paper=PAPER.get((label, lam)),
-            )
-        )
-    return rows
+    ]
 
 
 def run(
     settings: ExperimentSettings = DEFAULT_SETTINGS,
     config: PipelineConfig = BASELINE_40X4,
 ) -> Table5Result:
-    """Reproduce Table 5 (both baseline predictors)."""
+    """Reproduce Table 5 (both baseline predictors, one batch each)."""
     rows: List[Table5Row] = []
     for label, predictor_name, thresholds in LADDERS:
-        rows += _ladder(
-            settings, config, label, PredictorSpec.of(predictor_name),
-            thresholds,
+        times = run_gating(
+            settings,
+            gated_perceptrons(thresholds),
+            config,
+            [[config.with_gating(1)]] * len(thresholds),
+            predictor=PredictorSpec.of(predictor_name),
         )
+        kuops = [base.mispredicts_per_kuop for base in times.bases]
+        avg_kuop = sum(kuops) / len(kuops)
+        for i, lam in enumerate(thresholds):
+            u, p = times.cost(i)
+            rows.append(
+                Table5Row(label, lam, u, p, avg_kuop, PAPER.get((label, lam)))
+            )
     return Table5Result(rows=rows)

@@ -12,16 +12,15 @@ performance); cutting **history** mostly costs uop reduction (11% ->
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -108,36 +107,28 @@ class Table6Result:
         )
 
 
-def _grid(settings: ExperimentSettings, threshold: float):
-    """(keys, jobs) for the (benchmark x geometry) grid, in order."""
-    batch = []
-    keys = []  # (benchmark, config label or None for the baseline)
-    for name in settings.benchmarks:
-        keys.append((name, None))
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        for _, size in CONFIGURATIONS:
-            keys.append((name, size.label))
-            batch.append(
-                job_for(
-                    settings, name,
-                    EstimatorSpec.of(
-                        "perceptron",
-                        entries=size.entries,
-                        history_length=size.history_length,
-                        weight_bits=size.weight_bits,
-                        threshold=threshold,
-                    ),
-                    policy=GATING_POLICY,
-                )
-            )
-    return keys, batch
+def _variants(threshold: float):
+    """One gated perceptron variant per geometry, in table order."""
+    return [
+        (
+            EstimatorSpec.of(
+                "perceptron",
+                entries=size.entries,
+                history_length=size.history_length,
+                weight_bits=size.weight_bits,
+                threshold=threshold,
+            ),
+            GATING_POLICY,
+        )
+        for _, size in CONFIGURATIONS
+    ]
 
 
 def jobs(
     settings: ExperimentSettings = DEFAULT_SETTINGS, threshold: float = 0.0
 ) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    return _grid(settings, threshold)[1]
+    return gating_jobs(settings, _variants(threshold))
 
 
 def run(
@@ -151,27 +142,14 @@ def run(
     threshold; only the perceptron array geometry changes.  One engine
     batch covers the whole (benchmark x geometry) grid.
     """
-    keys, batch = _grid(settings, threshold)
-    outcomes = dict(zip(keys, run_jobs(batch)))
-
-    samples: Dict[str, List[Tuple[float, float]]] = {}
-    for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
-        for _, size in CONFIGURATIONS:
-            stats = simulate_events(
-                outcomes[(name, size.label)].events, config.with_gating(1)
-            )
-            samples.setdefault(size.label, []).append(stats.cost_vs(base))
-    rows: List[Table6Row] = []
-    for size_label, size in CONFIGURATIONS:
-        pts = samples[size.label]
-        rows.append(
-            Table6Row(
-                size_label=size_label,
-                config=size,
-                uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-                performance_loss_pct=sum(p[1] for p in pts) / len(pts),
-                paper=PAPER.get(size.label),
-            )
-        )
+    times = run_gating(
+        settings,
+        _variants(threshold),
+        config,
+        [[config.with_gating(1)]] * len(CONFIGURATIONS),
+    )
+    rows = [
+        Table6Row(size_label, size, *times.cost(i), paper=PAPER.get(size.label))
+        for i, (size_label, size) in enumerate(CONFIGURATIONS)
+    ]
     return Table6Result(rows=rows)

@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 from typing import List, Tuple
 
 from repro.analysis.tables import format_table
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
 from repro.experiments.common import (
     DEFAULT_SETTINGS,
     ExperimentSettings,
-    job_for,
-    run_jobs,
-    simulate_events,
+    gated_perceptrons,
+    gating_jobs,
+    run_gating,
 )
 from repro.pipeline.config import BASELINE_40X4, PipelineConfig
 
@@ -76,28 +75,9 @@ class ThrottleResult:
         )
 
 
-def _grid(settings: ExperimentSettings):
-    """(keys, jobs) for the (benchmark x lambda) grid, in order."""
-    batch = []
-    keys = []
-    for name in settings.benchmarks:
-        keys.append((name, None))
-        batch.append(job_for(settings, name, ALWAYS_HIGH))
-        for lam in THRESHOLDS:
-            keys.append((name, lam))
-            batch.append(
-                job_for(
-                    settings, name,
-                    EstimatorSpec.of("perceptron", threshold=lam),
-                    policy=GATING_POLICY,
-                )
-            )
-    return keys, batch
-
-
 def jobs(settings: ExperimentSettings = DEFAULT_SETTINGS) -> List:
     """Every :class:`SimJob` this experiment submits, in order."""
-    return _grid(settings)[1]
+    return gating_jobs(settings, gated_perceptrons(THRESHOLDS))
 
 
 def run(
@@ -105,31 +85,17 @@ def run(
     config: PipelineConfig = BASELINE_40X4,
 ) -> ThrottleResult:
     """Compare stall vs throttle mechanisms at two thresholds."""
-    keys, batch = _grid(settings)
-    outcomes = dict(zip(keys, run_jobs(batch)))
-
-    samples = {}
-    for name in settings.benchmarks:
-        base = simulate_events(outcomes[(name, None)].events, config)
-        for lam in THRESHOLDS:
-            events = outcomes[(name, lam)].events
-            for label, mode, factor in MECHANISMS:
-                machine = replace(
-                    config.with_gating(1),
-                    gating_mode=mode,
-                    throttle_factor=factor,
-                )
-                stats = simulate_events(events, machine)
-                samples.setdefault((label, lam), []).append(
-                    stats.cost_vs(base)
-                )
+    machines = [
+        replace(config.with_gating(1), gating_mode=mode, throttle_factor=factor)
+        for _, mode, factor in MECHANISMS
+    ]
+    times = run_gating(
+        settings, gated_perceptrons(THRESHOLDS), config,
+        [machines] * len(THRESHOLDS),
+    )
     rows = [
-        ThrottleRow(
-            mechanism=label,
-            threshold=lam,
-            uop_reduction_pct=sum(p[0] for p in pts) / len(pts),
-            performance_loss_pct=sum(p[1] for p in pts) / len(pts),
-        )
-        for (label, lam), pts in samples.items()
+        ThrottleRow(label, lam, *times.cost(i, j))
+        for i, lam in enumerate(THRESHOLDS)
+        for j, (label, _, _) in enumerate(MECHANISMS)
     ]
     return ThrottleResult(rows=rows)

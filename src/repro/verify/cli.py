@@ -71,7 +71,7 @@ def _run_invariant_layer(engine, profile, stream) -> List[str]:
 
 
 def _run_fastpath_layer(engine, profile, stream) -> List[str]:
-    from repro import fastpath
+    from repro.verify.fastpath import run_fastpath_differential
 
     failures = []
     print(
@@ -79,14 +79,6 @@ def _run_fastpath_layer(engine, profile, stream) -> List[str]:
         f"{profile.differential_branches} branches ==",
         file=stream,
     )
-    if not fastpath.available():
-        print(
-            "ok   fastpath: skipped (numpy not installed; install the "
-            "repro[fast] extra to cross-check the fast backend)",
-            file=stream,
-        )
-        return failures
-    from repro.verify.fastpath import run_fastpath_differential
 
     trace = engine.trace(
         profile.benchmarks[0], profile.differential_branches, seed=1

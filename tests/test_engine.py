@@ -477,9 +477,9 @@ class TestDeterminismExtended:
 
     @staticmethod
     def _derived(outcomes):
-        from repro.experiments.common import simulate_events
         from repro.pipeline.config import STANDARD_20X4
         from repro.pipeline.energy import EnergyModel
+        from repro.pipeline.simulator import PipelineSimulator
         from repro.pipeline.smt import SmtSimulator
 
         config = STANDARD_20X4.with_gating(1)
@@ -488,7 +488,7 @@ class TestDeterminismExtended:
             events_a, events_b
         )
         single = SmtSimulator(config, gate_yields=True).simulate(events_a)
-        stats = simulate_events(events_a, config)
+        stats = PipelineSimulator(config).simulate(events_a)
         energy = EnergyModel().evaluate(stats, estimator_active=True)
         return {
             "smt_cycles": smt.total_cycles,

@@ -2,17 +2,19 @@
 
 import pytest
 
-from repro.engine import ALWAYS_HIGH, GATING_POLICY, EstimatorSpec
+from repro.engine import ALWAYS_HIGH, GATING_POLICY, NO_POLICY, EstimatorSpec
 from repro.experiments.common import (
     ExperimentSettings,
+    gating_jobs,
     get_trace,
     job_for,
+    mean_cost,
     replay_benchmark,
+    run_gating,
     run_jobs,
-    simulate_events,
-    weighted_average,
 )
 from repro.pipeline.config import BASELINE_40X4
+from repro.pipeline.simulator import PipelineSimulator
 
 SMALL = ExperimentSettings(
     n_branches=4_000, warmup=1_000, benchmarks=("gzip",)
@@ -71,31 +73,69 @@ class TestRunJobs:
         assert first.result.branches == second.result.branches
 
 
-class TestSimulateEvents:
-    def test_runs_over_replay(self):
-        events, _ = replay_benchmark("gzip", SMALL, ALWAYS_HIGH)
-        stats = simulate_events(events, BASELINE_40X4)
-        assert stats.branches == len(events)
-        assert stats.total_cycles > 0
+class TestRunGating:
+    PERCEPTRON = EstimatorSpec.of("perceptron", threshold=0)
+    VARIANTS = [(JRS7, GATING_POLICY), (PERCEPTRON, GATING_POLICY)]
+    MACHINES = [
+        [BASELINE_40X4.with_gating(1), BASELINE_40X4.with_gating(2)],
+        [BASELINE_40X4.with_gating(1)],
+    ]
+
+    def test_jobs_are_baseline_then_variants_per_benchmark(self):
+        settings = ExperimentSettings(
+            n_branches=4_000, warmup=1_000, benchmarks=("gzip", "mcf")
+        )
+        jobs = gating_jobs(settings, self.VARIANTS)
+        assert [(j.benchmark, j.estimator, j.policy) for j in jobs] == [
+            (name, estimator, policy)
+            for name in ("gzip", "mcf")
+            for estimator, policy in [
+                (ALWAYS_HIGH, NO_POLICY), *self.VARIANTS
+            ]
+        ]
+
+    def test_matches_direct_simulation(self):
+        times = run_gating(SMALL, self.VARIANTS, BASELINE_40X4, self.MACHINES)
+        base, *variants = run_jobs(gating_jobs(SMALL, self.VARIANTS))
+        assert times.bases == [
+            PipelineSimulator(BASELINE_40X4).simulate(base.events)
+        ]
+        for i, (outcome, row) in enumerate(zip(variants, self.MACHINES)):
+            for j, machine in enumerate(row):
+                direct = PipelineSimulator(machine).simulate(outcome.events)
+                assert times.stats[0][i][j] == direct
+                assert times.variant(i, j) == [direct]
+                assert times.cost(i, j) == direct.cost_vs(times.bases[0])
 
     def test_rerunnable(self):
-        events, _ = replay_benchmark("gzip", SMALL, ALWAYS_HIGH)
-        a = simulate_events(events, BASELINE_40X4)
-        b = simulate_events(events, BASELINE_40X4)
-        assert a.total_cycles == b.total_cycles
+        first = run_gating(SMALL, self.VARIANTS, BASELINE_40X4, self.MACHINES)
+        again = run_gating(SMALL, self.VARIANTS, BASELINE_40X4, self.MACHINES)
+        assert again == first
+
+    def test_needs_one_machine_row_per_variant(self):
+        with pytest.raises(ValueError):
+            run_gating(SMALL, self.VARIANTS, BASELINE_40X4, self.MACHINES[:1])
 
 
-class TestWeightedAverage:
-    def test_basic(self):
-        assert weighted_average([1.0, 3.0], [1.0, 1.0]) == 2.0
-        assert weighted_average([1.0, 3.0], [3.0, 1.0]) == 1.5
-
-    def test_zero_weights(self):
-        assert weighted_average([1.0], [0.0]) == 0.0
+class TestMeanCost:
+    def test_averages_cost_in_benchmark_order(self):
+        times = run_gating(
+            ExperimentSettings(
+                n_branches=4_000, warmup=1_000, benchmarks=("gzip", "mcf")
+            ),
+            [(JRS7, GATING_POLICY)],
+            BASELINE_40X4,
+            [[BASELINE_40X4.with_gating(1)]],
+        )
+        costs = [s.cost_vs(b) for b, s in zip(times.bases, times.variant(0))]
+        assert mean_cost(times.bases, times.variant(0)) == (
+            (costs[0][0] + costs[1][0]) / 2,
+            (costs[0][1] + costs[1][1]) / 2,
+        )
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            weighted_average([1.0], [1.0, 2.0])
+            mean_cost([], [None])
 
 
 class TestRunnerCli:

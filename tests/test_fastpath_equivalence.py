@@ -21,8 +21,6 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro import fastpath, telemetry
 from repro.core.frontend import (
     FrontEnd,

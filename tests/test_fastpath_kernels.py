@@ -9,10 +9,7 @@ purpose: a 2-bit weight hits its rails within a handful of updates,
 which forces the SWAR passes through their exact slow path constantly.
 """
 
-import pytest
-
-np = pytest.importorskip("numpy")
-
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -6,8 +6,6 @@ import os
 
 import pytest
 
-pytest.importorskip("numpy")
-
 from repro.core.frontend import FrontEnd
 from repro.engine import Engine, SimJob, canonical_metrics
 from repro.engine.cache import TraceCache
@@ -92,6 +90,27 @@ class TestRecordedJobSource:
         assert _final_states(token_job, recorded_trace) == _final_states(
             generated_job, generated_trace
         )
+
+    def test_one_recording_has_one_fingerprint(self, trace, tmp_path):
+        """A recorded replay reads neither the file's path nor the seed,
+        so saving one recording at two paths, or running it under two
+        seeds, gives one fingerprint and one executed replay."""
+        tokens = []
+        for name in ("a.npz", "b.npz"):
+            path = str(tmp_path / name)
+            save_trace(trace, path)
+            tokens.append(job_token(trace, path))
+        assert tokens[0] != tokens[1]
+        jobs = [
+            _trace_job(benchmark=tokens[0], seed=1),
+            _trace_job(benchmark=tokens[1], seed=1),
+            _trace_job(benchmark=tokens[0], seed=2),
+        ]
+        assert len({job.fingerprint for job in jobs}) == 1
+        engine = Engine(max_workers=1)
+        outcomes = engine.run(jobs)
+        assert engine.stats.executed == 1
+        assert outcomes[0].events == outcomes[1].events == outcomes[2].events
 
     def test_prefix_bounds_job_window(self, recorded):
         _, token = recorded

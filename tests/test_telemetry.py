@@ -377,7 +377,7 @@ class TestInstrumentedEngine:
         assert snap.counter("cache_replay_misses_total") == 3
 
     def test_fallback_reason_counter(self):
-        fastpath = pytest.importorskip("repro.fastpath")
+        from repro import fastpath
         from repro.engine import EstimatorSpec as ES
 
         # 12-bit weights at history 40 overflow the SWAR lanes: buildable
@@ -388,10 +388,7 @@ class TestInstrumentedEngine:
             warmup=100,
             estimator=ES.of("perceptron", history_length=40, weight_bits=12),
         )
-        if fastpath.available():
-            assert fastpath.unsupported_reason(job) == "estimator:perceptron"
-        else:
-            assert fastpath.unsupported_reason(job) == "no-numpy"
+        assert fastpath.unsupported_reason(job) == "estimator:perceptron"
         telemetry.enable()
         Engine().run([job])
         snap = telemetry.get_registry().snapshot()
