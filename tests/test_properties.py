@@ -144,10 +144,10 @@ class TestMetricsProperties:
         assert m.flagged_low + m.flagged_high == m.total
         assert 0.0 <= m.spec <= 1.0
         assert 0.0 <= m.pvn <= 1.0
-        # True positives counted consistently from both directions.
-        assert m.spec * m.mispredicted == m.pvn * m.flagged_low or (
-            m.mispredicted == 0 or m.flagged_low == 0
-        )
+        # True positives counted consistently from both directions.  The
+        # products are rounded: 15 / 22 * 22 is 14.999999999999998.
+        assert round(m.spec * m.mispredicted) == m.low_mispredicted
+        assert round(m.pvn * m.flagged_low) == m.low_mispredicted
 
 
 class TestTraceProperties:
