@@ -43,10 +43,8 @@ from repro.core import (
     FrontEndEvent,
     FrontEndEvents,
     FrontEndResult,
-    GatingConfig,
     GatingOnlyPolicy,
     JRSEstimator,
-    LowConfidenceCounter,
     MetricsCollector,
     NoSpeculationControl,
     PatternEstimator,
@@ -105,10 +103,8 @@ __all__ = [
     "FrontEndEvent",
     "FrontEndEvents",
     "FrontEndResult",
-    "GatingConfig",
     "GatingOnlyPolicy",
     "JRSEstimator",
-    "LowConfidenceCounter",
     "MetricsCollector",
     "NoSpeculationControl",
     "PatternEstimator",

@@ -4,57 +4,47 @@ This subpackage contains the hardware-flavoured primitives every other
 subsystem is built from:
 
 - :mod:`repro.common.bits` -- bit-twiddling helpers (masks, folding
-  hashes, sign extension) used by table-indexed predictors.
-- :mod:`repro.common.counters` -- saturating and resetting counters plus
-  vectorised counter tables, the storage element of classic predictors
-  and of the JRS confidence estimator.
+  hashes, the +/-1 perceptron input encoding) used by table-indexed
+  predictors.
+- :mod:`repro.common.counters` -- vectorised tables of saturating or
+  resetting counters, the storage element of classic predictors and of
+  the JRS confidence estimator.
 - :mod:`repro.common.history` -- global and local branch-history
   registers, including the +/-1 vector view consumed by perceptrons.
-- :mod:`repro.common.rng` -- deterministic, named random streams so every
+- :mod:`repro.common.perceptron` -- the saturating perceptron weight
+  array shared by the perceptron predictor and estimator.
+- :mod:`repro.common.rng` -- child seeds derived by name, so every
   experiment is reproducible from a single seed.
+
+A component's adaptive state is set by its constructor and read back
+only through ``state_canonical()``; nothing here saves, loads or
+resets it.
 """
 
 from repro.common.bits import (
-    bit_at,
     fold_bits,
     mask,
     mix_hash,
     popcount,
     sign,
-    to_signed,
-    to_unsigned,
 )
-from repro.common.counters import (
-    CounterTable,
-    ResettingCounter,
-    SaturatingCounter,
-)
+from repro.common.counters import CounterTable
 from repro.common.history import (
     GlobalHistoryRegister,
     LocalHistoryTable,
 )
 from repro.common.perceptron import PerceptronArray
-from repro.common.state import StateError, load_state, save_state
-from repro.common.rng import RandomStreams, derive_seed
+from repro.common.rng import derive_seed
 
 __all__ = [
-    "bit_at",
     "fold_bits",
     "mask",
     "mix_hash",
     "popcount",
     "sign",
-    "to_signed",
-    "to_unsigned",
     "CounterTable",
-    "ResettingCounter",
-    "SaturatingCounter",
     "GlobalHistoryRegister",
     "LocalHistoryTable",
     "PerceptronArray",
-    "StateError",
-    "load_state",
-    "save_state",
-    "RandomStreams",
     "derive_seed",
 ]

@@ -3,10 +3,9 @@
 Hardware branch predictors index SRAM tables with hashes of the branch
 address and history bits.  These helpers provide the small vocabulary of
 operations those index functions are built from: masking to a field
-width, XOR-folding a wide value into a narrow one, and converting
-between unsigned fields and signed two's-complement values (needed for
-perceptron weights stored in fixed-width fields).  :func:`mix_hash` has
-a vectorised twin, :func:`mix_hash_u64`, for whole uint64 columns.
+width, XOR-folding a wide value into a narrow one, and the +/-1
+perceptron input encoding.  :func:`mix_hash` has a vectorised twin,
+:func:`mix_hash_u64`, for whole uint64 columns.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ import numpy as np
 
 __all__ = [
     "mask",
-    "bit_at",
     "popcount",
     "fold_bits",
     "mix_hash",
     "mix_hash_u64",
     "sign",
-    "to_signed",
-    "to_unsigned",
     "bits_to_pm1",
     "pm1_to_bits",
 ]
@@ -37,13 +33,6 @@ def mask(nbits: int) -> int:
     if nbits < 0:
         raise ValueError(f"mask width must be non-negative, got {nbits}")
     return (1 << nbits) - 1
-
-
-def bit_at(value: int, index: int) -> int:
-    """Return bit ``index`` (0 = LSB) of ``value`` as 0 or 1."""
-    if index < 0:
-        raise ValueError(f"bit index must be non-negative, got {index}")
-    return (value >> index) & 1
 
 
 def popcount(value: int) -> int:
@@ -106,22 +95,6 @@ def sign(value: float) -> int:
     if value < 0:
         return -1
     return 0
-
-
-def to_signed(value: int, nbits: int) -> int:
-    """Interpret an ``nbits``-wide unsigned field as two's complement."""
-    if nbits <= 0:
-        raise ValueError(f"field width must be positive, got {nbits}")
-    value &= mask(nbits)
-    sign_bit = 1 << (nbits - 1)
-    return value - (1 << nbits) if value & sign_bit else value
-
-
-def to_unsigned(value: int, nbits: int) -> int:
-    """Store a signed value into an ``nbits``-wide two's-complement field."""
-    if nbits <= 0:
-        raise ValueError(f"field width must be positive, got {nbits}")
-    return value & mask(nbits)
 
 
 def bits_to_pm1(history: int, length: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Saturating and resetting counters, and vectorised counter tables.
+"""Counter tables: arrays of saturating or resetting counters.
 
 Two-bit saturating counters are the storage element of the bimodal and
 gshare predictors (Table 1 of the paper); 4-bit *resetting* counters --
@@ -12,126 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SaturatingCounter", "ResettingCounter", "CounterTable"]
-
-
-class SaturatingCounter:
-    """An n-bit up/down saturating counter.
-
-    The counter saturates at ``0`` and ``2**bits - 1``.  For a 2-bit
-    counter the conventional interpretation is: 0, 1 predict not-taken;
-    2, 3 predict taken (see :meth:`msb`).
-    """
-
-    __slots__ = ("_bits", "_max", "_value")
-
-    def __init__(self, bits: int = 2, initial: int = 0):
-        if bits <= 0:
-            raise ValueError(f"counter width must be positive, got {bits}")
-        self._bits = bits
-        self._max = (1 << bits) - 1
-        if not 0 <= initial <= self._max:
-            raise ValueError(
-                f"initial value {initial} out of range for {bits}-bit counter"
-            )
-        self._value = initial
-
-    @property
-    def bits(self) -> int:
-        """Width of the counter in bits."""
-        return self._bits
-
-    @property
-    def value(self) -> int:
-        """Current counter state in ``[0, 2**bits - 1]``."""
-        return self._value
-
-    @property
-    def max_value(self) -> int:
-        """Saturation ceiling, ``2**bits - 1``."""
-        return self._max
-
-    def increment(self) -> int:
-        """Count up by one, saturating at the ceiling; return new value."""
-        if self._value < self._max:
-            self._value += 1
-        return self._value
-
-    def decrement(self) -> int:
-        """Count down by one, saturating at zero; return new value."""
-        if self._value > 0:
-            self._value -= 1
-        return self._value
-
-    def update(self, up: bool) -> int:
-        """Increment when ``up`` is true, else decrement."""
-        return self.increment() if up else self.decrement()
-
-    def reset(self, value: int = 0) -> None:
-        """Force the counter to ``value``."""
-        if not 0 <= value <= self._max:
-            raise ValueError(f"reset value {value} out of range")
-        self._value = value
-
-    def msb(self) -> bool:
-        """Most significant bit -- the taken/not-taken decision bit."""
-        return bool(self._value >> (self._bits - 1))
-
-    def is_saturated(self) -> bool:
-        """True when the counter sits at either rail."""
-        return self._value in (0, self._max)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SaturatingCounter(bits={self._bits}, value={self._value})"
-
-
-class ResettingCounter:
-    """A miss-distance counter: +1 on a correct prediction, 0 on a miss.
-
-    This is the JRS storage element.  Its value is the number of
-    consecutive correct predictions seen since the last misprediction
-    (saturated at ``2**bits - 1``), hence "miss distance".
-    """
-
-    __slots__ = ("_bits", "_max", "_value")
-
-    def __init__(self, bits: int = 4, initial: int = 0):
-        if bits <= 0:
-            raise ValueError(f"counter width must be positive, got {bits}")
-        self._bits = bits
-        self._max = (1 << bits) - 1
-        if not 0 <= initial <= self._max:
-            raise ValueError(
-                f"initial value {initial} out of range for {bits}-bit counter"
-            )
-        self._value = initial
-
-    @property
-    def bits(self) -> int:
-        """Width of the counter in bits."""
-        return self._bits
-
-    @property
-    def value(self) -> int:
-        """Current miss distance."""
-        return self._value
-
-    @property
-    def max_value(self) -> int:
-        """Saturation ceiling."""
-        return self._max
-
-    def record(self, correct: bool) -> int:
-        """Record one resolved branch; return the new counter value."""
-        if correct:
-            if self._value < self._max:
-                self._value += 1
-        else:
-            self._value = 0
-        return self._value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ResettingCounter(bits={self._bits}, value={self._value})"
+__all__ = ["CounterTable"]
 
 
 class CounterTable:
@@ -228,12 +109,6 @@ class CounterTable:
             raise ValueError(f"value {value} out of range for {self._bits}-bit counter")
         self._table[self._slot(index)] = value
 
-    def fill(self, value: int) -> None:
-        """Set every counter to ``value``."""
-        if not 0 <= value <= self._max:
-            raise ValueError(f"value {value} out of range for {self._bits}-bit counter")
-        self._table[:] = value
-
     def msb(self, index: int) -> bool:
         """Decision bit of the counter at ``index``."""
         return bool(self.read(index) >> (self._bits - 1))
@@ -241,22 +116,6 @@ class CounterTable:
     def snapshot(self) -> np.ndarray:
         """Copy of the raw counter array (for analysis/tests)."""
         return self._table.copy()
-
-    def state_dict(self) -> dict:
-        """Serialisable state (see :mod:`repro.common.state`)."""
-        return {"table": self._table.copy()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore counters from :meth:`state_dict` output."""
-        table = np.asarray(state["table"], dtype=np.int32)
-        if table.shape != self._table.shape:
-            raise ValueError(
-                f"state holds {table.shape[0]} counters, table has "
-                f"{self._entries}"
-            )
-        if table.min() < 0 or table.max() > self._max:
-            raise ValueError("state counter values out of range")
-        self._table[:] = table
 
     def __len__(self) -> int:
         return self._entries

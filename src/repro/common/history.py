@@ -39,12 +39,10 @@ class GlobalHistoryRegister:
         self._length = length
         self._mask = mask(length)
         self._bits = initial & self._mask
-        self._vector = np.empty(length, dtype=np.int8)
-        self._refresh_vector()
-
-    def _refresh_vector(self) -> None:
-        for i in range(self._length):
-            self._vector[i] = 1 if (self._bits >> i) & 1 else -1
+        self._vector = np.array(
+            [1 if (self._bits >> i) & 1 else -1 for i in range(length)],
+            dtype=np.int8,
+        )
 
     @property
     def length(self) -> int:
@@ -61,7 +59,7 @@ class GlobalHistoryRegister:
         """History as a +/-1 ``int8`` vector (element 0 = most recent).
 
         The returned array is the live internal buffer; callers must not
-        mutate it.  Use :meth:`snapshot` for a stable copy.
+        mutate it.
         """
         return self._vector
 
@@ -69,25 +67,12 @@ class GlobalHistoryRegister:
         """Return the current history bits (cheap immutable snapshot)."""
         return self._bits
 
-    def snapshot_vector(self) -> np.ndarray:
-        """Return a copy of the +/-1 vector view."""
-        return self._vector.copy()
-
     def push(self, taken: bool) -> None:
         """Shift in one resolved branch outcome."""
         self._bits = ((self._bits << 1) | (1 if taken else 0)) & self._mask
         # Shift the vector view: element i becomes old element i-1.
         self._vector[1:] = self._vector[:-1]
         self._vector[0] = 1 if taken else -1
-
-    def set_bits(self, value: int) -> None:
-        """Overwrite the whole register (used when loading saved state)."""
-        self._bits = value & self._mask
-        self._refresh_vector()
-
-    def clear(self) -> None:
-        """Reset the register to all not-taken."""
-        self.set_bits(0)
 
     def folded(self, width: int) -> int:
         """XOR-fold the history down to ``width`` bits (gshare indexing)."""
@@ -150,10 +135,6 @@ class LocalHistoryTable:
         value = ((int(self._table[slot]) << 1) | (1 if taken else 0)) & self._mask
         self._table[slot] = value
         return value
-
-    def clear(self) -> None:
-        """Reset every local register to all not-taken."""
-        self._table[:] = 0
 
     def __len__(self) -> int:
         return self._entries

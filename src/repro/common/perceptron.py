@@ -63,23 +63,9 @@ class PerceptronArray:
         return self._weight_bits
 
     @property
-    def weight_range(self):
-        """(min, max) representable weight values."""
-        return (self._w_min, self._w_max)
-
-    @property
     def storage_bits(self) -> int:
         """Total array storage in bits (bias weights included)."""
         return self._entries * (self._history_length + 1) * self._weight_bits
-
-    @property
-    def max_output(self) -> int:
-        """Largest representable output magnitude.
-
-        Bounded by the two's-complement *minimum* weight, whose
-        magnitude exceeds the maximum by one.
-        """
-        return (self._history_length + 1) * abs(self._w_min)
 
     def index(self, pc: int) -> int:
         """Row selected by a branch address (simple modulo, as in Fig. 3).
@@ -89,10 +75,6 @@ class PerceptronArray:
         quarters of the rows unused.
         """
         return (pc >> 2) % self._entries
-
-    def weights_for(self, pc: int) -> np.ndarray:
-        """Copy of the selected row's weights (bias first)."""
-        return self._weights[self.index(pc)].copy()
 
     def _check_inputs(self, inputs: np.ndarray) -> np.ndarray:
         inputs = np.asarray(inputs)
@@ -131,29 +113,9 @@ class PerceptronArray:
             row[1:] -= x
         np.clip(row, self._w_min, self._w_max, out=row)
 
-    def reset(self) -> None:
-        """Zero every weight."""
-        self._weights[:] = 0
-
     def snapshot(self) -> np.ndarray:
         """Copy of the full weight matrix (rows x (1 + history))."""
         return self._weights.copy()
-
-    def state_dict(self) -> dict:
-        """Serialisable state (see :mod:`repro.common.state`)."""
-        return {"weights": self._weights.copy()}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore weights from :meth:`state_dict` output."""
-        weights = np.asarray(state["weights"], dtype=np.int32)
-        if weights.shape != self._weights.shape:
-            raise ValueError(
-                f"state geometry {weights.shape} != array geometry "
-                f"{self._weights.shape}"
-            )
-        if weights.min() < self._w_min or weights.max() > self._w_max:
-            raise ValueError("state weights exceed the configured bit width")
-        self._weights[:] = weights
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

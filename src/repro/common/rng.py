@@ -1,19 +1,18 @@
-"""Deterministic named random streams.
+"""Deterministic seeds derived by name.
 
 Every stochastic component of the reproduction (trace synthesis,
-per-branch latency jitter, workload mixing) draws from a named stream
-derived from a single experiment seed.  Deriving streams by name keeps
-results stable when components are added or reordered: adding a new
-consumer never perturbs the draws seen by existing ones.
+per-branch latency jitter, workload mixing) seeds its generator with a
+child seed derived by name from a single experiment seed.  Deriving
+seeds by name keeps results stable when components are added or
+reordered: adding a new consumer never perturbs the draws seen by
+existing ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
-__all__ = ["derive_seed", "RandomStreams"]
+__all__ = ["derive_seed"]
 
 
 def derive_seed(root_seed: int, *names) -> int:
@@ -30,38 +29,3 @@ def derive_seed(root_seed: int, *names) -> int:
         h.update(str(name).encode())
     return int.from_bytes(h.digest(), "little") & ((1 << 63) - 1)
 
-
-class RandomStreams:
-    """A family of independent numpy generators keyed by name.
-
-    >>> streams = RandomStreams(42)
-    >>> g = streams.get("trace", "gcc")
-    >>> g is streams.get("trace", "gcc")
-    True
-    """
-
-    def __init__(self, root_seed: int):
-        self._root_seed = int(root_seed)
-        self._streams = {}
-
-    @property
-    def root_seed(self) -> int:
-        """The experiment-level seed all streams derive from."""
-        return self._root_seed
-
-    def seed_for(self, *names) -> int:
-        """Child seed for a name path (without creating a generator)."""
-        return derive_seed(self._root_seed, *names)
-
-    def get(self, *names) -> np.random.Generator:
-        """Return (and memoise) the generator for a name path."""
-        key = tuple(str(n) for n in names)
-        gen = self._streams.get(key)
-        if gen is None:
-            gen = np.random.default_rng(self.seed_for(*names))
-            self._streams[key] = gen
-        return gen
-
-    def fresh(self, *names) -> np.random.Generator:
-        """Return a brand-new generator for a name path (not memoised)."""
-        return np.random.default_rng(self.seed_for(*names))

@@ -13,7 +13,6 @@ paper plus the machinery that consumes their output:
   predictor's own saturating counters.
 - :class:`~repro.core.pattern.PatternEstimator` -- Tyson's
   pattern-history classifier.
-- :mod:`~repro.core.gating` -- the Figure 1 pipeline-gating mechanism.
 - :mod:`~repro.core.reversal` -- branch reversal and the combined
   three-region policy of Section 5.5.
 - :mod:`~repro.core.metrics` -- Spec/PVN and friends (Section 2.2).
@@ -30,7 +29,6 @@ from repro.core.frontend import (
     FrontEndEvents,
     FrontEndResult,
 )
-from repro.core.gating import GatingConfig, LowConfidenceCounter
 from repro.core.jrs import JRSEstimator
 from repro.core.metrics import ConfidenceMatrix, MetricsCollector
 from repro.core.oracle import oracle_events
@@ -59,8 +57,6 @@ __all__ = [
     "FrontEndEvent",
     "FrontEndEvents",
     "FrontEndResult",
-    "GatingConfig",
-    "LowConfidenceCounter",
     "JRSEstimator",
     "ConfidenceMatrix",
     "MetricsCollector",

@@ -86,11 +86,6 @@ class AgreementEstimator(ConfidenceEstimator):
     def storage_bits(self) -> int:
         return self.primary.storage_bits + self.secondary.storage_bits
 
-    def reset(self) -> None:
-        self.primary.reset()
-        self.secondary.reset()
-        self._pending = None
-
     def state_canonical(self) -> tuple:
         # _pending is per-branch scratch, not adaptive state.
         return (
@@ -158,11 +153,6 @@ class CascadeEstimator(ConfidenceEstimator):
     @property
     def storage_bits(self) -> int:
         return self.primary.storage_bits + self.secondary.storage_bits
-
-    def reset(self) -> None:
-        self.primary.reset()
-        self.secondary.reset()
-        self._pending = None
 
     def state_canonical(self) -> tuple:
         # _pending is per-branch scratch, not adaptive state.

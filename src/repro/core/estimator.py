@@ -75,9 +75,6 @@ class ConfidenceEstimator(ABC):
         """Storage in KiB, as quoted in Section 4 (both estimators 4KB)."""
         return self.storage_bits / 8.0 / 1024.0
 
-    def reset(self) -> None:
-        """Clear all adaptive state."""
-
     def state_canonical(self) -> tuple:
         """All adaptive state as a nested tuple of plain Python ints.
 

@@ -346,30 +346,35 @@ class FrontEnd:
         self,
         records: Iterable[BranchRecord],
         warmup: int = 0,
-        result: Optional[FrontEndResult] = None,
+        events: Optional[List[FrontEndEvent]] = None,
     ) -> FrontEndResult:
         """Replay a record stream, aggregating metrics.
 
         Accepts any iterable of records -- a materialized
         :class:`~repro.trace.record.Trace` or a lazy generator stream
-        -- and holds no per-record state beyond the accumulators, so
-        memory stays bounded by the source.
+        -- and, unless ``events`` is given, holds no per-record state
+        beyond the accumulators, so memory stays bounded by the source.
 
         Args:
             records: Input branch records, in program order.
             warmup: Leading branches that train all structures but are
                 excluded from the metrics (the paper warms 10M of each
                 30M-instruction trace).
-            result: Existing result to continue aggregating into.
+            events: A list that each post-warm-up event is appended
+                to, in program order.
         """
         if warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
-        res = result if result is not None else FrontEndResult()
+        res = FrontEndResult()
+        process = self.process
+        collect = self.collect_outputs
         for i, record in enumerate(records):
-            event = self.process(record)
+            event = process(record)
             if i < warmup:
                 continue
-            aggregate_event(res, event, self.collect_outputs)
+            aggregate_event(res, event, collect)
+            if events is not None:
+                events.append(event)
         return res
 
 

@@ -107,10 +107,6 @@ class JRSEstimator(ConfidenceEstimator):
     def storage_bits(self) -> int:
         return self._table.storage_bits
 
-    def reset(self) -> None:
-        self._table.fill(0)
-        self._history.clear()
-
     def state_canonical(self) -> tuple:
         return (
             "jrs",
@@ -118,36 +114,3 @@ class JRSEstimator(ConfidenceEstimator):
             tuple(int(v) for v in self._table.snapshot()),
             self._history.bits,
         )
-
-    # -- persistence ---------------------------------------------------
-
-    _STATE_KIND = "jrs_estimator"
-
-    def save(self, path: str) -> None:
-        """Persist warm MDC counters and history to ``path`` (.npz)."""
-        from repro.common.state import save_state
-
-        save_state(
-            path,
-            self._STATE_KIND,
-            {
-                "table": self._table.state_dict()["table"],
-                "history_bits": self._history.bits,
-                "geometry": [self.entries, self._table.bits,
-                             int(self.enhanced)],
-            },
-        )
-
-    def load(self, path: str) -> None:
-        """Restore state written by :meth:`save`."""
-        from repro.common.state import StateError, load_state
-
-        state = load_state(path, self._STATE_KIND)
-        geometry = [int(v) for v in state["geometry"]]
-        expected = [self.entries, self._table.bits, int(self.enhanced)]
-        if geometry != expected:
-            raise StateError(
-                f"{path}: geometry {geometry} != estimator {expected}"
-            )
-        self._table.load_state_dict({"table": state["table"]})
-        self._history.set_bits(int(state["history_bits"]))

@@ -151,9 +151,3 @@ class MetricsCollector:
     def per_pc(self) -> dict:
         """Per-static-branch matrices (empty unless tracking enabled)."""
         return dict(self._per_pc) if self._per_pc else {}
-
-    def reset(self) -> None:
-        """Clear all recorded data."""
-        self.overall = ConfidenceMatrix()
-        if self._per_pc is not None:
-            self._per_pc = {}

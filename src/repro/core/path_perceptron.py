@@ -140,12 +140,6 @@ class PathPerceptronConfidenceEstimator(ConfidenceEstimator):
             + self._bias.size * self.weight_bits
         )
 
-    def reset(self) -> None:
-        self._weights[:] = 0
-        self._bias[:] = 0
-        self._history.clear()
-        self._path.clear()
-
     def state_canonical(self) -> tuple:
         return (
             "path_perceptron",

@@ -36,7 +36,7 @@ from typing import Optional
 from repro.common.history import GlobalHistoryRegister
 from repro.common.perceptron import PerceptronArray
 from repro.core.estimator import ConfidenceEstimator
-from repro.core.types import ConfidenceLevel, ConfidenceSignal
+from repro.core.types import ConfidenceSignal
 from repro.predictors.perceptron_predictor import jimenez_lin_theta
 
 __all__ = ["PerceptronConfidenceEstimator"]
@@ -184,10 +184,6 @@ class PerceptronConfidenceEstimator(ConfidenceEstimator):
     def storage_bits(self) -> int:
         return self._array.storage_bits
 
-    def reset(self) -> None:
-        self._array.reset()
-        self._history.clear()
-
     def state_canonical(self) -> tuple:
         return (
             "perceptron_estimator",
@@ -197,44 +193,3 @@ class PerceptronConfidenceEstimator(ConfidenceEstimator):
             ),
             self._history.bits,
         )
-
-    def config_label(self) -> str:
-        """Table 6 style configuration label, e.g. ``P128W8H32``."""
-        return f"P{self.entries}W{self.weight_bits}H{self.history_length}"
-
-    # -- persistence ---------------------------------------------------
-
-    _STATE_KIND = "perceptron_estimator"
-
-    def save(self, path: str) -> None:
-        """Persist the warm weight array and history to ``path`` (.npz)."""
-        from repro.common.state import save_state
-
-        save_state(
-            path,
-            self._STATE_KIND,
-            {
-                "weights": self._array.state_dict()["weights"],
-                "history_bits": self._history.bits,
-                "geometry": [
-                    self.entries, self.history_length, self.weight_bits,
-                ],
-            },
-        )
-
-    def load(self, path: str) -> None:
-        """Restore state written by :meth:`save`.
-
-        The stored geometry must match this estimator's configuration.
-        """
-        from repro.common.state import StateError, load_state
-
-        state = load_state(path, self._STATE_KIND)
-        geometry = [int(v) for v in state["geometry"]]
-        expected = [self.entries, self.history_length, self.weight_bits]
-        if geometry != expected:
-            raise StateError(
-                f"{path}: geometry {geometry} != estimator {expected}"
-            )
-        self._array.load_state_dict({"weights": state["weights"]})
-        self._history.set_bits(int(state["history_bits"]))

@@ -85,7 +85,8 @@ class GatingOnlyPolicy(SpeculationPolicy):
 
     This is the Table 4 configuration for both JRS and perceptron
     estimators (the branch-counter threshold lives in
-    :class:`repro.core.gating.GatingConfig`, not here).
+    :attr:`repro.pipeline.config.PipelineConfig.gating_threshold`, not
+    here).
     """
 
     name = "gating-only"

@@ -344,8 +344,5 @@ class TraceCache:
         self.stats.evictions = self._lru.evictions
         return trace
 
-    def clear(self) -> None:
-        self._lru.clear()
-
     def __len__(self) -> int:
         return len(self._lru)

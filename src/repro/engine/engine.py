@@ -172,11 +172,6 @@ class Engine:
             self._parallel_executed,
         )
 
-    def clear_cache(self) -> None:
-        """Drop all in-memory cached replays and traces."""
-        self._replays.clear()
-        self._traces.clear()
-
     def trace(self, name: str, n_branches: int, seed: int):
         """Generate (or reuse) one benchmark trace."""
         return self._traces.get(name, n_branches, seed)

@@ -58,25 +58,16 @@ def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
                 # reference rerun below is exact.
                 _count_fallback("runtime")
     if backend == "reference":
-        from repro.core.frontend import (
-            FrontEnd,
-            FrontEndEvents,
-            FrontEndResult,
-            aggregate_event,
-        )
+        from repro.core.frontend import FrontEnd, FrontEndEvents
 
-        process = FrontEnd(
-            job.predictor.build(), job.estimator.build(), job.policy.build()
-        ).process
-        result = FrontEndResult()
-        collect = job.collect_outputs
-        warmup = job.warmup
+        frontend = FrontEnd(
+            job.predictor.build(),
+            job.estimator.build(),
+            job.policy.build(),
+            collect_outputs=job.collect_outputs,
+        )
         events = []
-        for i, record in enumerate(trace):
-            event = process(record)
-            if i >= warmup:
-                aggregate_event(result, event, collect)
-                events.append(event)
+        result = frontend.replay(trace, job.warmup, events)
         events = FrontEndEvents.of(events)
     _count_replay(backend, started)
     return ReplayOutcome(events=events, result=result, backend=backend)

@@ -106,12 +106,6 @@ class Spec:
         """Params as a plain dict (copies; specs stay frozen)."""
         return dict(self.params)
 
-    def with_params(self, **updates: Any) -> "Spec":
-        """Copy with some params replaced or added."""
-        merged = self.param_dict()
-        merged.update(updates)
-        return type(self).of(self.kind, **merged)
-
     def build(self) -> Any:
         """Instantiate the described component."""
         registry = type(self)._registry

@@ -48,11 +48,6 @@ class WarmupCurveResult:
     pvn_improvement: float
     spec_improvement: float
 
-    @property
-    def still_improving(self) -> bool:
-        """PVN in the last window exceeds the first window's."""
-        return self.pvn_improvement > 0
-
     def format(self) -> str:
         table = format_table(
             [p.as_dict() for p in self.points],

@@ -49,12 +49,6 @@ class SimStats:
         return self.correct_path_uops + self.wrong_path_uops
 
     @property
-    def wrong_path_fraction(self) -> float:
-        """Wrong-path share of all executed uops."""
-        total = self.total_uops_executed
-        return self.wrong_path_uops / total if total else 0.0
-
-    @property
     def wrong_path_increase(self) -> float:
         """% increase in uops executed due to mispredictions (Table 2)."""
         if self.correct_path_uops == 0:

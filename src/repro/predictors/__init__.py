@@ -18,7 +18,7 @@ hybrid.  This subpackage implements the whole family from scratch:
   worked examples.
 """
 
-from repro.predictors.base import BranchPredictor, PredictorStats
+from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.hybrid import (
@@ -33,7 +33,6 @@ from repro.predictors.tage import TagePredictor
 
 __all__ = [
     "BranchPredictor",
-    "PredictorStats",
     "BimodalPredictor",
     "GSharePredictor",
     "LocalPredictor",

@@ -1,4 +1,4 @@
-"""Branch predictor interface and accuracy bookkeeping.
+"""Branch predictor interface.
 
 All predictors follow the two-phase protocol of a real front-end /
 back-end split:
@@ -16,48 +16,9 @@ predictors, mirroring the single physical GHR of the hardware.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["PredictorStats", "BranchPredictor"]
-
-
-@dataclass
-class PredictorStats:
-    """Running accuracy counters for a predictor."""
-
-    predictions: int = 0
-    mispredictions: int = 0
-
-    @property
-    def correct(self) -> int:
-        """Number of correct predictions recorded."""
-        return self.predictions - self.mispredictions
-
-    @property
-    def accuracy(self) -> float:
-        """Fraction of predictions that were correct."""
-        if self.predictions == 0:
-            return 0.0
-        return self.correct / self.predictions
-
-    @property
-    def misprediction_rate(self) -> float:
-        """Fraction of predictions that were wrong."""
-        if self.predictions == 0:
-            return 0.0
-        return self.mispredictions / self.predictions
-
-    def record(self, correct: bool) -> None:
-        """Account one resolved branch."""
-        self.predictions += 1
-        if not correct:
-            self.mispredictions += 1
-
-    def reset(self) -> None:
-        """Zero the counters."""
-        self.predictions = 0
-        self.mispredictions = 0
+__all__ = ["BranchPredictor"]
 
 
 class BranchPredictor(ABC):
@@ -65,9 +26,6 @@ class BranchPredictor(ABC):
 
     #: Human-readable identifier used in reports and experiment tables.
     name: str = "predictor"
-
-    def __init__(self):
-        self.stats = PredictorStats()
 
     @abstractmethod
     def predict(self, pc: int) -> bool:
@@ -86,7 +44,7 @@ class BranchPredictor(ABC):
         """
 
     def update(self, pc: int, taken: bool, prediction: Optional[bool] = None) -> None:
-        """Retire one branch: train tables, shift history, log accuracy.
+        """Retire one branch: train tables, then shift history.
 
         ``prediction`` should be the value returned by :meth:`predict`
         for this dynamic instance; if omitted it is re-derived (only
@@ -96,7 +54,6 @@ class BranchPredictor(ABC):
             prediction = self.predict(pc)
         self.train(pc, taken, prediction)
         self._shift_history(taken)
-        self.stats.record(prediction == taken)
 
     def _shift_history(self, taken: bool) -> None:
         """Shift internal history, if this predictor owns one."""
@@ -121,10 +78,6 @@ class BranchPredictor(ABC):
         """Storage in KiB, for Table 1 style reporting."""
         return self.storage_bits / 8.0 / 1024.0
 
-    def reset(self) -> None:
-        """Clear tables, history and statistics."""
-        self.stats.reset()
-
     def state_canonical(self) -> tuple:
         """All adaptive state as a nested tuple of plain Python ints.
 
@@ -133,7 +86,7 @@ class BranchPredictor(ABC):
         reference oracle must lower to the *same* tuple after the same
         update stream, so a single digest comparison certifies whole
         tables at once.  Transient per-branch scratch state (pending
-        signals, stats counters) is excluded.
+        signals) is excluded.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not expose canonical state"

@@ -20,7 +20,6 @@ class BimodalPredictor(BranchPredictor):
     """PC-indexed table of saturating counters."""
 
     def __init__(self, entries: int = 16384, counter_bits: int = 2):
-        super().__init__()
         self.name = f"bimodal-{entries}"
         self._table = CounterTable(entries, bits=counter_bits, mode="saturating",
                                    initial=(1 << counter_bits) // 2)
@@ -47,25 +46,9 @@ class BimodalPredictor(BranchPredictor):
         # Distance from the weak midpoint, normalised to [0, 1].
         return abs(value + 0.5 - self._midpoint) / (self._midpoint - 0.5)
 
-    def counter_value(self, pc: int) -> int:
-        """Raw counter state for the branch (Smith estimator hook)."""
-        return self._table.read(self._index(pc))
-
     @property
     def storage_bits(self) -> int:
         return self._table.storage_bits
 
-    def reset(self) -> None:
-        super().reset()
-        self._table.fill((self._table.max_value + 1) // 2)
-
     def state_canonical(self) -> tuple:
         return ("bimodal", tuple(int(v) for v in self._table.snapshot()))
-
-    def state_dict(self) -> dict:
-        """Serialisable table state."""
-        return {"table": self._table.state_dict()["table"]}
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore counters saved by :meth:`state_dict`."""
-        self._table.load_state_dict({"table": state["table"]})

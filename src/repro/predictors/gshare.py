@@ -44,7 +44,6 @@ class GSharePredictor(BranchPredictor):
         counter_bits: int = 2,
         shared_history: Optional[GlobalHistoryRegister] = None,
     ):
-        super().__init__()
         self.name = f"gshare-{entries}-h{history_length}"
         self._index_bits = _index_width(entries)
         if history_length <= 0:
@@ -99,19 +98,9 @@ class GSharePredictor(BranchPredictor):
         value = self._table.read(self._index(pc))
         return abs(value + 0.5 - self._midpoint) / (self._midpoint - 0.5)
 
-    def counter_value(self, pc: int) -> int:
-        """Raw counter state for the current (pc, history) context."""
-        return self._table.read(self._index(pc))
-
     @property
     def storage_bits(self) -> int:
         return self._table.storage_bits
-
-    def reset(self) -> None:
-        super().reset()
-        self._table.fill((self._table.max_value + 1) // 2)
-        if self._owns_history:
-            self._history.clear()
 
     def state_canonical(self) -> tuple:
         return (
@@ -120,15 +109,3 @@ class GSharePredictor(BranchPredictor):
             tuple(int(v) for v in self._table.snapshot()),
             self._history.bits,
         )
-
-    def state_dict(self) -> dict:
-        """Serialisable table + history state."""
-        return {
-            "table": self._table.state_dict()["table"],
-            "history_bits": self._history.bits,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict`."""
-        self._table.load_state_dict({"table": state["table"]})
-        self._history.set_bits(int(state["history_bits"]))

@@ -43,7 +43,6 @@ class CombinedPredictor(BranchPredictor):
         meta_entries: int = 65536,
         name: Optional[str] = None,
     ):
-        super().__init__()
         self.component_a = component_a
         self.component_b = component_b
         self._history = history
@@ -89,13 +88,6 @@ class CombinedPredictor(BranchPredictor):
             + self._meta.storage_bits
         )
 
-    def reset(self) -> None:
-        super().reset()
-        self.component_a.reset()
-        self.component_b.reset()
-        self._meta.fill(2)
-        self._history.clear()
-
     def state_canonical(self) -> tuple:
         return (
             "combined",
@@ -104,38 +96,6 @@ class CombinedPredictor(BranchPredictor):
             tuple(int(v) for v in self._meta.snapshot()),
             self._history.bits,
         )
-
-    _STATE_KIND = "combined_predictor"
-
-    def save(self, path: str) -> None:
-        """Persist warm component tables, chooser and history (.npz).
-
-        Components must expose ``state_dict``/``load_state_dict`` (the
-        bimodal/gshare/perceptron families all do).
-        """
-        from repro.common.state import save_state
-
-        payload = {"meta": self._meta.state_dict()["table"],
-                   "history_bits": self._history.bits}
-        for tag, component in (("a", self.component_a), ("b", self.component_b)):
-            for key, value in component.state_dict().items():
-                payload[f"{tag}_{key}"] = value
-        save_state(path, self._STATE_KIND, payload)
-
-    def load(self, path: str) -> None:
-        """Restore state written by :meth:`save`."""
-        from repro.common.state import load_state
-
-        state = load_state(path, self._STATE_KIND)
-        self._meta.load_state_dict({"table": state["meta"]})
-        self._history.set_bits(int(state["history_bits"]))
-        for tag, component in (("a", self.component_a), ("b", self.component_b)):
-            sub = {
-                key[len(tag) + 1:]: value
-                for key, value in state.items()
-                if key.startswith(f"{tag}_")
-            }
-            component.load_state_dict(sub)
 
 
 def make_baseline_hybrid(

@@ -27,7 +27,6 @@ class LocalPredictor(BranchPredictor):
         history_length: int = 10,
         pattern_bits: int = 2,
     ):
-        super().__init__()
         self.name = f"local-{history_entries}x{history_length}"
         self._histories = LocalHistoryTable(history_entries, history_length)
         self._patterns = CounterTable(
@@ -62,8 +61,3 @@ class LocalPredictor(BranchPredictor):
     @property
     def storage_bits(self) -> int:
         return self._histories.storage_bits + self._patterns.storage_bits
-
-    def reset(self) -> None:
-        super().reset()
-        self._histories.clear()
-        self._patterns.fill((self._patterns.max_value + 1) // 2)

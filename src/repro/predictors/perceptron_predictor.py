@@ -35,7 +35,6 @@ class PerceptronPredictor(BranchPredictor):
         theta: Optional[int] = None,
         shared_history: Optional[GlobalHistoryRegister] = None,
     ):
-        super().__init__()
         self.name = f"perceptron-{entries}-h{history_length}"
         self._array = PerceptronArray(entries, history_length, weight_bits)
         self._theta = jimenez_lin_theta(history_length) if theta is None else theta
@@ -92,12 +91,6 @@ class PerceptronPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         return self._array.storage_bits
 
-    def reset(self) -> None:
-        super().reset()
-        self._array.reset()
-        if self._owns_history:
-            self._history.clear()
-
     def state_canonical(self) -> tuple:
         return (
             "perceptron_predictor",
@@ -106,15 +99,3 @@ class PerceptronPredictor(BranchPredictor):
             ),
             self._history.bits,
         )
-
-    def state_dict(self) -> dict:
-        """Serialisable weight + history state."""
-        return {
-            "weights": self._array.state_dict()["weights"],
-            "history_bits": self._history.bits,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore state saved by :meth:`state_dict`."""
-        self._array.load_state_dict({"weights": state["weights"]})
-        self._history.set_bits(int(state["history_bits"]))

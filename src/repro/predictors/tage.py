@@ -101,7 +101,6 @@ class TagePredictor(BranchPredictor):
         max_history: int = 40,
         u_reset_period: int = 16384,
     ):
-        super().__init__()
         if base_entries < 1:
             raise ValueError(
                 f"base_entries must be positive, got {base_entries}"
@@ -147,11 +146,6 @@ class TagePredictor(BranchPredictor):
         ]
         self._history = GlobalHistoryRegister(self._lengths[-1])
         self._retired = 0
-
-    @property
-    def history_lengths(self) -> Tuple[int, ...]:
-        """Per-table history reach, shortest first."""
-        return self._lengths
 
     @property
     def history(self) -> GlobalHistoryRegister:
@@ -267,19 +261,6 @@ class TagePredictor(BranchPredictor):
             for ctr, useful, tags in zip(self._ctr, self._useful, self._tags)
         )
         return self._base.storage_bits + tagged
-
-    def reset(self) -> None:
-        super().reset()
-        self._base.fill(2)
-        for ctr in self._ctr:
-            ctr.fill(self._ctr_midpoint)
-        for tags in self._tags:
-            for slot in range(len(tags)):
-                tags[slot] = 0
-        for useful in self._useful:
-            useful.fill(0)
-        self._history.clear()
-        self._retired = 0
 
     def state_canonical(self) -> tuple:
         return (

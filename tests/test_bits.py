@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.bits import (
-    bit_at,
     bits_to_pm1,
     fold_bits,
     mask,
@@ -15,8 +14,6 @@ from repro.common.bits import (
     pm1_to_bits,
     popcount,
     sign,
-    to_signed,
-    to_unsigned,
 )
 
 
@@ -35,20 +32,6 @@ class TestMask:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             mask(-1)
-
-
-class TestBitAt:
-    def test_lsb(self):
-        assert bit_at(0b1010, 0) == 0
-        assert bit_at(0b1010, 1) == 1
-
-    def test_high_bit(self):
-        assert bit_at(1 << 40, 40) == 1
-        assert bit_at(1 << 40, 39) == 0
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            bit_at(1, -1)
 
 
 class TestPopcount:
@@ -114,23 +97,6 @@ class TestSign:
         assert sign(-3) == -1
         assert sign(0) == 0
         assert sign(0.001) == 1
-
-
-class TestSignedConversion:
-    def test_roundtrip(self):
-        for value in (-128, -1, 0, 1, 127):
-            assert to_signed(to_unsigned(value, 8), 8) == value
-
-    def test_sign_extension(self):
-        assert to_signed(0xFF, 8) == -1
-        assert to_signed(0x80, 8) == -128
-        assert to_signed(0x7F, 8) == 127
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            to_signed(1, 0)
-        with pytest.raises(ValueError):
-            to_unsigned(1, -4)
 
 
 class TestPm1Encoding:

@@ -63,12 +63,6 @@ class TestAgreementEstimator:
         assert est.primary.history.bits == 1
         assert est.secondary.history.bits == 1
 
-    def test_reset(self, simple_trace):
-        est = AgreementEstimator(*make_pair())
-        FrontEnd(make_baseline_hybrid(), est).replay(simple_trace.slice(0, 800))
-        est.reset()
-        assert not est.primary.array.snapshot().any()
-
 
 class TestCascadeEstimator:
     def test_validation(self):

@@ -2,87 +2,7 @@
 
 import pytest
 
-from repro.common.counters import CounterTable, ResettingCounter, SaturatingCounter
-
-
-class TestSaturatingCounter:
-    def test_initial_state(self):
-        c = SaturatingCounter(bits=2)
-        assert c.value == 0
-        assert c.max_value == 3
-
-    def test_saturates_high(self):
-        c = SaturatingCounter(bits=2)
-        for _ in range(10):
-            c.increment()
-        assert c.value == 3
-
-    def test_saturates_low(self):
-        c = SaturatingCounter(bits=2, initial=1)
-        for _ in range(5):
-            c.decrement()
-        assert c.value == 0
-
-    def test_update_direction(self):
-        c = SaturatingCounter(bits=3, initial=4)
-        c.update(True)
-        assert c.value == 5
-        c.update(False)
-        assert c.value == 4
-
-    def test_msb_is_decision_bit(self):
-        c = SaturatingCounter(bits=2, initial=1)
-        assert not c.msb()
-        c.increment()
-        assert c.msb()
-
-    def test_is_saturated(self):
-        c = SaturatingCounter(bits=2, initial=0)
-        assert c.is_saturated()
-        c.increment()
-        assert not c.is_saturated()
-        c.reset(3)
-        assert c.is_saturated()
-
-    def test_reset_validation(self):
-        c = SaturatingCounter(bits=2)
-        with pytest.raises(ValueError):
-            c.reset(4)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=2, initial=5)
-
-
-class TestResettingCounter:
-    def test_counts_correct_streak(self):
-        c = ResettingCounter(bits=4)
-        for i in range(5):
-            c.record(True)
-        assert c.value == 5
-
-    def test_reset_on_miss(self):
-        c = ResettingCounter(bits=4)
-        for _ in range(7):
-            c.record(True)
-        c.record(False)
-        assert c.value == 0
-
-    def test_saturates(self):
-        c = ResettingCounter(bits=4)
-        for _ in range(100):
-            c.record(True)
-        assert c.value == 15
-
-    def test_miss_distance_semantics(self):
-        c = ResettingCounter(bits=4)
-        c.record(True)
-        c.record(False)
-        c.record(True)
-        c.record(True)
-        assert c.value == 2  # two corrects since the last miss
+from repro.common.counters import CounterTable
 
 
 class TestCounterTable:
@@ -118,11 +38,6 @@ class TestCounterTable:
         t.update(0, False)
         assert not t.msb(0)
 
-    def test_fill(self):
-        t = CounterTable(entries=4, bits=2)
-        t.fill(3)
-        assert all(t.read(i) == 3 for i in range(4))
-
     def test_storage_bits(self):
         t = CounterTable(entries=8192, bits=4)
         assert t.storage_bits == 8192 * 4
@@ -146,5 +61,3 @@ class TestCounterTable:
         t = CounterTable(entries=4, bits=2)
         with pytest.raises(ValueError):
             t.write(0, 4)
-        with pytest.raises(ValueError):
-            t.fill(-1)

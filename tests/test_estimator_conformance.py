@@ -119,18 +119,6 @@ class TestProtocolConformance:
         assert 0.0 <= matrix.spec <= 1.0
         assert matrix.mispredicted == result.mispredictions
 
-    def test_reset_restores_cold_behaviour(
-        self, estimator_and_predictor, simple_trace
-    ):
-        estimator, predictor = estimator_and_predictor
-        cold = estimator.estimate(0x400000, True)
-        FrontEnd(predictor, estimator).replay(simple_trace.slice(0, 800))
-        estimator.reset()
-        predictor.reset()
-        warm_reset = estimator.estimate(0x400000, True)
-        assert warm_reset.low_confidence == cold.low_confidence
-        assert warm_reset.raw == cold.raw
-
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
 class TestEstimatorStateCanonical:

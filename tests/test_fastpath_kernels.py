@@ -119,7 +119,7 @@ class TestChunkKernels:
         reference = PerceptronArray(
             entries=4, history_length=length, weight_bits=2
         )
-        w_min, w_max = reference.weight_range
+        w_min, w_max = -2, 1  # the 2-bit two's-complement rails
         rng = np.random.default_rng(7)
         xs = rng.choice(
             np.array([-1, 1], dtype=np.int8), size=(len(events), length)
@@ -172,7 +172,7 @@ class TestSwarPasses:
             reference.train(row * 4, True, correct, signal)
             reference.shift_history(taken)
             history = ((history << 1) | int(taken)) & ((1 << length) - 1)
-        w_min, w_max = reference.array.weight_range
+        w_min, w_max = -2, 1  # the 2-bit two's-complement rails
         ys, weights = swar_cic_pass(
             rows=[row for row, _, _ in events],
             correct=[correct for _, _, correct in events],
@@ -216,7 +216,7 @@ class TestSwarPasses:
             reference.train(row * 4, prediction, correct, signal)
             reference.shift_history(taken)
             history = ((history << 1) | int(taken)) & ((1 << length) - 1)
-        w_min, w_max = reference.array.weight_range
+        w_min, w_max = -2, 1  # the 2-bit two's-complement rails
         ys, weights = swar_direction_pass(
             rows=[row for row, _, _ in events],
             takens=[int(taken) for _, taken, _ in events],

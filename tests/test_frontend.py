@@ -77,17 +77,21 @@ class TestRun:
         with pytest.raises(ValueError):
             fe.replay(two_branch_trace(), warmup=-1)
 
+    def test_events_list_receives_post_warmup_events(self):
+        trace = two_branch_trace(50)
+        events = []
+        result = FrontEnd(make_baseline_hybrid(), JRSEstimator()).replay(
+            trace, warmup=60, events=events
+        )
+        fe = FrontEnd(make_baseline_hybrid(), JRSEstimator())
+        assert events == [fe.process(record) for record in trace][60:]
+        assert result.branches == len(events)
+
     def test_always_high_estimator_never_flags(self, simple_trace):
         fe = FrontEnd(make_baseline_hybrid(), AlwaysHighEstimator())
         result = fe.replay(simple_trace)
         assert result.metrics.overall.flagged_low == 0
         assert result.metrics.overall.spec == 0.0
-
-    def test_continue_aggregation(self):
-        fe = FrontEnd(AlwaysTakenPredictor(), AlwaysHighEstimator())
-        first = fe.replay(two_branch_trace(10))
-        combined = fe.replay(two_branch_trace(10), result=first)
-        assert combined.branches == 40
 
     def test_collect_outputs(self, simple_trace):
         fe = FrontEnd(

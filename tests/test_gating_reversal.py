@@ -1,8 +1,5 @@
-"""Unit tests for gating machinery and speculation policies."""
+"""Unit tests for the speculation policies (gating and reversal)."""
 
-import pytest
-
-from repro.core.gating import GatingConfig, LowConfidenceCounter
 from repro.core.reversal import (
     BranchAction,
     GatingOnlyPolicy,
@@ -10,52 +7,6 @@ from repro.core.reversal import (
     ThreeRegionPolicy,
 )
 from repro.core.types import ConfidenceSignal
-
-
-class TestGatingConfig:
-    def test_defaults(self):
-        cfg = GatingConfig()
-        assert cfg.branch_counter_threshold == 1
-        assert cfg.estimator_latency == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GatingConfig(branch_counter_threshold=0)
-        with pytest.raises(ValueError):
-            GatingConfig(estimator_latency=-1)
-
-
-class TestLowConfidenceCounter:
-    def test_figure1_protocol(self):
-        counter = LowConfidenceCounter(threshold=2)
-        counter.on_fetch(True)
-        assert not counter.should_gate()
-        counter.on_fetch(True)
-        assert counter.should_gate()
-        counter.on_resolve(True)
-        assert not counter.should_gate()
-
-    def test_high_confidence_branches_ignored(self):
-        counter = LowConfidenceCounter(threshold=1)
-        counter.on_fetch(False)
-        assert counter.count == 0
-        counter.on_resolve(False)
-        assert counter.count == 0
-
-    def test_underflow_detected(self):
-        counter = LowConfidenceCounter(threshold=1)
-        with pytest.raises(RuntimeError):
-            counter.on_resolve(True)
-
-    def test_flush(self):
-        counter = LowConfidenceCounter(threshold=1)
-        counter.on_fetch(True)
-        counter.flush()
-        assert counter.count == 0
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            LowConfidenceCounter(threshold=0)
 
 
 class TestPolicies:

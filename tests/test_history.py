@@ -40,23 +40,11 @@ class TestGlobalHistoryRegister:
             expected = [1 if (ghr.bits >> i) & 1 else -1 for i in range(12)]
             assert list(ghr.vector) == expected
 
-    def test_set_bits_and_clear(self):
-        ghr = GlobalHistoryRegister(8)
-        ghr.set_bits(0b1010_1010)
-        assert ghr.vector[1] == 1
-        assert ghr.vector[0] == -1
-        ghr.clear()
-        assert ghr.bits == 0
-
-    def test_snapshot_vector_is_copy(self):
-        ghr = GlobalHistoryRegister(4)
-        snap = ghr.snapshot_vector()
-        ghr.push(True)
-        assert snap[0] == -1
-
     def test_folded(self):
         ghr = GlobalHistoryRegister(16)
-        ghr.set_bits(0xABCD)
+        for i in reversed(range(16)):  # oldest (top) bit first
+            ghr.push(bool((0xABCD >> i) & 1))
+        assert ghr.bits == 0xABCD
         assert ghr.folded(8) == (0xAB ^ 0xCD)
 
     def test_validation(self):
@@ -92,12 +80,6 @@ class TestLocalHistoryTable:
         # pc >> 2 congruent mod 4 -> same slot.
         lht.push(0x10, True)
         assert lht.read(0x10 + 16) == 1
-
-    def test_clear(self):
-        lht = LocalHistoryTable(entries=4, history_length=4)
-        lht.push(0, True)
-        lht.clear()
-        assert lht.read(0) == 0
 
     def test_storage_bits(self):
         lht = LocalHistoryTable(entries=2048, history_length=10)

@@ -106,13 +106,3 @@ class TestBehaviorOnStreams:
         matrix = result.metrics.overall
         assert matrix.spec > 0.6
         assert matrix.pvn < 0.5
-
-    def test_reset(self):
-        est = JRSEstimator(threshold=3)
-        pc = 0x40
-        for _ in range(5):
-            est.train(pc, True, True, est.estimate(pc, True))
-        est.shift_history(True)
-        est.reset()
-        assert est.history.bits == 0
-        assert est.estimate(pc, True).low_confidence

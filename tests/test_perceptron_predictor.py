@@ -72,11 +72,3 @@ class TestPerceptronPredictor:
     def test_storage(self):
         p = PerceptronPredictor(entries=512, history_length=24, weight_bits=8)
         assert p.storage_bits == 512 * 25 * 8
-
-    def test_reset(self):
-        p = PerceptronPredictor(entries=8, history_length=8)
-        for _ in range(20):
-            p.update(0x40, True, p.predict(0x40))
-        p.reset()
-        assert p.output(0x40) == 0
-        assert p.history.bits == 0

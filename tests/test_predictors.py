@@ -2,33 +2,10 @@
 
 import pytest
 
-from repro.predictors.base import PredictorStats
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GSharePredictor
 from repro.predictors.local import LocalPredictor
 from repro.predictors.static import AlwaysNotTakenPredictor, AlwaysTakenPredictor
-
-
-class TestPredictorStats:
-    def test_accuracy(self):
-        stats = PredictorStats()
-        for correct in (True, True, False, True):
-            stats.record(correct)
-        assert stats.predictions == 4
-        assert stats.mispredictions == 1
-        assert stats.accuracy == pytest.approx(0.75)
-        assert stats.misprediction_rate == pytest.approx(0.25)
-
-    def test_empty(self):
-        stats = PredictorStats()
-        assert stats.accuracy == 0.0
-        assert stats.misprediction_rate == 0.0
-
-    def test_reset(self):
-        stats = PredictorStats()
-        stats.record(False)
-        stats.reset()
-        assert stats.predictions == 0
 
 
 class TestStaticPredictors:
@@ -36,14 +13,14 @@ class TestStaticPredictors:
         p = AlwaysTakenPredictor()
         assert p.predict(0x1234)
         p.update(0x1234, False, True)
-        assert p.stats.mispredictions == 1
+        assert p.predict(0x1234)  # a misprediction teaches it nothing
         assert p.storage_bits == 0
 
     def test_always_not_taken(self):
         p = AlwaysNotTakenPredictor()
         assert not p.predict(0x1234)
-        p.update(0x1234, False, False)
-        assert p.stats.mispredictions == 0
+        p.update(0x1234, True, False)
+        assert not p.predict(0x1234)
 
 
 class TestBimodal:
@@ -65,8 +42,10 @@ class TestBimodal:
 
     def test_update_derives_prediction_when_missing(self):
         p = BimodalPredictor(entries=64)
-        p.update(0x40, True)
-        assert p.stats.predictions == 1
+        p.update(0x40, False)
+        # The counter at slot (0x40 >> 2) % 64 trains from weakly taken.
+        assert p.state_canonical()[1][16] == 1
+        assert p.predict(0x40) is False
 
     def test_aliasing(self):
         p = BimodalPredictor(entries=16)
@@ -86,14 +65,6 @@ class TestBimodal:
 
     def test_storage(self):
         assert BimodalPredictor(entries=16384).storage_bits == 32768
-
-    def test_reset(self):
-        p = BimodalPredictor(entries=16)
-        for _ in range(4):
-            p.update(0x40, False, p.predict(0x40))
-        p.reset()
-        assert p.stats.predictions == 0
-        assert p.predict(0x40) is True  # back to weakly-taken init
 
 
 class TestGShare:
@@ -117,16 +88,22 @@ class TestGShare:
     def test_context_separation(self):
         p = GSharePredictor(entries=1024, history_length=2)
         pc = 0x400000
+
+        def set_history(taken):
+            # Two pushes replace the whole 2-bit register.
+            p.history.push(taken)
+            p.history.push(taken)
+
         # Same pc, different history contexts learn different outcomes.
-        p.history.set_bits(0b00)
+        set_history(False)
         for _ in range(3):
             p.train(pc, True, p.predict(pc))
-        p.history.set_bits(0b11)
+        set_history(True)
         for _ in range(3):
             p.train(pc, False, p.predict(pc))
-        p.history.set_bits(0b00)
+        set_history(False)
         assert p.predict(pc) is True
-        p.history.set_bits(0b11)
+        set_history(True)
         assert p.predict(pc) is False
 
     def test_shared_history_not_shifted(self):
@@ -175,12 +152,6 @@ class TestLocal:
         for taken in (True, False, True):
             p.update(pc, taken, p.predict(pc))
         assert p.local_pattern(pc) == 0b101
-
-    def test_reset(self):
-        p = LocalPredictor(history_entries=64, history_length=4)
-        p.update(0x40, True, p.predict(0x40))
-        p.reset()
-        assert p.local_pattern(0x40) == 0
 
     def test_storage_counts_both_levels(self):
         p = LocalPredictor(history_entries=2048, history_length=10)

@@ -4,15 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import (
-    bits_to_pm1,
-    fold_bits,
-    mask,
-    pm1_to_bits,
-    to_signed,
-    to_unsigned,
-)
-from repro.common.counters import CounterTable, ResettingCounter, SaturatingCounter
+from repro.common.bits import bits_to_pm1, fold_bits, mask, pm1_to_bits
+from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
 from repro.common.perceptron import PerceptronArray
 from repro.core.metrics import ConfidenceMatrix
@@ -30,35 +23,12 @@ class TestBitsProperties:
         if value <= mask(width):
             assert fold_bits(value, width) == value
 
-    @given(st.integers(min_value=2, max_value=16), st.integers())
-    def test_signed_unsigned_roundtrip(self, bits, value):
-        lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-        clamped = max(lo, min(hi, value))
-        assert to_signed(to_unsigned(clamped, bits), bits) == clamped
-
     @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
     def test_pm1_roundtrip(self, bits):
         assert pm1_to_bits(bits_to_pm1(bits, 20)) == bits
 
 
 class TestCounterProperties:
-    @given(st.lists(st.booleans(), max_size=200),
-           st.integers(min_value=1, max_value=8))
-    def test_saturating_counter_in_range(self, updates, bits):
-        c = SaturatingCounter(bits=bits)
-        for up in updates:
-            c.update(up)
-            assert 0 <= c.value <= c.max_value
-
-    @given(st.lists(st.booleans(), max_size=200))
-    def test_resetting_counter_is_streak_length(self, events):
-        c = ResettingCounter(bits=8)
-        streak = 0
-        for correct in events:
-            c.record(correct)
-            streak = min(streak + 1, 255) if correct else 0
-            assert c.value == streak
-
     @given(
         st.lists(
             st.tuples(st.integers(min_value=0, max_value=1000), st.booleans()),
@@ -105,11 +75,11 @@ class TestPerceptronProperties:
     @settings(max_examples=40)
     def test_weights_always_in_range(self, steps):
         arr = PerceptronArray(entries=4, history_length=8, weight_bits=5)
-        lo, hi = arr.weight_range
+        lo, hi = -16, 15  # the 5-bit two's-complement rails
         for bits, target in steps:
             x = np.array(bits_to_pm1(bits, 8), dtype=np.int8)
             arr.train(0, x, target)
-            w = arr.weights_for(0)
+            w = arr.snapshot()[arr.index(0)]
             assert w.min() >= lo and w.max() <= hi
 
     @given(st.integers(min_value=0, max_value=255))
@@ -118,7 +88,8 @@ class TestPerceptronProperties:
         x = np.array(bits_to_pm1(bits, 8), dtype=np.int8)
         for _ in range(50):
             arr.train(0, x, 1)
-        assert abs(arr.output(0, x)) <= arr.max_output
+        # Nine weights (bias + 8 inputs), each at most 8 in magnitude.
+        assert abs(arr.output(0, x)) <= 9 * 8
 
     @given(st.integers(min_value=0, max_value=255), st.sampled_from([1, -1]))
     def test_training_never_moves_away(self, bits, target):

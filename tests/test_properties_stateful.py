@@ -3,9 +3,8 @@
 Where :mod:`tests.test_properties` checks single operations, these
 machines drive the hardware-model data structures through *arbitrary
 interleaved operation sequences* against naive pure-Python models, so
-ordering bugs (saturation applied before the update, a reset that
-forgets one field, state_dict round-trips that drop in-flight state)
-cannot hide.
+ordering bugs (saturation applied before the update, a write that
+lands in the wrong slot) cannot hide.
 """
 
 import numpy as np
@@ -13,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.common.counters import CounterTable, SaturatingCounter
+from repro.common.counters import CounterTable
 from repro.common.perceptron import PerceptronArray
 
 _PCS = st.integers(min_value=0, max_value=(1 << 32) - 1)
@@ -31,7 +30,8 @@ class PerceptronArrayMachine(RuleBasedStateMachine):
         self.array = PerceptronArray(
             self.ENTRIES, self.HISTORY, weight_bits=self.WEIGHT_BITS
         )
-        self.w_min, self.w_max = self.array.weight_range
+        self.w_min = -(1 << (self.WEIGHT_BITS - 1))
+        self.w_max = (1 << (self.WEIGHT_BITS - 1)) - 1
         self.model = [[0] * (self.HISTORY + 1) for _ in range(self.ENTRIES)]
 
     def _row(self, pc):
@@ -65,57 +65,12 @@ class PerceptronArrayMachine(RuleBasedStateMachine):
         expected = row[0] + sum(w * v for w, v in zip(row[1:], inputs))
         assert self.array.output(pc, x) == expected
 
-    @rule()
-    def roundtrip_state_dict(self):
-        state = self.array.state_dict()
-        fresh = PerceptronArray(
-            self.ENTRIES, self.HISTORY, weight_bits=self.WEIGHT_BITS
-        )
-        fresh.load_state_dict(state)
-        assert np.array_equal(fresh.snapshot(), self.array.snapshot())
-        self.array = fresh
-
-    @rule()
-    def reset(self):
-        self.array.reset()
-        self.model = [[0] * (self.HISTORY + 1) for _ in range(self.ENTRIES)]
-
     @invariant()
     def weights_match_and_stay_clamped(self):
         snapshot = self.array.snapshot()
         assert snapshot.min() >= self.w_min
         assert snapshot.max() <= self.w_max
         assert [list(map(int, row)) for row in snapshot] == self.model
-
-
-class SaturatingCounterMachine(RuleBasedStateMachine):
-    """SaturatingCounter vs clamped-integer arithmetic."""
-
-    BITS = 3
-
-    def __init__(self):
-        super().__init__()
-        self.counter = SaturatingCounter(bits=self.BITS, initial=2)
-        self.model = 2
-        self.max = (1 << self.BITS) - 1
-
-    @rule(up=st.booleans())
-    def update(self, up):
-        self.counter.update(up)
-        self.model = min(self.model + 1, self.max) if up else max(
-            self.model - 1, 0
-        )
-
-    @rule(value=st.integers(min_value=0, max_value=(1 << BITS) - 1))
-    def reset(self, value):
-        self.counter.reset(value)
-        self.model = value
-
-    @invariant()
-    def value_and_msb_match(self):
-        assert self.counter.value == self.model
-        assert self.counter.msb() == bool(self.model >> (self.BITS - 1))
-        assert self.counter.is_saturated() == (self.model in (0, self.max))
 
 
 class CounterTableMachine(RuleBasedStateMachine):
@@ -160,14 +115,6 @@ class CounterTableMachine(RuleBasedStateMachine):
             table.write(index, value)
             self.models[mode][index % self.ENTRIES] = value
 
-    @rule()
-    def roundtrip_state_dict(self):
-        for mode, table in self.tables.items():
-            fresh = CounterTable(self.ENTRIES, bits=self.BITS, mode=mode)
-            fresh.load_state_dict(table.state_dict())
-            assert np.array_equal(fresh.snapshot(), table.snapshot())
-            self.tables[mode] = fresh
-
     @invariant()
     def tables_match_models(self):
         for mode, table in self.tables.items():
@@ -183,7 +130,5 @@ _SETTINGS = settings(max_examples=40, stateful_step_count=30, deadline=None)
 
 TestPerceptronArrayStateful = PerceptronArrayMachine.TestCase
 TestPerceptronArrayStateful.settings = _SETTINGS
-TestSaturatingCounterStateful = SaturatingCounterMachine.TestCase
-TestSaturatingCounterStateful.settings = _SETTINGS
 TestCounterTableStateful = CounterTableMachine.TestCase
 TestCounterTableStateful.settings = _SETTINGS

@@ -1,6 +1,6 @@
 """Unit tests for repro.common.rng."""
 
-from repro.common.rng import RandomStreams, derive_seed
+from repro.common.rng import derive_seed
 
 
 class TestDeriveSeed:
@@ -21,27 +21,3 @@ class TestDeriveSeed:
             s = derive_seed(i, "n")
             assert 0 <= s < (1 << 63)
 
-
-class TestRandomStreams:
-    def test_memoised(self):
-        streams = RandomStreams(42)
-        assert streams.get("a") is streams.get("a")
-
-    def test_independent_names(self):
-        streams = RandomStreams(42)
-        a = streams.get("a").random(8)
-        b = streams.get("b").random(8)
-        assert not (a == b).all()
-
-    def test_fresh_restarts_sequence(self):
-        streams = RandomStreams(42)
-        first = streams.fresh("x").random(4)
-        second = streams.fresh("x").random(4)
-        assert (first == second).all()
-
-    def test_seed_for_matches_get(self):
-        streams = RandomStreams(7)
-        assert streams.seed_for("y") == derive_seed(7, "y")
-
-    def test_root_seed_property(self):
-        assert RandomStreams(5).root_seed == 5

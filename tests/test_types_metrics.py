@@ -110,10 +110,3 @@ class TestMetricsCollector:
         c.record(0x44, False, False)
         assert c.per_pc[0x40].low_mispredicted == 1
         assert c.per_pc[0x44].high_correct == 1
-
-    def test_reset(self):
-        c = MetricsCollector(track_per_pc=True)
-        c.record(0x40, True, True)
-        c.reset()
-        assert c.overall.total == 0
-        assert c.per_pc == {}
