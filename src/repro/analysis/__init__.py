@@ -6,9 +6,13 @@
 - :mod:`repro.analysis.branches` -- per-static-branch predictability
   profiles (direction entropy, accuracy) and the H2P taxonomy.
 - :mod:`repro.analysis.sweep` -- threshold sweeps producing
-  (Spec, PVN) curves and U/P frontiers.
-- :mod:`repro.analysis.tables` -- plain-text table rendering used by
-  the experiment harness and examples.
+  (Spec, PVN) points; :mod:`repro.analysis.curves` compares the
+  curves they trace.
+- :mod:`repro.analysis.stability` and :mod:`repro.analysis.timeline`
+  -- spread across seeds and metrics per trace window.
+- :mod:`repro.analysis.tables`, :mod:`repro.analysis.export` and
+  :mod:`repro.analysis.report` -- the plain-text tables, result rows
+  and Markdown report that experiments and examples print.
 """
 
 from repro.analysis.branches import (
@@ -26,12 +30,11 @@ from repro.analysis.curves import (
     dominates,
 )
 from repro.analysis.density import OutputDensity, RegionSummary
-from repro.analysis.export import rows_from_result, write_csv, write_json
-from repro.analysis.report import markdown_table, render_report, write_report
+from repro.analysis.export import rows_from_result
+from repro.analysis.report import markdown_table, render_report
 from repro.analysis.stability import MetricSpread, sweep_seeds
 from repro.analysis.sweep import ThresholdPoint, sweep_estimator_thresholds
 from repro.analysis.tables import format_table
-from repro.analysis.textplot import density_plot, frontier_plot
 from repro.analysis.timeline import MetricTimeline, WindowPoint
 
 __all__ = [
@@ -49,17 +52,12 @@ __all__ = [
     "RegionSummary",
     "markdown_table",
     "render_report",
-    "write_report",
     "MetricSpread",
     "sweep_seeds",
     "ThresholdPoint",
     "sweep_estimator_thresholds",
     "format_table",
     "rows_from_result",
-    "write_csv",
-    "write_json",
-    "density_plot",
-    "frontier_plot",
     "MetricTimeline",
     "WindowPoint",
 ]

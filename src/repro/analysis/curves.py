@@ -88,13 +88,6 @@ class ConfidenceCurve:
                 return left.pvn + frac * (right.pvn - left.pvn)
         return pts[-1].pvn
 
-    def best_threshold_for_coverage(self, spec: float) -> Optional[float]:
-        """Threshold of the nearest sampled point at/above a coverage."""
-        candidates = [p for p in self._points if p.spec >= spec]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda p: p.spec).threshold
-
     def __len__(self) -> int:
         return len(self._points)
 

@@ -1,18 +1,16 @@
-"""Export experiment results to CSV / JSON.
+"""Rows of an experiment result as plain dictionaries.
 
 Every experiment result in :mod:`repro.experiments` exposes rows as
 dictionaries (via ``as_dict`` on its row objects or a ``rows`` list);
-these helpers serialise those rows for downstream plotting without
-adding any dependency beyond the standard library.
+:func:`rows_from_result` extracts them for the Markdown report and the
+result store.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Mapping, Sequence
 
-__all__ = ["rows_from_result", "write_csv", "write_json"]
+__all__ = ["rows_from_result"]
 
 
 def rows_from_result(result) -> List[dict]:
@@ -43,28 +41,3 @@ def rows_from_result(result) -> List[dict]:
         "'rows', 'cells', or a sequence of mappings"
     )
 
-
-def write_csv(result, path: str, columns: Optional[Sequence[str]] = None) -> int:
-    """Write an experiment result to CSV; returns the row count."""
-    rows = rows_from_result(result)
-    if not rows:
-        with open(path, "w", newline="", encoding="utf-8"):
-            pass
-        return 0
-    fieldnames = list(columns) if columns else list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return len(rows)
-
-
-def write_json(result, path: str, label: Optional[str] = None) -> int:
-    """Write an experiment result to JSON; returns the row count."""
-    rows = rows_from_result(result)
-    payload = {"label": label, "rows": rows} if label else {"rows": rows}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, default=str)
-        fh.write("\n")
-    return len(rows)

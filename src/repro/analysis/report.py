@@ -5,8 +5,7 @@ Renders any collection of experiment results (objects exposing rows via
 a section per experiment -- the machine-generated counterpart of the
 hand-curated EXPERIMENTS.md.  The sweep report behind ``--markdown`` on
 ``python -m repro.sweeps run`` and ``python -m repro.experiments`` is
-rendered here (:func:`repro.sweeps.report_markdown`); directly
-scriptable too.
+rendered here (:func:`repro.sweeps.report_markdown`).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ __all__ = [
     "markdown_table",
     "render_report",
     "render_verification_report",
-    "write_report",
 ]
 
 
@@ -119,14 +117,3 @@ def render_verification_report(
         lines += ["All layers passed.", ""]
     return "\n".join(lines)
 
-
-def write_report(
-    results: Dict[str, object],
-    path: str,
-    title: str = "Experiment report",
-    preamble: Optional[str] = None,
-) -> None:
-    """Render and write a Markdown report to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_report(results, title=title, preamble=preamble))
-        fh.write("\n")

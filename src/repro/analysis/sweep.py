@@ -29,14 +29,6 @@ class ThresholdPoint:
     flagged_low_fraction: float
     misprediction_rate: float
 
-    def as_row(self) -> dict:
-        """Table 3 style row."""
-        return {
-            "lambda": self.threshold,
-            "PVN_pct": round(100.0 * self.pvn, 1),
-            "Spec_pct": round(100.0 * self.spec, 1),
-        }
-
 
 def sweep_estimator_thresholds(
     trace: Trace,

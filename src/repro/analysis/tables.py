@@ -1,6 +1,6 @@
 """Plain-text table rendering for experiment reports.
 
-The benchmark harness prints each reproduced table/figure as an ASCII
+Each experiment prints its reproduced table/figure as an ASCII
 table matching the paper's row/column structure, so paper-vs-measured
 comparison is a side-by-side read.
 """

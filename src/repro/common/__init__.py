@@ -4,8 +4,7 @@ This subpackage contains the hardware-flavoured primitives every other
 subsystem is built from:
 
 - :mod:`repro.common.bits` -- bit-twiddling helpers (masks, folding
-  hashes, the +/-1 perceptron input encoding) used by table-indexed
-  predictors.
+  hashes, splitmix mixing) used by table-indexed predictors.
 - :mod:`repro.common.counters` -- vectorised tables of saturating or
   resetting counters, the storage element of classic predictors and of
   the JRS confidence estimator.
@@ -26,7 +25,6 @@ from repro.common.bits import (
     mask,
     mix_hash,
     popcount,
-    sign,
 )
 from repro.common.counters import CounterTable
 from repro.common.history import (
@@ -41,7 +39,6 @@ __all__ = [
     "mask",
     "mix_hash",
     "popcount",
-    "sign",
     "CounterTable",
     "GlobalHistoryRegister",
     "LocalHistoryTable",

@@ -3,9 +3,9 @@
 Hardware branch predictors index SRAM tables with hashes of the branch
 address and history bits.  These helpers provide the small vocabulary of
 operations those index functions are built from: masking to a field
-width, XOR-folding a wide value into a narrow one, and the +/-1
-perceptron input encoding.  :func:`mix_hash` has a vectorised twin,
-:func:`mix_hash_u64`, for whole uint64 columns.
+width, counting set bits and XOR-folding a wide value into a narrow
+one.  :func:`mix_hash` has a vectorised twin, :func:`mix_hash_u64`,
+for whole uint64 columns.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ __all__ = [
     "fold_bits",
     "mix_hash",
     "mix_hash_u64",
-    "sign",
-    "bits_to_pm1",
-    "pm1_to_bits",
 ]
 
 # 64-bit golden-ratio multiplier used by :func:`mix_hash`.
@@ -87,34 +84,3 @@ def mix_hash_u64(values: np.ndarray) -> np.ndarray:
         v = (v ^ (v >> u64(27))) * u64(0x94D049BB133111EB)
     return v ^ (v >> u64(31))
 
-
-def sign(value: float) -> int:
-    """Return -1, 0 or +1 matching the sign of ``value``."""
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    return 0
-
-
-def bits_to_pm1(history: int, length: int) -> tuple:
-    """Expand ``length`` low bits of ``history`` into a +/-1 tuple.
-
-    Bit ``i`` of the register becomes element ``i`` of the tuple: 1 for a
-    taken branch, -1 for a not-taken branch.  This is the perceptron
-    input encoding from Section 3 of the paper.
-    """
-    if length < 0:
-        raise ValueError(f"history length must be non-negative, got {length}")
-    return tuple(1 if (history >> i) & 1 else -1 for i in range(length))
-
-
-def pm1_to_bits(values) -> int:
-    """Inverse of :func:`bits_to_pm1`; +1 maps to a set bit."""
-    out = 0
-    for i, v in enumerate(values):
-        if v not in (1, -1):
-            raise ValueError(f"perceptron inputs must be +/-1, got {v!r}")
-        if v == 1:
-            out |= 1 << i
-    return out

@@ -31,18 +31,15 @@ class GlobalHistoryRegister:
 
     __slots__ = ("_length", "_mask", "_bits", "_vector")
 
-    def __init__(self, length: int, initial: int = 0):
+    def __init__(self, length: int):
         if length <= 0:
             raise ValueError(f"history length must be positive, got {length}")
         if length > 64:
             raise ValueError(f"history length above 64 is unsupported, got {length}")
         self._length = length
         self._mask = mask(length)
-        self._bits = initial & self._mask
-        self._vector = np.array(
-            [1 if (self._bits >> i) & 1 else -1 for i in range(length)],
-            dtype=np.int8,
-        )
+        self._bits = 0
+        self._vector = np.full(length, -1, dtype=np.int8)
 
     @property
     def length(self) -> int:
@@ -63,22 +60,12 @@ class GlobalHistoryRegister:
         """
         return self._vector
 
-    def snapshot(self) -> int:
-        """Return the current history bits (cheap immutable snapshot)."""
-        return self._bits
-
     def push(self, taken: bool) -> None:
         """Shift in one resolved branch outcome."""
         self._bits = ((self._bits << 1) | (1 if taken else 0)) & self._mask
         # Shift the vector view: element i becomes old element i-1.
         self._vector[1:] = self._vector[:-1]
         self._vector[0] = 1 if taken else -1
-
-    def folded(self, width: int) -> int:
-        """XOR-fold the history down to ``width`` bits (gshare indexing)."""
-        from repro.common.bits import fold_bits
-
-        return fold_bits(self._bits, width)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,7 @@
 """Branch confidence estimation -- the paper's contribution.
 
-This subpackage implements every confidence estimator discussed in the
-paper plus the machinery that consumes their output:
+This subpackage implements the paper's estimator, the estimators it is
+measured against and the machinery that consumes their output:
 
 - :class:`~repro.core.perceptron_estimator.PerceptronConfidenceEstimator`
   -- the paper's estimator, trainable in ``"cic"`` (correct/incorrect,
@@ -13,6 +13,9 @@ paper plus the machinery that consumes their output:
   predictor's own saturating counters.
 - :class:`~repro.core.pattern.PatternEstimator` -- Tyson's
   pattern-history classifier.
+- :mod:`~repro.core.path_perceptron` and
+  :mod:`~repro.core.combined_estimator` -- the path-based perceptron
+  and the perceptron+JRS fusions of the extension experiments.
 - :mod:`~repro.core.reversal` -- branch reversal and the combined
   three-region policy of Section 5.5.
 - :mod:`~repro.core.metrics` -- Spec/PVN and friends (Section 2.2).
@@ -20,7 +23,6 @@ paper plus the machinery that consumes their output:
   estimator and a policy over a trace.
 """
 
-from repro.core.agreement import ComponentAgreementEstimator
 from repro.core.combined_estimator import AgreementEstimator, CascadeEstimator
 from repro.core.estimator import AlwaysHighEstimator, ConfidenceEstimator
 from repro.core.frontend import (
@@ -50,7 +52,6 @@ __all__ = [
     "AgreementEstimator",
     "AlwaysHighEstimator",
     "CascadeEstimator",
-    "ComponentAgreementEstimator",
     "ConfidenceEstimator",
     "oracle_events",
     "FrontEnd",

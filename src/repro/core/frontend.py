@@ -252,16 +252,6 @@ class FrontEndResult:
         """Raw predictor misprediction rate."""
         return self.mispredictions / self.branches if self.branches else 0.0
 
-    @property
-    def final_misprediction_rate(self) -> float:
-        """Misprediction rate after reversal acted."""
-        return self.final_mispredictions / self.branches if self.branches else 0.0
-
-    @property
-    def net_reversal_gain(self) -> int:
-        """Mispredictions removed by reversal (negative = made worse)."""
-        return self.reversals_correcting - self.reversals_breaking
-
 
 def aggregate_event(
     res: FrontEndResult, event: FrontEndEvent, collect_outputs: bool = False
@@ -283,9 +273,7 @@ def aggregate_event(
             res.reversals_correcting += 1
         elif event.predictor_correct and not event.final_correct:
             res.reversals_breaking += 1
-    res.metrics.record(
-        event.pc, event.signal.low_confidence, not event.predictor_correct
-    )
+    res.metrics.record(event.signal.low_confidence, not event.predictor_correct)
     if collect_outputs:
         if event.predictor_correct:
             res.outputs_correct.append(event.signal.raw)

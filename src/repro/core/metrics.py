@@ -131,23 +131,11 @@ class ConfidenceMatrix:
 
 
 class MetricsCollector:
-    """Streams per-branch events into overall and per-pc matrices."""
+    """Streams per-branch events into the run's overall matrix."""
 
-    def __init__(self, track_per_pc: bool = False):
+    def __init__(self):
         self.overall = ConfidenceMatrix()
-        self._per_pc = {} if track_per_pc else None
 
-    def record(self, pc: int, low_confidence: bool, mispredicted: bool) -> None:
-        """Account one resolved branch (optionally per static branch)."""
+    def record(self, low_confidence: bool, mispredicted: bool) -> None:
+        """Account one resolved branch."""
         self.overall.record(low_confidence, mispredicted)
-        if self._per_pc is not None:
-            matrix = self._per_pc.get(pc)
-            if matrix is None:
-                matrix = ConfidenceMatrix()
-                self._per_pc[pc] = matrix
-            matrix.record(low_confidence, mispredicted)
-
-    @property
-    def per_pc(self) -> dict:
-        """Per-static-branch matrices (empty unless tracking enabled)."""
-        return dict(self._per_pc) if self._per_pc else {}

@@ -54,11 +54,6 @@ class PolicyDecision:
     action: BranchAction
     final_prediction: bool
 
-    @property
-    def counts_toward_gating(self) -> bool:
-        """Whether this branch increments the low-confidence counter."""
-        return self.action is BranchAction.GATE
-
 
 class SpeculationPolicy(ABC):
     """Maps (confidence signal, prediction) to a front-end action."""

@@ -1,9 +1,10 @@
 """Experiment harness: one module per paper table/figure.
 
-Each experiment module exposes a ``run(...)`` function returning a
-structured result object with a ``rows()``/``format()`` pair, so both
-the benchmark harness and the command line driver
-(``python -m repro.experiments``) print the same paper-shaped tables.
+Each experiment module exposes a ``jobs(settings)`` planner and a
+``run(settings)`` function returning a structured result object with
+rows and a ``format()`` summary, so the command line
+(``python -m repro.experiments``), the sweeps and the Markdown report
+print the same paper-shaped tables.
 
 Experiment index (see DESIGN.md section 4 for the full mapping):
 

@@ -30,69 +30,46 @@ changes any result (see :mod:`repro.engine`).
 from __future__ import annotations
 
 import argparse
+import importlib
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.experiments import (
-    ablation_combined,
-    ablation_history,
-    ablation_indexing,
-    ablation_training,
-    energy,
-    figure4_5,
-    figure6_7,
-    figure8,
-    figure9,
-    h2p_confidence,
-    latency,
-    oracle_bound,
-    seed_stability,
-    smt,
-    throttle,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    warmup_curve,
-)
 from repro.experiments.common import DEFAULT_SETTINGS, ExperimentSettings
 
-__all__ = ["PAPER_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "EXPERIMENTS",
-           "EXPERIMENT_JOBS", "select_experiments", "selection_spec",
-           "resolve_settings", "main"]
+__all__ = ["PAPER_IDS", "EXTENSION_IDS", "PAPER_EXPERIMENTS",
+           "EXTENSION_EXPERIMENTS", "EXPERIMENTS", "EXPERIMENT_JOBS",
+           "select_experiments", "selection_spec", "resolve_settings",
+           "main"]
 
-#: The paper's tables and figures.
-PAPER_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
-    "table2": table2.run,
-    "table3": table3.run,
-    "table4": table4.run,
-    "table5": table5.run,
-    "table6": table6.run,
-    "figure4_5": figure4_5.run,
-    "figure6_7": figure6_7.run,
-    "figure8": figure8.run,
-    "figure9": figure9.run,
-    "latency": latency.run,
-}
+#: The paper's tables and figures, in report order.  Each id names its
+#: module under :mod:`repro.experiments`.
+PAPER_IDS = (
+    "table2", "table3", "table4", "table5", "table6",
+    "figure4_5", "figure6_7", "figure8", "figure9", "latency",
+)
 
 #: Beyond-the-paper ablations and extensions (run with --extensions or
-#: by name).
-EXTENSION_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
-    "oracle_bound": oracle_bound.run,
-    "energy": energy.run,
-    "smt": smt.run,
-    "ablation_training": ablation_training.run,
-    "ablation_combined": ablation_combined.run,
-    "ablation_history": ablation_history.run,
-    "ablation_indexing": ablation_indexing.run,
-    "seed_stability": seed_stability.run,
-    "throttle": throttle.run,
-    "warmup_curve": warmup_curve.run,
-    "h2p_confidence": h2p_confidence.run,
+#: by name), in report order.
+EXTENSION_IDS = (
+    "oracle_bound", "energy", "smt", "ablation_training",
+    "ablation_combined", "ablation_history", "ablation_indexing",
+    "seed_stability", "throttle", "warmup_curve", "h2p_confidence",
+)
+
+# Importing the runner imports every experiment module, so planning and
+# running a selection never pays for an import.
+_MODULES = {
+    name: importlib.import_module(f"repro.experiments.{name}")
+    for name in PAPER_IDS + EXTENSION_IDS
 }
 
-#: Everything selectable by id.
+#: Each experiment's ``run(settings)``, by id.
+PAPER_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
+    name: _MODULES[name].run for name in PAPER_IDS
+}
+EXTENSION_EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
+    name: _MODULES[name].run for name in EXTENSION_IDS
+}
 EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
     **PAPER_EXPERIMENTS,
     **EXTENSION_EXPERIMENTS,
@@ -103,27 +80,7 @@ EXPERIMENTS: Dict[str, Callable[[ExperimentSettings], object]] = {
 #: ``warmup_curve``).  The sweep layer expands these into a DAG without
 #: executing anything (see :mod:`repro.sweeps`).
 EXPERIMENT_JOBS: Dict[str, Callable[[ExperimentSettings], list]] = {
-    "table2": table2.jobs,
-    "table3": table3.jobs,
-    "table4": table4.jobs,
-    "table5": table5.jobs,
-    "table6": table6.jobs,
-    "figure4_5": figure4_5.jobs,
-    "figure6_7": figure6_7.jobs,
-    "figure8": figure8.jobs,
-    "figure9": figure9.jobs,
-    "latency": latency.jobs,
-    "oracle_bound": oracle_bound.jobs,
-    "energy": energy.jobs,
-    "smt": smt.jobs,
-    "ablation_training": ablation_training.jobs,
-    "ablation_combined": ablation_combined.jobs,
-    "ablation_history": ablation_history.jobs,
-    "ablation_indexing": ablation_indexing.jobs,
-    "seed_stability": seed_stability.jobs,
-    "throttle": throttle.jobs,
-    "warmup_curve": warmup_curve.jobs,
-    "h2p_confidence": h2p_confidence.jobs,
+    name: module.jobs for name, module in _MODULES.items()
 }
 
 

@@ -1,19 +1,14 @@
 """Vectorized and SWAR batch kernels behind the fast backend.
 
-Three families of primitives live here:
+Two families of primitives live here:
 
 - **Precompute kernels** -- whole-trace index/feature computation:
   per-branch global-history words (:func:`history_bits`) and vectorized
   XOR-folding (:func:`fold_u64`); splitmix64 hashing is
   :func:`repro.common.bits.mix_hash_u64`.  These turn the per-branch
   index arithmetic of the reference predictors into a handful of numpy
-  passes.
-- **Conflict-free chunk kernels** -- sequential-equivalent batch
-  updates of shared tables: :func:`conflict_free_chunks` splits a
-  branch stream into maximal chunks in which every table index appears
-  at most once, so a vectorized read-modify-write over a chunk commutes
-  with the reference one-branch-at-a-time loop
-  (:func:`counter_batch_update`, :func:`perceptron_batch_train`).
+  passes.  The counter-table read-modify-write loops that consume the
+  indices stay scalar (:mod:`repro.fastpath.predictors`).
 - **SWAR perceptron passes** -- the fast backend's hot loops.  A whole
   perceptron row is packed into 16-bit lanes of one Python big int
   (weights stored offset-biased), the history dot product becomes a
@@ -43,11 +38,6 @@ __all__ = [
     "history_bits",
     "final_history_bits",
     "fold_u64",
-    "prev_occurrence",
-    "conflict_free_chunks",
-    "counter_batch_update",
-    "perceptron_batch_outputs",
-    "perceptron_batch_train",
     "swar_supported",
     "swar_cic_pass",
     "swar_direction_pass",
@@ -107,135 +97,6 @@ def fold_u64(values: np.ndarray, width: int) -> np.ndarray:
         folded ^= v & m
         v >>= shift
     return folded
-
-
-# -------------------------------------------------------------------------
-# Conflict-free chunk kernels
-# -------------------------------------------------------------------------
-
-
-def prev_occurrence(indices: np.ndarray) -> np.ndarray:
-    """Position of each element's previous occurrence (-1 if first).
-
-    ``prev[i] = max{j < i : indices[j] == indices[i]}`` or -1.
-    """
-    indices = np.asarray(indices)
-    n = len(indices)
-    prev = np.full(n, -1, dtype=np.int64)
-    if n < 2:
-        return prev
-    order = np.argsort(indices, kind="stable")
-    srt = indices[order]
-    same = srt[1:] == srt[:-1]
-    prev[order[1:][same]] = order[:-1][same]
-    return prev
-
-
-def conflict_free_chunks(indices: np.ndarray) -> List[Tuple[int, int]]:
-    """Greedy maximal ``[start, end)`` chunks with all-distinct indices.
-
-    Within one chunk every table index appears at most once, so a
-    vectorized gather/update/scatter over the chunk is exactly
-    equivalent to applying the updates one branch at a time.
-
-    Measured note: on the benchmark traces the bimodal/gshare/meta and
-    JRS index streams alias so densely (median chunk length 3) that
-    chunked numpy updates *lose* to a plain scalar loop; the replay
-    driver therefore uses these kernels only where chunks are long, and
-    they are kept (and property-tested) as the general-purpose batch
-    primitive.
-    """
-    indices = np.asarray(indices)
-    n = len(indices)
-    if n == 0:
-        return []
-    prev = prev_occurrence(indices).tolist()
-    chunks = []
-    start = 0
-    for i in range(n):
-        if prev[i] >= start:
-            chunks.append((start, i))
-            start = i
-    chunks.append((start, n))
-    return chunks
-
-
-def counter_batch_update(
-    table: np.ndarray,
-    indices: np.ndarray,
-    ups: np.ndarray,
-    mode: str = "saturating",
-    max_value: int = 3,
-) -> None:
-    """Sequential-equivalent batch update of an n-bit counter table.
-
-    Applies the :class:`repro.common.counters.CounterTable` update rule
-    (``"saturating"`` or ``"resetting"``) for every ``(index, up)``
-    event in stream order, vectorizing over conflict-free chunks.
-    Updates ``table`` in place; values never leave ``[0, max_value]``.
-    """
-    if mode not in ("saturating", "resetting"):
-        raise ValueError(f"unknown counter mode {mode!r}")
-    indices = np.asarray(indices)
-    ups = np.asarray(ups, dtype=bool)
-    for start, end in conflict_free_chunks(indices):
-        idx = indices[start:end]
-        up = ups[start:end]
-        values = table[idx]
-        bumped = np.minimum(values + 1, max_value)
-        if mode == "saturating":
-            dropped = np.maximum(values - 1, 0)
-        else:
-            dropped = np.zeros_like(values)
-        table[idx] = np.where(up, bumped, dropped)
-
-
-def perceptron_batch_outputs(
-    weights: np.ndarray, rows: np.ndarray, xs: np.ndarray
-) -> np.ndarray:
-    """Batch perceptron inference against a frozen weight matrix.
-
-    ``weights`` is the reference layout (column 0 = bias); ``rows``
-    selects one perceptron per branch and ``xs`` holds the +/-1 history
-    vectors.  Returns ``w[r,0] + dot(w[r,1:], x)`` per branch.
-    """
-    selected = weights[rows]
-    return selected[:, 0] + np.einsum(
-        "ij,ij->i", selected[:, 1:], xs.astype(weights.dtype)
-    )
-
-
-def perceptron_batch_train(
-    weights: np.ndarray,
-    rows: np.ndarray,
-    xs: np.ndarray,
-    targets: np.ndarray,
-    w_min: int,
-    w_max: int,
-) -> None:
-    """Sequential-equivalent batch of ``PerceptronArray.train`` steps.
-
-    For every branch, ``w[r] += target * [1, x...]`` with saturation at
-    the weight rails, in stream order.  Vectorized over conflict-free
-    chunks of ``rows`` so repeated rows still train cumulatively,
-    exactly as the scalar reference does.
-    """
-    rows = np.asarray(rows)
-    xs = np.asarray(xs)
-    targets = np.asarray(targets)
-    for start, end in conflict_free_chunks(rows):
-        r = rows[start:end]
-        delta = np.concatenate(
-            [
-                np.ones((end - start, 1), dtype=weights.dtype),
-                xs[start:end].astype(weights.dtype),
-            ],
-            axis=1,
-        )
-        delta *= targets[start:end, None].astype(weights.dtype)
-        updated = weights[r] + delta
-        np.clip(updated, w_min, w_max, out=updated)
-        weights[r] = updated
 
 
 # -------------------------------------------------------------------------

@@ -5,10 +5,11 @@ trace and returns the per-branch predictions plus the final
 ``state_canonical()`` tuple, bit-identical to the reference
 implementation in :mod:`repro.predictors`.  Table indices are
 precomputed with the vectorized kernels; the dense counter-table
-read-modify-write loops stay scalar over Python lists (measured faster
-than chunked numpy updates at the benchmark aliasing rates -- see the
-note on :func:`repro.fastpath.kernels.conflict_free_chunks`), while the
-perceptron component runs as a SWAR big-int pass.
+read-modify-write loops stay scalar over Python lists, while the
+perceptron component runs as a SWAR big-int pass.  (Vectorising the
+table updates over runs of distinct indices was measured slower: the
+benchmark index streams alias so densely that the median run is about
+three branches long.)
 
 Predictor passes depend only on the trace, never on the estimator or
 policy, so the driver caches them per ``(trace, predictor canonical)``.

@@ -121,16 +121,6 @@ class PipelineConfig:
             )
 
     @property
-    def uop_fetch_cycles(self) -> float:
-        """Front-end cycles per fetched uop."""
-        return 1.0 / self.fetch_width
-
-    @property
-    def retire_rate(self) -> float:
-        """Sustained back-end throughput in uops per cycle."""
-        return 1.0 / self.base_uop_cycles if self.base_uop_cycles > 0 else float("inf")
-
-    @property
     def wrong_path_cap(self) -> int:
         """Maximum wrong-path uops one misprediction can inject.
 

@@ -7,7 +7,7 @@ hold, and re-renders the paper's tables bit-identically from stored
 rows.  See ``docs/sweeps.md``.
 """
 
-from repro.sweeps.dag import ExperimentNode, JobNode, SweepDag
+from repro.sweeps.dag import ExperimentNode, SweepDag
 from repro.sweeps.executor import (
     StoredResult,
     SweepOutcome,
@@ -32,7 +32,6 @@ __all__ = [
     "SPECS_DIR",
     "SWEEP_SCHEMA",
     "ExperimentNode",
-    "JobNode",
     "StoredResult",
     "SweepDag",
     "SweepInstance",

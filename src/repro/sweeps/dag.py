@@ -1,19 +1,15 @@
-"""Sweep expansion: spec -> deduplicated job/experiment DAG.
+"""Sweep expansion: spec -> deduplicated job/experiment plan.
 
 Expansion is pure planning -- nothing executes here.  Each experiment
 instance contributes one :class:`ExperimentNode` that depends on the
 fingerprints of every :class:`~repro.engine.job.SimJob` its ``run()``
 would submit (as declared by the experiment's ``jobs()`` planner).
 Jobs shared across experiments -- baselines, ladders -- collapse to a
-single :class:`JobNode` keyed by fingerprint, so the DAG shows the
-true amount of replay work before anything runs, exactly mirroring the
-engine's own dedup.
-
-The graph is bipartite (jobs -> experiments) and therefore acyclic by
-construction, but :meth:`SweepDag.topological_order` still runs Kahn's
-algorithm with an explicit cycle check: the property suite executes
-nodes in arbitrary valid orders and the invariant should hold by
-verification, not by assumption.
+single entry of :attr:`SweepDag.jobs` keyed by fingerprint, so the plan
+shows the true amount of replay work before anything runs, exactly
+mirroring the engine's own dedup.  The graph is bipartite (jobs ->
+experiments), so running every job before any experiment is a valid
+order.
 """
 
 from __future__ import annotations
@@ -24,22 +20,9 @@ from typing import Dict, List, Tuple
 from repro.engine.job import SimJob
 from repro.experiments.common import ExperimentSettings
 
-from repro.sweeps.spec import (
-    SweepSpec,
-    record_key,
-    resolve_instance,
-    settings_dict,
-)
+from repro.sweeps.spec import SweepSpec, record_key, resolve_instance
 
-__all__ = ["JobNode", "ExperimentNode", "SweepDag"]
-
-
-@dataclass(frozen=True)
-class JobNode:
-    """One unique replay, keyed by job fingerprint."""
-
-    fingerprint: str
-    job: SimJob
+__all__ = ["ExperimentNode", "SweepDag"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +41,7 @@ class ExperimentNode:
 class SweepDag:
     """Deduplicated plan for one sweep."""
 
-    jobs: Dict[str, JobNode] = field(default_factory=dict)
+    jobs: Dict[str, SimJob] = field(default_factory=dict)
     experiments: List[ExperimentNode] = field(default_factory=list)
 
     @classmethod
@@ -76,7 +59,7 @@ class SweepDag:
             for job in batch:
                 fp = job.fingerprint
                 fingerprints.append(fp)
-                dag.jobs.setdefault(fp, JobNode(fingerprint=fp, job=job))
+                dag.jobs.setdefault(fp, job)
             dag.experiments.append(
                 ExperimentNode(
                     key=record_key(experiment, settings),
@@ -91,59 +74,9 @@ class SweepDag:
 
     def job_list(self) -> List[SimJob]:
         """Unique jobs in first-appearance order."""
-        return [node.job for node in self.jobs.values()]
+        return list(self.jobs.values())
 
     @property
     def submitted_jobs(self) -> int:
         """Planned job submissions before dedup."""
         return sum(len(n.job_fingerprints) for n in self.experiments)
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """``(job_fingerprint, experiment_key)`` dependency edges."""
-        return [
-            (fp, node.key)
-            for node in self.experiments
-            for fp in node.job_fingerprints
-        ]
-
-    def topological_order(self) -> List[str]:
-        """Node ids (fingerprints then record keys) in a valid order.
-
-        Kahn's algorithm with a cycle check; raises ``ValueError`` on a
-        cyclic graph.  Used by the property suite to execute the DAG in
-        arbitrary valid orders.
-        """
-        # dict.fromkeys: two instances with identical resolved settings
-        # share a record key and must count as one node.
-        nodes = list(
-            dict.fromkeys(list(self.jobs) + [n.key for n in self.experiments])
-        )
-        indegree = {node: 0 for node in nodes}
-        outgoing: Dict[str, List[str]] = {node: [] for node in nodes}
-        for src, dst in self.edges():
-            outgoing[src].append(dst)
-            indegree[dst] += 1
-        ready = [node for node in nodes if indegree[node] == 0]
-        order: List[str] = []
-        while ready:
-            node = ready.pop()
-            order.append(node)
-            for dst in outgoing[node]:
-                indegree[dst] -= 1
-                if indegree[dst] == 0:
-                    ready.append(dst)
-        if len(order) != len(nodes):
-            stuck = sorted(n for n in nodes if indegree[n] > 0)
-            raise ValueError(f"sweep DAG has a cycle through {stuck[:5]}")
-        return order
-
-    def describe(self) -> Dict[str, object]:
-        """Counts for status output and logs."""
-        return {
-            "experiments": len(self.experiments),
-            "submitted_jobs": self.submitted_jobs,
-            "unique_jobs": len(self.jobs),
-            "settings": [
-                settings_dict(node.settings) for node in self.experiments
-            ],
-        }

@@ -24,7 +24,7 @@ Typical use::
 
     from repro import telemetry
 
-    telemetry.enable()                     # counters/gauges/histograms
+    telemetry.enable()                     # counters and histograms
     telemetry.set_trace_path("trace.jsonl")  # optional span stream
     ...  # run experiments
     telemetry.write_metrics("telemetry.json")
@@ -43,7 +43,6 @@ from __future__ import annotations
 from repro.telemetry.export import (
     metrics_doc,
     render_markdown,
-    snapshot_from_doc,
     write_metrics,
 )
 from repro.telemetry.registry import (
@@ -69,7 +68,6 @@ from repro.telemetry.schema import (
 from repro.telemetry.spans import (
     begin_span_capture,
     close_trace,
-    current_span_id,
     drain_span_capture,
     log_event,
     replay_captured,
@@ -109,7 +107,6 @@ __all__ = [
     "begin_span_capture",
     "drain_span_capture",
     "replay_captured",
-    "current_span_id",
     "WorkerShipment",
     "worker_begin",
     "worker_collect",
@@ -117,7 +114,6 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "metrics_doc",
-    "snapshot_from_doc",
     "write_metrics",
     "render_markdown",
     "validate_event",

@@ -23,7 +23,6 @@ from repro.telemetry.schema import METRICS_KIND, METRICS_SCHEMA
 
 __all__ = [
     "metrics_doc",
-    "snapshot_from_doc",
     "write_metrics",
     "render_markdown",
 ]
@@ -39,18 +38,8 @@ def metrics_doc(snapshot: Optional[MetricsSnapshot] = None) -> dict:
         "schema": METRICS_SCHEMA,
         "kind": METRICS_KIND,
         "counters": dict(sorted(snap.counters.items())),
-        "gauges": dict(sorted(snap.gauges.items())),
         "histograms": dict(sorted(snap.histograms.items())),
     }
-
-
-def snapshot_from_doc(doc: dict) -> MetricsSnapshot:
-    """Rehydrate a saved metrics document into a snapshot."""
-    return MetricsSnapshot(
-        counters=doc.get("counters", {}),
-        gauges=doc.get("gauges", {}),
-        histograms=doc.get("histograms", {}),
-    )
 
 
 def write_metrics(path: str, snapshot: Optional[MetricsSnapshot] = None) -> str:
@@ -109,15 +98,6 @@ def render_markdown(doc: dict) -> str:
             ),
             "",
         ]
-
-    gauges = doc.get("gauges", {})
-    if gauges:
-        lines += ["## Gauges", ""]
-        rows = []
-        for name, series in _grouped(gauges).items():
-            for label_text, value in series.items():
-                rows.append({"metric": name, "labels": label_text, "value": value})
-        lines += [markdown_table(rows, columns=["metric", "labels", "value"]), ""]
 
     histograms = doc.get("histograms", {})
     if histograms:

@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: counters and histograms.
 
 The registry is a single module-level object that is **disabled by
 default** and designed to cost one attribute check per instrumented
@@ -27,11 +27,10 @@ change job fingerprints, canonical metrics or golden digests (proved by
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -88,18 +87,6 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins on merge)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self):
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -177,9 +164,6 @@ class _NoopInstrument:
     def inc(self, amount: int = 1) -> None:
         pass
 
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -190,16 +174,14 @@ _NOOP = _NoopInstrument()
 class MetricsSnapshot:
     """A picklable, mergeable value-copy of a registry's instruments."""
 
-    __slots__ = ("counters", "gauges", "histograms")
+    __slots__ = ("counters", "histograms")
 
     def __init__(
         self,
         counters: Optional[Dict[str, int]] = None,
-        gauges: Optional[Dict[str, float]] = None,
         histograms: Optional[Dict[str, dict]] = None,
     ):
         self.counters = dict(counters or {})
-        self.gauges = dict(gauges or {})
         self.histograms = dict(histograms or {})
 
     def counter(self, name: str, **labels) -> int:
@@ -216,7 +198,7 @@ class MetricsSnapshot:
         return series
 
     def since(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
-        """Delta relative to an earlier snapshot (gauges keep ours)."""
+        """Delta relative to an earlier snapshot."""
         counters = {
             key: value - other.counters.get(key, 0)
             for key, value in self.counters.items()
@@ -240,11 +222,11 @@ class MetricsSnapshot:
                     # max is not subtractable; keep the current high-water
                     "max": hist.get("max", 0.0),
                 }
-        return MetricsSnapshot(counters, dict(self.gauges), histograms)
+        return MetricsSnapshot(counters, histograms)
 
     @property
     def empty(self) -> bool:
-        return not (self.counters or self.gauges or self.histograms)
+        return not (self.counters or self.histograms)
 
 
 class MetricsRegistry:
@@ -258,7 +240,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = False):
         self.enabled = enabled
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- instrument access -------------------------------------------------
@@ -270,15 +251,6 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
-        return instrument
-
-    def gauge(self, name: str, **labels) -> Gauge:
-        if not self.enabled:
-            return _NOOP
-        key = instrument_key(name, labels)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge()
         return instrument
 
     def histogram(
@@ -301,7 +273,6 @@ class MetricsRegistry:
         """Value-copy of every instrument (picklable, JSON-safe)."""
         return MetricsSnapshot(
             counters={k: c.value for k, c in self._counters.items()},
-            gauges={k: g.value for k, g in self._gauges.items()},
             histograms={
                 k: {
                     "buckets": list(h.buckets),
@@ -318,7 +289,6 @@ class MetricsRegistry:
         """Snapshot then reset -- the per-job worker handoff primitive."""
         snap = self.snapshot()
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
         return snap
 
@@ -330,9 +300,6 @@ class MetricsRegistry:
             for key, value in snapshot.counters.items():
                 name, labels = parse_key(key)
                 self.counter(name, **labels).inc(value)
-            for key, value in snapshot.gauges.items():
-                name, labels = parse_key(key)
-                self.gauge(name, **labels).set(value)
             for key, hist in snapshot.histograms.items():
                 name, labels = parse_key(key)
                 mine = self.histogram(
@@ -356,7 +323,6 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every instrument (state, not the enabled flag)."""
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()
 
 

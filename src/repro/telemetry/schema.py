@@ -5,10 +5,9 @@ Two documents leave the telemetry layer:
 **Metrics document** (``--telemetry[=PATH]``, JSON)::
 
     {
-      "schema": 2,
+      "schema": 3,
       "kind": "repro-telemetry-metrics",
       "counters":   {"name{label=value,...}": int, ...},
-      "gauges":     {"name{...}": number, ...},
       "histograms": {"name{...}": {"buckets": [number...],
                                    "counts": [int...],   # len(buckets)+1
                                    "sum": number,
@@ -29,7 +28,8 @@ Two documents leave the telemetry layer:
 Schema 2 made traces cross-process mergeable: every event carries the
 emitting ``pid``, spans carry a shared-monotonic start ``ts``, span ids
 are pid-namespaced (collision-free across workers), and histograms
-track a running ``max``.
+track a running ``max``.  Metrics schema 3 holds counters and
+histograms only.
 
 Both schemas are versioned; bump the constants when a field changes
 meaning so files from different versions are never silently read as
@@ -51,7 +51,7 @@ __all__ = [
     "validate_trace_file",
 ]
 
-METRICS_SCHEMA = 2
+METRICS_SCHEMA = 3
 EVENT_SCHEMA = 2
 METRICS_KIND = "repro-telemetry-metrics"
 
@@ -84,13 +84,6 @@ def validate_metrics_doc(doc) -> List[str]:
         for key, value in counters.items():
             if not _is_int(value):
                 errors.append(f"counter {key!r} must be an integer, got {value!r}")
-    gauges = doc.get("gauges")
-    if not isinstance(gauges, dict):
-        errors.append("gauges must be an object")
-    else:
-        for key, value in gauges.items():
-            if not _is_num(value):
-                errors.append(f"gauge {key!r} must be a number, got {value!r}")
     histograms = doc.get("histograms")
     if not isinstance(histograms, dict):
         errors.append("histograms must be an object")

@@ -54,7 +54,6 @@ __all__ = [
     "begin_span_capture",
     "drain_span_capture",
     "replay_captured",
-    "current_span_id",
 ]
 
 _DEFAULT_LOGGER = logging.getLogger("repro.telemetry")
@@ -191,12 +190,6 @@ def replay_captured(events, parent_id: Optional[int] = None) -> None:
             event = dict(event)
             event["parent_id"] = parent_id
         _emit(event)
-
-
-def current_span_id() -> Optional[int]:
-    """The innermost open span's id in this thread, if any."""
-    stack = _span_stack()
-    return stack[-1] if stack else None
 
 
 class _NoopSpan:

@@ -11,7 +11,7 @@ emits a :class:`repro.trace.record.Trace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -93,16 +93,6 @@ class WorkloadSpec:
         pcs = [b.pc for b in self.branches]
         if len(pcs) != len(set(pcs)):
             raise ValueError("static branch addresses must be unique")
-
-    @property
-    def static_count(self) -> int:
-        """Number of static branches in the population."""
-        return len(self.branches)
-
-    def normalized_weights(self) -> np.ndarray:
-        """Execution weights normalised to a probability vector."""
-        weights = np.array([b.weight for b in self.branches], dtype=np.float64)
-        return weights / weights.sum()
 
 
 @dataclass
@@ -307,27 +297,3 @@ class TraceGenerator:
         records = list(islice(self.iter_records(), n_branches))
         return Trace(records, name=self.spec.name, seed=self.seed)
 
-
-def _next_pc(base: int, index: int) -> int:
-    """Spread static branch addresses across the address space.
-
-    A stride of 24 bytes with a base offset keeps table indices well
-    distributed without accidental aliasing patterns.
-    """
-    return base + 24 * index
-
-
-def make_uniform_workload(
-    name: str,
-    behaviors: Sequence[BranchBehavior],
-    uops_per_branch: float = 8.0,
-    base_pc: int = 0x401000,
-) -> WorkloadSpec:
-    """Convenience builder: one equally-weighted branch per behaviour."""
-    branches = [
-        StaticBranch(pc=_next_pc(base_pc, i), behavior=behavior)
-        for i, behavior in enumerate(behaviors)
-    ]
-    return WorkloadSpec(
-        name=name, branches=branches, uops_per_branch=uops_per_branch
-    )

@@ -96,17 +96,6 @@ class TestSweep:
         specs = [p.spec for p in points]
         assert specs == sorted(specs)
 
-    def test_as_row(self, simple_trace):
-        points = sweep_estimator_thresholds(
-            simple_trace,
-            make_baseline_hybrid,
-            lambda t: JRSEstimator(threshold=int(t)),
-            thresholds=(7,),
-        )
-        row = points[0].as_row()
-        assert row["lambda"] == 7
-        assert 0 <= row["PVN_pct"] <= 100
-
 
 class TestFormatTable:
     def test_alignment_and_columns(self):

@@ -55,7 +55,7 @@ class TestBuildWorkload:
     def test_class_population_sizes(self):
         profile = benchmark_profile("gzip")
         spec = build_workload(profile, seed=1)
-        assert spec.static_count == sum(
+        assert len(spec.branches) == sum(
             count
             for cls, count in profile.static_counts.items()
             if profile.class_weights.get(cls, 0) > 0

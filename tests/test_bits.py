@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.common.bits import (
-    bits_to_pm1,
     fold_bits,
     mask,
     mix_hash,
     mix_hash_u64,
-    pm1_to_bits,
     popcount,
-    sign,
 )
 
 
@@ -90,30 +87,3 @@ class TestMixHash:
         expected = [mix_hash(v) for v in values]
         assert mix_hash_u64(arr).tolist() == expected
 
-
-class TestSign:
-    def test_signs(self):
-        assert sign(5) == 1
-        assert sign(-3) == -1
-        assert sign(0) == 0
-        assert sign(0.001) == 1
-
-
-class TestPm1Encoding:
-    def test_bits_to_pm1(self):
-        assert bits_to_pm1(0b101, 3) == (1, -1, 1)
-
-    def test_pads_with_minus_one(self):
-        assert bits_to_pm1(0b1, 3) == (1, -1, -1)
-
-    def test_roundtrip(self):
-        for value in (0, 1, 0b1011, 0b11111):
-            assert pm1_to_bits(bits_to_pm1(value, 5)) == value
-
-    def test_rejects_non_pm1(self):
-        with pytest.raises(ValueError):
-            pm1_to_bits((1, 0, -1))
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            bits_to_pm1(0, -1)

@@ -115,3 +115,32 @@ class TestCalibrateProfile:
         assert sum(result.profile.class_weights.values()) == pytest.approx(
             1.0, abs=2e-3
         )
+
+
+class TestCalibrateTool:
+    """``tools/calibrate.py``, loaded by path as its CLI runs it."""
+
+    @pytest.fixture
+    def tool(self):
+        import importlib.util
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "tools" / "calibrate.py"
+        spec = importlib.util.spec_from_file_location("calibrate_tool", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_help_prints_usage(self, tool, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: python tools/calibrate.py" in capsys.readouterr().out
+
+    def test_unknown_benchmark_is_a_usage_error(self, tool, capsys):
+        with pytest.raises(SystemExit) as exc:
+            tool.main(["gzip", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmarks: bogus" in err
+        assert "known: gzip, vpr, gcc" in err

@@ -45,12 +45,6 @@ class TestConfidenceCurve:
         assert c.pvn_at(0.1) is None
         assert c.pvn_at(0.7) is None
 
-    def test_best_threshold_for_coverage(self):
-        c = curve([(0.2, 0.8, 25), (0.4, 0.6, 0), (0.6, 0.4, -50)])
-        assert c.best_threshold_for_coverage(0.3) == 0
-        assert c.best_threshold_for_coverage(0.6) == -50
-        assert c.best_threshold_for_coverage(0.9) is None
-
     def test_from_threshold_points(self, simple_trace):
         from repro.analysis.sweep import sweep_estimator_thresholds
         from repro.core.jrs import JRSEstimator

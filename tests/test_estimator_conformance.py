@@ -17,7 +17,6 @@ explicitly.
 
 import pytest
 
-from repro.core.agreement import ComponentAgreementEstimator
 from repro.core.estimator import AlwaysHighEstimator
 from repro.core.frontend import FrontEnd
 from repro.core.pattern import PatternEstimator
@@ -58,14 +57,9 @@ def estimator_factories():
         hybrid = make_baseline_hybrid()
         return SmithEstimator(hybrid), hybrid
 
-    def agreement():
-        hybrid = make_baseline_hybrid()
-        return ComponentAgreementEstimator(hybrid), hybrid
-
     cases += [
         ("pattern", lambda: (PatternEstimator(LocalPredictor()), None)),
         ("smith", smith),
-        ("component-agreement", agreement),
     ]
     return cases
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.reversal import BranchAction
 from repro.engine import ALWAYS_HIGH, GATING_POLICY, NO_POLICY, EstimatorSpec
 from repro.experiments.common import (
     ExperimentSettings,
@@ -43,7 +44,7 @@ class TestReplayBenchmark:
         events, _ = replay_benchmark(
             "gzip", SMALL, JRS7, policy=GATING_POLICY
         )
-        assert any(e.decision.counts_toward_gating for e in events)
+        assert any(e.decision.action is BranchAction.GATE for e in events)
 
     def test_collect_outputs(self):
         _, result = replay_benchmark(

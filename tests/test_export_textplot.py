@@ -1,14 +1,8 @@
-"""Unit tests for result export and terminal plotting."""
+"""Unit tests for extracting rows from experiment results."""
 
-import csv
-import json
-
-import numpy as np
 import pytest
 
-from repro.analysis.density import OutputDensity
-from repro.analysis.export import rows_from_result, write_csv, write_json
-from repro.analysis.textplot import density_plot, frontier_plot
+from repro.analysis.export import rows_from_result
 
 
 class FakeRow:
@@ -58,72 +52,3 @@ class TestRowsFromResult:
         rows = rows_from_result(result)
         assert rows[0]["benchmark"] == "gzip"
 
-
-class TestWriteCsv:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "out.csv")
-        n = write_csv(FakeResult([FakeRow(a=1, b="x"), FakeRow(a=2, b="y")]), path)
-        assert n == 2
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows[0] == {"a": "1", "b": "x"}
-
-    def test_column_selection(self, tmp_path):
-        path = str(tmp_path / "out.csv")
-        write_csv(FakeResult([FakeRow(a=1, b=2)]), path, columns=["b"])
-        with open(path) as fh:
-            assert fh.readline().strip() == "b"
-
-    def test_empty(self, tmp_path):
-        path = str(tmp_path / "empty.csv")
-        assert write_csv(FakeResult([]), path) == 0
-
-
-class TestWriteJson:
-    def test_roundtrip(self, tmp_path):
-        path = str(tmp_path / "out.json")
-        n = write_json(FakeResult([FakeRow(a=1)]), path, label="t")
-        assert n == 1
-        payload = json.load(open(path))
-        assert payload["label"] == "t"
-        assert payload["rows"] == [{"a": 1}]
-
-
-class TestDensityPlot:
-    def density(self):
-        rng = np.random.default_rng(0)
-        return OutputDensity(rng.normal(-100, 20, 500), rng.normal(50, 20, 80))
-
-    def test_renders_rows(self):
-        text = density_plot(self.density(), bins=10)
-        lines = text.splitlines()
-        assert len(lines) == 11
-        assert "#" in text and "*" in text
-
-    def test_zoom(self):
-        text = density_plot(self.density(), bins=5, value_range=(0, 100))
-        # All bin centres inside the zoom window.
-        for line in text.splitlines()[1:]:
-            centre = float(line.split()[0])
-            assert 0 <= centre <= 100
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            density_plot(self.density(), width=2)
-
-
-class TestFrontierPlot:
-    def test_renders_points(self):
-        text = frontier_plot([(1.0, 5.0, "jrs"), (0.5, 8.0, "perc")])
-        assert "legend" in text
-        assert "j=jrs" in text and "p=perc" in text
-        assert "j" in text.splitlines()[3] or any(
-            "j" in line for line in text.splitlines()[1:-3]
-        )
-
-    def test_empty(self):
-        assert frontier_plot([]) == "(no points)"
-
-    def test_size_validation(self):
-        with pytest.raises(ValueError):
-            frontier_plot([(1, 1, "x")], width=2)

@@ -12,9 +12,12 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentSettings
 from repro.experiments.runner import (
+    EXPERIMENT_JOBS,
     EXPERIMENTS,
     EXTENSION_EXPERIMENTS,
+    EXTENSION_IDS,
     PAPER_EXPERIMENTS,
+    PAPER_IDS,
 )
 
 SMALL = ExperimentSettings(
@@ -132,6 +135,25 @@ class TestRegistries:
             "ablation_history", "ablation_indexing", "seed_stability",
             "throttle", "warmup_curve", "h2p_confidence",
         }
+
+    def test_every_experiment_module_is_in_exactly_one_tuple(self):
+        import importlib
+        import pkgutil
+
+        import repro.experiments as package
+
+        experiments = set()
+        for info in pkgutil.iter_modules(package.__path__):
+            if info.name.startswith("_"):  # __main__ would run the CLI
+                continue
+            module = importlib.import_module(f"repro.experiments.{info.name}")
+            if hasattr(module, "jobs") and hasattr(module, "run"):
+                experiments.add(info.name)
+        for name in experiments:
+            assert (name in PAPER_IDS) + (name in EXTENSION_IDS) == 1, name
+        assert experiments == set(PAPER_IDS) | set(EXTENSION_IDS)
+        assert list(EXPERIMENTS) == list(PAPER_IDS + EXTENSION_IDS)
+        assert list(EXPERIMENT_JOBS) == list(EXPERIMENTS)
 
 
 class TestIndexingAblation:

@@ -14,32 +14,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.bits import fold_bits
-from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
-from repro.common.perceptron import PerceptronArray
 from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
 from repro.fastpath.kernels import (
-    conflict_free_chunks,
-    counter_batch_update,
     final_history_bits,
     fold_u64,
     history_bits,
-    perceptron_batch_outputs,
-    perceptron_batch_train,
-    prev_occurrence,
     swar_cic_pass,
     swar_direction_pass,
     swar_supported,
 )
 from repro.predictors.perceptron_predictor import jimenez_lin_theta
 
-# Update streams against small tables: collisions are the common case.
-_COUNTER_EVENTS = st.lists(
-    st.tuples(st.integers(min_value=0, max_value=15), st.booleans()),
-    max_size=200,
-)
-
-# (row, taken, correct) streams for the perceptron kernels.
+# (row, taken, correct) streams for the SWAR passes.
 _PERCEPTRON_EVENTS = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=3), st.booleans(), st.booleans()
@@ -71,73 +58,6 @@ class TestHashAndHistoryKernels:
         takens = np.array(outcomes, dtype=np.uint8)
         assert history_bits(takens, length).tolist() == expected
         assert final_history_bits(takens, length) == ghr.bits
-
-
-class TestChunkKernels:
-    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=100))
-    def test_prev_occurrence_definition(self, indices):
-        arr = np.array(indices, dtype=np.int64)
-        prev = prev_occurrence(arr).tolist()
-        for i, value in enumerate(indices):
-            earlier = [j for j in range(i) if indices[j] == value]
-            assert prev[i] == (earlier[-1] if earlier else -1)
-
-    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=100))
-    def test_chunks_partition_and_are_conflict_free(self, indices):
-        arr = np.array(indices, dtype=np.int64)
-        chunks = conflict_free_chunks(arr)
-        flattened = [i for start, end in chunks for i in range(start, end)]
-        assert flattened == list(range(len(indices)))
-        for start, end in chunks:
-            chunk = indices[start:end]
-            assert len(set(chunk)) == len(chunk)
-
-    @given(_COUNTER_EVENTS, st.integers(min_value=1, max_value=4))
-    def test_saturating_updates_match_counter_table(self, events, bits):
-        self._check_mode(events, bits, "saturating")
-
-    @given(_COUNTER_EVENTS, st.integers(min_value=1, max_value=4))
-    def test_resetting_updates_match_counter_table(self, events, bits):
-        self._check_mode(events, bits, "resetting")
-
-    def _check_mode(self, events, bits, mode):
-        reference = CounterTable(entries=16, bits=bits, mode=mode, initial=0)
-        for index, up in events:
-            reference.update(index, up)
-        table = np.zeros(16, dtype=np.int32)
-        indices = np.array([i for i, _ in events], dtype=np.int64)
-        ups = np.array([up for _, up in events], dtype=bool)
-        counter_batch_update(
-            table, indices, ups, mode=mode, max_value=(1 << bits) - 1
-        )
-        assert table.tolist() == reference.snapshot().tolist()
-        assert int(table.min(initial=0)) >= 0
-        assert int(table.max(initial=0)) <= (1 << bits) - 1
-
-    @given(_PERCEPTRON_EVENTS, st.integers(min_value=1, max_value=6))
-    def test_batch_train_matches_sequential_array(self, events, length):
-        reference = PerceptronArray(
-            entries=4, history_length=length, weight_bits=2
-        )
-        w_min, w_max = -2, 1  # the 2-bit two's-complement rails
-        rng = np.random.default_rng(7)
-        xs = rng.choice(
-            np.array([-1, 1], dtype=np.int8), size=(len(events), length)
-        )
-        for (row, taken, _), x in zip(events, xs):
-            reference.train(row * 4, x, 1 if taken else -1)
-        weights = np.zeros((4, length + 1), dtype=np.int32)
-        rows = np.array([row for row, _, _ in events], dtype=np.int64)
-        targets = np.array(
-            [1 if taken else -1 for _, taken, _ in events], dtype=np.int32
-        )
-        perceptron_batch_train(weights, rows, xs, targets, w_min, w_max)
-        assert np.array_equal(weights, reference.snapshot())
-        assert int(weights.min(initial=0)) >= w_min
-        assert int(weights.max(initial=0)) <= w_max
-        outputs = perceptron_batch_outputs(weights, rows[:4], xs[:4])
-        for out, row, x in zip(outputs.tolist(), rows[:4], xs[:4]):
-            assert out == reference.output(int(row) * 4, x)
 
 
 class TestSwarPasses:

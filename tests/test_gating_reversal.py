@@ -15,14 +15,12 @@ class TestPolicies:
         d = policy.decide(ConfidenceSignal.strong_low(100.0), True)
         assert d.action is BranchAction.NORMAL
         assert d.final_prediction is True
-        assert not d.counts_toward_gating
 
     def test_gating_only(self):
         policy = GatingOnlyPolicy()
         low = policy.decide(ConfidenceSignal.weak_low(5.0), False)
         assert low.action is BranchAction.GATE
         assert low.final_prediction is False
-        assert low.counts_toward_gating
         high = policy.decide(ConfidenceSignal.high(-50.0), True)
         assert high.action is BranchAction.NORMAL
 
@@ -36,7 +34,6 @@ class TestPolicies:
         strong = policy.decide(ConfidenceSignal.strong_low(100.0), True)
         assert strong.action is BranchAction.REVERSE
         assert strong.final_prediction is False  # inverted
-        assert not strong.counts_toward_gating
         weak = policy.decide(ConfidenceSignal.weak_low(-20.0), True)
         assert weak.action is BranchAction.GATE
         assert weak.final_prediction is True

@@ -5,12 +5,7 @@ import pytest
 
 from repro.trace.behaviors import BiasedBehavior, CorrelatedBehavior, LoopBehavior
 from repro.trace.benchmarks import BENCHMARK_NAMES, generate_benchmark_trace
-from repro.trace.generator import (
-    StaticBranch,
-    TraceGenerator,
-    WorkloadSpec,
-    make_uniform_workload,
-)
+from repro.trace.generator import StaticBranch, TraceGenerator, WorkloadSpec
 
 
 def biased_spec(n=6, **spec_kwargs):
@@ -39,12 +34,6 @@ class TestWorkloadSpec:
         ]
         with pytest.raises(ValueError, match="unique"):
             WorkloadSpec(name="t", branches=branches)
-
-    def test_normalized_weights(self):
-        spec = biased_spec(4)
-        w = spec.normalized_weights()
-        assert w.sum() == pytest.approx(1.0)
-        assert len(w) == 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -191,13 +180,6 @@ class TestTraceGenerator:
         for prev, cur in zip(records, records[1:]):
             if cur.pc == 0x200:
                 assert cur.taken == prev.taken
-
-
-class TestMakeUniformWorkload:
-    def test_builds_equal_weights(self):
-        spec = make_uniform_workload("u", [BiasedBehavior(0.5)] * 4)
-        assert spec.static_count == 4
-        assert (spec.normalized_weights() == 0.25).all()
 
 
 #: ``(benchmark, seed) -> digest`` of 5000-branch traces, recorded

@@ -40,13 +40,6 @@ class TestGlobalHistoryRegister:
             expected = [1 if (ghr.bits >> i) & 1 else -1 for i in range(12)]
             assert list(ghr.vector) == expected
 
-    def test_folded(self):
-        ghr = GlobalHistoryRegister(16)
-        for i in reversed(range(16)):  # oldest (top) bit first
-            ghr.push(bool((0xABCD >> i) & 1))
-        assert ghr.bits == 0xABCD
-        assert ghr.folded(8) == (0xAB ^ 0xCD)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GlobalHistoryRegister(0)

@@ -39,12 +39,6 @@ class TestValidation:
 
 
 class TestDerived:
-    def test_fetch_cycles(self):
-        assert PipelineConfig(fetch_width=4).uop_fetch_cycles == 0.25
-
-    def test_retire_rate(self):
-        assert PipelineConfig(base_uop_cycles=0.5).retire_rate == 2.0
-
     def test_wrong_path_cap_is_window(self):
         assert PipelineConfig(rob_size=128).wrong_path_cap == 128
 
@@ -74,7 +68,7 @@ class TestPresets:
         assert BASELINE_40X4.rob_size == 128
 
     def test_wide_machine_faster_backend(self):
-        assert WIDE_20X8.retire_rate > STANDARD_20X4.retire_rate
+        assert WIDE_20X8.base_uop_cycles < STANDARD_20X4.base_uop_cycles
 
 
 #: pcs around the bits the jitter sees: it hashes ``(pc << 17) ^ seq``

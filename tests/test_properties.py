@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import bits_to_pm1, fold_bits, mask, pm1_to_bits
+from repro.common.bits import fold_bits, mask
 from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
 from repro.common.perceptron import PerceptronArray
@@ -22,10 +22,6 @@ class TestBitsProperties:
     def test_fold_idempotent_when_fits(self, value, width):
         if value <= mask(width):
             assert fold_bits(value, width) == value
-
-    @given(st.integers(min_value=0, max_value=(1 << 20) - 1))
-    def test_pm1_roundtrip(self, bits):
-        assert pm1_to_bits(bits_to_pm1(bits, 20)) == bits
 
 
 class TestCounterProperties:
@@ -62,6 +58,11 @@ class TestHistoryProperties:
             assert ghr.vector[i] == expected
 
 
+def _pm1(bits):
+    """Eight history bits as the perceptron's +/-1 input (bit i -> x[i])."""
+    return np.where((bits >> np.arange(8)) & 1, 1, -1).astype(np.int8)
+
+
 class TestPerceptronProperties:
     @given(
         st.lists(
@@ -77,7 +78,7 @@ class TestPerceptronProperties:
         arr = PerceptronArray(entries=4, history_length=8, weight_bits=5)
         lo, hi = -16, 15  # the 5-bit two's-complement rails
         for bits, target in steps:
-            x = np.array(bits_to_pm1(bits, 8), dtype=np.int8)
+            x = _pm1(bits)
             arr.train(0, x, target)
             w = arr.snapshot()[arr.index(0)]
             assert w.min() >= lo and w.max() <= hi
@@ -85,7 +86,7 @@ class TestPerceptronProperties:
     @given(st.integers(min_value=0, max_value=255))
     def test_output_bounded(self, bits):
         arr = PerceptronArray(entries=1, history_length=8, weight_bits=4)
-        x = np.array(bits_to_pm1(bits, 8), dtype=np.int8)
+        x = _pm1(bits)
         for _ in range(50):
             arr.train(0, x, 1)
         # Nine weights (bias + 8 inputs), each at most 8 in magnitude.
@@ -94,7 +95,7 @@ class TestPerceptronProperties:
     @given(st.integers(min_value=0, max_value=255), st.sampled_from([1, -1]))
     def test_training_never_moves_away(self, bits, target):
         arr = PerceptronArray(entries=1, history_length=8, weight_bits=8)
-        x = np.array(bits_to_pm1(bits, 8), dtype=np.int8)
+        x = _pm1(bits)
         before = arr.output(0, x)
         arr.train(0, x, target)
         after = arr.output(0, x)

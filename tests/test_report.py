@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.report import markdown_table, render_report, write_report
+from repro.analysis.report import markdown_table, render_report
 
 
 class FakeRow:
@@ -75,11 +75,3 @@ class TestRenderReport:
         report = render_report({"table2": result})
         assert "| benchmark |" in report
 
-
-class TestWriteReport:
-    def test_writes_file(self, tmp_path):
-        path = str(tmp_path / "r.md")
-        write_report({"a": RowResult([FakeRow(v=3)])}, path, title="R")
-        text = open(path).read()
-        assert text.startswith("# R")
-        assert "| v |" in text

@@ -131,14 +131,6 @@ class TestDag:
         assert dag.submitted_jobs == 2 * len(dag.jobs)
         assert len(dag.experiments) == 2
 
-    def test_topological_order_puts_jobs_before_experiments(self):
-        dag = SweepDag.from_spec(SPEC, BASE)
-        order = dag.topological_order()
-        position = {node: i for i, node in enumerate(order)}
-        for src, dst in dag.edges():
-            assert position[src] < position[dst]
-        assert len(order) == len(dag.jobs) + len(dag.experiments)
-
 
 class TestRunSweep:
     def test_populates_store_and_resumes_with_zero_work(self, fresh_engine):

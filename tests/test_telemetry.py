@@ -67,12 +67,6 @@ class TestRegistry:
         assert name == "m"
         assert labels == {"a": "2", "b": "1"}
 
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.gauge("depth").set(3)
-        reg.gauge("depth").set(7)
-        assert reg.snapshot().gauges["depth"] == 7
-
     def test_histogram_buckets_and_overflow(self):
         reg = MetricsRegistry(enabled=True)
         hist = reg.histogram("sizes", buckets=(1.0, 10.0, 100.0))
@@ -91,10 +85,8 @@ class TestRegistry:
     def test_disabled_registry_hands_back_shared_noop(self):
         reg = MetricsRegistry(enabled=False)
         assert reg.counter("x") is _NOOP
-        assert reg.gauge("x") is _NOOP
         assert reg.histogram("x") is _NOOP
         _NOOP.inc()
-        _NOOP.set(1)
         _NOOP.observe(1)
         assert reg.snapshot().empty
 
@@ -218,17 +210,15 @@ class TestExporters:
         reg = MetricsRegistry(enabled=True)
         reg.counter("cache_replay_hits_total", tier="memory").inc(4)
         reg.counter("fastpath_fallbacks_total", reason="policy:gating").inc(2)
-        reg.gauge("workers").set(2)
         reg.histogram("latency", buckets=(0.1, 1.0)).observe(0.05)
         reg.histogram("latency", buckets=(0.1, 1.0)).observe(0.5)
         return reg.snapshot()
 
     def test_metrics_doc_is_schema_valid_and_round_trips(self):
-        doc = telemetry.metrics_doc(self._snapshot())
+        doc = json.loads(json.dumps(telemetry.metrics_doc(self._snapshot())))
         assert validate_metrics_doc(doc) == []
-        back = telemetry.snapshot_from_doc(json.loads(json.dumps(doc)))
-        assert back.counter("cache_replay_hits_total", tier="memory") == 4
-        assert back.histograms["latency"]["count"] == 2
+        assert doc["counters"]["cache_replay_hits_total{tier=memory}"] == 4
+        assert doc["histograms"]["latency"]["count"] == 2
 
     def test_write_metrics_defaults_to_registry(self, tmp_path):
         telemetry.enable()
@@ -261,6 +251,12 @@ class TestSchemaValidation:
         doc = telemetry.metrics_doc(MetricsSnapshot(counters={"n": 1}))
         doc["counters"]["n"] = "one"
         assert any("integer" in p for p in validate_metrics_doc(doc))
+
+    def test_rejects_schema_2_document(self):
+        doc = telemetry.metrics_doc(MetricsSnapshot(counters={"n": 1}))
+        doc["schema"] = 2
+        doc["gauges"] = {}
+        assert validate_metrics_doc(doc) == ["schema must be 3, got 2"]
 
     def test_rejects_histogram_shape_mismatch(self):
         doc = telemetry.metrics_doc(
@@ -308,10 +304,9 @@ class TestCli:
         [
             [],
             {
-                "schema": 2,
+                "schema": 3,
                 "kind": "repro-telemetry-metrics",
                 "counters": {},
-                "gauges": {},
                 "histograms": {
                     "h": {"buckets": [1.0], "counts": [1, 0], "count": 1,
                           "max": 0.5},

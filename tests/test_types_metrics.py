@@ -95,18 +95,6 @@ class TestConfidenceMatrix:
 class TestMetricsCollector:
     def test_overall_accumulates(self):
         c = MetricsCollector()
-        c.record(0x40, True, True)
-        c.record(0x40, False, False)
+        c.record(True, True)
+        c.record(False, False)
         assert c.overall.total == 2
-
-    def test_per_pc_disabled_by_default(self):
-        c = MetricsCollector()
-        c.record(0x40, True, True)
-        assert c.per_pc == {}
-
-    def test_per_pc_tracking(self):
-        c = MetricsCollector(track_per_pc=True)
-        c.record(0x40, True, True)
-        c.record(0x44, False, False)
-        assert c.per_pc[0x40].low_mispredicted == 1
-        assert c.per_pc[0x44].high_correct == 1

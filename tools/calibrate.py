@@ -8,14 +8,34 @@ mechanics:
     python tools/calibrate.py [benchmark ...]
 """
 
-import sys
+import argparse
 
 from repro.trace.benchmarks import BENCHMARK_NAMES, benchmark_profile
 from repro.trace.calibration import calibrate_profile
 
 
-def main() -> int:
-    names = sys.argv[1:] or list(BENCHMARK_NAMES)
+def main(argv=None) -> int:
+    known = ", ".join(BENCHMARK_NAMES)
+    parser = argparse.ArgumentParser(
+        prog="python tools/calibrate.py",
+        description=(
+            "Solve each benchmark's class weights against its Table 2 "
+            "misprediction target and print them as Python dicts."
+        ),
+    )
+    parser.add_argument(
+        "benchmarks",
+        nargs="*",
+        metavar="benchmark",
+        help=f"benchmarks to calibrate (default: all of {known})",
+    )
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.benchmarks if name not in BENCHMARK_NAMES]
+    if unknown:
+        parser.error(
+            f"unknown benchmarks: {', '.join(unknown)}; known: {known}"
+        )
+    names = args.benchmarks or list(BENCHMARK_NAMES)
     final = {}
     for name in names:
         result = calibrate_profile(
