@@ -28,7 +28,7 @@ from repro.core.reversal import (
 )
 from repro.core.types import ConfidenceLevel, ConfidenceSignal
 from repro.predictors.base import BranchPredictor
-from repro.trace.record import BranchRecord
+from repro.trace.record import BranchRecord, Trace
 
 __all__ = [
     "FrontEndEvent",
@@ -310,24 +310,27 @@ class FrontEnd:
 
     def process(self, record: BranchRecord) -> FrontEndEvent:
         """Run one dynamic branch through the full protocol."""
-        pc = record.pc
+        return self._step(record.pc, record.taken, record.uops_before)
+
+    def _step(self, pc: int, taken: bool, uops_before: int) -> FrontEndEvent:
+        """The per-branch protocol over one branch's column values."""
         prediction = self.predictor.predict(pc)
         signal = self.estimator.estimate(pc, prediction)
         decision = self.policy.decide(signal, prediction)
 
         # Retirement: train predictor and estimator, shift histories.
-        self.predictor.update(pc, record.taken, prediction)
-        self.estimator.train(pc, prediction, prediction == record.taken, signal)
-        self.estimator.shift_history(record.taken)
+        self.predictor.update(pc, taken, prediction)
+        self.estimator.train(pc, prediction, prediction == taken, signal)
+        self.estimator.shift_history(taken)
 
         return FrontEndEvent(
             pc=pc,
-            taken=record.taken,
+            taken=taken,
             prediction=prediction,
             final_prediction=decision.final_prediction,
             signal=signal,
             decision=decision,
-            uops_before=record.uops_before,
+            uops_before=uops_before,
         )
 
     def replay(
@@ -338,10 +341,11 @@ class FrontEnd:
     ) -> FrontEndResult:
         """Replay a record stream, aggregating metrics.
 
-        Accepts any iterable of records -- a materialized
-        :class:`~repro.trace.record.Trace` or a lazy generator stream
-        -- and, unless ``events`` is given, holds no per-record state
-        beyond the accumulators, so memory stays bounded by the source.
+        Accepts any iterable of records -- a
+        :class:`~repro.trace.record.Trace`, whose columns it reads
+        without building records, or a lazy generator stream -- and,
+        unless ``events`` is given, holds no per-record state beyond the
+        accumulators, so memory stays bounded by the source.
 
         Args:
             records: Input branch records, in program order.
@@ -353,11 +357,15 @@ class FrontEnd:
         """
         if warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
+        if isinstance(records, Trace):
+            rows = zip(records.pc, records.taken, records.uops_before)
+        else:
+            rows = ((r.pc, r.taken, r.uops_before) for r in records)
         res = FrontEndResult()
-        process = self.process
+        step = self._step
         collect = self.collect_outputs
-        for i, record in enumerate(records):
-            event = process(record)
+        for i, (pc, taken, uops_before) in enumerate(rows):
+            event = step(pc, taken, uops_before)
             if i < warmup:
                 continue
             aggregate_event(res, event, collect)

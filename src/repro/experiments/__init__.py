@@ -6,6 +6,12 @@ rows and a ``format()`` summary, so the command line
 (``python -m repro.experiments``), the sweeps and the Markdown report
 print the same paper-shaped tables.
 
+The experiment ids are declared once, as ``PAPER_IDS`` and
+``EXTENSION_IDS`` in :mod:`repro.experiments.runner`.  This package
+re-exports only :class:`ExperimentSettings` and
+:func:`replay_benchmark`; import an experiment as a submodule
+(``from repro.experiments import table3``).
+
 Experiment index (see DESIGN.md section 4 for the full mapping):
 
 ========  ==================================================  =================
@@ -24,51 +30,6 @@ s5.4.2    estimator latency sensitivity                       latency
 ========  ==================================================  =================
 """
 
-from repro.experiments import (
-    ablation_combined,
-    ablation_history,
-    ablation_indexing,
-    ablation_training,
-    energy,
-    figure4_5,
-    figure6_7,
-    figure8,
-    figure9,
-    latency,
-    table2,
-    table3,
-    table4,
-    oracle_bound,
-    seed_stability,
-    smt,
-    table5,
-    table6,
-    throttle,
-    warmup_curve,
-)
 from repro.experiments.common import ExperimentSettings, replay_benchmark
 
-__all__ = [
-    "ExperimentSettings",
-    "replay_benchmark",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "figure4_5",
-    "figure6_7",
-    "figure8",
-    "figure9",
-    "latency",
-    "oracle_bound",
-    "energy",
-    "smt",
-    "ablation_training",
-    "ablation_combined",
-    "ablation_history",
-    "ablation_indexing",
-    "seed_stability",
-    "throttle",
-    "warmup_curve",
-]
+__all__ = ["ExperimentSettings", "replay_benchmark"]

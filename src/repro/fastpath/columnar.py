@@ -1,12 +1,13 @@
 """Columnar trace views for the fast backend.
 
-The reference front end walks a trace record by record; the fast
-backend instead lowers the whole trace once into parallel columns
-(numpy arrays for vector passes, plain lists for the scalar table
-loops) and caches derived per-branch history words per length.  The
-view is cached per :class:`~repro.trace.record.Trace` object in a
-``WeakKeyDictionary`` so repeated jobs over the engine's cached traces
-pay the lowering cost once.
+The reference front end walks a trace branch by branch; the fast
+backend instead reads the whole trace at once.  A
+:class:`~repro.trace.record.Trace` already holds its branches as three
+plain lists, which the scalar table loops use as they are; the view
+adds numpy arrays of the pcs and directions for the vector passes, and
+caches derived per-branch history words per length.  The view is cached
+per trace object in a ``WeakKeyDictionary`` so repeated jobs over the
+engine's cached traces pay for the arrays once.
 """
 
 from __future__ import annotations
@@ -20,34 +21,34 @@ from repro.fastpath.kernels import final_history_bits, history_bits
 
 __all__ = ["ColumnarTrace", "get_columnar"]
 
-#: pcs above this bound could overflow the uint64 hash/index arithmetic
-#: (the path-perceptron hash shifts ``pc >> 2`` left by 20 bits).
+#: pcs at or above this bound could overflow the uint64 hash/index
+#: arithmetic (the path-perceptron hash shifts ``pc >> 2`` left by 20
+#: bits).
 MAX_SUPPORTED_PC = 1 << 40
 
 
 class ColumnarTrace:
-    """One trace lowered into column arrays plus per-length history."""
+    """One trace's columns as lists and arrays, plus per-length history."""
 
     def __init__(self, trace):
-        n = len(trace)
+        # Scalar-loop views: Python lists are markedly faster than
+        # element-wise numpy indexing in the per-branch table loops, and
+        # the trace's own columns already are such lists.
+        self.pc_list: List[int] = trace.pc
+        self.taken_list: List[bool] = trace.taken
+        self.uops_list: List[int] = trace.uops_before
+        n = len(self.pc_list)
         self.n = n
-        self.takens = np.fromiter(
-            (record.taken for record in trace), dtype=np.uint8, count=n
-        )
-        self.pcs = np.fromiter(
-            (record.pc for record in trace), dtype=np.int64, count=n
-        )
-        if n and (self.pcs.min() < 0 or self.pcs.max() >= MAX_SUPPORTED_PC):
+        # Bound the pcs on the Python ints, before any fixed-width
+        # conversion could overflow on them.
+        if n and (min(self.pc_list) < 0 or max(self.pc_list) >= MAX_SUPPORTED_PC):
             raise ValueError(
                 f"trace pcs outside [0, {MAX_SUPPORTED_PC:#x}) are not "
                 f"supported by the fast backend"
             )
-        # Scalar-loop views: Python lists are markedly faster than
-        # element-wise numpy indexing in the per-branch table loops.
-        self.taken_list: List[bool] = self.takens.astype(bool).tolist()
+        self.pcs = np.array(self.pc_list, dtype=np.int64)
+        self.takens = np.array(self.taken_list, dtype=np.uint8)
         self.taken_ints: List[int] = self.takens.tolist()
-        self.pc_list: List[int] = self.pcs.tolist()
-        self.uops_list: List[int] = [record.uops_before for record in trace]
         self._history: Dict[int, np.ndarray] = {}
 
     def history(self, length: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
+from itertools import compress
 from typing import Optional, Sequence
 
 from repro.common.cli import positive_int
@@ -33,7 +34,6 @@ from repro.trace.benchmarks import (
 from repro.trace.h2p import H2P_PROFILE_NAMES
 from repro.trace.ingest import ingest_external_trace, write_external_trace
 from repro.trace.io import job_token, load_trace, save_trace
-from repro.trace.record import Trace
 
 __all__ = ["main"]
 
@@ -61,8 +61,8 @@ def _cmd_inspect(args) -> int:
     print(f"total uops      : {stats.total_uops}")
     print(f"taken fraction  : {stats.taken_fraction:.2%}")
     print(f"branches/kuop   : {stats.branches_per_kuop:.1f}")
-    counts = Counter(r.pc for r in trace)
-    taken = Counter(r.pc for r in trace if r.taken)
+    counts = Counter(trace.pc)
+    taken = Counter(compress(trace.pc, trace.taken))
     print(f"\nhottest {args.top} static branches:")
     print(f"{'pc':>12}  {'execs':>8}  {'share':>7}  {'taken':>7}")
     for pc, n in counts.most_common(args.top):
@@ -91,7 +91,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_export(args) -> int:
     trace = load_trace(args.input)
-    count = write_external_trace(trace.records, args.output)
+    count = write_external_trace(trace, args.output)
     print(f"exported {args.input} -> {args.output} ({count} records)")
     return 0
 

@@ -11,7 +11,8 @@ emits a :class:`repro.trace.record.Trace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from itertools import islice
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -199,6 +200,22 @@ class TraceGenerator:
         self._uop_pos += 1
         return gap
 
+    def _take_uop_gaps(self, count: int) -> List[int]:
+        """The next ``count`` gaps, as ``count`` :meth:`_draw_uop_gap` calls.
+
+        Serves what the last batch left first, then draws the rest in
+        one call of whole ``_BATCH``-draw batches, and keeps its unused
+        tail as the batch :meth:`_draw_uop_gap` continues from.
+        """
+        gaps = self._uop_gaps[self._uop_pos:]
+        if len(gaps) < count:
+            batches = -(-(count - len(gaps)) // self._BATCH)
+            gaps += self._draw_uop_gaps(batches * self._BATCH)
+        self._uop_gaps = gaps[count:]
+        self._uop_pos = 0
+        del gaps[count:]
+        return gaps
+
     def _draw_uop_gaps(self, count: int) -> List[int]:
         """The next ``count`` inter-branch uop gaps, in stream order.
 
@@ -222,24 +239,16 @@ class TraceGenerator:
         draw = int(self._select_rng.geometric(1.0 / mean))
         return min(max(1, draw), self._MAX_REPEATS)
 
-    def iter_records(self):
-        """Lazily yield the generator's record stream, unbounded.
-
-        This is the canonical emission order: :meth:`generate` is
-        exactly "collect the first ``n`` records of this stream", so
-        prefixes are *length-stable* -- the first ``n`` records are
-        identical whatever longer length is eventually drawn.  (Every
-        RNG draw happens per emitted record, per block pick, or in
-        fixed-size batches from a stream of its own, never as a
-        function of a target length; the generator pauses mid-block
-        after each yield.)  A consumer that takes records one at a time
-        -- e.g. ``itertools.islice`` over
-        :func:`~repro.trace.h2p.h2p_record_stream` -- therefore holds
-        only what it keeps.
+    def _outcomes(self) -> Iterator[Tuple[int, bool]]:
+        """The unbounded ``(pc, taken)`` stream: the one emission loop.
 
         Each visit to a static emits one dynamic branch, except that a
         :class:`~repro.trace.behaviors.LoopBehavior` emits back-edge
-        executions until the loop exits (or its trip cap).
+        executions until the loop exits (or its trip cap).  Every draw
+        from the select and outcome streams happens per block pick or
+        per emitted branch (block picks in fixed-size batches), never as
+        a function of a target length, and the loop pauses mid-block
+        after each yield; uop gaps come from a stream of their own.
         """
         from repro.trace.behaviors import LoopBehavior
 
@@ -260,7 +269,6 @@ class TraceGenerator:
         ]
         outcome_rng = self._outcome_rng
         history_mask = self._history_mask
-        draw_gap = self._draw_uop_gap
         n_blocks = len(blocks)
         picks = []
         pick_pos = 0
@@ -279,21 +287,43 @@ class TraceGenerator:
                         self._history = (
                             (self._history << 1) | (1 if taken else 0)
                         ) & history_mask
-                        yield BranchRecord(pc, taken, draw_gap())
+                        yield pc, taken
                         if not taken:  # a loop's exit ends its instance
                             break
+
+    def iter_records(self) -> Iterator[BranchRecord]:
+        """Lazily yield the generator's record stream, unbounded.
+
+        This is the canonical emission order: :meth:`generate` is
+        exactly "collect the first ``n`` records of this stream", so
+        prefixes are *length-stable* -- the first ``n`` records are
+        identical whatever longer length is eventually drawn.  A
+        consumer that takes records one at a time -- e.g.
+        ``itertools.islice`` over
+        :func:`~repro.trace.h2p.h2p_record_stream` -- therefore holds
+        only what it keeps.
+        """
+        draw_gap = self._draw_uop_gap
+        for pc, taken in self._outcomes():
+            yield BranchRecord(pc, taken, draw_gap())
 
     def generate(self, n_branches: int) -> Trace:
         """Generate a trace of ``n_branches`` dynamic branches.
 
         Equal to the first ``n_branches`` records of
-        :meth:`iter_records` (materialized; use the stream directly for
-        bounded-memory pipelines).
+        :meth:`iter_records`, collected as the trace's columns (use the
+        stream directly for bounded-memory pipelines).
         """
         if n_branches < 0:
             raise ValueError(f"n_branches must be non-negative, got {n_branches}")
-        from itertools import islice
-
-        records = list(islice(self.iter_records(), n_branches))
-        return Trace(records, name=self.spec.name, seed=self.seed)
-
+        pcs: List[int] = []
+        takens: List[bool] = []
+        add_pc = pcs.append
+        add_taken = takens.append
+        for pc, taken in islice(self._outcomes(), n_branches):
+            add_pc(pc)
+            add_taken(taken)
+        gaps = self._take_uop_gaps(n_branches)
+        return Trace.from_columns(
+            pcs, takens, gaps, name=self.spec.name, seed=self.seed
+        )

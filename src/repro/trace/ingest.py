@@ -181,7 +181,7 @@ def ingest_external_trace(
     if name is None:
         name = os.path.splitext(os.path.basename(src))[0]
     with telemetry.trace_span("trace_ingest", src=src, trace_name=name):
-        trace = Trace(list(iter_external_records(src)), name=name, seed=seed)
+        trace = Trace(iter_external_records(src), name=name, seed=seed)
         save_trace(trace, path)
     tel = telemetry.get_registry()
     if tel.enabled:

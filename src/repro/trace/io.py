@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.trace.record import BranchRecord, Trace
+from repro.trace.record import Trace
 
 __all__ = ["job_token", "load_trace", "parse_job_token", "save_trace"]
 
@@ -113,14 +113,16 @@ def _save_text(trace: Trace, fh) -> None:
     if trace.seed is not None:
         fh.write(f"# seed: {trace.seed}\n")
     fh.write("# columns: pc taken uops_before\n")
-    for rec in trace:
-        fh.write(f"{rec.pc:#x} {1 if rec.taken else 0} {rec.uops_before}\n")
+    for pc, taken, uops_before in zip(trace.pc, trace.taken, trace.uops_before):
+        fh.write(f"{pc:#x} {1 if taken else 0} {uops_before}\n")
 
 
 def _load_text(path: str) -> Trace:
     name = os.path.splitext(os.path.basename(path))[0]
     seed: Optional[int] = None
-    records: List[BranchRecord] = []
+    pcs: List[int] = []
+    takens: List[bool] = []
+    uops: List[int] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -139,28 +141,24 @@ def _load_text(path: str) -> Trace:
                     f"{path}:{lineno}: expected 'pc taken uops_before', "
                     f"got {line!r}"
                 )
-            pc = int(parts[0], 0)
-            taken = parts[1] not in ("0", "false", "False")
-            uops_before = int(parts[2])
-            records.append(BranchRecord(pc=pc, taken=taken, uops_before=uops_before))
-    return Trace(records, name=name, seed=seed)
+            pcs.append(int(parts[0], 0))
+            takens.append(parts[1] not in ("0", "false", "False"))
+            uops.append(int(parts[2]))
+    return Trace.from_columns(pcs, takens, uops, name=name, seed=seed)
 
 
 _MAX_UINT64_PC = (1 << 64) - 1
 
 
 def _save_binary(trace: Trace, fh) -> None:
-    n = len(trace)
-    pcs = [rec.pc for rec in trace]
+    pcs = trace.pc
     payload = dict(
-        taken=np.fromiter((rec.taken for rec in trace), dtype=np.bool_, count=n),
-        uops_before=np.fromiter(
-            (rec.uops_before for rec in trace), dtype=np.uint32, count=n
-        ),
+        taken=np.array(trace.taken, dtype=np.bool_),
+        uops_before=np.array(trace.uops_before, dtype=np.uint32),
         name=np.array(trace.name),
         seed=np.array(-1 if trace.seed is None else trace.seed, dtype=np.int64),
     )
-    if all(pc <= _MAX_UINT64_PC for pc in pcs):
+    if not pcs or max(pcs) <= _MAX_UINT64_PC:
         payload["pcs"] = np.array(pcs, dtype=np.uint64)
     else:
         # Records allow arbitrarily wide addresses; a uint64 column would
@@ -171,8 +169,8 @@ def _save_binary(trace: Trace, fh) -> None:
 
 
 def _load_binary(path: str) -> Trace:
-    # Whole columns convert in one ``tolist`` call each; every record
-    # still goes through ``BranchRecord``'s checks.
+    # Each column converts in one ``tolist`` call and becomes the
+    # trace's column as is; ``from_columns`` checks them in bulk.
     with np.load(path, allow_pickle=False) as data:
         if "pcs" in data.files:
             pcs = data["pcs"].tolist()
@@ -183,8 +181,4 @@ def _load_binary(path: str) -> Trace:
         name = str(data["name"])
         seed_val = int(data["seed"])
     seed = None if seed_val < 0 else seed_val
-    records = [
-        BranchRecord(pc=pc, taken=t, uops_before=u)
-        for pc, t, u in zip(pcs, taken, uops)
-    ]
-    return Trace(records, name=name, seed=seed)
+    return Trace.from_columns(pcs, taken, uops, name=name, seed=seed)

@@ -116,7 +116,7 @@ class TestCalibration:
         trace = generate_benchmark_trace(name, n_branches=40_000, seed=1)
         frontend = FrontEnd(make_baseline_hybrid(), AlwaysHighEstimator())
         result = frontend.replay(trace, warmup=14_000)
-        uops = sum(r.uops for r in trace.records[14_000:])
+        uops = sum(r.uops for r in trace[14_000:])
         per_kuop = 1000.0 * result.mispredictions / uops
         target = TABLE2_MISPREDICTS_PER_KUOP[name]
         assert target * 0.5 <= per_kuop <= target * 2.0

@@ -258,10 +258,15 @@ def test_unsupported_spec_falls_back_to_reference(engine):
     assert fast.events == reference.events
 
 
-def test_oversized_pcs_fall_back_at_runtime():
-    """Support is spec-level; absurd pcs are only visible per trace."""
+@pytest.mark.parametrize("shift", [45, 63, 64])
+def test_oversized_pcs_fall_back_at_runtime(shift):
+    """Support is spec-level; absurd pcs are only visible per trace.
+
+    pcs at or above ``2**63`` would overflow an int64 column, so the
+    fast path must reject them before converting any.
+    """
     records = [
-        BranchRecord(pc=(1 << 45) + 8 * i, taken=i % 3 != 0)
+        BranchRecord(pc=(1 << shift) + 8 * i, taken=i % 3 != 0)
         for i in range(600)
     ]
     trace = Trace(records, name="oversized", seed=0)

@@ -1,11 +1,20 @@
 """Unit tests for repro.trace.generator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.common.rng import derive_seed
 from repro.trace.behaviors import BiasedBehavior, CorrelatedBehavior, LoopBehavior
-from repro.trace.benchmarks import BENCHMARK_NAMES, generate_benchmark_trace
+from repro.trace.benchmarks import (
+    BENCHMARK_NAMES,
+    benchmark_profile,
+    build_workload,
+    generate_benchmark_trace,
+)
 from repro.trace.generator import StaticBranch, TraceGenerator, WorkloadSpec
+from repro.trace.record import Trace
 
 
 def biased_spec(n=6, **spec_kwargs):
@@ -229,6 +238,40 @@ class TestPinnedTraces:
         trace = generate_benchmark_trace(name, n_branches=5000, seed=seed)
         assert len(trace) == 5000
         assert trace.content_digest() == PINNED_TRACES[(name, seed)]
+
+    @pytest.mark.parametrize("n", [1, 4095, 4097, 9000])
+    def test_generate_equals_record_stream(self, n):
+        """The columns ``generate`` collects are the lazy stream's records.
+
+        mcf has variable-trip loops, whose trip draws share the outcome
+        stream; ``n`` crosses the 4096-draw uop and block-pick batches.
+        """
+        def fresh():
+            spec = build_workload(benchmark_profile("mcf"), seed=1)
+            loops = [
+                b.behavior for b in spec.branches
+                if isinstance(b.behavior, LoopBehavior)
+                and b.behavior.min_trips < b.behavior.max_trips
+            ]
+            assert len(loops) == 4
+            return TraceGenerator(spec, seed=derive_seed(1, "trace", "mcf"))
+
+        trace = fresh().generate(n)
+        stream = list(itertools.islice(fresh().iter_records(), n))
+        assert len(trace) == n
+        assert list(trace) == stream
+        assert trace.content_digest() == Trace(stream).content_digest()
+
+    def test_generate_continues_the_stream(self):
+        """Repeated calls on one generator continue its uop batch."""
+        def fresh():
+            return TraceGenerator(biased_spec(uop_jitter=3), seed=2)
+
+        gen = fresh()
+        parts = [gen.generate(n) for n in (10, 5000, 3)]
+        gaps = [r.uops_before for part in parts for r in part]
+        stream = fresh()
+        assert gaps == [stream._draw_uop_gap() for _ in range(len(gaps))]
 
     @pytest.mark.parametrize("n", [1, 4095, 4097])
     def test_prefix_is_length_stable(self, n):

@@ -65,7 +65,7 @@ class TestFamilyShape:
     def test_few_statics_high_dynamic_share(self):
         for name in H2P_PROFILE_NAMES:
             trace = generate_benchmark_trace(name, n_branches=8_000, seed=2)
-            summary = profile_records(trace.records)
+            summary = profile_records(trace)
             assert len(summary.profiles) <= 16, name
             hottest = max(p.executions for p in summary.profiles)
             assert hottest / len(trace) >= 0.10, name
@@ -75,7 +75,7 @@ class TestFamilyShape:
             trace = generate_benchmark_trace(name, n_branches=600, seed=9)
             stream = list(itertools.islice(h2p_record_stream(name, seed=9), 600))
             assert [(r.pc, r.taken) for r in stream] == [
-                (r.pc, r.taken) for r in trace.records
+                (r.pc, r.taken) for r in trace
             ]
 
     def test_h2p_pcs_disjoint_from_spec_benchmarks(self):
@@ -155,7 +155,7 @@ class TestTaxonomy:
             PredictorSpec.of("baseline_hybrid").build(),
             EstimatorSpec.of("perceptron", threshold=0).build(),
         )
-        events = [frontend.process(r) for r in trace.records]
+        events = [frontend.process(r) for r in trace]
         summary = profile_events(events[2_000:])
         assert summary.h2p_branches(), "noisy family must expose H2P statics"
         labels = {row["taxonomy"] for row in summary.rows()}
@@ -163,7 +163,7 @@ class TestTaxonomy:
 
     def test_profile_records_counts(self):
         trace = generate_benchmark_trace("h2p.hotloop", n_branches=2_000, seed=1)
-        summary = profile_records(trace.records)
+        summary = profile_records(trace)
         assert summary.total_executions == 2_000
         assert sum(p.executions for p in summary.profiles) == 2_000
         for profile in summary.profiles:

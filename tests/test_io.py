@@ -1,6 +1,7 @@
 """Unit tests for repro.trace.io."""
 
 import errno
+import itertools
 import os
 
 import pytest
@@ -123,32 +124,55 @@ class TestEdgeCases:
         assert load_trace(path)[0].pc == boundary
 
 
-class _TornTrace(Trace):
-    """A trace whose iteration fails after two records."""
+class _TornColumn(list):
+    """A trace column whose iteration fails after two values."""
 
     def __iter__(self):
-        yield from self.records[:2]
+        yield from itertools.islice(list.__iter__(self), 2)
         raise OSError(errno.EIO, "read failed mid-trace")
+
+
+class _TornTrace(Trace):
+    """A trace whose reads fail after two branches.
+
+    Every column tears, and so does record iteration (which reads the
+    columns), so the write fails part-way whichever of them it reads.
+    """
+
+    def __init__(self, trace, name):
+        super().__init__(trace, name=name)
+        self.pc = _TornColumn(trace.pc)
+        self.taken = _TornColumn(trace.taken)
+        self.uops_before = _TornColumn(trace.uops_before)
 
 
 class TestAtomicWrite:
     """A save that fails part-way leaves the target as it was."""
 
-    def _assert_untouched(self, tmp_path, path, fail):
-        with pytest.raises(OSError):
+    def _assert_untouched(self, tmp_path, path, fail, match):
+        with pytest.raises(OSError, match=match):
             fail(path)
         assert os.listdir(tmp_path) == []
         save_trace(sample_trace(), path)
-        with pytest.raises(OSError):
+        with pytest.raises(OSError, match=match):
             fail(path)
         assert os.listdir(tmp_path) == [os.path.basename(path)]
         assert_traces_equal(sample_trace(), load_trace(path))
 
+    def test_torn_trace_fails_every_read(self):
+        torn = _TornTrace(sample_trace(), name="torn")
+        for read in (list, lambda t: list(t.pc), lambda t: list(t.taken),
+                     lambda t: list(t.uops_before)):
+            with pytest.raises(OSError, match="mid-trace"):
+                read(torn)
+
     def test_torn_text_write(self, tmp_path):
         def fail(path):
-            save_trace(_TornTrace(sample_trace().records, name="torn"), path)
+            save_trace(_TornTrace(sample_trace(), name="torn"), path)
 
-        self._assert_untouched(tmp_path, str(tmp_path / "t.btrace"), fail)
+        self._assert_untouched(
+            tmp_path, str(tmp_path / "t.btrace"), fail, "mid-trace"
+        )
 
     def test_failed_binary_write(self, tmp_path, monkeypatch):
         real = trace_io.np.savez_compressed
@@ -162,7 +186,9 @@ class TestAtomicWrite:
                 patch.setattr(trace_io.np, "savez_compressed", disk_full)
                 save_trace(sample_trace(), path)
 
-        self._assert_untouched(tmp_path, str(tmp_path / "t.npz"), fail)
+        self._assert_untouched(
+            tmp_path, str(tmp_path / "t.npz"), fail, "No space"
+        )
 
 
 class TestFormatDetection:

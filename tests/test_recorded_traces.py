@@ -149,9 +149,9 @@ class TestContentDigest:
     def test_token_digest_depends_only_on_records(self, trace, tmp_path):
         """Name, seed, file format and path never move the digest."""
         copies = [
-            (Trace(trace.records, name="a", seed=1), tmp_path / "a.npz"),
-            (Trace(trace.records, name="b", seed=2), tmp_path / "sub" / "b.npz"),
-            (Trace(trace.records, name="c"), tmp_path / "c.btrace"),
+            (Trace(trace, name="a", seed=1), tmp_path / "a.npz"),
+            (Trace(trace, name="b", seed=2), tmp_path / "sub" / "b.npz"),
+            (Trace(trace, name="c"), tmp_path / "c.btrace"),
         ]
         digests = set()
         for copy, path in copies:
@@ -163,7 +163,7 @@ class TestContentDigest:
 
     @pytest.mark.parametrize("field", ["pc", "taken", "uops_before"])
     def test_one_record_change_moves_digest(self, trace, field):
-        records = list(trace.records)
+        records = list(trace)
         old = records[1234]
         value = not old.taken if field == "taken" else getattr(old, field) + 4
         records[1234] = dataclasses.replace(old, **{field: value})
