@@ -32,8 +32,8 @@ def test_fast_vs_reference_speedup():
     Both batches replay the same pre-generated trace, so the timings
     compare the replay loops only.  The outcomes must be bit-identical
     (same events, same canonical metrics, same digests); the speedup
-    floor is set well below the locally measured 5-15x so scheduler
-    noise on shared CI runners cannot flake it.
+    floor is set well below the 8-17x measured on a 2-vCPU VM so
+    scheduler noise on shared CI runners cannot flake it.
     """
     engine = Engine()
     engine.trace("gzip", 14_000, 1)  # pre-warm: time replays, not tracegen

@@ -52,7 +52,7 @@ def fold_bits(value: int, width: int) -> int:
         return 0
     folded = 0
     v = value
-    m = mask(width)
+    m = (1 << width) - 1
     while v:
         folded ^= v & m
         v >>= width

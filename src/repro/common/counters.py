@@ -5,7 +5,9 @@ gshare predictors (Table 1 of the paper); 4-bit *resetting* counters --
 incremented on a correct prediction, cleared on a misprediction -- are
 the storage element of the JRS/enhanced-JRS confidence estimators
 (Section 2.3).  :class:`CounterTable` provides an SRAM-like array of
-either kind backed by a numpy vector so big tables stay cheap.
+either kind.  The counters live in a plain list of ints: every access
+is one scalar read or write on the replay's per-branch path, where a
+list item costs a fraction of a numpy scalar's boxing.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ __all__ = ["CounterTable"]
 
 
 class CounterTable:
-    """A table of identical n-bit counters, numpy-backed.
+    """A table of identical n-bit counters.
 
     ``mode`` selects the update semantics:
 
@@ -50,7 +52,9 @@ class CounterTable:
         if not 0 <= initial <= self._max:
             raise ValueError(f"initial value {initial} out of range")
         self._mode = mode
-        self._table = np.full(entries, initial, dtype=np.int32)
+        self._resetting = mode == "resetting"
+        self._msb_value = 1 << (bits - 1)
+        self._table = [int(initial)] * entries
 
     @property
     def entries(self) -> int:
@@ -77,29 +81,21 @@ class CounterTable:
         """Total storage budget of the table in bits."""
         return self._entries * self._bits
 
-    def _slot(self, index: int) -> int:
-        return index % self._entries
-
     def read(self, index: int) -> int:
         """Return the counter value at ``index`` (mod table size)."""
-        return int(self._table[self._slot(index)])
+        return self._table[index % self._entries]
 
     def update(self, index: int, up: bool) -> int:
         """Apply one update event; returns the new counter value."""
-        slot = self._slot(index)
-        value = int(self._table[slot])
-        if self._mode == "saturating":
-            if up:
-                if value < self._max:
-                    value += 1
-            elif value > 0:
-                value -= 1
-        else:  # resetting
-            if up:
-                if value < self._max:
-                    value += 1
-            else:
-                value = 0
+        slot = index % self._entries
+        value = self._table[slot]
+        if up:
+            if value < self._max:
+                value += 1
+        elif self._resetting:
+            value = 0
+        elif value > 0:
+            value -= 1
         self._table[slot] = value
         return value
 
@@ -107,15 +103,15 @@ class CounterTable:
         """Force a counter to ``value``."""
         if not 0 <= value <= self._max:
             raise ValueError(f"value {value} out of range for {self._bits}-bit counter")
-        self._table[self._slot(index)] = value
+        self._table[index % self._entries] = int(value)
 
     def msb(self, index: int) -> bool:
         """Decision bit of the counter at ``index``."""
-        return bool(self.read(index) >> (self._bits - 1))
+        return self._table[index % self._entries] >= self._msb_value
 
     def snapshot(self) -> np.ndarray:
-        """Copy of the raw counter array (for analysis/tests)."""
-        return self._table.copy()
+        """Copy of the raw counter array as ``int32`` (for analysis/tests)."""
+        return np.array(self._table, dtype=np.int32)
 
     def __len__(self) -> int:
         return self._entries

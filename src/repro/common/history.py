@@ -27,6 +27,10 @@ class GlobalHistoryRegister:
     view (:attr:`vector`) is ordered the same way: element 0 is the most
     recent branch, matching the weight ordering used by
     :class:`repro.core.perceptron.PerceptronArray`.
+
+    Only perceptron components read the vector, so a register builds it
+    from :attr:`bits` on its first read and shifts it on every push
+    after that; until then a push is one integer shift.
     """
 
     __slots__ = ("_length", "_mask", "_bits", "_vector")
@@ -39,7 +43,7 @@ class GlobalHistoryRegister:
         self._length = length
         self._mask = mask(length)
         self._bits = 0
-        self._vector = np.full(length, -1, dtype=np.int8)
+        self._vector = None
 
     @property
     def length(self) -> int:
@@ -55,17 +59,26 @@ class GlobalHistoryRegister:
     def vector(self) -> np.ndarray:
         """History as a +/-1 ``int8`` vector (element 0 = most recent).
 
-        The returned array is the live internal buffer; callers must not
-        mutate it.
+        The first read builds the vector from :attr:`bits`; from then on
+        the returned array is the live internal buffer, shifted by every
+        push.  Callers must not mutate it.
         """
+        if self._vector is None:
+            bits = self._bits
+            self._vector = np.array(
+                [1 if (bits >> i) & 1 else -1 for i in range(self._length)],
+                dtype=np.int8,
+            )
         return self._vector
 
     def push(self, taken: bool) -> None:
         """Shift in one resolved branch outcome."""
         self._bits = ((self._bits << 1) | (1 if taken else 0)) & self._mask
-        # Shift the vector view: element i becomes old element i-1.
-        self._vector[1:] = self._vector[:-1]
-        self._vector[0] = 1 if taken else -1
+        vector = self._vector
+        if vector is not None:
+            # Shift the vector view: element i becomes old element i-1.
+            vector[1:] = vector[:-1]
+            vector[0] = 1 if taken else -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -91,7 +104,7 @@ class LocalHistoryTable:
         self._entries = entries
         self._length = history_length
         self._mask = mask(history_length)
-        self._table = np.zeros(entries, dtype=np.int64)
+        self._table = [0] * entries
 
     @property
     def entries(self) -> int:
@@ -114,12 +127,12 @@ class LocalHistoryTable:
 
     def read(self, pc: int) -> int:
         """Return the local-history pattern for branch ``pc``."""
-        return int(self._table[self._slot(pc)])
+        return self._table[self._slot(pc)]
 
     def push(self, pc: int, taken: bool) -> int:
         """Shift one outcome into branch ``pc``'s register; return it."""
         slot = self._slot(pc)
-        value = ((int(self._table[slot]) << 1) | (1 if taken else 0)) & self._mask
+        value = ((self._table[slot] << 1) | (1 if taken else 0)) & self._mask
         self._table[slot] = value
         return value
 

@@ -111,7 +111,10 @@ class PerceptronArray:
             row[1:] += x
         else:
             row[1:] -= x
-        np.clip(row, self._w_min, self._w_max, out=row)
+        # In-place minimum/maximum: np.clip's Python-level wrapper costs
+        # more than the two ufunc calls.
+        np.minimum(row, self._w_max, out=row)
+        np.maximum(row, self._w_min, out=row)
 
     def snapshot(self) -> np.ndarray:
         """Copy of the full weight matrix (rows x (1 + history))."""

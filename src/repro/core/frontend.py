@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.estimator import ConfidenceEstimator
 from repro.core.metrics import MetricsCollector
@@ -253,32 +253,54 @@ class FrontEndResult:
         return self.mispredictions / self.branches if self.branches else 0.0
 
 
+def _fold(
+    res: FrontEndResult,
+    taken: bool,
+    prediction: bool,
+    final: bool,
+    action: BranchAction,
+    signal: ConfidenceSignal,
+    collect_outputs: bool,
+) -> None:
+    """Fold one post-warm-up branch into a result (see :func:`aggregate_event`)."""
+    correct = prediction == taken
+    res.branches += 1
+    if not correct:
+        res.mispredictions += 1
+    if final != taken:
+        res.final_mispredictions += 1
+    if action is BranchAction.REVERSE:
+        res.reversals += 1
+        if not correct and final == taken:
+            res.reversals_correcting += 1
+        elif correct and final != taken:
+            res.reversals_breaking += 1
+    res.metrics.record(signal.low_confidence, not correct)
+    if collect_outputs:
+        if correct:
+            res.outputs_correct.append(signal.raw)
+        else:
+            res.outputs_mispredicted.append(signal.raw)
+
+
 def aggregate_event(
     res: FrontEndResult, event: FrontEndEvent, collect_outputs: bool = False
 ) -> None:
     """Fold one event into a result.
 
     A pure function of ``(event, collect_outputs)``: it reads no
-    front-end state, so the reference replay and the reference front
-    end fold events identically.
+    front-end state, and it folds exactly as :meth:`FrontEnd.replay`
+    does, through the same code.
     """
-    res.branches += 1
-    if not event.predictor_correct:
-        res.mispredictions += 1
-    if not event.final_correct:
-        res.final_mispredictions += 1
-    if event.decision.action is BranchAction.REVERSE:
-        res.reversals += 1
-        if not event.predictor_correct and event.final_correct:
-            res.reversals_correcting += 1
-        elif event.predictor_correct and not event.final_correct:
-            res.reversals_breaking += 1
-    res.metrics.record(event.signal.low_confidence, not event.predictor_correct)
-    if collect_outputs:
-        if event.predictor_correct:
-            res.outputs_correct.append(event.signal.raw)
-        else:
-            res.outputs_mispredicted.append(event.signal.raw)
+    _fold(
+        res,
+        event.taken,
+        event.prediction,
+        event.final_prediction,
+        event.decision.action,
+        event.signal,
+        collect_outputs,
+    )
 
 
 class FrontEnd:
@@ -310,10 +332,23 @@ class FrontEnd:
 
     def process(self, record: BranchRecord) -> FrontEndEvent:
         """Run one dynamic branch through the full protocol."""
-        return self._step(record.pc, record.taken, record.uops_before)
+        pc = record.pc
+        taken = record.taken
+        prediction, signal, decision = self._step(pc, taken)
+        return FrontEndEvent(
+            pc=pc,
+            taken=taken,
+            prediction=prediction,
+            final_prediction=decision.final_prediction,
+            signal=signal,
+            decision=decision,
+            uops_before=record.uops_before,
+        )
 
-    def _step(self, pc: int, taken: bool, uops_before: int) -> FrontEndEvent:
-        """The per-branch protocol over one branch's column values."""
+    def _step(
+        self, pc: int, taken: bool
+    ) -> Tuple[bool, ConfidenceSignal, PolicyDecision]:
+        """The per-branch protocol: ``(prediction, signal, decision)``."""
         prediction = self.predictor.predict(pc)
         signal = self.estimator.estimate(pc, prediction)
         decision = self.policy.decide(signal, prediction)
@@ -322,29 +357,20 @@ class FrontEnd:
         self.predictor.update(pc, taken, prediction)
         self.estimator.train(pc, prediction, prediction == taken, signal)
         self.estimator.shift_history(taken)
-
-        return FrontEndEvent(
-            pc=pc,
-            taken=taken,
-            prediction=prediction,
-            final_prediction=decision.final_prediction,
-            signal=signal,
-            decision=decision,
-            uops_before=uops_before,
-        )
+        return prediction, signal, decision
 
     def replay(
         self,
         records: Iterable[BranchRecord],
         warmup: int = 0,
-        events: Optional[List[FrontEndEvent]] = None,
-    ) -> FrontEndResult:
+        events: bool = False,
+    ) -> Union[FrontEndResult, Tuple[FrontEndEvents, FrontEndResult]]:
         """Replay a record stream, aggregating metrics.
 
         Accepts any iterable of records -- a
         :class:`~repro.trace.record.Trace`, whose columns it reads
         without building records, or a lazy generator stream -- and,
-        unless ``events`` is given, holds no per-record state beyond the
+        unless ``events`` is set, holds no per-record state beyond the
         accumulators, so memory stays bounded by the source.
 
         Args:
@@ -352,8 +378,13 @@ class FrontEnd:
             warmup: Leading branches that train all structures but are
                 excluded from the metrics (the paper warms 10M of each
                 30M-instruction trace).
-            events: A list that each post-warm-up event is appended
-                to, in program order.
+            events: Also keep the post-warm-up events, in program
+                order, as :class:`FrontEndEvents` columns, written
+                branch by branch without building event objects.
+
+        Returns:
+            The :class:`FrontEndResult`, or ``(events, result)`` when
+            ``events`` is set.
         """
         if warmup < 0:
             raise ValueError(f"warmup must be non-negative, got {warmup}")
@@ -364,13 +395,29 @@ class FrontEnd:
         res = FrontEndResult()
         step = self._step
         collect = self.collect_outputs
+        if events:
+            columns = tuple([] for _ in _COLUMNS)
+            pcs, takens, predictions, finals, actions, levels, raws, uops = (
+                column.append for column in columns
+            )
         for i, (pc, taken, uops_before) in enumerate(rows):
-            event = step(pc, taken, uops_before)
+            prediction, signal, decision = step(pc, taken)
             if i < warmup:
                 continue
-            aggregate_event(res, event, collect)
-            if events is not None:
-                events.append(event)
+            final = decision.final_prediction
+            action = decision.action
+            _fold(res, taken, prediction, final, action, signal, collect)
+            if events:
+                pcs(pc)
+                takens(taken)
+                predictions(prediction)
+                finals(final)
+                actions(action)
+                levels(signal.level)
+                raws(signal.raw)
+                uops(uops_before)
+        if events:
+            return FrontEndEvents(*columns), res
         return res
 
 

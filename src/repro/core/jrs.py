@@ -16,6 +16,8 @@ method that the perceptron estimator is compared against.
 
 from __future__ import annotations
 
+from typing import Dict
+
 from repro.common.bits import fold_bits, mask
 from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
@@ -57,10 +59,19 @@ class JRSEstimator(ConfidenceEstimator):
         if history_length <= 0:
             raise ValueError(f"history_length must be positive, got {history_length}")
         self._index_bits = width
+        self._index_mask = mask(width)
+        self._folded_pcs: Dict[int, int] = {}
         self._table = CounterTable(
             entries, bits=counter_bits, mode="resetting", initial=0
         )
         self.threshold = threshold
+        # One frozen signal per counter value, shared by every estimate.
+        self._signals = tuple(
+            ConfidenceSignal.high(float(value))
+            if value >= threshold
+            else ConfidenceSignal.weak_low(float(value))
+            for value in range(self._table.max_value + 1)
+        )
         self.enhanced = enhanced
         self._history = GlobalHistoryRegister(history_length)
         self.name = ("enhanced-jrs" if enhanced else "jrs") + f"-l{threshold}"
@@ -86,14 +97,13 @@ class JRSEstimator(ConfidenceEstimator):
             # Include the prediction with the history, as in [4].
             context = (context << 1) | (1 if prediction else 0)
         folded_context = fold_bits(context, self._index_bits)
-        folded_pc = fold_bits(pc >> 2, self._index_bits)
-        return (folded_pc ^ folded_context) & mask(self._index_bits)
+        folded_pc = self._folded_pcs.get(pc)
+        if folded_pc is None:
+            folded_pc = self._folded_pcs[pc] = fold_bits(pc >> 2, self._index_bits)
+        return (folded_pc ^ folded_context) & self._index_mask
 
     def estimate(self, pc: int, prediction: bool) -> ConfidenceSignal:
-        value = self._table.read(self._index(pc, prediction))
-        if value >= self.threshold:
-            return ConfidenceSignal.high(float(value))
-        return ConfidenceSignal.weak_low(float(value))
+        return self._signals[self._table.read(self._index(pc, prediction))]
 
     def train(
         self, pc: int, prediction: bool, correct: bool, signal: ConfidenceSignal

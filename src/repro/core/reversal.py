@@ -55,6 +55,21 @@ class PolicyDecision:
     final_prediction: bool
 
 
+def _decisions(action: BranchAction, reverse: bool = False) -> dict:
+    """The two decisions of ``action``, keyed by the raw prediction.
+
+    Policies return these shared instances instead of building one
+    decision per branch; :class:`PolicyDecision` is frozen, so sharing
+    is safe.
+    """
+    return {p: PolicyDecision(action, p != reverse) for p in (False, True)}
+
+
+_NORMAL = _decisions(BranchAction.NORMAL)
+_GATE = _decisions(BranchAction.GATE)
+_REVERSE = _decisions(BranchAction.REVERSE, reverse=True)
+
+
 class SpeculationPolicy(ABC):
     """Maps (confidence signal, prediction) to a front-end action."""
 
@@ -72,7 +87,7 @@ class NoSpeculationControl(SpeculationPolicy):
     name = "no-control"
 
     def decide(self, signal: ConfidenceSignal, prediction: bool) -> PolicyDecision:
-        return PolicyDecision(BranchAction.NORMAL, prediction)
+        return _NORMAL[prediction]
 
 
 class GatingOnlyPolicy(SpeculationPolicy):
@@ -88,8 +103,8 @@ class GatingOnlyPolicy(SpeculationPolicy):
 
     def decide(self, signal: ConfidenceSignal, prediction: bool) -> PolicyDecision:
         if signal.low_confidence:
-            return PolicyDecision(BranchAction.GATE, prediction)
-        return PolicyDecision(BranchAction.NORMAL, prediction)
+            return _GATE[prediction]
+        return _NORMAL[prediction]
 
 
 class ThreeRegionPolicy(SpeculationPolicy):
@@ -105,7 +120,7 @@ class ThreeRegionPolicy(SpeculationPolicy):
 
     def decide(self, signal: ConfidenceSignal, prediction: bool) -> PolicyDecision:
         if signal.level is ConfidenceLevel.STRONG_LOW:
-            return PolicyDecision(BranchAction.REVERSE, not prediction)
+            return _REVERSE[prediction]
         if signal.level is ConfidenceLevel.WEAK_LOW:
-            return PolicyDecision(BranchAction.GATE, prediction)
-        return PolicyDecision(BranchAction.NORMAL, prediction)
+            return _GATE[prediction]
+        return _NORMAL[prediction]

@@ -58,7 +58,7 @@ def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
                 # reference rerun below is exact.
                 _count_fallback("runtime")
     if backend == "reference":
-        from repro.core.frontend import FrontEnd, FrontEndEvents
+        from repro.core.frontend import FrontEnd
 
         frontend = FrontEnd(
             job.predictor.build(),
@@ -66,8 +66,6 @@ def _replay_trace(job: SimJob, trace) -> ReplayOutcome:
             job.policy.build(),
             collect_outputs=job.collect_outputs,
         )
-        events = []
-        result = frontend.replay(trace, job.warmup, events)
-        events = FrontEndEvents.of(events)
+        events, result = frontend.replay(trace, job.warmup, events=True)
     _count_replay(backend, started)
     return ReplayOutcome(events=events, result=result, backend=backend)

@@ -9,8 +9,9 @@ history reach* the hidden-correlation trace population exploits.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
+from repro.common.bits import fold_bits, mask
 from repro.common.counters import CounterTable
 from repro.common.history import GlobalHistoryRegister
 from repro.predictors.base import BranchPredictor
@@ -51,6 +52,10 @@ class GSharePredictor(BranchPredictor):
                 f"history_length must be positive, got {history_length}"
             )
         self._history_length = history_length
+        self._history_mask = mask(history_length)
+        # A history no wider than the index folds to itself.
+        self._fold_history = history_length > self._index_bits
+        self._folded_pcs: Dict[int, int] = {}
         self._table = CounterTable(entries, bits=counter_bits, mode="saturating",
                                    initial=(1 << counter_bits) // 2)
         self._midpoint = (self._table.max_value + 1) / 2.0
@@ -77,12 +82,13 @@ class GSharePredictor(BranchPredictor):
         return self._history
 
     def _index(self, pc: int) -> int:
-        history_bits = self._history.bits & ((1 << self._history_length) - 1)
-        from repro.common.bits import fold_bits
-
-        folded_history = fold_bits(history_bits, self._index_bits)
-        folded_pc = fold_bits(pc >> 2, self._index_bits)
-        return folded_pc ^ folded_history
+        history = self._history.bits & self._history_mask
+        if self._fold_history:
+            history = fold_bits(history, self._index_bits)
+        folded_pc = self._folded_pcs.get(pc)
+        if folded_pc is None:
+            folded_pc = self._folded_pcs[pc] = fold_bits(pc >> 2, self._index_bits)
+        return folded_pc ^ history
 
     def predict(self, pc: int) -> bool:
         return self._table.msb(self._index(pc))

@@ -31,7 +31,9 @@ from __future__ import annotations
 import logging
 import os
 import struct
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro import telemetry
 from repro.trace.io import save_trace
@@ -56,6 +58,9 @@ _RECORD = struct.Struct("<QB")
 
 #: Bytes per record: little-endian u64 pc + u8 taken.
 EXTERNAL_RECORD_SIZE = _RECORD.size
+
+# The same record as a packed numpy dtype, to decode a chunk in one call.
+_RECORD_DTYPE = np.dtype([("pc", "<u8"), ("taken", "u1")])
 
 _PC_MAX = (1 << 64) - 1
 
@@ -105,13 +110,14 @@ def write_external_trace(records: Iterable[BranchRecord], path: str) -> int:
     return count
 
 
-def iter_external_records(path: str) -> Iterator[BranchRecord]:
-    """Lazily yield :class:`BranchRecord` from an external trace file.
+def _decode_columns(path: str) -> Iterator[Tuple[List[int], List[bool]]]:
+    """Decode an external trace file into ``(pc, taken)`` list pairs.
 
-    Applies the module's error contract: malformed header or taken
-    byte raise :class:`TraceFormatError`; a partial trailing record
-    ends the stream after a truncation warning.  ``uops_before`` takes
-    the :class:`BranchRecord` default (the format carries none).
+    One pair per read chunk, each decoded with one structured
+    ``np.frombuffer`` call.  Applies the module's error contract: a
+    malformed header or taken byte raises :class:`TraceFormatError`
+    after the records before it were yielded; a partial trailing record
+    ends the stream after a truncation warning.
     """
     with open(path, "rb") as fh:
         header = fh.read(len(EXTERNAL_MAGIC))
@@ -131,18 +137,24 @@ def iter_external_records(path: str) -> Iterator[BranchRecord]:
             chunk = fh.read(EXTERNAL_RECORD_SIZE * _CHUNK_RECORDS)
             if not chunk:
                 return
-            whole = len(chunk) - len(chunk) % EXTERNAL_RECORD_SIZE
-            for offset in range(0, whole, EXTERNAL_RECORD_SIZE):
-                pc, taken = _RECORD.unpack_from(chunk, offset)
-                if taken > 1:
-                    _reject(
-                        path,
-                        f"invalid taken byte {taken:#x} at record {index}",
-                        record=index,
-                    )
-                yield BranchRecord(pc=pc, taken=bool(taken))
-                index += 1
-            tail = len(chunk) - whole
+            count = len(chunk) // EXTERNAL_RECORD_SIZE
+            records = np.frombuffer(chunk, dtype=_RECORD_DTYPE, count=count)
+            taken = records["taken"]
+            invalid = np.flatnonzero(taken > 1)
+            valid = int(invalid[0]) if invalid.size else count
+            yield (
+                records["pc"][:valid].tolist(),
+                taken[:valid].astype(np.bool_).tolist(),
+            )
+            if valid < count:
+                _reject(
+                    path,
+                    f"invalid taken byte {int(taken[valid]):#x} "
+                    f"at record {index + valid}",
+                    record=index + valid,
+                )
+            index += count
+            tail = len(chunk) - count * EXTERNAL_RECORD_SIZE
             if tail:
                 # Torn trailing write: keep the valid prefix, flag the
                 # loss.  (A mid-file short read cannot happen -- reads
@@ -162,6 +174,20 @@ def iter_external_records(path: str) -> Iterator[BranchRecord]:
                 return
 
 
+def iter_external_records(path: str) -> Iterator[BranchRecord]:
+    """Lazily yield :class:`BranchRecord` from an external trace file.
+
+    Reads the file chunk by chunk under the module's error contract:
+    malformed header or taken byte raise :class:`TraceFormatError`; a
+    partial trailing record ends the stream after a truncation warning.
+    ``uops_before`` takes the :class:`BranchRecord` default (the format
+    carries none).
+    """
+    for pcs, takens in _decode_columns(path):
+        for pc, taken in zip(pcs, takens):
+            yield BranchRecord(pc=pc, taken=taken)
+
+
 def ingest_external_trace(
     src: str,
     path: str,
@@ -170,8 +196,9 @@ def ingest_external_trace(
 ) -> Trace:
     """Ingest an external trace file into one trace file at ``path``.
 
-    Reads ``src`` through :func:`iter_external_records` and writes the
-    records with :func:`repro.trace.io.save_trace` (``.npz`` or
+    Decodes ``src`` into columns under the error contract of
+    :func:`iter_external_records` and writes the records with
+    :func:`repro.trace.io.save_trace` (``.npz`` or
     ``.btrace`` by ``path``'s extension), so nothing lands at ``path``
     unless the whole source was read.  Returns the ingested trace;
     ``job_token(trace, path)`` names it for engine jobs.  ``name``
@@ -181,7 +208,15 @@ def ingest_external_trace(
     if name is None:
         name = os.path.splitext(os.path.basename(src))[0]
     with telemetry.trace_span("trace_ingest", src=src, trace_name=name):
-        trace = Trace(iter_external_records(src), name=name, seed=seed)
+        pcs: List[int] = []
+        takens: List[bool] = []
+        for chunk_pcs, chunk_takens in _decode_columns(src):
+            pcs += chunk_pcs
+            takens += chunk_takens
+        # The format carries no uop counts: every record takes
+        # BranchRecord's default, as iter_external_records' records do.
+        uops = [BranchRecord.uops_before] * len(pcs)
+        trace = Trace.from_columns(pcs, takens, uops, name=name, seed=seed)
         save_trace(trace, path)
     tel = telemetry.get_registry()
     if tel.enabled:

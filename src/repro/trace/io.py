@@ -169,8 +169,10 @@ def _save_binary(trace: Trace, fh) -> None:
 
 
 def _load_binary(path: str) -> Trace:
-    # Each column converts in one ``tolist`` call and becomes the
-    # trace's column as is; ``from_columns`` checks them in bulk.
+    # Each column converts in one ``tolist`` call; ``from_columns``
+    # checks them in bulk.  The pcs then map through one dict of
+    # distinct values, so the column holds one int object per static
+    # branch, as a generated trace's does, not one per dynamic branch.
     with np.load(path, allow_pickle=False) as data:
         if "pcs" in data.files:
             pcs = data["pcs"].tolist()
@@ -181,4 +183,6 @@ def _load_binary(path: str) -> Trace:
         name = str(data["name"])
         seed_val = int(data["seed"])
     seed = None if seed_val < 0 else seed_val
+    shared: dict = {}
+    pcs = list(map(shared.setdefault, pcs, pcs))
     return Trace.from_columns(pcs, taken, uops, name=name, seed=seed)

@@ -13,6 +13,7 @@ from repro.core.frontend import (
     FrontEndEvent,
     FrontEndEvents,
     FrontEndResult,
+    aggregate_event,
     apply_policy,
 )
 from repro.core.jrs import JRSEstimator
@@ -36,6 +37,21 @@ def two_branch_trace(n=200):
         records.append(BranchRecord(pc=0x40, taken=True, uops_before=7))
         records.append(BranchRecord(pc=0x44, taken=False, uops_before=7))
     return Trace(records, name="two")
+
+
+def _result_fields(result):
+    """Every field of a result, the confusion matrix by value."""
+    return (
+        result.branches,
+        result.mispredictions,
+        result.final_mispredictions,
+        result.reversals,
+        result.reversals_correcting,
+        result.reversals_breaking,
+        result.metrics.overall,
+        result.outputs_correct,
+        result.outputs_mispredicted,
+    )
 
 
 class TestProcess:
@@ -77,15 +93,51 @@ class TestRun:
         with pytest.raises(ValueError):
             fe.replay(two_branch_trace(), warmup=-1)
 
-    def test_events_list_receives_post_warmup_events(self):
-        trace = two_branch_trace(50)
-        events = []
-        result = FrontEnd(make_baseline_hybrid(), JRSEstimator()).replay(
-            trace, warmup=60, events=events
-        )
-        fe = FrontEnd(make_baseline_hybrid(), JRSEstimator())
-        assert events == [fe.process(record) for record in trace][60:]
-        assert result.branches == len(events)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(
+                lambda: FrontEnd(make_baseline_hybrid(), JRSEstimator()),
+                id="jrs-no-policy",
+            ),
+            pytest.param(
+                lambda: FrontEnd(
+                    make_baseline_hybrid(),
+                    PerceptronConfidenceEstimator(
+                        threshold=-75, strong_threshold=0
+                    ),
+                    ThreeRegionPolicy(),
+                ),
+                id="perceptron-three-region",
+            ),
+            pytest.param(
+                lambda: FrontEnd(
+                    make_baseline_hybrid(),
+                    PerceptronConfidenceEstimator(threshold=-25),
+                    GatingOnlyPolicy(),
+                    collect_outputs=True,
+                ),
+                id="perceptron-gating-outputs",
+            ),
+        ],
+    )
+    def test_events_list_receives_post_warmup_events(self, config, simple_trace):
+        """``replay``'s columns and result equal those of ``process``."""
+        warmup = 600
+        events, result = config().replay(simple_trace, warmup=warmup, events=True)
+        fe = config()
+        processed = [fe.process(record) for record in simple_trace][warmup:]
+        expected = FrontEndResult()
+        for event in processed:
+            aggregate_event(expected, event, fe.collect_outputs)
+        assert isinstance(events, FrontEndEvents)
+        assert events == FrontEndEvents.of(processed)
+        assert _result_fields(result) == _result_fields(expected)
+        assert result.branches == len(events) == len(simple_trace) - warmup
+        if isinstance(fe.policy, ThreeRegionPolicy):
+            assert result.reversals_correcting and result.reversals_breaking
+        if fe.collect_outputs:
+            assert result.outputs_correct and result.outputs_mispredicted
 
     def test_always_high_estimator_never_flags(self, simple_trace):
         fe = FrontEnd(make_baseline_hybrid(), AlwaysHighEstimator())

@@ -32,13 +32,33 @@ class TestGlobalHistoryRegister:
             ghr.push(True)
         assert ghr.bits == 0b111
 
-    def test_vector_matches_bits_always(self):
-        ghr = GlobalHistoryRegister(12)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
+    @pytest.mark.parametrize("length", [1, 12, 64])
+    @pytest.mark.parametrize(
+        "first_read", ["before-any-push", "under-length", "several-lengths"]
+    )
+    def test_vector_matches_bits_always(self, first_read, length):
+        # The vector is built from the bits on its first read, then
+        # shifted by every push; check it from either side of that read.
+        pushes_before = {
+            "before-any-push": 0,
+            "under-length": length - 1,
+            "several-lengths": 5 * length,
+        }[first_read]
+        ghr = GlobalHistoryRegister(length)
+        rng = np.random.default_rng(length)
+
+        def expected():
+            return [1 if (ghr.bits >> i) & 1 else -1 for i in range(length)]
+
+        for _ in range(pushes_before):
             ghr.push(bool(rng.integers(2)))
-            expected = [1 if (ghr.bits >> i) & 1 else -1 for i in range(12)]
-            assert list(ghr.vector) == expected
+        vector = ghr.vector
+        assert vector.dtype == np.int8
+        assert list(vector) == expected()
+        for _ in range(3 * length + 20):
+            ghr.push(bool(rng.integers(2)))
+            assert ghr.vector is vector  # the live buffer
+            assert list(vector) == expected()
 
     def test_validation(self):
         with pytest.raises(ValueError):
