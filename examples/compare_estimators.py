@@ -34,7 +34,7 @@ def measure(trace, warmup, estimator, substrate=None, predictor=None):
             substrate.update(rec.pc, rec.taken, substrate.predict(rec.pc))
         if i >= warmup:
             aggregate_event(result, event)
-    return result.metrics.overall
+    return result.matrix
 
 
 def main() -> None:

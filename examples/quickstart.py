@@ -46,7 +46,7 @@ def main() -> None:
     )
 
     result = engine.replay(job).result
-    matrix = result.metrics.overall
+    matrix = result.matrix
 
     print()
     print(f"branches measured     : {result.branches}")

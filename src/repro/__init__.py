@@ -20,7 +20,7 @@ Quickstart::
     predictor = make_baseline_hybrid()
     estimator = PerceptronConfidenceEstimator(threshold=0)
     result = FrontEnd(predictor, estimator).replay(trace, warmup=10_000)
-    m = result.metrics.overall
+    m = result.matrix
     print(f"PVN={m.pvn:.0%}  Spec={m.spec:.0%}")
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
@@ -45,7 +45,6 @@ from repro.core import (
     FrontEndResult,
     GatingOnlyPolicy,
     JRSEstimator,
-    MetricsCollector,
     NoSpeculationControl,
     PatternEstimator,
     PerceptronConfidenceEstimator,
@@ -105,7 +104,6 @@ __all__ = [
     "FrontEndResult",
     "GatingOnlyPolicy",
     "JRSEstimator",
-    "MetricsCollector",
     "NoSpeculationControl",
     "PatternEstimator",
     "PerceptronConfidenceEstimator",

@@ -49,7 +49,7 @@ def sweep_estimator_thresholds(
         estimator = make_estimator(threshold)
         frontend = FrontEnd(predictor, estimator)
         result = frontend.replay(trace, warmup=warmup)
-        matrix = result.metrics.overall
+        matrix = result.matrix
         points.append(
             ThresholdPoint(
                 threshold=float(threshold),

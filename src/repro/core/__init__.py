@@ -32,7 +32,7 @@ from repro.core.frontend import (
     FrontEndResult,
 )
 from repro.core.jrs import JRSEstimator
-from repro.core.metrics import ConfidenceMatrix, MetricsCollector
+from repro.core.metrics import ConfidenceMatrix
 from repro.core.oracle import oracle_events
 from repro.core.path_perceptron import PathPerceptronConfidenceEstimator
 from repro.core.pattern import PatternEstimator
@@ -60,7 +60,6 @@ __all__ = [
     "FrontEndResult",
     "JRSEstimator",
     "ConfidenceMatrix",
-    "MetricsCollector",
     "PathPerceptronConfidenceEstimator",
     "PatternEstimator",
     "PerceptronConfidenceEstimator",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.estimator import ConfidenceEstimator
-from repro.core.metrics import MetricsCollector
+from repro.core.metrics import ConfidenceMatrix
 from repro.core.reversal import (
     BranchAction,
     NoSpeculationControl,
@@ -241,7 +241,7 @@ class FrontEndResult:
     reversals: int = 0
     reversals_correcting: int = 0  # reversal fixed a would-be mispredict
     reversals_breaking: int = 0  # reversal broke a correct prediction
-    metrics: MetricsCollector = field(default_factory=MetricsCollector)
+    matrix: ConfidenceMatrix = field(default_factory=ConfidenceMatrix)
     # Raw perceptron outputs split by predictor outcome, populated only
     # when collect_outputs=True (the Figure 4-7 inputs).
     outputs_correct: List[float] = field(default_factory=list)
@@ -275,7 +275,7 @@ def _fold(
             res.reversals_correcting += 1
         elif correct and final != taken:
             res.reversals_breaking += 1
-    res.metrics.record(signal.low_confidence, not correct)
+    res.matrix.record(signal.low_confidence, not correct)
     if collect_outputs:
         if correct:
             res.outputs_correct.append(signal.raw)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ConfidenceMatrix", "MetricsCollector"]
+__all__ = ["ConfidenceMatrix"]
 
 
 @dataclass
@@ -129,13 +129,3 @@ class ConfidenceMatrix:
             "pvp": self.pvp,
         }
 
-
-class MetricsCollector:
-    """Streams per-branch events into the run's overall matrix."""
-
-    def __init__(self):
-        self.overall = ConfidenceMatrix()
-
-    def record(self, low_confidence: bool, mispredicted: bool) -> None:
-        """Account one resolved branch."""
-        self.overall.record(low_confidence, mispredicted)

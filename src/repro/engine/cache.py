@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro import telemetry
-from repro.core.frontend import FrontEndEvents
 from repro.engine.job import ReplayOutcome
 
 __all__ = ["CacheStats", "ReplayCache", "TraceCache"]
@@ -179,7 +178,7 @@ class _TieredCache:
             return None  # no entry on disk: an ordinary miss
         try:
             with fh:
-                events, value = self._decoded(pickle.load(fh))
+                events, value = pickle.load(fh)
         except Exception as exc:
             # Truncated/garbled/wrong-shape pickle: the entry is
             # unusable.  Drop it (so store() can rewrite a good one),
@@ -204,11 +203,6 @@ class _TieredCache:
                 pass
             return None
         return events, value
-
-    def _decoded(self, entry):
-        """The in-memory form of an entry read from disk; subclasses
-        convert the shapes earlier versions wrote."""
-        return entry
 
     def store(self, key: str, entry) -> None:
         """Cache ``entry`` in memory and, if not already there, on disk."""
@@ -258,18 +252,13 @@ class ReplayCache(_TieredCache):
 
     Entries are ``(events, result)`` with ``events`` a
     :class:`~repro.core.frontend.FrontEndEvents`; the disk tier keeps
-    them at the top of the cache directory.  Entries written before
-    events were columnar hold a plain event list, which is converted on
-    load: fingerprints did not change, so old cache directories still
-    hit.
+    them at the top of the cache directory.  An entry whose result an
+    earlier version pickled with classes that no longer exist fails to
+    load, and is dropped and recomputed like any unreadable one.
     """
 
     kind = "replay"
     subdir = ""
-
-    def _decoded(self, entry):
-        events, result = entry
-        return FrontEndEvents.of(events), result
 
     def get(self, fingerprint: str) -> Optional[ReplayOutcome]:
         entry, _ = self.lookup(fingerprint)

@@ -30,7 +30,7 @@ def canonical_metrics(result) -> Dict[str, int]:
     ``json.dumps`` of it is deterministic and :func:`metrics_digest` is
     stable across processes, platforms and cache layers.
     """
-    matrix = result.metrics.overall
+    matrix = result.matrix
     return {
         "branches": int(result.branches),
         "mispredictions": int(result.mispredictions),

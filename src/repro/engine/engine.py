@@ -69,7 +69,7 @@ def _traced_execute_job(job: SimJob) -> ReplayOutcome:
     return outcome
 
 
-def _check_settings(max_workers, event_budget, executor) -> None:
+def _check_settings(max_workers, executor) -> None:
     """Reject invalid engine settings; ``None`` means default/unchanged.
 
     The one check behind :class:`Engine` and both paths of
@@ -77,8 +77,6 @@ def _check_settings(max_workers, event_budget, executor) -> None:
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-    if event_budget is not None and event_budget <= 0:
-        raise ValueError(f"event_budget must be positive, got {event_budget}")
     if not (
         executor is None
         or isinstance(executor, Executor)
@@ -128,24 +126,23 @@ class Engine:
     Args:
         max_workers: Process fan-out for :meth:`run`.  1 means
             in-process execution (still cached and deduplicated).
-        event_budget: In-memory replay cache size, in cached events.
         cache_dir: Enables the on-disk replay cache at this directory.
-        trace_budget: Trace cache size, in total dynamic branches.
         executor: Where pending (uncached) jobs run -- ``None`` (or
             ``"auto"``) for a pool when ``max_workers > 1`` and serial
             otherwise, ``"serial"``/``"pool"``, or an
             :class:`~repro.engine.executor.Executor` instance.
+
+    The in-memory caches hold ``DEFAULT_EVENT_BUDGET`` replayed events
+    and ``DEFAULT_TRACE_BUDGET`` trace branches.
     """
 
     def __init__(
         self,
         max_workers: int = 1,
-        event_budget: int = DEFAULT_EVENT_BUDGET,
         cache_dir: Optional[str] = None,
-        trace_budget: int = DEFAULT_TRACE_BUDGET,
         executor=None,
     ):
-        _check_settings(max_workers, event_budget, executor)
+        _check_settings(max_workers, executor)
         self.max_workers = max_workers
         self.executor = executor
         #: Optional ``callable(job, outcome)`` invoked once per
@@ -156,8 +153,8 @@ class Engine:
         #: propagate: a sweep must not report success while silently
         #: dropping results.
         self.result_sink = None
-        self._replays = ReplayCache(event_budget, disk_dir=cache_dir)
-        self._traces = TraceCache(trace_budget)
+        self._replays = ReplayCache(DEFAULT_EVENT_BUDGET, disk_dir=cache_dir)
+        self._traces = TraceCache(DEFAULT_TRACE_BUDGET)
         self._executed = 0
         self._parallel_executed = 0
 
@@ -266,7 +263,6 @@ def get_engine() -> Engine:
 def configure_engine(
     max_workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
-    event_budget: Optional[int] = None,
     executor=None,
     reset: bool = False,
 ) -> Engine:
@@ -279,13 +275,10 @@ def configure_engine(
     before anything changes.
     """
     global _default_engine
-    _check_settings(max_workers, event_budget, executor)
+    _check_settings(max_workers, executor)
     if reset or _default_engine is None:
         _default_engine = Engine(
             max_workers=1 if max_workers is None else max_workers,
-            event_budget=(
-                DEFAULT_EVENT_BUDGET if event_budget is None else event_budget
-            ),
             cache_dir=cache_dir,
             executor=executor,
         )
@@ -295,8 +288,6 @@ def configure_engine(
         engine.max_workers = max_workers
     if cache_dir is not None:
         engine._replays.disk_dir = cache_dir
-    if event_budget is not None:
-        engine._replays._lru.budget = event_budget
     if executor is not None:
         engine.executor = executor
     return engine

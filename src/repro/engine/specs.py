@@ -8,14 +8,19 @@ can, which is what makes the engine's content-addressed replay cache
 and multiprocess fan-out possible.
 
 Each spec class owns a registry of kinds.  Registering a kind binds a
-builder callable; ``spec.build()`` invokes it with the spec's params.
-Params may themselves be specs (e.g. the fusion estimators take
-component estimator specs), so arbitrarily nested configurations remain
-declarative.
+zero-argument loader that imports and returns the kind's constructor,
+so importing this module pulls in no component code.  The constructor
+is the one place a component's parameters, defaults and valid ranges
+live: ``spec.build()`` calls it with the spec's params, and
+``spec.arguments()`` binds them to its signature with the defaults
+filled in.  Params may themselves be specs (e.g. the fusion estimators
+take component estimator specs); ``build()`` builds those first, so
+arbitrarily nested configurations remain declarative.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Optional, Tuple
 
@@ -85,15 +90,16 @@ class Spec:
 
     @classmethod
     def register(cls, kind: str) -> Callable[[Callable], Callable]:
-        """Decorator: bind a builder callable to ``kind``."""
+        """Decorator: bind ``kind`` to a zero-argument loader that
+        returns the kind's constructor."""
 
-        def decorate(builder: Callable) -> Callable:
+        def decorate(loader: Callable) -> Callable:
             if kind in cls._registry:
                 raise SpecError(
                     f"{cls.__name__} kind {kind!r} already registered"
                 )
-            cls._registry[kind] = builder
-            return builder
+            cls._registry[kind] = loader
+            return loader
 
         return decorate
 
@@ -106,15 +112,36 @@ class Spec:
         """Params as a plain dict (copies; specs stay frozen)."""
         return dict(self.params)
 
-    def build(self) -> Any:
-        """Instantiate the described component."""
+    def constructor(self) -> Callable[..., Any]:
+        """The callable ``kind`` is registered to (loaded on first use)."""
         registry = type(self)._registry
         if registry is None or self.kind not in registry:
             raise SpecError(
                 f"unknown {type(self).__name__} kind {self.kind!r}; "
                 f"registered: {sorted(registry or ())}"
             )
-        return registry[self.kind](**self.param_dict())
+        return registry[self.kind]()
+
+    def build(self) -> Any:
+        """Instantiate the described component (nested specs first)."""
+        return self.constructor()(
+            **{k: v.build() if isinstance(v, Spec) else v for k, v in self.params}
+        )
+
+    def arguments(self) -> Dict[str, Any]:
+        """Every constructor argument by name: the params, with the
+        constructor's defaults filled in.  Nested specs stay specs.
+
+        Raises :class:`SpecError` when the params do not bind to the
+        constructor's signature (a name it does not take, or a required
+        one missing).
+        """
+        try:
+            bound = inspect.signature(self.constructor()).bind(**self.param_dict())
+        except TypeError as exc:
+            raise SpecError(f"{type(self).__name__} {self.kind!r}: {exc}") from None
+        bound.apply_defaults()
+        return dict(bound.arguments)
 
     def canonical(self) -> tuple:
         """Recursion-safe canonical form used by job fingerprints."""
@@ -144,100 +171,93 @@ class PolicySpec(Spec):
 
 
 # --------------------------------------------------------------------------
-# Built-in kinds.  Imports are local so importing repro.engine.specs does
-# not pull in numpy-heavy modules until a spec is actually registered --
-# registration itself happens at import of this module, so keep the
-# builder bodies lazy instead.
+# Built-in kinds.  Each loader imports its constructor on first use, so
+# importing repro.engine.specs does not pull in numpy-heavy modules.
 # --------------------------------------------------------------------------
 
 
 @PredictorSpec.register("baseline_hybrid")
-def _build_baseline_hybrid(**params):
+def _baseline_hybrid():
     from repro.predictors.hybrid import make_baseline_hybrid
 
-    return make_baseline_hybrid(**params)
+    return make_baseline_hybrid
 
 
 @PredictorSpec.register("gshare_perceptron_hybrid")
-def _build_gshare_perceptron_hybrid(**params):
+def _gshare_perceptron_hybrid():
     from repro.predictors.hybrid import make_gshare_perceptron_hybrid
 
-    return make_gshare_perceptron_hybrid(**params)
+    return make_gshare_perceptron_hybrid
 
 
 @PredictorSpec.register("tage")
-def _build_tage(**params):
+def _tage():
     from repro.predictors.tage import TagePredictor
 
-    return TagePredictor(**params)
+    return TagePredictor
 
 
 @EstimatorSpec.register("always_high")
-def _build_always_high():
+def _always_high():
     from repro.core.estimator import AlwaysHighEstimator
 
-    return AlwaysHighEstimator()
+    return AlwaysHighEstimator
 
 
 @EstimatorSpec.register("jrs")
-def _build_jrs(**params):
+def _jrs():
     from repro.core.jrs import JRSEstimator
 
-    return JRSEstimator(**params)
+    return JRSEstimator
 
 
 @EstimatorSpec.register("perceptron")
-def _build_perceptron(**params):
+def _perceptron():
     from repro.core.perceptron_estimator import PerceptronConfidenceEstimator
 
-    return PerceptronConfidenceEstimator(**params)
+    return PerceptronConfidenceEstimator
 
 
 @EstimatorSpec.register("path_perceptron")
-def _build_path_perceptron(**params):
+def _path_perceptron():
     from repro.core.path_perceptron import PathPerceptronConfidenceEstimator
 
-    return PathPerceptronConfidenceEstimator(**params)
+    return PathPerceptronConfidenceEstimator
 
 
 @EstimatorSpec.register("agreement")
-def _build_agreement(primary, secondary, mode="intersection"):
+def _agreement():
     from repro.core.combined_estimator import AgreementEstimator
 
-    return AgreementEstimator(primary.build(), secondary.build(), mode=mode)
+    return AgreementEstimator
 
 
 @EstimatorSpec.register("cascade")
-def _build_cascade(primary, secondary, neutral_band=30.0, primary_threshold=0.0):
+def _cascade():
     from repro.core.combined_estimator import CascadeEstimator
 
-    return CascadeEstimator(
-        primary.build(),
-        secondary.build(),
-        neutral_band=neutral_band,
-        primary_threshold=primary_threshold,
-    )
+    return CascadeEstimator
 
 
 @PolicySpec.register("none")
-def _build_no_control():
+def _no_control():
     from repro.core.reversal import NoSpeculationControl
 
-    return NoSpeculationControl()
+    return NoSpeculationControl
 
 
 @PolicySpec.register("gating")
-def _build_gating():
+def _gating():
     from repro.core.reversal import GatingOnlyPolicy
 
-    return GatingOnlyPolicy()
+    return GatingOnlyPolicy
 
 
 @PolicySpec.register("three_region")
-def _build_three_region():
+def _three_region():
     from repro.core.reversal import ThreeRegionPolicy
 
-    return ThreeRegionPolicy()
+    return ThreeRegionPolicy
 
 
 #: Common ready-made specs (the defaults of nearly every experiment).

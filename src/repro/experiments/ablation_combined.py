@@ -116,6 +116,6 @@ def run(
     for label, _ in candidates:
         total = ConfidenceMatrix()
         for _ in settings.benchmarks:
-            total = total.merge(next(outcomes).result.metrics.overall)
+            total = total.merge(next(outcomes).result.matrix)
         rows.append(FusionRow(label=label, matrix=total))
     return CombinedAblationResult(rows=rows)

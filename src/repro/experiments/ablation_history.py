@@ -112,7 +112,7 @@ def run(
     for history in HISTORY_LENGTHS:
         total = ConfidenceMatrix()
         for _ in settings.benchmarks:
-            total = total.merge(next(outcomes).result.metrics.overall)
+            total = total.merge(next(outcomes).result.matrix)
         rows.append(
             HistoryReachRow(
                 history_length=history,

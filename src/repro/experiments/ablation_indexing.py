@@ -115,7 +115,7 @@ def run(
         total = ConfidenceMatrix()
         storage = spec.build().storage_kib
         for _ in settings.benchmarks:
-            total = total.merge(next(outcomes).result.metrics.overall)
+            total = total.merge(next(outcomes).result.matrix)
         rows.append(
             IndexingRow(label=label, storage_kib=storage, matrix=total)
         )

@@ -104,7 +104,7 @@ def run(
     for t_value, (_, frontend) in zip(T_VALUES, outcomes):
         cb = np.asarray(frontend.outputs_correct)
         mb = np.asarray(frontend.outputs_mispredicted)
-        matrix = frontend.metrics.overall
+        matrix = frontend.matrix
         rows.append(
             TrainingThresholdRow(
                 training_threshold=t_value,

@@ -146,7 +146,7 @@ def run(settings: ExperimentSettings = DEFAULT_SETTINGS) -> H2PConfidenceResult:
 
     rows: List[H2PRow] = []
     for (benchmark, label, lam), outcome in outcomes.items():
-        matrix = outcome.result.metrics.overall
+        matrix = outcome.result.matrix
         statics, share_pct = taxonomy[(benchmark, label)]
         rows.append(
             H2PRow(

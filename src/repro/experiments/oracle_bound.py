@@ -110,7 +110,7 @@ def run(
             oracle_stats[(cov, acc)].append(gated.simulate(events))
         perc_events, frontend = next(outcomes)
         perceptron_stats.append(gated.simulate(perc_events))
-        matrices.append(frontend.metrics.overall)
+        matrices.append(frontend.matrix)
 
     rows = [
         OracleRow(

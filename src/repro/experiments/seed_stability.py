@@ -93,8 +93,8 @@ def _measure_headline(
     perc = ConfidenceMatrix()
     jrs = ConfidenceMatrix()
     for i in range(len(settings.benchmarks)):
-        perc = perc.merge(outcomes[2 * i].result.metrics.overall)
-        jrs = jrs.merge(outcomes[2 * i + 1].result.metrics.overall)
+        perc = perc.merge(outcomes[2 * i].result.matrix)
+        jrs = jrs.merge(outcomes[2 * i + 1].result.matrix)
     ratio = perc.pvn / jrs.pvn if jrs.pvn else float("inf")
     return {
         "perceptron_pvn": perc.pvn,

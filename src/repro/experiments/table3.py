@@ -112,7 +112,7 @@ def _ladder_points(
     for threshold in thresholds:
         total = ConfidenceMatrix()
         for outcome in outcomes_by_threshold[threshold]:
-            total = total.merge(outcome.result.metrics.overall)
+            total = total.merge(outcome.result.matrix)
         pvn, spec = paper[threshold]
         points.append(
             Table3Point(

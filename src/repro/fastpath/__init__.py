@@ -31,9 +31,7 @@ def available() -> bool:
 
 def supports(job) -> bool:
     """True when ``job`` can run on the fast backend bit-identically."""
-    from repro.fastpath.driver import supports_job
-
-    return supports_job(job)
+    return unsupported_reason(job) is None
 
 
 def unsupported_reason(job) -> "str | None":
@@ -53,8 +51,8 @@ def replay(job, trace):
     """Fast replay of ``job`` over the whole of ``trace``; ``(events, result)``.
 
     :func:`repro.fastpath.driver.replay_trace` under the job's warm-up.
-    Raises :class:`FastPathUnsupported` for configurations outside the
-    proven support matrix.
+    Raises :class:`FastPathUnsupported` for a component the fast path
+    does not accept (:mod:`repro.fastpath.support`).
     """
     from repro.fastpath.driver import replay_trace
 

@@ -23,16 +23,16 @@ passes instead of the reference's per-branch protocol loop:
    them on iteration.
 
 Every pass is bit-identical to the reference front end;
-``supports_job`` whitelists exactly the (kind, params) space for which
-that has been proven, and anything outside it falls back to the
-reference backend.
+:func:`unsupported_reason` names the first component of a job outside
+the space where that has been proven (:mod:`repro.fastpath.support`),
+and such a job falls back to the reference backend.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -41,217 +41,37 @@ from repro.core.reversal import BranchAction
 from repro.core.types import ConfidenceLevel
 from repro.fastpath.columnar import get_columnar
 from repro.fastpath.estimators import (
-    ESTIMATOR_DEFAULTS,
     LEVEL_STRONG_LOW,
     classify,
     run_estimator,
     trajectory_key,
 )
-from repro.fastpath.kernels import swar_supported
-from repro.fastpath.predictors import PREDICTOR_DEFAULTS, run_predictor
+from repro.fastpath.predictors import run_predictor
+from repro.fastpath.support import supported
 from repro.telemetry import COUNT_BUCKETS, get_registry
 
-__all__ = [
-    "supports_job",
-    "unsupported_reason",
-    "replay_trace",
-]
+__all__ = ["unsupported_reason", "replay_trace"]
 
 
 # -------------------------------------------------------------------------
-# Support matrix
+# Support
 # -------------------------------------------------------------------------
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_pow2(value) -> bool:
-    return _is_int(value) and value >= 2 and (value & (value - 1)) == 0
-
-
-def _merged(defaults: dict, spec) -> Tuple[dict, bool]:
-    params = spec.param_dict()
-    if not set(params) <= set(defaults):
-        return {}, False
-    merged = dict(defaults)
-    merged.update(params)
-    return merged, True
-
-
-def _supports_predictor(spec) -> bool:
-    if spec.kind == "baseline_hybrid":
-        p, ok = _merged(PREDICTOR_DEFAULTS[spec.kind], spec)
-        return ok and (
-            _is_int(p["bimodal_entries"])
-            and p["bimodal_entries"] > 0
-            and _is_pow2(p["gshare_entries"])
-            and _is_int(p["meta_entries"])
-            and p["meta_entries"] > 0
-            and _is_int(p["history_length"])
-            and 1 <= p["history_length"] <= 64
-        )
-    if spec.kind == "gshare_perceptron_hybrid":
-        p, ok = _merged(PREDICTOR_DEFAULTS[spec.kind], spec)
-        return ok and (
-            _is_pow2(p["gshare_entries"])
-            and _is_int(p["gshare_history"])
-            and 1 <= p["gshare_history"] <= 64
-            and _is_int(p["perceptron_entries"])
-            and p["perceptron_entries"] > 0
-            and _is_int(p["perceptron_history"])
-            and swar_supported(p["perceptron_history"], 8)
-            and _is_int(p["meta_entries"])
-            and p["meta_entries"] > 0
-        )
-    if spec.kind == "tage":
-        p, ok = _merged(PREDICTOR_DEFAULTS["tage"], spec)
-        if not ok:
-            return False
-        if not (_is_int(p["base_entries"]) and p["base_entries"] > 0):
-            return False
-        if not _is_pow2(p["tagged_entries"]):
-            return False
-        if not (_is_int(p["tag_bits"]) and 1 <= p["tag_bits"] <= 30):
-            return False
-        if not (_is_int(p["counter_bits"]) and 2 <= p["counter_bits"] <= 16):
-            return False
-        if not (_is_int(p["u_reset_period"]) and p["u_reset_period"] >= 1):
-            return False
-        if not (
-            _is_int(p["n_tables"])
-            and p["n_tables"] >= 1
-            and _is_int(p["min_history"])
-            and _is_int(p["max_history"])
-            and 1 <= p["min_history"] <= p["max_history"]
-        ):
-            return False
-        # Collision bumping can push the longest table past max_history;
-        # the realised geometry must fit the 64-bit history kernels.
-        from repro.predictors.tage import geometric_history_lengths
-
-        lengths = geometric_history_lengths(
-            p["n_tables"], p["min_history"], p["max_history"]
-        )
-        return lengths[-1] <= 64
-    return False
-
-
-def _supports_estimator(spec) -> bool:
-    if spec.kind == "always_high":
-        return not spec.param_dict()
-    if spec.kind == "jrs":
-        p, ok = _merged(ESTIMATOR_DEFAULTS["jrs"], spec)
-        if not ok:
-            return False
-        if not (_is_pow2(p["entries"]) and _is_int(p["counter_bits"])):
-            return False
-        if not 1 <= p["counter_bits"] <= 16:
-            return False
-        if not (_is_int(p["threshold"]) and 0 < p["threshold"] <= (1 << p["counter_bits"]) - 1):
-            return False
-        if not isinstance(p["enhanced"], bool):
-            return False
-        # Enhanced indexing appends the prediction bit to the history
-        # word, which must still fit the uint64 fold input.
-        limit = 63 if p["enhanced"] else 64
-        return _is_int(p["history_length"]) and 1 <= p["history_length"] <= limit
-    if spec.kind == "perceptron":
-        p, ok = _merged(ESTIMATOR_DEFAULTS["perceptron"], spec)
-        if not ok:
-            return False
-        if p["mode"] not in ("cic", "tnt"):
-            return False
-        if not (_is_int(p["entries"]) and p["entries"] > 0):
-            return False
-        if not (_is_int(p["weight_bits"]) and _is_int(p["history_length"])):
-            return False
-        if not swar_supported(p["history_length"], p["weight_bits"]):
-            return False
-        if not (_is_number(p["threshold"]) and _is_number(p["training_threshold"])):
-            return False
-        if p["training_threshold"] < 0:
-            return False
-        strong = p["strong_threshold"]
-        if strong is not None and not _is_number(strong):
-            return False
-        # Combinations the reference constructor rejects fall back so
-        # the reference raises its own error.
-        if p["mode"] == "tnt" and (strong is not None or p["threshold"] < 0):
-            return False
-        if strong is not None and strong < p["threshold"]:
-            return False
-        return True
-    if spec.kind == "path_perceptron":
-        p, ok = _merged(ESTIMATOR_DEFAULTS["path_perceptron"], spec)
-        return ok and (
-            _is_int(p["table_entries"])
-            and p["table_entries"] > 0
-            and _is_int(p["history_length"])
-            and 1 <= p["history_length"] <= 64
-            and _is_int(p["weight_bits"])
-            and 2 <= p["weight_bits"] <= 16
-            and _is_number(p["training_threshold"])
-            and p["training_threshold"] >= 0
-            and _is_number(p["threshold"])
-        )
-    if spec.kind == "agreement":
-        params = spec.param_dict()
-        if not {"primary", "secondary"} <= set(params):
-            return False
-        if not set(params) <= {"primary", "secondary", "mode"}:
-            return False
-        if params.get("mode", "intersection") not in ("union", "intersection"):
-            return False
-        return _supports_estimator(params["primary"]) and _supports_estimator(
-            params["secondary"]
-        )
-    if spec.kind == "cascade":
-        params = spec.param_dict()
-        if not {"primary", "secondary"} <= set(params):
-            return False
-        if not set(params) <= {"primary", "secondary", "neutral_band", "primary_threshold"}:
-            return False
-        band = params.get("neutral_band", 30.0)
-        if not (_is_number(band) and band >= 0):
-            return False
-        if not _is_number(params.get("primary_threshold", 0.0)):
-            return False
-        return _supports_estimator(params["primary"]) and _supports_estimator(
-            params["secondary"]
-        )
-    return False
-
-
-def _supports_policy(spec) -> bool:
-    return spec.kind in ("none", "gating", "three_region") and not spec.param_dict()
-
-
-def supports_job(job) -> bool:
-    """True when every component of ``job`` has a proven fast pass."""
-    return (
-        _supports_predictor(job.predictor)
-        and _supports_estimator(job.estimator)
-        and _supports_policy(job.policy)
-    )
+#: Policy kinds :func:`_policy` and :func:`_events` apply.
+_POLICIES = ("none", "gating", "three_region")
 
 
 def unsupported_reason(job) -> Optional[str]:
     """First component keeping ``job`` off the fast path, or ``None``.
 
-    Telemetry-facing counterpart of :func:`supports_job`: the token
-    becomes the ``reason`` label on ``fastpath_fallbacks_total``.
+    The token becomes the ``reason`` label on
+    ``fastpath_fallbacks_total``.
     """
-    if not _supports_predictor(job.predictor):
+    if not supported(job.predictor):
         return f"predictor:{job.predictor.kind}"
-    if not _supports_estimator(job.estimator):
+    if not supported(job.estimator):
         return f"estimator:{job.estimator.kind}"
-    if not _supports_policy(job.policy):
+    if job.policy.kind not in _POLICIES or job.policy.params:
         return f"policy:{job.policy.kind}"
     return None
 
@@ -321,11 +141,11 @@ def _aggregate(job, col, ppass, raw, low, final_arr, reverse_arr, warmup):
     result.reversals = int(np.count_nonzero(rev))
     result.reversals_correcting = int(np.count_nonzero(rev & mis & final_correct))
     result.reversals_breaking = int(np.count_nonzero(rev & pred_correct & ~final_correct))
-    overall = result.metrics.overall
-    overall.low_mispredicted = int(np.count_nonzero(low & mis))
-    overall.low_correct = int(np.count_nonzero(low & ~mis))
-    overall.high_mispredicted = int(np.count_nonzero(~low & mis))
-    overall.high_correct = int(np.count_nonzero(~low & ~mis))
+    matrix = result.matrix
+    matrix.low_mispredicted = int(np.count_nonzero(low & mis))
+    matrix.low_correct = int(np.count_nonzero(low & ~mis))
+    matrix.high_mispredicted = int(np.count_nonzero(~low & mis))
+    matrix.high_correct = int(np.count_nonzero(~low & ~mis))
     if job.collect_outputs:
         correct = ppass.correct
         n = col.n

@@ -32,6 +32,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.common.bits import mix_hash_u64
 from repro.fastpath.columnar import ColumnarTrace
 from repro.fastpath.kernels import fold_u64, swar_cic_pass, swar_direction_pass
+from repro.fastpath.support import arguments
 
 __all__ = ["Trajectory", "classify", "run_estimator", "trajectory_key"]
 
@@ -41,37 +42,6 @@ LEVEL_HIGH = 0
 LEVEL_WEAK_LOW = 1
 LEVEL_STRONG_LOW = 2
 
-#: Default parameters of the registered estimator factories.
-ESTIMATOR_DEFAULTS = {
-    "always_high": {},
-    "jrs": {
-        "entries": 8192,
-        "counter_bits": 4,
-        "threshold": 7,
-        "history_length": 13,
-        "enhanced": True,
-    },
-    "perceptron": {
-        "entries": 128,
-        "history_length": 32,
-        "weight_bits": 8,
-        "threshold": 0.0,
-        "training_threshold": 96,
-        "strong_threshold": None,
-        "mode": "cic",
-    },
-    "path_perceptron": {
-        "table_entries": 256,
-        "history_length": 16,
-        "weight_bits": 8,
-        "threshold": 0.0,
-        "training_threshold": 64,
-    },
-    "agreement": {"mode": "intersection"},
-    "cascade": {"neutral_band": 30.0, "primary_threshold": 0.0},
-}
-
-
 @dataclass
 class Trajectory:
     """What replaying an estimator over a whole trace leaves that λ
@@ -80,12 +50,6 @@ class Trajectory:
     raw: List  # per-branch raw signal value (exact reference type)
     state: tuple  # final state_canonical() tuple
     parts: Tuple["Trajectory", ...] = ()  # a fusion's component trajectories
-
-
-def _params(spec) -> dict:
-    params = dict(ESTIMATOR_DEFAULTS[spec.kind])
-    params.update(spec.param_dict())
-    return params
 
 
 def trajectory_key(spec) -> tuple:
@@ -103,7 +67,7 @@ def trajectory_key(spec) -> tuple:
     if spec.kind == "jrs":
         drop = ("threshold",)
     elif spec.kind == "perceptron":
-        p = _params(spec)
+        p = arguments(spec)
         if p["mode"] == "tnt":
             drop = ("threshold",)
         elif -p["training_threshold"] <= p["threshold"] <= p["training_threshold"]:
@@ -122,9 +86,9 @@ def classify(spec, trajectory: Trajectory) -> Tuple[np.ndarray, np.ndarray]:
     when ``y > λ``, and cic is strong when also ``y > strong_threshold``.
     ``level`` holds ``LEVEL_*`` codes.
     """
-    p = _params(spec)
+    p = arguments(spec)
     kind = spec.kind
-    if kind in ("agreement", "cascade"):
+    if kind in _FUSIONS:
         first, second = trajectory.parts
         p_low, p_level = classify(p["primary"], first)
         s_low, _ = classify(p["secondary"], second)
@@ -340,13 +304,8 @@ def run_estimator(spec, col: ColumnarTrace, pred, correct, component) -> Traject
     returns an equal :class:`Trajectory`; :func:`classify` gives each
     one's flags.
     """
-    params = _params(spec)
+    params = arguments(spec)
     fusion = _FUSIONS.get(spec.kind)
     if fusion is not None:
         return fusion(params, component)
-    runner = _RUNNERS.get(spec.kind)
-    if runner is None:
-        from repro.fastpath import FastPathUnsupported
-
-        raise FastPathUnsupported(f"no fast estimator pass for kind {spec.kind!r}")
-    return runner(col, params, pred, correct)
+    return _RUNNERS[spec.kind](col, params, pred, correct)

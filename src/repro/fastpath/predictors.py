@@ -24,38 +24,9 @@ import numpy as np
 
 from repro.fastpath.columnar import ColumnarTrace
 from repro.fastpath.kernels import fold_u64, swar_direction_pass
+from repro.fastpath.support import arguments
 
 __all__ = ["PredictorPass", "run_predictor"]
-
-#: Default parameters of the registered predictor factories; merged
-#: under the spec's explicit params so passes see the same effective
-#: configuration the reference builders do.
-PREDICTOR_DEFAULTS = {
-    "baseline_hybrid": {
-        "bimodal_entries": 16384,
-        "gshare_entries": 65536,
-        "meta_entries": 65536,
-        "history_length": 10,
-    },
-    "gshare_perceptron_hybrid": {
-        "gshare_entries": 65536,
-        "gshare_history": 14,
-        "perceptron_entries": 512,
-        "perceptron_history": 24,
-        "meta_entries": 65536,
-    },
-    "tage": {
-        "base_entries": 4096,
-        "tagged_entries": 1024,
-        "n_tables": 4,
-        "tag_bits": 9,
-        "counter_bits": 3,
-        "min_history": 5,
-        "max_history": 40,
-        "u_reset_period": 16384,
-    },
-}
-
 
 @dataclass
 class PredictorPass:
@@ -341,12 +312,7 @@ _RUNNERS = {
 
 def run_predictor(spec, col: ColumnarTrace) -> PredictorPass:
     """Replay ``spec`` (a PredictorSpec) over the whole trace from fresh
-    tables."""
-    runner = _RUNNERS.get(spec.kind)
-    if runner is None:
-        from repro.fastpath import FastPathUnsupported
-
-        raise FastPathUnsupported(f"no fast predictor pass for kind {spec.kind!r}")
-    params = dict(PREDICTOR_DEFAULTS[spec.kind])
-    params.update(spec.param_dict())
-    return runner(col, params)
+    tables.  Raises :class:`~repro.fastpath.FastPathUnsupported` for a
+    spec without a fast pass."""
+    params = arguments(spec)
+    return _RUNNERS[spec.kind](col, params)

@@ -54,7 +54,6 @@ from repro.trace.h2p import (
     H2PBranch,
     H2PProfile,
     build_h2p_workload,
-    generate_h2p_trace,
     h2p_profile,
     h2p_record_stream,
     is_h2p_benchmark,
@@ -85,7 +84,6 @@ __all__ = [
     "H2PBranch",
     "H2PProfile",
     "build_h2p_workload",
-    "generate_h2p_trace",
     "h2p_profile",
     "h2p_record_stream",
     "is_h2p_benchmark",

@@ -438,24 +438,24 @@ def build_workload(profile: BenchmarkProfile, seed: int = 0) -> WorkloadSpec:
 def generate_benchmark_trace(
     name: str, n_branches: int = 100_000, seed: int = 0
 ) -> Trace:
-    """Generate a synthetic trace for one Table 2 benchmark.
+    """Generate a synthetic trace for one Table 2 benchmark or one
+    ``h2p.*`` profile (:mod:`repro.trace.h2p`).
 
     The trace is deterministic in (name, n_branches, seed); telemetry
     (the ``tracegen`` span, ``trace_generated_total``) is observational
     and never feeds back into generation.
     """
-    if name.startswith("h2p."):
-        from repro.trace.h2p import generate_h2p_trace
-
-        return generate_h2p_trace(name, n_branches=n_branches, seed=seed)
-
     from repro import telemetry
 
     with telemetry.trace_span(
         "tracegen", benchmark=name, n_branches=n_branches, seed=seed
     ):
-        profile = benchmark_profile(name)
-        spec = build_workload(profile, seed=seed)
+        if name.startswith("h2p."):
+            from repro.trace.h2p import build_h2p_workload, h2p_profile
+
+            spec = build_h2p_workload(h2p_profile(name), seed=seed)
+        else:
+            spec = build_workload(benchmark_profile(name), seed=seed)
         generator = TraceGenerator(spec, seed=derive_seed(seed, "trace", name))
         trace = generator.generate(n_branches)
     tel = telemetry.get_registry()

@@ -44,7 +44,7 @@ from repro.trace.behaviors import (
     RandomBehavior,
 )
 from repro.trace.generator import StaticBranch, TraceGenerator, WorkloadSpec
-from repro.trace.record import BranchRecord, Trace
+from repro.trace.record import BranchRecord
 
 __all__ = [
     "H2P_PREFIX",
@@ -52,7 +52,6 @@ __all__ = [
     "H2PBranch",
     "H2PProfile",
     "build_h2p_workload",
-    "generate_h2p_trace",
     "h2p_profile",
     "h2p_record_stream",
     "is_h2p_benchmark",
@@ -288,37 +287,12 @@ def build_h2p_workload(profile: H2PProfile, seed: int = 0) -> WorkloadSpec:
 def h2p_record_stream(name: str, seed: int = 0) -> Iterator[BranchRecord]:
     """Unbounded lazy record stream for one H2P profile.
 
-    Shares the seed derivation of :func:`generate_h2p_trace`, so the
-    first ``n`` records equal ``generate_h2p_trace(name, n, seed)`` --
-    the same length-stable prefix contract as the Table 2 benchmarks.
+    Shares the seed derivation of
+    :func:`~repro.trace.benchmarks.generate_benchmark_trace`, so the
+    first ``n`` records equal ``generate_benchmark_trace(name, n, seed)``
+    -- the same length-stable prefix contract as the Table 2 benchmarks.
     """
     profile = h2p_profile(name)
     spec = build_h2p_workload(profile, seed=seed)
     generator = TraceGenerator(spec, seed=derive_seed(seed, "trace", name))
     return generator.iter_records()
-
-
-def generate_h2p_trace(
-    name: str, n_branches: int = 100_000, seed: int = 0
-) -> Trace:
-    """Generate a trace for one H2P profile (deterministic in inputs).
-
-    Mirrors :func:`repro.trace.benchmarks.generate_benchmark_trace`,
-    including its observational telemetry.
-    """
-    from repro import telemetry
-
-    with telemetry.trace_span(
-        "tracegen", benchmark=name, n_branches=n_branches, seed=seed
-    ):
-        profile = h2p_profile(name)
-        spec = build_h2p_workload(profile, seed=seed)
-        generator = TraceGenerator(spec, seed=derive_seed(seed, "trace", name))
-        trace = generator.generate(n_branches)
-    tel = telemetry.get_registry()
-    if tel.enabled:
-        tel.counter("trace_generated_total", benchmark=name).inc()
-        tel.histogram(
-            "trace_generated_branches", buckets=telemetry.COUNT_BUCKETS
-        ).observe(n_branches)
-    return trace

@@ -29,8 +29,8 @@ class TestAgreementEstimator:
                 AgreementEstimator(*make_pair(), mode=mode),
             )
             results[mode] = frontend.replay(simple_trace, warmup=1000)
-        inter = results["intersection"].metrics.overall
-        union = results["union"].metrics.overall
+        inter = results["intersection"].matrix
+        union = results["union"].matrix
         assert inter.flagged_low <= union.flagged_low
         assert union.spec >= inter.spec
 
@@ -92,7 +92,7 @@ class TestCascadeEstimator:
         """The cascade lands between perceptron and JRS coverage."""
         def run(est):
             frontend = FrontEnd(make_baseline_hybrid(), est)
-            return frontend.replay(simple_trace, warmup=1000).metrics.overall
+            return frontend.replay(simple_trace, warmup=1000).matrix
 
         perc = run(PerceptronConfidenceEstimator(threshold=0))
         jrs = run(JRSEstimator(threshold=7))

@@ -6,6 +6,7 @@ the determinism contract: serial, parallel and cached runs of the same
 jobs must be bit-identical.
 """
 
+import copy
 import logging
 import os
 import pickle
@@ -76,6 +77,33 @@ class TestSpecs:
         assert type(built).__name__ == "AgreementEstimator"
         # Nested specs appear in the canonical form (fingerprintable).
         assert "jrs" in repr(fused.canonical())
+
+    def test_arguments_fill_in_constructor_defaults(self):
+        assert EstimatorSpec.of("jrs", threshold=5).arguments() == {
+            "entries": 8192,
+            "counter_bits": 4,
+            "threshold": 5,
+            "history_length": 13,
+            "enhanced": True,
+        }
+        assert ALWAYS_HIGH.arguments() == {}
+
+    def test_arguments_keep_nested_specs(self):
+        primary = EstimatorSpec.of("perceptron", threshold=0)
+        secondary = EstimatorSpec.of("jrs", threshold=7)
+        fused = EstimatorSpec.of("cascade", primary=primary, secondary=secondary)
+        assert fused.arguments() == {
+            "primary": primary,
+            "secondary": secondary,
+            "neutral_band": 30.0,
+            "primary_threshold": 0.0,
+        }
+
+    def test_arguments_name_an_unknown_param(self):
+        with pytest.raises(SpecError, match="nonesuch"):
+            EstimatorSpec.of("jrs", nonesuch=1).arguments()
+        with pytest.raises(SpecError, match="primary"):
+            EstimatorSpec.of("agreement").arguments()
 
     def test_specs_are_picklable(self):
         spec = EstimatorSpec.of("perceptron", threshold=0)
@@ -167,7 +195,7 @@ class TestReplayCacheDisk:
         assert restored.from_cache
         assert cache.stats.disk_hits == 1
         assert restored.events == outcome.events
-        assert restored.result.branches == outcome.result.branches
+        assert restored.result == outcome.result
 
     def test_disk_layout(self, tmp_path):
         """Entries pickle a plain pair at a fixed path, so cache
@@ -192,36 +220,6 @@ class TestReplayCacheDisk:
         assert isinstance(restored.events, FrontEndEvents)
         assert restored.events == outcome.events
         assert list(restored.events) == list(outcome.events)
-
-    def test_list_entry_of_earlier_versions_is_converted(self, tmp_path):
-        """Fingerprints did not change when events became columns, so a
-        cache directory may hold ``(event list, result)`` entries."""
-        outcome = Engine().replay(JOB)
-        cache = ReplayCache(disk_dir=str(tmp_path))
-        path = cache._disk_path(JOB.fingerprint)
-        os.makedirs(os.path.dirname(path))
-        with open(path, "wb") as fh:
-            pickle.dump(
-                (list(outcome.events), outcome.result),
-                fh,
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-
-        restored = cache.get(JOB.fingerprint)
-        assert cache.stats.disk_hits == 1
-        assert isinstance(restored.events, FrontEndEvents)
-        assert restored.events == outcome.events
-        assert restored.result.metrics.overall == outcome.result.metrics.overall
-        # The memory tier keeps the converted form.
-        again = cache.get(JOB.fingerprint)
-        assert cache.stats.disk_hits == 1
-        assert again.events is restored.events
-        # So does an engine reading the directory.
-        engine = Engine(cache_dir=str(tmp_path))
-        served = engine.replay(JOB)
-        assert served.from_cache
-        assert isinstance(served.events, FrontEndEvents)
-        assert served.events == outcome.events
 
     def test_miss_on_empty_dir(self, tmp_path):
         cache = ReplayCache(disk_dir=str(tmp_path))
@@ -263,9 +261,7 @@ class TestEngineRun:
         jobs = [JOB.with_(seed=s) for s in (3, 1, 2)]
         outcomes = engine.run(jobs)
         again = engine.run(list(reversed(jobs)))
-        assert [o.result.branches for o in outcomes] == [
-            o.result.branches for o in reversed(again)
-        ]
+        assert [o.result for o in outcomes] == [o.result for o in reversed(again)]
         assert all(o.from_cache for o in again)
 
     def test_outcome_unpacks_as_events_result(self):
@@ -286,11 +282,7 @@ class TestEngineRun:
         assert all(o.from_cache for o in cached)
         for s, p, c in zip(serial, parallel, cached):
             assert s.events == p.events == c.events
-            assert (
-                s.result.metrics.overall
-                == p.result.metrics.overall
-                == c.result.metrics.overall
-            )
+            assert s.result == p.result == c.result
 
     def test_worker_validation(self):
         with pytest.raises(ValueError):
@@ -311,11 +303,9 @@ class TestConfigureEngine:
         "setting",
         [
             {"max_workers": 0},
-            {"event_budget": 0},
-            {"event_budget": -5},
             {"executor": "carrier-pigeon"},
         ],
-        ids=["workers", "budget", "negative-budget", "executor"],
+        ids=["workers", "executor"],
     )
     def test_invalid_setting_rejected_unchanged(self, reset, setting):
         engine = get_engine()
@@ -335,15 +325,14 @@ class TestConfigureEngine:
 
     @pytest.mark.parametrize("reset", [True, False])
     def test_none_means_default_or_unchanged(self, reset):
-        configure_engine(max_workers=3, event_budget=1234, executor="serial")
+        configure_engine(max_workers=3, executor="serial")
         engine = configure_engine(reset=reset)
+        assert engine._replays._lru.budget == DEFAULT_EVENT_BUDGET
         if reset:
             assert engine.max_workers == 1
-            assert engine._replays._lru.budget == DEFAULT_EVENT_BUDGET
             assert engine.executor is None
         else:
             assert engine.max_workers == 3
-            assert engine._replays._lru.budget == 1234
             assert engine.executor == "serial"
 
 
@@ -431,6 +420,35 @@ class TestCorruptDiskCache:
         cache = self._plant(tmp_path, pickle.dumps("not an outcome tuple"))
         assert cache.lookup(JOB.fingerprint) == (None, None)
         assert cache.stats.corrupt == 1
+
+    def test_entry_of_earlier_versions_is_recomputed(self, tmp_path, monkeypatch):
+        """Results pickled before ``FrontEndResult.matrix`` reference the
+        deleted ``MetricsCollector``: such an entry cannot load, so it is
+        dropped and recomputed like any unreadable one."""
+        import repro.core.metrics as metrics_module
+
+        class MetricsCollector:
+            pass
+
+        MetricsCollector.__module__ = metrics_module.__name__
+        MetricsCollector.__qualname__ = "MetricsCollector"
+        monkeypatch.setattr(
+            metrics_module, "MetricsCollector", MetricsCollector, raising=False
+        )
+        outcome = Engine().replay(JOB)
+        stale = copy.copy(outcome.result)
+        del stale.matrix
+        stale.metrics = MetricsCollector()
+        payload = pickle.dumps((outcome.events, stale))
+        monkeypatch.undo()
+
+        self._plant(tmp_path, payload)
+        engine = Engine(cache_dir=str(tmp_path))
+        served = engine.replay(JOB)
+        assert not served.from_cache
+        assert engine.stats.replay.corrupt == 1
+        assert served.result == outcome.result
+        assert Engine(cache_dir=str(tmp_path)).replay(JOB).from_cache
 
     def test_engine_recomputes_and_repairs(self, tmp_path, caplog):
         # Warm a valid cache dir, then truncate the entry on disk.

@@ -107,7 +107,7 @@ class TestProtocolConformance:
         estimator, predictor = estimator_and_predictor
         frontend = FrontEnd(predictor, estimator)
         result = frontend.replay(simple_trace, warmup=500)
-        matrix = result.metrics.overall
+        matrix = result.matrix
         assert matrix.total == result.branches
         assert 0.0 <= matrix.pvn <= 1.0
         assert 0.0 <= matrix.spec <= 1.0

@@ -17,6 +17,7 @@ aggregate metrics or final ``state_canonical()`` digests -- is a
 failure naming the first differing branch.
 """
 
+import inspect
 import random
 
 import pytest
@@ -34,6 +35,7 @@ from repro.engine import (
     THREE_REGION_POLICY,
     Engine,
     EstimatorSpec,
+    PolicySpec,
     PredictorSpec,
     ReplayOutcome,
     SimJob,
@@ -42,6 +44,7 @@ from repro.engine import (
 from repro.engine.replay import _replay_trace
 from repro.fastpath import driver as fast_driver
 from repro.fastpath import estimators as fast_estimators
+from repro.fastpath import support as fast_support
 from repro.fastpath.estimators import trajectory_key
 from repro.trace.benchmarks import generate_benchmark_trace
 from repro.trace.record import BranchRecord, Trace
@@ -133,15 +136,10 @@ def test_engine_outcomes_identical(engine, case):
     fast = engine.run([_job(case, backend="fast")])[0]
     assert reference.backend == "reference"
     assert fast.backend == "fast"
-    assert fast.canonical_metrics() == reference.canonical_metrics()
     assert fast.metrics_digest() == reference.metrics_digest()
     assert fast.events == reference.events
-    # The density-figure inputs, which canonical metrics leave out.
-    assert fast.result.outputs_correct == reference.result.outputs_correct
-    assert (
-        fast.result.outputs_mispredicted
-        == reference.result.outputs_mispredicted
-    )
+    # Every field, the density-figure inputs canonical metrics leave out too.
+    assert fast.result == reference.result
 
 
 def test_every_matrix_job_is_supported():
@@ -177,6 +175,12 @@ UNSUPPORTED_SPECS = {
     "jrs-enhanced-history-64": (
         "estimator", EstimatorSpec.of("jrs", enhanced=True, history_length=64)
     ),
+    "jrs-history-bool": (
+        "estimator", EstimatorSpec.of("jrs", history_length=True)
+    ),
+    "jrs-history-float": (
+        "estimator", EstimatorSpec.of("jrs", history_length=10.0)
+    ),
     "perceptron-entries-0": (
         "estimator", EstimatorSpec.of("perceptron", entries=0)
     ),
@@ -191,6 +195,9 @@ UNSUPPORTED_SPECS = {
     ),
     "perceptron-strong-below-weak": (
         "estimator", EstimatorSpec.of("perceptron", strong_threshold=-200)
+    ),
+    "perceptron-strong-bool": (
+        "estimator", EstimatorSpec.of("perceptron", strong_threshold=True)
     ),
     "path-entries-0": (
         "estimator", EstimatorSpec.of("path_perceptron", table_entries=0)
@@ -224,6 +231,7 @@ UNSUPPORTED_SPECS = {
             neutral_band=-1,
         ),
     ),
+    "policy-with-params": ("policy", PolicySpec.of("gating", x=1)),
 }
 
 
@@ -235,6 +243,117 @@ def test_out_of_matrix_specs_are_declined(which, spec):
         benchmark="gzip", n_branches=100, warmup=0, seed=1, backend="fast"
     ).with_(**{which: spec})
     assert not fastpath.supports(job)
+
+
+#: Single-entry tables: every pc and history folds to index 0.
+SINGLE_ENTRY = {
+    "gshare-1": (
+        PredictorSpec.of("baseline_hybrid", gshare_entries=1),
+        EstimatorSpec.of("perceptron", threshold=0),
+    ),
+    "hybrid-gshare-1": (
+        PredictorSpec.of("gshare_perceptron_hybrid", gshare_entries=1),
+        EstimatorSpec.of("perceptron", threshold=0),
+    ),
+    "jrs-1": (
+        PredictorSpec.of("baseline_hybrid"),
+        EstimatorSpec.of("jrs", entries=1),
+    ),
+    "tage-1": (
+        PredictorSpec.of("tage", tagged_entries=1),
+        EstimatorSpec.of("perceptron", threshold=0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "predictor, estimator", SINGLE_ENTRY.values(), ids=SINGLE_ENTRY.keys()
+)
+def test_single_entry_tables_run_fast(adversarial_trace, predictor, estimator):
+    """The constructors accept one-entry tables, so the fast path runs
+    them, and must match the reference branch for branch."""
+    report = run_fastpath_differential(
+        adversarial_trace, predictor, estimator, GATING_POLICY
+    )
+    assert report.ok, report.format()
+
+
+def _jrs_outcomes(trace):
+    job = SimJob(
+        benchmark="gzip",
+        n_branches=len(trace),
+        warmup=0,
+        seed=1,
+        estimator=EstimatorSpec.of("jrs", threshold=5),
+        backend="fast",
+    )
+    return (
+        _replay_trace(job, trace),
+        _replay_trace(job.with_(backend="reference"), trace),
+    )
+
+
+def test_changed_constructor_default_moves_the_fast_pass(monkeypatch):
+    """The fast pass reads its defaults from the constructor, so both
+    backends follow a changed default together."""
+    from repro.core.jrs import JRSEstimator
+
+    before, _ = _jrs_outcomes(generate_benchmark_trace("gzip", 5_000, seed=2))
+    # Every parameter has a default, so the tuple lines up with them.
+    names = list(inspect.signature(JRSEstimator).parameters)
+    defaults = list(JRSEstimator.__init__.__defaults__)
+    position = names.index("history_length")
+    assert defaults[position] == 13
+    defaults[position] = 9
+    monkeypatch.setattr(JRSEstimator.__init__, "__defaults__", tuple(defaults))
+    monkeypatch.setattr(fast_support, "_COMPONENTS", {})
+    # A fresh trace object: the pass cache is per trace.
+    fast, reference = _jrs_outcomes(generate_benchmark_trace("gzip", 5_000, seed=2))
+    assert fast.backend == "fast"
+    assert fast.events == reference.events
+    assert fast.metrics_digest() == reference.metrics_digest()
+    assert fast.events != before.events
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["int-first", "float-first"])
+def test_support_memo_is_type_exact(monkeypatch, order):
+    """Spec equality treats ``10``, ``10.0`` and ``True`` alike; the
+    support memo must not, in whichever order it sees them."""
+    monkeypatch.setattr(fast_support, "_COMPONENTS", {})
+    asked = [
+        (EstimatorSpec.of("jrs", history_length=10), True),
+        (EstimatorSpec.of("jrs", history_length=10.0), False),
+        (EstimatorSpec.of("jrs", enhanced=True), True),
+        (EstimatorSpec.of("jrs", enhanced=1), False),
+    ]
+    assert asked[0][0] == asked[1][0] and hash(asked[0][0]) == hash(asked[1][0])
+    assert asked[2][0] == asked[3][0]
+    job = SimJob(benchmark="gzip", n_branches=100, warmup=0, seed=1, backend="fast")
+    for spec, runs_fast in asked[::order]:
+        assert fastpath.supports(job.with_(estimator=spec)) is runs_fast, spec
+
+
+def test_kind_without_a_fast_pass_is_declined():
+    """A registered kind runs fast only when a pass exists for it; the
+    reason names the first component the fast path declines."""
+    from repro.core.estimator import AlwaysHighEstimator
+
+    @EstimatorSpec.register("fastpath_dummy")
+    def _dummy():
+        return AlwaysHighEstimator
+
+    try:
+        job = SimJob(
+            benchmark="gzip", n_branches=200, warmup=0, seed=1,
+            estimator=EstimatorSpec.of("fastpath_dummy"), backend="fast",
+        )
+        assert fastpath.unsupported_reason(job) == "estimator:fastpath_dummy"
+        trace = generate_benchmark_trace("gzip", 200, seed=1)
+        with pytest.raises(fastpath.FastPathUnsupported):
+            fastpath.replay(job, trace)
+        assert _replay_trace(job, trace).backend == "reference"
+    finally:
+        del EstimatorSpec._registry["fastpath_dummy"]
 
 
 def test_unsupported_spec_falls_back_to_reference(engine):
@@ -456,10 +575,7 @@ def test_threshold_ladder_matches_reference(counted_estimator_passes):
         label = repr(estimator)
         assert fast.events == reference.events, label
         assert fast.metrics_digest() == reference.metrics_digest(), label
-        assert result.outputs_correct == reference.result.outputs_correct, label
-        assert (
-            result.outputs_mispredicted == reference.result.outputs_mispredicted
-        ), label
+        assert result == reference.result, label
         assert repr(state) == repr(reference_state), label
     keys = [trajectory_key(estimator) for estimator, _ in LADDER]
     assert len(counted_estimator_passes) == len(set(keys)) == 6

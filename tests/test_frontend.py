@@ -39,21 +39,6 @@ def two_branch_trace(n=200):
     return Trace(records, name="two")
 
 
-def _result_fields(result):
-    """Every field of a result, the confusion matrix by value."""
-    return (
-        result.branches,
-        result.mispredictions,
-        result.final_mispredictions,
-        result.reversals,
-        result.reversals_correcting,
-        result.reversals_breaking,
-        result.metrics.overall,
-        result.outputs_correct,
-        result.outputs_mispredicted,
-    )
-
-
 class TestProcess:
     def test_event_fields(self):
         fe = FrontEnd(AlwaysTakenPredictor(), AlwaysHighEstimator())
@@ -87,6 +72,23 @@ class TestRun:
         fe2 = FrontEnd(make_baseline_hybrid(), JRSEstimator())
         warm = fe2.replay(trace, warmup=60)
         assert warm.branches == len(trace) - 60
+
+    def test_identical_replays_compare_equal(self, simple_trace):
+        """A result compares by value, its confusion matrix included."""
+
+        def replay(threshold):
+            estimator = PerceptronConfidenceEstimator(threshold=threshold)
+            return FrontEnd(make_baseline_hybrid(), estimator).replay(
+                simple_trace, warmup=600
+            )
+
+        first, second, looser = replay(0), replay(0), replay(-50)
+        assert first is not second
+        assert first == second
+        assert first.matrix.total == first.branches
+        assert looser.branches == first.branches
+        assert looser.matrix != first.matrix
+        assert looser != first
 
     def test_negative_warmup_rejected(self):
         fe = FrontEnd(AlwaysTakenPredictor(), AlwaysHighEstimator())
@@ -132,7 +134,7 @@ class TestRun:
             aggregate_event(expected, event, fe.collect_outputs)
         assert isinstance(events, FrontEndEvents)
         assert events == FrontEndEvents.of(processed)
-        assert _result_fields(result) == _result_fields(expected)
+        assert result == expected
         assert result.branches == len(events) == len(simple_trace) - warmup
         if isinstance(fe.policy, ThreeRegionPolicy):
             assert result.reversals_correcting and result.reversals_breaking
@@ -142,8 +144,8 @@ class TestRun:
     def test_always_high_estimator_never_flags(self, simple_trace):
         fe = FrontEnd(make_baseline_hybrid(), AlwaysHighEstimator())
         result = fe.replay(simple_trace)
-        assert result.metrics.overall.flagged_low == 0
-        assert result.metrics.overall.spec == 0.0
+        assert result.matrix.flagged_low == 0
+        assert result.matrix.spec == 0.0
 
     def test_collect_outputs(self, simple_trace):
         fe = FrontEnd(

@@ -48,7 +48,7 @@ class TestPaperClaimShapes:
         perc = FrontEnd(
             make_baseline_hybrid(), PerceptronConfidenceEstimator(threshold=0)
         ).replay(gzip_trace, warmup=WARM)
-        assert perc.metrics.overall.pvn > 1.5 * jrs.metrics.overall.pvn
+        assert perc.matrix.pvn > 1.5 * jrs.matrix.pvn
 
     def test_jrs_has_higher_coverage(self, gzip_trace):
         """JRS trades accuracy for coverage (Table 3)."""
@@ -58,7 +58,7 @@ class TestPaperClaimShapes:
         perc = FrontEnd(
             make_baseline_hybrid(), PerceptronConfidenceEstimator(threshold=0)
         ).replay(gzip_trace, warmup=WARM)
-        assert jrs.metrics.overall.spec > perc.metrics.overall.spec
+        assert jrs.matrix.spec > perc.matrix.spec
 
     def test_perceptron_threshold_tradeoff(self, gzip_trace):
         """Lowering lambda buys coverage and costs accuracy (Table 3)."""
@@ -68,7 +68,7 @@ class TestPaperClaimShapes:
         loose = FrontEnd(
             make_baseline_hybrid(), PerceptronConfidenceEstimator(threshold=-50)
         ).replay(gzip_trace, warmup=WARM)
-        assert loose.metrics.overall.spec > tight.metrics.overall.spec
+        assert loose.matrix.spec > tight.matrix.spec
 
     def test_deep_pipe_wastes_more_than_shallow(self, gzip_trace):
         """Table 2: 40c/4w wastes roughly double the 20c/4w machine."""
@@ -146,7 +146,7 @@ class TestPaperClaimShapes:
             make_baseline_hybrid(),
             PerceptronConfidenceEstimator(threshold=0, mode="cic"),
         ).replay(gcc_trace, warmup=WARM)
-        cic_m = cic.metrics.overall
+        cic_m = cic.matrix
 
         # Find a tnt threshold with at least cic's coverage.
         tnt_m = None
@@ -155,7 +155,7 @@ class TestPaperClaimShapes:
                 make_baseline_hybrid(),
                 PerceptronConfidenceEstimator(threshold=thr, mode="tnt"),
             ).replay(gcc_trace, warmup=WARM)
-            tnt_m = tnt.metrics.overall
+            tnt_m = tnt.matrix
             if tnt_m.spec >= cic_m.spec:
                 break
         assert tnt_m is not None

@@ -103,6 +103,6 @@ class TestBehaviorOnStreams:
 
         frontend = FrontEnd(make_baseline_hybrid(), JRSEstimator(threshold=7))
         result = frontend.replay(simple_trace, warmup=1500)
-        matrix = result.metrics.overall
+        matrix = result.matrix
         assert matrix.spec > 0.6
         assert matrix.pvn < 0.5

@@ -83,7 +83,7 @@ class TestOnBenchmark:
         result = FrontEnd(make_baseline_hybrid(), est).replay(
             gzip_trace, warmup=4000
         )
-        matrix = result.metrics.overall
+        matrix = result.matrix
         # The path variant must be a usable estimator: accuracy above
         # the base rate, nonzero coverage.
         assert matrix.pvn > 2 * matrix.misprediction_rate

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+import repro.engine.engine as engine_module
 from repro import telemetry
 from repro.engine import configure_engine
 from repro.experiments.common import ExperimentSettings
@@ -239,11 +240,12 @@ class TestRunSweep:
             assert store.get_job(victim) is not None
             assert first.planned_jobs == store.job_count()
 
-    def test_single_pass_replays_each_job_once(self):
+    def test_single_pass_replays_each_job_once(self, monkeypatch):
         # A memory cache too small to hold any outcome: a job the sweep
         # needed twice (to persist it, then to run its experiment)
         # would replay twice.
-        configure_engine(reset=True, event_budget=1)
+        monkeypatch.setattr(engine_module, "DEFAULT_EVENT_BUDGET", 1)
+        configure_engine(reset=True)
         try:
             telemetry.enable()
             before = telemetry.get_registry().snapshot()
@@ -252,6 +254,7 @@ class TestRunSweep:
                 assert store.job_count() == outcome.planned_jobs
             delta = telemetry.get_registry().snapshot().since(before)
         finally:
+            monkeypatch.undo()
             configure_engine(reset=True)
         replays = sum(delta.counter_series("engine_replays_total").values())
         assert outcome.executed_jobs == outcome.planned_jobs == 2

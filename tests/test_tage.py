@@ -139,7 +139,7 @@ class TestVerificationCoverage:
                 policy=GATING_POLICY,
                 predictor=PredictorSpec.of("tage"),
             )
-            matrix = Engine().replay(job).result.metrics.overall
+            matrix = Engine().replay(job).result.matrix
             return (matrix.total, matrix.flagged_low, matrix.pvn, matrix.spec,
                     matrix.misprediction_rate)
 

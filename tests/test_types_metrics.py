@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import ConfidenceMatrix, MetricsCollector
+from repro.core.metrics import ConfidenceMatrix
 from repro.core.types import ConfidenceLevel, ConfidenceSignal
 
 
@@ -91,10 +91,3 @@ class TestConfidenceMatrix:
         assert d["total"] == 100
         assert 0 < d["pvn"] < 1
 
-
-class TestMetricsCollector:
-    def test_overall_accumulates(self):
-        c = MetricsCollector()
-        c.record(True, True)
-        c.record(False, False)
-        assert c.overall.total == 2
